@@ -1,22 +1,71 @@
-"""ZMap-style JSON checkpoint state for interruptible campaigns.
+"""Checkpoint state for interruptible campaigns: O(delta) per checkpoint.
 
 ZMap's ``--status-updates-file``/state machinery lets a 48-hour scan survive
-the scanner host dying; this is the reproduction's equivalent.  One JSON
-file per shard records the shard coordinates, the position reached in the
-shard's permutation stream (the resume offset for
-``ScanConfig.skip``), the partial :class:`~repro.core.stats.ScanStats`, the
-validated replies so far, and an order-independent SHA-256 digest of the
-deduplicated reply set.  Writes are atomic (tmp + rename) so a kill during
-a checkpoint write leaves the previous state intact.
+the scanner host dying; this is the reproduction's equivalent.  A shard's
+state is the position reached in its permutation stream (the resume offset
+for ``ScanConfig.skip``), its cumulative :class:`~repro.core.stats.ScanStats`
+and the validated replies so far.  It lives in two files per shard::
 
-**Integrity**: every payload carries a whole-file SHA-256 ``checksum``
-(computed over the canonical JSON of everything else), so a torn write
-that still parses, a partially flushed file, or hand-editing is detected
-on load.  Corrupt or unparseable state files are **quarantined** — renamed
-to ``<name>.corrupt`` and reported via a ``checkpoint_corrupt`` event —
-and treated as missing, so the campaign re-scans the shard instead of
-resuming from (or crashing on) garbage.  The per-shard reply ``digest``
-check is kept as a second, content-level line of defence.
+    shard-<job>.log    append-only, one record per PARTIAL checkpoint
+    shard-<job>.json   the head, written once, when the shard is DONE
+
+**The log** is what makes a checkpoint cost what the scan produced since the
+previous one, not what the shard has produced in total::
+
+    +-------- shard-<job>.log ---------------------------------------+
+    | magic "RPCK" | version u8 | reserved x3                        |
+    | record: len u32 | ~len u32 | payload | sha256(chain | payload) |
+    | record: ...                                                    |
+    +----------------------------------------------------------------+
+
+The first record's payload is the shard's identity (JSON: job id, shard
+coordinates, range); every later one is a checkpoint — position and
+cumulative stats in fixed binary form followed by the rows validated since
+the previous record, packed with :func:`repro.store.segment.pack_row`.
+``chain`` starts as SHA-256 of the file header and advances to each record's
+digest, so a record's digest vouches for the whole prefix before it:
+verifying a load is one pass over the file, and writing never re-reads it.
+A PARTIAL checkpoint is **one write and one fsync** of one record (the very
+first also creates the file: write, fsync, rename).
+
+**The head** is a small checksummed JSON document written atomically
+(tmp + fsync + rename) when the shard finishes: identity, final position and
+stats, the rows since the last log record inline (``tail``, hex of the same
+packed form), the length and chain digest of the log prefix the earlier rows
+live in (``log_length`` / ``log_chain``; 0 when the shard never checkpointed
+and all its rows ride in the head), and the order-independent ``digest`` of
+the whole deduplicated reply set — computed once, here, not per checkpoint.
+
+**Integrity.**  A record is acknowledged once its fsync returns.  On load:
+
+* a record at the *tail* that is cut short, or complete but failing its
+  digest, is an unacknowledged torn write: replay stops at the last good
+  record and the shard resumes from that record's position — the guarantee
+  tmp + rename gave, the previous checkpoint survives.  The file itself is
+  left alone; the resuming attempt carries only the verified prefix over
+  (below);
+* a record *before* the tail that fails (digest, or a length that does not
+  match its complement), a head whose ``checksum`` fails, a head whose
+  ``log_length`` / ``log_chain`` do not match the log, or a head whose
+  ``digest`` is not that of the reassembled rows, is corruption: head and
+  log are **quarantined together** — renamed to ``<name>.corrupt`` and
+  reported in one ``checkpoint_corrupt`` event — and the shard is re-scanned
+  instead of resuming from (or crashing on) garbage.
+
+**Racing attempts.**  A watchdog-abandoned straggler and its retry can
+checkpoint the same shard at once, and appends to one inode would
+interleave.  So an attempt never appends to a file it found: its first
+checkpoint writes the verified prefix it loaded (or, with nothing to resume,
+the header and identity) plus its own first record to a fresh file and
+renames that over ``shard-<job>.log`` — O(shard) once per attempt — and from
+then on appends through its own descriptor; the straggler keeps writing to
+the orphaned inode.  Before the head goes out, an attempt that finds another
+attempt's file under the log's name puts its own back, so the head and the
+log it names come from the same attempt.
+
+**Versions.**  ``STATE_VERSION`` 2.  A head or manifest of another version
+(v1's whole-result ``shard-*.json`` included), like a log of another
+version, is treated as missing: the shard is scanned afresh.
 """
 
 from __future__ import annotations
@@ -25,18 +74,35 @@ import hashlib
 import json
 import os
 import pathlib
+import struct
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import IO, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.scanner import ScanResult
+from repro.core.scanner import ProbeResult, ScanResult
+from repro.core.stats import ScanStats
+from repro.core.target import ScanRange
+from repro.store.segment import ROW_SIZE, SegmentCorrupt, pack_row, unpack_rows
 
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 #: Shard status values: a ``partial`` shard resumes from ``position``; a
 #: ``done`` shard is never re-executed (zero probes on resume).
 PARTIAL = "partial"
 DONE = "done"
+
+_LOG_MAGIC = b"RPCK"
+_LOG_HEADER = _LOG_MAGIC + bytes([STATE_VERSION, 0, 0, 0])
+#: Record framing: payload length and its one's complement, so a damaged
+#: length is told from a record that merely runs past the end of the file.
+_FRAME = struct.Struct(">II")
+_DIGEST_SIZE = hashlib.sha256().digest_size
+#: Where every log's chain starts: the digest of the file header.
+_CHAIN_START = hashlib.sha256(_LOG_HEADER).digest()
+#: Checkpoint payload prefix: position, then the ScanStats fields (sent,
+#: blocked, received, validated, discarded, virtual_start, virtual_end,
+#: wall_seconds); the packed rows follow.
+_PROGRESS = struct.Struct(">Q5Q3d")
 
 
 def _checksum(payload: Dict[str, object]) -> str:
@@ -47,9 +113,20 @@ def _checksum(payload: Dict[str, object]) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+class _Corrupt(Exception):
+    """State that fails verification; the message is the event ``reason``."""
+
+
 @dataclass
 class ShardState:
-    """The persisted state of one shard."""
+    """One checkpoint of one shard.
+
+    ``position`` and ``result.stats`` are cumulative.  ``result.results`` is
+    cumulative in a state :meth:`CheckpointStore.load_shard` returns, and
+    holds only the rows validated **since the previous write** in a state
+    handed to :meth:`CheckpointStore.write_shard` — the store already has
+    the earlier ones.
+    """
 
     job_id: str
     status: str  # PARTIAL | DONE
@@ -57,48 +134,96 @@ class ShardState:
     shards: int
     position: int  # shard-stream positions consumed (resume offset)
     result: ScanResult
+    #: ``dedup_digest()`` of the whole reply set, as loaded from a DONE head.
     digest: str = ""
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "version": STATE_VERSION,
-            "job_id": self.job_id,
-            "status": self.status,
-            "shard": self.shard,
-            "shards": self.shards,
-            "position": self.position,
-            "result": self.result.to_dict(),
-            "digest": self.digest or self.result.dedup_digest(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ShardState":
-        result = ScanResult.from_dict(data["result"])  # type: ignore[arg-type]
-        return cls(
-            job_id=str(data["job_id"]),
-            status=str(data["status"]),
-            shard=int(data["shard"]),  # type: ignore[arg-type]
-            shards=int(data["shards"]),  # type: ignore[arg-type]
-            position=int(data["position"]),  # type: ignore[arg-type]
-            result=result,
-            digest=str(data.get("digest", "")),
-        )
+    #: Writing DONE only: the shard's whole result, from which the head's
+    #: ``digest`` is computed.  May be left out when ``result`` *is* the
+    #: whole result (the shard never checkpointed PARTIAL).
+    whole: Optional[ScanResult] = None
 
 
 def _filename(job_id: str) -> str:
-    """A filesystem-safe name for a shard state file."""
+    """A filesystem-safe name for a shard's head file."""
     safe = job_id.replace("/", "-").replace(":", "_")
     return f"shard-{safe}.json"
 
 
+def _frame(chain: bytes, payload: bytes) -> Tuple[bytes, bytes]:
+    """One log record, and the chain digest it advances to."""
+    digest = hashlib.sha256(chain + payload).digest()
+    size = len(payload)
+    return _FRAME.pack(size, size ^ 0xFFFFFFFF) + payload + digest, digest
+
+
+def _pack_rows(rows: Sequence[ProbeResult]) -> bytes:
+    return b"".join([pack_row(row) for row in rows])
+
+
+def _unpack_rows(packed: bytes) -> List[ProbeResult]:
+    count, odd = divmod(len(packed), ROW_SIZE)
+    if odd:
+        raise _Corrupt("malformed-state")
+    try:
+        return unpack_rows(packed, count)
+    except SegmentCorrupt:
+        raise _Corrupt("malformed-state") from None
+
+
+def _replay(data: bytes) -> Tuple[List[bytes], int, bytes]:
+    """Verify a log's chain in one pass.
+
+    Returns the payloads of the records that verify, the offset just past
+    the last of them, and the chain digest there.  Stops silently at a torn
+    tail; raises :class:`_Corrupt` for damage before the tail.
+    """
+    offset, chain = len(_LOG_HEADER), _CHAIN_START
+    payloads: List[bytes] = []
+    while len(data) - offset >= _FRAME.size:
+        size, complement = _FRAME.unpack_from(data, offset)
+        if size ^ complement != 0xFFFFFFFF:
+            raise _Corrupt("checksum-mismatch")
+        body = offset + _FRAME.size
+        end = body + size + _DIGEST_SIZE
+        if end > len(data):
+            break  # cut short: never acknowledged
+        payload = data[body:body + size]
+        digest = hashlib.sha256(chain + payload).digest()
+        if digest != data[body + size:end]:
+            if end == len(data):
+                break  # the last record, complete but torn inside
+            raise _Corrupt("checksum-mismatch")
+        payloads.append(payload)
+        offset, chain = end, digest
+    return payloads, offset, chain
+
+
+class _Attempt:
+    """One store's private view of one shard's log: the verified prefix it
+    loaded (until its own copy is published), then its own descriptor."""
+
+    def __init__(self, prefix: bytes, chain: bytes) -> None:
+        self.prefix = prefix
+        self.length = len(prefix)
+        self.chain = chain
+        self.handle: Optional[IO[bytes]] = None
+
+    def close(self) -> None:
+        if self.handle is not None:
+            self.handle.close()
+            self.handle = None
+
+
 class CheckpointStore:
-    """A directory of per-shard state files plus one campaign manifest.
+    """A directory of per-shard state (head + log) plus one campaign manifest.
 
     ``on_event`` is an optional telemetry hook: every state transition the
     store performs (shard write, manifest write, quarantine, clear) is
     reported as one structured-event dict, so checkpoint activity lands in
     the campaign's :class:`~repro.telemetry.events.EventLog` (or a worker's
     local buffer) without the store knowing anything about logging.
+
+    A store that writes shard state holds that shard's log open between
+    checkpoints; :meth:`close` releases it.
     """
 
     MANIFEST = "campaign.json"
@@ -117,80 +242,119 @@ class CheckpointStore:
         from repro.store.oslayer import get_default_os
 
         self.os = os_layer if os_layer is not None else get_default_os()
+        #: job id -> the log state this store loaded or is appending to.
+        self._attempts: Dict[str, _Attempt] = {}
 
     def _event(self, event_type: str, **fields: object) -> None:
         if self.on_event is not None:
             self.on_event({"type": event_type, **fields})
 
+    def close(self) -> None:
+        """Release every log descriptor this store holds."""
+        for attempt in self._attempts.values():
+            attempt.close()
+        self._attempts.clear()
+
     # -- integrity -------------------------------------------------------------
 
-    def _quarantine(self, path: pathlib.Path, what: str,
-                    reason: str) -> None:
-        """Move a corrupt state file aside and report it."""
+    @staticmethod
+    def _set_aside(path: pathlib.Path) -> str:
+        """Rename ``path`` to ``<name>.corrupt``; "" if it could not be."""
         target = path.with_name(path.name + ".corrupt")
         try:
             path.replace(target)
-            quarantined = str(target)
-        except OSError:  # pragma: no cover - race with a concurrent writer
-            quarantined = ""
-        self._event(
-            "checkpoint_corrupt",
-            file=str(path),
-            quarantined=quarantined,
-            what=what,
-            reason=reason,
-        )
+        except OSError:  # absent, or a race with a concurrent writer
+            return ""
+        return str(target)
 
-    def _load_json(self, path: pathlib.Path,
-                   what: str) -> Optional[Dict[str, object]]:
+    def _quarantine(self, path: pathlib.Path, what: str, reason: str,
+                    companion: Optional[pathlib.Path] = None) -> None:
+        """Move a corrupt state file — and ``companion``, the other half of
+        a shard's state, with it — aside, and report it once."""
+        fields: Dict[str, object] = {
+            "file": str(path),
+            "quarantined": self._set_aside(path),
+            "what": what,
+            "reason": reason,
+        }
+        if companion is not None and companion.exists():
+            fields["companion"] = self._set_aside(companion)
+        self._event("checkpoint_corrupt", **fields)
+
+    def _load_json(self, path: pathlib.Path, what: str,
+                   companion: Optional[pathlib.Path] = None,
+                   ) -> Optional[Dict[str, object]]:
         """Parse + checksum-verify one state file; quarantine on corruption.
 
-        Returns None when the file is absent, wrong-version, or corrupt
-        (quarantined).  Payloads without a ``checksum`` field (pre-integrity
-        writers) are accepted as-is.
+        Returns None when the file is absent or corrupt (quarantined, with
+        ``companion``).  Every writer of this format records a ``checksum``;
+        a payload without one has lost it.
         """
         try:
-            text = path.read_text()
+            raw = path.read_bytes()
         except FileNotFoundError:
             return None
         try:
-            data = json.loads(text)
-        except ValueError:
-            self._quarantine(path, what, "truncated-or-invalid-json")
+            data = json.loads(raw)
+        except ValueError:  # includes bytes that are not UTF-8
+            self._quarantine(path, what, "truncated-or-invalid-json", companion)
             return None
         if not isinstance(data, dict):
-            self._quarantine(path, what, "not-a-json-object")
+            self._quarantine(path, what, "not-a-json-object", companion)
             return None
-        recorded = data.get("checksum")
-        if recorded is not None and recorded != _checksum(data):
-            self._quarantine(path, what, "checksum-mismatch")
+        if data.get("checksum") != _checksum(data):
+            self._quarantine(path, what, "checksum-mismatch", companion)
             return None
         return data
 
-    def _atomic_write(self, path: pathlib.Path,
-                      payload: Dict[str, object]) -> None:
-        payload["checksum"] = _checksum(payload)
-        # Unique tmp name: two workers checkpointing the same shard (a
+    def _tmp_name(self, path: pathlib.Path) -> pathlib.Path:
+        # Unique per writer: two workers checkpointing the same shard (a
         # watchdog-abandoned straggler racing its retry) must not clobber
         # each other's half-written tmp files.
-        tmp = path.with_name(
+        return path.with_name(
             f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
         )
+
+    def _write_durably(self, handle: IO[bytes], data: bytes) -> None:
+        self.os.write(handle, data)
+        handle.flush()
+        self.os.fsync(handle)
+
+    def _atomic_write(self, path: pathlib.Path,
+                      payload: Dict[str, object]) -> None:
+        # One encoding is both hashed and written: the canonical form
+        # ``_checksum`` recomputes on load, with the checksum spliced in
+        # before the closing brace.
+        canonical = json.dumps(payload, sort_keys=True)
+        checksum = hashlib.sha256(canonical.encode()).hexdigest()
+        body = f'{canonical[:-1]}, "checksum": "{checksum}"}}'
+        tmp = self._tmp_name(path)
         with open(tmp, "wb") as handle:
-            self.os.write(handle, json.dumps(payload).encode())
-            handle.flush()
-            self.os.fsync(handle)
+            self._write_durably(handle, body.encode())
         self.os.replace(tmp, path)
 
-    # -- shard state -----------------------------------------------------------
+    # -- shard state: writing --------------------------------------------------
 
     def shard_path(self, job_id: str) -> pathlib.Path:
+        """The shard's head file (present once the shard is DONE)."""
         return self.directory / _filename(job_id)
 
+    def log_path(self, job_id: str) -> pathlib.Path:
+        """The shard's checkpoint log (present once it checkpointed)."""
+        return self.shard_path(job_id).with_suffix(".log")
+
     def write_shard(self, state: ShardState) -> None:
-        """Atomically persist one shard's state (checksummed)."""
-        path = self.shard_path(state.job_id)
-        self._atomic_write(path, state.to_dict())
+        """Persist one checkpoint: ``state.result.results`` holds the rows
+        since the previous write (see :class:`ShardState`).
+
+        PARTIAL appends one record to the shard's log and fsyncs it; DONE
+        atomically writes the head.  Either way the checkpoint is durable
+        when this returns, and a failure leaves the previous one intact.
+        """
+        if state.status == PARTIAL:
+            self._append(state)
+        else:
+            self._write_head(state)
         self._event(
             "checkpoint_written",
             job_id=state.job_id,
@@ -199,34 +363,161 @@ class CheckpointStore:
             sent=state.result.stats.sent,
         )
 
-    def load_shard(self, job_id: str) -> Optional[ShardState]:
-        """Load a shard's state; None if absent, unreadable, or corrupt."""
-        path = self.shard_path(job_id)
-        data = self._load_json(path, what="shard")
-        if data is None or data.get("version") != STATE_VERSION:
-            return None
+    def _attempt(self, state: ShardState) -> _Attempt:
+        attempt = self._attempts.get(state.job_id)
+        if attempt is None:
+            identity = json.dumps({
+                "job_id": state.job_id,
+                "shard": state.shard,
+                "shards": state.shards,
+                "range": str(state.result.range),
+            }, sort_keys=True).encode()
+            record, chain = _frame(_CHAIN_START, identity)
+            attempt = self._attempts[state.job_id] = _Attempt(
+                _LOG_HEADER + record, chain
+            )
+        return attempt
+
+    def _publish(self, path: pathlib.Path, attempt: _Attempt,
+                 record: bytes = b"") -> None:
+        """Start this attempt's own copy of the log — the prefix it rests
+        on, plus ``record`` — and rename it over the shared name."""
+        tmp = self._tmp_name(path)
+        handle = open(tmp, "w+b")
         try:
-            state = ShardState.from_dict(data)
-        except (ValueError, KeyError, TypeError):
-            self._quarantine(path, "shard", "malformed-state")
+            self._write_durably(handle, attempt.prefix + record)
+            self.os.replace(tmp, path)
+        except BaseException:
+            handle.close()
+            raise
+        attempt.handle = handle
+        attempt.prefix = b""
+
+    def _append(self, state: ShardState) -> None:
+        stats = state.result.stats
+        payload = _PROGRESS.pack(
+            state.position, stats.sent, stats.blocked, stats.received,
+            stats.validated, stats.discarded, stats.virtual_start,
+            stats.virtual_end, stats.wall_seconds,
+        ) + _pack_rows(state.result.results)
+        attempt = self._attempt(state)
+        record, chain = _frame(attempt.chain, payload)
+        try:
+            if attempt.handle is None:
+                self._publish(self.log_path(state.job_id), attempt, record)
+            else:
+                self._write_durably(attempt.handle, record)
+        except BaseException:
+            # Whatever reached the file is a torn tail for the next load to
+            # step over; this store cannot vouch for the log any more.
+            attempt.close()
+            del self._attempts[state.job_id]
+            raise
+        attempt.chain = chain
+        attempt.length += len(record)
+
+    def _own_log(self, path: pathlib.Path, attempt: _Attempt) -> None:
+        """Make the file under the log's name this attempt's own copy."""
+        if attempt.handle is not None:
+            try:
+                mine = os.fstat(attempt.handle.fileno()).st_ino
+                if mine == os.stat(path).st_ino:
+                    return
+            except FileNotFoundError:
+                pass
+            # A racing attempt renamed its copy over ours: put ours back.
+            attempt.handle.seek(0)
+            attempt.prefix = attempt.handle.read()
+            attempt.close()
+        self._publish(path, attempt)
+
+    def _write_head(self, state: ShardState) -> None:
+        # An attempt on record has checkpoint records in its log: rows the
+        # head must point at.  Without one, every row rides in the head.
+        attempt = self._attempts.pop(state.job_id, None)
+        log_length, log_chain = 0, ""
+        try:
+            if attempt is not None:
+                if state.whole is None:
+                    raise ValueError(
+                        f"{state.job_id}: a DONE state over a checkpoint log "
+                        "must carry the shard's whole result"
+                    )
+                self._own_log(self.log_path(state.job_id), attempt)
+                log_length, log_chain = attempt.length, attempt.chain.hex()
+            self._atomic_write(self.shard_path(state.job_id), {
+                "version": STATE_VERSION,
+                "job_id": state.job_id,
+                "status": DONE,
+                "shard": state.shard,
+                "shards": state.shards,
+                "position": state.position,
+                "result": {
+                    "range": str(state.result.range),
+                    "stats": state.result.stats.to_dict(),
+                },
+                "digest": (state.whole or state.result).dedup_digest(),
+                "tail": _pack_rows(state.result.results).hex(),
+                "log_length": log_length,
+                "log_chain": log_chain,
+            })
+        finally:
+            if attempt is not None:
+                attempt.close()
+
+    # -- shard state: loading --------------------------------------------------
+
+    def load_shard(self, job_id: str) -> Optional[ShardState]:
+        """Load a shard's state; None if absent, unreadable, or corrupt.
+
+        A PARTIAL state's verified log prefix is remembered: the first
+        :meth:`write_shard` for this shard through this store continues it.
+        """
+        loaded = self._read(self.shard_path(job_id))
+        if loaded is None:
             return None
-        if state.digest and state.digest != state.result.dedup_digest():
-            # Checksum passed but the reply set doesn't hash to the recorded
-            # digest: content-level tampering.  Quarantine rather than let a
-            # resume silently build on altered replies.
-            self._quarantine(path, "shard", "digest-mismatch")
-            return None
+        state, attempt = loaded
+        if attempt is not None:
+            self._attempts[job_id] = attempt
         return state
 
     def iter_states(self) -> Iterator[ShardState]:
-        for path in sorted(self.directory.glob("shard-*.json")):
-            data = self._load_json(path, what="shard")
-            if data is None or data.get("version") != STATE_VERSION:
-                continue
-            try:
-                yield ShardState.from_dict(data)
-            except (ValueError, KeyError, TypeError):
-                self._quarantine(path, "shard", "malformed-state")
+        heads = {
+            path.with_suffix(".json")
+            for pattern in ("shard-*.json", "shard-*.log")
+            for path in self.directory.glob(pattern)
+        }
+        for head_path in sorted(heads):
+            loaded = self._read(head_path)
+            if loaded is not None:
+                yield loaded[0]
+
+    def _read(
+        self, head_path: pathlib.Path
+    ) -> Optional[Tuple[ShardState, Optional[_Attempt]]]:
+        """One shard's state from its head (DONE) or, failing a head, its
+        log (PARTIAL, with the log state to continue from); corruption
+        quarantines both files."""
+        log_path = head_path.with_suffix(".log")
+        head = self._load_json(head_path, "shard", companion=log_path)
+        if head is not None and head.get("version") != STATE_VERSION:
+            head = None
+        try:
+            log: Optional[bytes] = log_path.read_bytes()
+        except FileNotFoundError:
+            log = None
+        try:
+            if head is not None:
+                return _done_state(head, log), None
+            if log is None:
+                return None
+            return _partial_state(log)
+        except _Corrupt as exc:
+            if head is not None:
+                self._quarantine(head_path, "shard", str(exc), log_path)
+            else:
+                self._quarantine(log_path, "shard", str(exc))
+            return None
 
     # -- campaign manifest ----------------------------------------------------------
 
@@ -245,13 +536,92 @@ class CheckpointStore:
     def clear(self) -> None:
         """Forget all persisted state (fresh campaign over an old directory)."""
         cleared = 0
-        for pattern in ("shard-*.json", "shard-*.json.corrupt"):
-            for path in self.directory.glob(pattern):
-                path.unlink()
-                cleared += 1
+        # Heads, logs, quarantined copies and abandoned tmp files alike.
+        for path in self.directory.glob("shard-*"):
+            path.unlink()
+            cleared += path.name.endswith((".json", ".json.corrupt"))
         for name in (self.MANIFEST, self.MANIFEST + ".corrupt"):
             target = self.directory / name
             if target.exists():
                 target.unlink()
         self._event("checkpoints_cleared", directory=str(self.directory),
                     shards=cleared)
+
+
+def _checkpoint_rows(payloads: Sequence[bytes]) -> List[ProbeResult]:
+    """The rows of a log's checkpoint records (everything after the
+    identity record), in the order they were validated."""
+    rows: List[ProbeResult] = []
+    for payload in payloads[1:]:
+        if len(payload) < _PROGRESS.size:
+            raise _Corrupt("malformed-state")
+        rows.extend(_unpack_rows(payload[_PROGRESS.size:]))
+    return rows
+
+
+def _partial_state(log: bytes) -> Optional[Tuple[ShardState, _Attempt]]:
+    """The state a log alone vouches for: that of its last good record."""
+    if log[:len(_LOG_HEADER)] != _LOG_HEADER:
+        if log[:len(_LOG_MAGIC)] == _LOG_MAGIC and len(log) >= len(_LOG_HEADER):
+            return None  # another version's log: as good as missing
+        raise _Corrupt("malformed-state")
+    payloads, good, chain = _replay(log)
+    if len(payloads) < 2:
+        return None  # no checkpoint was ever acknowledged
+    rows = _checkpoint_rows(payloads)
+    try:
+        identity = json.loads(payloads[0])
+        position, *stats = _PROGRESS.unpack_from(payloads[-1])
+        state = ShardState(
+            job_id=str(identity["job_id"]),
+            status=PARTIAL,
+            shard=int(identity["shard"]),
+            shards=int(identity["shards"]),
+            position=position,
+            result=ScanResult(
+                range=ScanRange.parse(str(identity["range"])),
+                results=rows,
+                stats=ScanStats(*stats),
+            ),
+        )
+    except (ValueError, KeyError, TypeError):
+        raise _Corrupt("malformed-state") from None
+    return state, _Attempt(log[:good], chain)
+
+
+def _done_state(head: Dict[str, object], log: Optional[bytes]) -> ShardState:
+    """The state a DONE head describes, its rows reassembled from the log
+    prefix it names and its own tail."""
+    try:
+        if head["status"] != DONE:
+            raise _Corrupt("malformed-state")
+        log_length = int(head["log_length"])
+        rows: List[ProbeResult] = []
+        if log_length:
+            payloads, good, chain = _replay((log or b"")[:log_length])
+            if good != log_length or chain.hex() != head["log_chain"]:
+                raise _Corrupt("checksum-mismatch")
+            rows = _checkpoint_rows(payloads)
+        rows.extend(_unpack_rows(bytes.fromhex(str(head["tail"]))))
+        result: Dict[str, object] = head["result"]
+        state = ShardState(
+            job_id=str(head["job_id"]),
+            status=DONE,
+            shard=int(head["shard"]),
+            shards=int(head["shards"]),
+            position=int(head["position"]),
+            result=ScanResult(
+                range=ScanRange.parse(str(result["range"])),
+                results=rows,
+                stats=ScanStats.from_dict(result["stats"]),  # type: ignore[arg-type]
+            ),
+            digest=str(head["digest"]),
+        )
+    except (ValueError, KeyError, TypeError):
+        raise _Corrupt("malformed-state") from None
+    if state.digest != state.result.dedup_digest():
+        # Checksums passed but the reply set doesn't hash to the recorded
+        # digest: content-level tampering.  Quarantine rather than let a
+        # resume silently build on altered replies.
+        raise _Corrupt("digest-mismatch")
+    return state

@@ -123,12 +123,23 @@ class ShardPlanner:
         store_dir: Optional[str] = None,
         store_prefix: str = "",
     ) -> List[ShardJob]:
-        """One job per shard; any shard/skip already on ``config`` is reset."""
+        """One job per shard; any shard/skip already on ``config`` is reset.
+
+        ``config.max_probes`` caps the *scan*, so it is split across the
+        shards (``N // shards``, +1 for the first ``N % shards``) and the
+        shards together send N — what admission charged for.  A shard whose
+        index stream is shorter than its share sends what it has.
+        """
         label = label or str(config.scan_range)
         jobs = []
         for shard in range(self.shards):
+            max_probes = config.max_probes
+            if max_probes is not None:
+                share, extra = divmod(max_probes, self.shards)
+                max_probes = share + (shard < extra)
             shard_config = dataclasses.replace(
-                config, shard=shard, shards=self.shards, skip=0
+                config, shard=shard, shards=self.shards, skip=0,
+                max_probes=max_probes,
             )
             jobs.append(
                 ShardJob(

@@ -91,14 +91,38 @@ def _segment_writer(job: ShardJob, os_layer=None):
     return SegmentWriter(path, os_layer=os_layer)
 
 
-def _combined(prior: Optional[ScanResult], current: ScanResult) -> ScanResult:
-    """Merge checkpointed partial results with the current attempt's."""
-    if prior is None:
-        return current
-    merged = ScanResult(range=current.range)
-    merged.merge(prior)
-    merged.merge(current)
-    return merged
+class _Cumulative:
+    """A shard's result across attempts, advanced in O(new rows).
+
+    The rows are the restored attempt's reply set plus what the running
+    attempt has added (deduplicated on the scan's own key, as
+    :meth:`ScanResult.merge` does); without a restored attempt they are the
+    running scan's own list.  ``written`` counts the rows a checkpoint has
+    already handed to the store.
+    """
+
+    def __init__(self, prior: Optional[ScanResult]) -> None:
+        self._rows: Optional[ScanResult] = None  # its stats are not used
+        self.written = 0
+        if prior is not None:
+            self._prior_stats = prior.stats
+            self._rows = ScanResult(range=prior.range)
+            self._rows.merge(prior)
+            self.written = len(self._rows.results)
+        self._folded = 0  # rows of the running attempt already in _rows
+
+    def result(self, current: ScanResult) -> ScanResult:
+        """The cumulative result as of now."""
+        if self._rows is None:
+            return current
+        fresh = current.results[self._folded:]
+        self._folded = len(current.results)
+        self._rows.merge(ScanResult(range=current.range, results=fresh))
+        return ScanResult(
+            range=current.range,
+            results=self._rows.results,
+            stats=dataclasses.replace(self._prior_stats).merge(current.stats),
+        )
 
 
 def execute_job(
@@ -106,11 +130,21 @@ def execute_job(
 ) -> ShardOutcome:
     """Run one shard to completion, honouring any checkpointed progress."""
     buffer = WorkerEventBuffer()
-    store = (
-        CheckpointStore(job.checkpoint_dir, on_event=buffer.record)
-        if job.checkpoint_dir
-        else None
-    )
+    if not job.checkpoint_dir:
+        return _run_shard(job, prebuilt, buffer, None)
+    store = CheckpointStore(job.checkpoint_dir, on_event=buffer.record)
+    try:
+        return _run_shard(job, prebuilt, buffer, store)
+    finally:
+        store.close()  # the shard's log stays open between checkpoints
+
+
+def _run_shard(
+    job: ShardJob,
+    prebuilt: Optional[BuiltTopology],
+    buffer: WorkerEventBuffer,
+    store: Optional[CheckpointStore],
+) -> ShardOutcome:
     prior = store.load_shard(job.job_id) if store is not None else None
 
     if prior is not None and prior.status == DONE:
@@ -178,13 +212,16 @@ def execute_job(
         sink = SegmentSink(_segment_writer(job, host_os))
     scanner = Scanner(built.network, built.vantage, probe, config,
                       metrics=registry, tracer=tracer, sink=sink)
-    prior_result = prior.result if prior is not None else None
+    cumulative = _Cumulative(prior.result if prior is not None else None)
     if skip:
         buffer.emit("shard_resumed", job_id=job.job_id, position=skip)
 
-    def _write(status: str) -> None:
+    def _write(status: str) -> ScanResult:
+        """Checkpoint the shard: the store gets the rows since the last
+        checkpoint with the cumulative position and stats.  Returns the
+        cumulative result."""
         assert store is not None and scanner.result is not None
-        snapshot = _combined(prior_result, scanner.result)
+        total = cumulative.result(scanner.result)
         store.write_shard(
             ShardState(
                 job_id=job.job_id,
@@ -192,9 +229,16 @@ def execute_job(
                 shard=config.shard,
                 shards=config.shards,
                 position=scanner.position,
-                result=snapshot,
+                result=ScanResult(
+                    range=total.range,
+                    results=total.results[cumulative.written:],
+                    stats=total.stats,
+                ),
+                whole=total if status == DONE else None,
             )
         )
+        cumulative.written = len(total.results)
+        return total
 
     if (
         store is not None
@@ -247,18 +291,7 @@ def execute_job(
         # checkpoint writes and shard lifecycle events.
         for fault_record in scanner.fault_injector.records:
             buffer.record(fault_record)
-    merged = _combined(prior_result, result)
-    if store is not None:
-        store.write_shard(
-            ShardState(
-                job_id=job.job_id,
-                status=DONE,
-                shard=config.shard,
-                shards=config.shards,
-                position=scanner.position,
-                result=merged,
-            )
-        )
+    merged = _write(DONE) if store is not None else result
     segment_meta: Optional[Dict[str, object]] = None
     if sink is not None:
         sink.close()

@@ -157,8 +157,12 @@ class ServiceServer:
         return f"http://{host}:{port}"
 
     def start(self) -> "ServiceServer":
+        # ``stop()`` waits out one shutdown poll; the stdlib default of
+        # 0.5 s would make every stop/drain cost half a second.
         self._thread = threading.Thread(
-            target=self.httpd.serve_forever, name="service-http", daemon=True
+            target=self.httpd.serve_forever,
+            kwargs={"poll_interval": 0.05},
+            name="service-http", daemon=True,
         )
         self._thread.start()
         return self

@@ -77,6 +77,40 @@ def pack_row(result: ProbeResult) -> bytes:
     )
 
 
+def unpack_rows(
+    payload, count: int, kinds: Sequence[ReplyKind] = tuple(ReplyKind)
+) -> List[ProbeResult]:
+    """The inverse of :func:`pack_row` over ``count`` consecutive rows.
+
+    ``kinds`` is the kind-code table the rows were packed against (the
+    current one by default).  Raises :class:`SegmentCorrupt` on a kind code
+    outside it.
+    """
+    out: List[ProbeResult] = []
+    offset = 0
+    for _ in range(count):
+        target, responder, kind_code, icmp_type, icmp_code = (
+            ROW.unpack_from(payload, offset)
+        )
+        offset += ROW_SIZE
+        try:
+            kind = kinds[kind_code]
+        except IndexError:
+            raise SegmentCorrupt(
+                f"kind code {kind_code} outside the recorded kind table"
+            ) from None
+        out.append(
+            ProbeResult(
+                target=IPv6Addr(int.from_bytes(target, "big")),
+                responder=IPv6Addr(int.from_bytes(responder, "big")),
+                kind=kind,
+                icmp_type=icmp_type,
+                icmp_code=icmp_code,
+            )
+        )
+    return out
+
+
 class SegmentWriter:
     """Streams rows into blocks; ``seal()`` makes the segment durable.
 
@@ -231,31 +265,10 @@ class SegmentReader:
             close()
 
     def _decode_rows(self, payload, count: int) -> List[ProbeResult]:
-        kinds = self._kinds
-        out: List[ProbeResult] = []
-        offset = 0
-        for _ in range(count):
-            target, responder, kind_code, icmp_type, icmp_code = (
-                ROW.unpack_from(payload, offset)
-            )
-            offset += ROW_SIZE
-            try:
-                kind = kinds[kind_code]
-            except IndexError:
-                raise SegmentCorrupt(
-                    f"{self.path.name}: kind code {kind_code} outside the "
-                    "recorded kind table"
-                ) from None
-            out.append(
-                ProbeResult(
-                    target=IPv6Addr(int.from_bytes(target, "big")),
-                    responder=IPv6Addr(int.from_bytes(responder, "big")),
-                    kind=kind,
-                    icmp_type=icmp_type,
-                    icmp_code=icmp_code,
-                )
-            )
-        return out
+        try:
+            return unpack_rows(payload, count, self._kinds)
+        except SegmentCorrupt as exc:
+            raise SegmentCorrupt(f"{self.path.name}: {exc}") from None
 
     def _iter_blocks(
         self, buffer, wanted: Optional[Sequence[int]]

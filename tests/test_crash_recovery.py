@@ -7,7 +7,10 @@ deaths are real SIGKILLs — no atexit, no flushed buffers, no cleanup —
 across both the serial and process executor backends.
 
 ``REPRO_KILL_POINTS`` scales the sampled kill-point count (CI smoke runs
-reduced; the default meets the ≥25-point acceptance bar).
+reduced; the default meets the ≥25-point acceptance bar).  Two walks are
+exhaustive whatever it says: every durability op of the fixed serial
+campaign, and an injected worker death at every checkpoint boundary of
+every shard on every executor backend.
 """
 
 import json
@@ -19,13 +22,16 @@ import sys
 
 import pytest
 
-from repro.engine.killtest import SNAPSHOT
+from repro.core.stats import ScanStats
+from repro.engine import CheckpointStore, WorkerInterrupted, make_executor
+from repro.engine.checkpoint import DONE
+from repro.engine.killtest import SNAPSHOT, build_campaign
 from repro.store import ResultStore
 
-#: Total seeded SIGKILL points across both backends (serial + process).
+#: Seeded SIGKILL points on the process backend: a third of the total the
+#: variable names (the serial backend's share is superseded by the full walk).
 TOTAL_POINTS = int(os.environ.get("REPRO_KILL_POINTS", "25"))
-SERIAL_POINTS = max(1, (TOTAL_POINTS * 2) // 3)
-PROCESS_POINTS = max(1, TOTAL_POINTS - SERIAL_POINTS)
+PROCESS_POINTS = max(1, TOTAL_POINTS - (TOTAL_POINTS * 2) // 3)
 
 ENV = {**os.environ, "PYTHONPATH": "src"}
 
@@ -92,23 +98,21 @@ def _kill_and_recover(directory, executor, kill_after):
 class TestKillAnywhere:
     """The tentpole property, at real-SIGKILL strength."""
 
-    @pytest.mark.parametrize(
-        "executor,points",
-        [("serial", SERIAL_POINTS), ("process", PROCESS_POINTS)],
-    )
+    # The serial backend's op stream is walked in full below; the process
+    # backend, where each forked worker ticks its own counter, is sampled.
+    @pytest.mark.parametrize("executor,points", [("process", PROCESS_POINTS)])
     def test_sigkill_at_seeded_ops_recovers_identical_store(
         self, tmp_path, executor, points
     ):
-        want_rows, want_segments, total_ops = _baseline(tmp_path, executor)
-        if executor == "process":
-            # The parent's own op count is small — forked workers tick
-            # their *own* counters — so sample kill points from the serial
-            # op census (the full durability stream); a point beyond what
-            # any one process reaches simply yields an unkilled run, and
-            # the store property is asserted regardless.
-            _, _, total_ops = _baseline(tmp_path, "serial")
+        want_rows, want_segments, _ = _baseline(tmp_path, executor)
+        # The parent's own op count is small — forked workers tick their
+        # *own* counters — so sample kill points from the serial op census
+        # (the full durability stream); a point beyond what any one process
+        # reaches simply yields an unkilled run, and the store property is
+        # asserted regardless.
+        _, _, total_ops = _baseline(tmp_path, "serial")
         assert total_ops > 10  # the harness exercises real durability work
-        rng = random.Random(20260807 if executor == "serial" else 1337)
+        rng = random.Random(1337)
         kill_points = sorted(
             rng.sample(range(1, total_ops + 1), min(points, total_ops))
         )
@@ -123,6 +127,35 @@ class TestKillAnywhere:
                 f"{len(rows)} rows vs {len(want_rows)} expected"
             )
             assert segments == want_segments
+
+    def test_sigkill_at_every_op_recovers_identical_store(self, tmp_path):
+        want_rows, want_segments, total_ops = _baseline(tmp_path, "serial")
+        for kill_after in range(1, total_ops + 1):
+            directory = tmp_path / f"kill-{kill_after}"
+            statuses = _kill_and_recover(directory, "serial", kill_after)
+            assert statuses[0] != 0  # every op is a real death
+            rows, segments = _row_multiset(directory / "store")
+            assert rows == want_rows, (
+                f"store diverged after kill at op {kill_after} "
+                f"(exits {statuses})"
+            )
+            assert segments == want_segments
+
+    def test_durability_ops_are_linear_in_checkpoints(self, tmp_path):
+        """Two ops (write, fsync) per PARTIAL checkpoint, whatever the shard
+        already holds: quartering ``checkpoint_every`` adds exactly two ops
+        per added checkpoint."""
+        def census(every):
+            proc = _run(tmp_path / f"every-{every}", "--count-ops",
+                        "--checkpoint-every", str(every))
+            return int(json.loads(proc.stdout)["ops"])
+
+        # 2 shards x 128 probes: 1, 3 and 7 PARTIAL checkpoints per shard
+        # before the last boundary (which the DONE head covers) ...
+        ops = {every: census(every) for every in (64, 32, 16)}
+        # ... and the first of each shard also renames its log into place.
+        assert ops[32] - ops[64] == 2 * 2 * 2
+        assert ops[16] - ops[32] == 2 * 4 * 2
 
     def test_backends_agree_on_the_baseline(self, tmp_path):
         serial_rows, serial_segments, _ = _baseline(tmp_path, "serial")
@@ -168,3 +201,63 @@ class TestSealCommitWindow:
             final = ResultStore(store_dir)
             assert final.orphans() == []
             assert sorted(final.segments) == sorted(want_segments)
+
+
+class TestInterruptAtEveryCheckpoint:
+    """An injected worker death at every checkpoint boundary of every
+    shard: the resumed campaign equals the uninterrupted one in store rows,
+    scan statistics and probe accounting."""
+
+    EVERY = 32
+
+    def _campaign(self, directory, executor, resume=False):
+        # One worker: shards in sequence, no straggler left racing the resume.
+        return build_campaign(
+            str(directory), make_executor(executor, workers=1), shards=2,
+            resume=resume, checkpoint_every=self.EVERY,
+        )
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_resume_equals_uninterrupted(self, tmp_path, executor):
+        baseline = self._campaign(tmp_path / "base", executor).run()
+        want_rows, want_segments = _row_multiset(tmp_path / "base" / "store")
+        sent = {o.job.job_id: o.result.stats.sent for o in baseline.outcomes}
+        assert sum(sent.values()) == baseline.stats.sent == 256
+        walked = 0
+        for index, job_id in enumerate(sorted(sent)):
+            for boundary in range(self.EVERY, sent[job_id] + 1, self.EVERY):
+                directory = tmp_path / f"{executor}-{index}-{boundary}"
+                interrupted = self._campaign(directory, executor)
+                jobs = interrupted.plan()
+                assert jobs[index].job_id == job_id
+                jobs[index].interrupt_after = boundary
+                with pytest.raises(WorkerInterrupted):
+                    interrupted.run(jobs=jobs)
+                states = {
+                    s.job_id: s
+                    for s in CheckpointStore(directory / "ckpt").iter_states()
+                }
+                assert states[job_id].position >= boundary
+                first_run_sent = sum(
+                    s.result.stats.sent for s in states.values()
+                )
+
+                resumed = self._campaign(directory, executor, resume=True).run()
+                by_id = {o.job.job_id: o for o in resumed.outcomes}
+                for other, state in states.items():
+                    if state.status == DONE:
+                        assert by_id[other].from_checkpoint
+                        assert by_id[other].sent_this_run == 0
+                assert by_id[job_id].resumed_at == states[job_id].position
+                assert first_run_sent + resumed.sent_this_run == 256
+                for name in ScanStats._COUNTERS:
+                    assert getattr(resumed.stats, name) == \
+                        getattr(baseline.stats, name), name
+                for label, result in baseline.results.items():
+                    assert resumed.results[label].dedup_digest() == \
+                        result.dedup_digest()
+                rows, segments = _row_multiset(directory / "store")
+                assert rows == want_rows
+                assert segments == want_segments
+                walked += 1
+        assert walked == 8  # 2 shards x boundaries 32, 64, 96, 128

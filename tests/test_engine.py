@@ -21,9 +21,10 @@ from repro.engine import (
     execute_job,
     make_executor,
 )
-from repro.engine.checkpoint import DONE, PARTIAL
+from repro.engine.checkpoint import DONE, PARTIAL, _checksum
 from repro.net.addr import IPv6Addr
 from repro.net.spec import BuiltTopology, TopologySpec, register_topology
+from repro.store.segment import pack_row
 
 from tests.topo import build_mini
 
@@ -366,23 +367,23 @@ class TestCheckpointResume:
         )
 
     def test_corrupt_state_is_discarded(self, tmp_path):
-        store = CheckpointStore(tmp_path / "state")
+        events = []
+        store = CheckpointStore(tmp_path / "state", on_event=events.append)
         job = self._campaign(tmp_path / "state").plan()[0]
         outcome = execute_job(job)
         state = store.load_shard(job.job_id)
         assert state is not None and state.status == DONE
-        # Tamper with the persisted replies: the digest no longer matches.
+        assert len(state.result.results) == len(outcome.result.results)
+        # Tamper with the persisted replies and refresh the checksum, so
+        # only the content digest stands between the edit and a resume.
         path = store.shard_path(job.job_id)
         data = json.loads(path.read_text())
-        if data["result"]["results"]:
-            data["result"]["results"] = data["result"]["results"][:-1]
-        else:
-            data["result"]["stats"]["sent"] += 1
-            data["result"]["results"] = [{
-                "target": "2001:db8::1", "responder": "2001:db8::2",
-                "kind": "dest-unreachable", "icmp_type": 1, "icmp_code": 3,
-            }]
+        row = pack_row(outcome.result.results[0]).hex()
+        data["tail"] = data["tail"][:-len(row)] if data["tail"] else row
+        data["checksum"] = _checksum(data)
         path.write_text(json.dumps(data))
         assert store.load_shard(job.job_id) is None
+        assert [e["reason"] for e in events
+                if e["type"] == "checkpoint_corrupt"] == ["digest-mismatch"]
         rerun = execute_job(job)
         assert rerun.sent_this_run == outcome.sent_this_run  # fully re-scanned

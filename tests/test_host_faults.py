@@ -10,12 +10,19 @@ journal rides the worker event stream home.
 
 import errno
 import json
+import struct
 
 import pytest
 
 from repro.core.scanner import ScanConfig
 from repro.core.target import ScanRange
-from repro.engine import Campaign, CampaignError, SupervisorPolicy
+from repro.engine import (
+    Campaign,
+    CampaignError,
+    CheckpointStore,
+    SupervisorPolicy,
+    execute_job,
+)
 from repro.faults import (
     FS_CRASH,
     FS_ERROR,
@@ -310,10 +317,11 @@ class TestCampaignIntegration:
         assert applied and reverted
 
     def test_torn_checkpoint_write_is_quarantined_on_resume(self, tmp_path):
-        # Tear shard 0's very first checkpoint write a few bytes in: the
-        # shard fails (EIO), the half-written tmp never renames into place,
-        # and the campaign retries cleanly — the integrity layer never even
-        # sees a torn file because the rename protocol withheld it.
+        # Tear shard 0's very first checkpoint write a few bytes in — the
+        # write that creates its log: the shard fails (EIO), the half-written
+        # tmp never renames into place, and the campaign retries cleanly —
+        # the integrity layer never even sees a torn file because the rename
+        # protocol withheld it.
         schedule = FaultSchedule(events=(
             _event(FS_TORN_WRITE, 0.0, 0.5, offset=7, path="s00of02"),
         ))
@@ -328,3 +336,51 @@ class TestCampaignIntegration:
             # A retry landed after the window closed; full round.
             assert len(result.outcomes) == 2
         assert result.snapshot == "round"
+
+    def test_torn_log_append_resumes_from_the_previous_checkpoint(
+        self, tmp_path
+    ):
+        # 25 kpps: a checkpoint every 16 probes lands every 0.64 ms of
+        # virtual time.  The window catches only the second one — an append
+        # to the shard's log, not the write that created it — and tears it
+        # five bytes in.
+        schedule = FaultSchedule(events=(
+            _event(FS_TORN_WRITE, 0.0010, 0.0015, offset=5, path=".log"),
+        ))
+
+        def job(name, schedule):
+            config = ScanConfig(scan_range=ScanRange.parse(SPEC), seed=5,
+                                fault_schedule=schedule)
+            return Campaign(
+                TopologySpec.mini(), {"hostchaos": config}, shards=2,
+                checkpoint_dir=str(tmp_path / name), checkpoint_every=16,
+            ).plan()[0]
+
+        whole = execute_job(job("whole", None)).result
+        with pytest.raises(OSError) as torn:
+            execute_job(job("torn", schedule))
+        assert torn.value.errno == errno.EIO
+        events = []
+        store = CheckpointStore(tmp_path / "torn", on_event=events.append)
+        log = store.log_path("hostchaos.s00of02")
+        state = store.load_shard("hostchaos.s00of02")
+        # The five torn bytes are on disk, after the identity record and
+        # the first checkpoint's (8-byte file header, then records framed
+        # ``len u32 | ~len u32 | payload | sha256``) ...
+        data, good = log.read_bytes(), 8
+        for _ in range(2):
+            good += 8 + struct.unpack_from(">I", data, good)[0] + 32
+        assert len(data) == good + 5
+        # ... and are stepped over, not quarantined: the shard is where its
+        # first checkpoint left it.
+        assert state.position == 16 and not events
+
+        resumed = execute_job(job("torn", None))
+        assert resumed.resumed_at == 16
+        assert resumed.sent_this_run == whole.stats.sent - 16
+        assert not [e for e in resumed.events
+                    if e["type"] == "checkpoint_corrupt"]
+        assert resumed.result.dedup_digest() == whole.dedup_digest()
+        assert resumed.result.stats.validated == whole.stats.validated
+        assert store.load_shard("hostchaos.s00of02").status == "done"
+        assert not events

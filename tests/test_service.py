@@ -23,6 +23,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -456,6 +457,23 @@ class TestServiceEndToEnd:
             assert summary["count"] >= 4
             assert summary["p99"] >= summary["p50"] > 0
 
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_max_probes_caps_the_campaign_not_each_shard(
+        self, tmp_path, shards
+    ):
+        """Admission charges ``min(count, max_probes)``; the shards together
+        must send exactly that, however many of them there are."""
+        service = ScanService(str(tmp_path / "svc"), max_workers=1,
+                              scope="cap")
+        campaign = spec("alice", "capped", "2001:db8:1::/56-64",
+                        max_probes=100, shards=shards)
+        record = service.submit(campaign)
+        assert campaign.probe_budget == 100
+        service.run_until_idle()
+        done = service.queue.get(record["campaign_id"])
+        assert done.state == "done"
+        assert done.result["sent"] == campaign.probe_budget
+
     def test_retention_drops_old_rounds(self, tmp_path):
         service = ScanService(
             str(tmp_path / "svc"), max_workers=1, scope="ret",
@@ -569,6 +587,17 @@ class TestHttpApi:
             assert draining.value.status == 503
         finally:
             server.stop()
+
+
+    def test_stop_does_not_wait_out_a_long_poll(self, tmp_path):
+        service = ScanService(str(tmp_path / "svc"), scope="stop")
+        for _ in range(3):
+            server = ServiceServer(service).start()
+            started = time.perf_counter()
+            server.stop()
+            # serve_forever's stdlib default poll is 0.5 s; ours is 50 ms.
+            assert time.perf_counter() - started < 0.25
+            server = None
 
 
 def _run_killtest(root, *flags, check=True):
