@@ -5,11 +5,12 @@ regenerates the paper's wall-clock projections: a 1 Gbps scanner covers all
 /64s of a /24 (2^40) in ~8 days and all /60s (2^36) in ~14 hours; the
 paper's own 25 kpps budget covers a 32-bit window in ~48 hours.
 
-The headline number is the forwarding fast path end to end: batched target
-generation (vectorised SipHash IIDs + primed validation tags) over the
-flow-cached simulator.  Two A/B runs — the serial probe loop, and the
-batched loop with the flow cache forced off — quantify each layer and prove
-all three paths produce the identical reply set.
+The headline number is ``Scanner.run()`` end to end: block target
+generation (vectorised SipHash IIDs + primed validation tags) feeding
+chunks to ``Network.inject_block``, which picks the forwarding engine.  The
+A/B run is the same scan on the reference engine (``network.flow_cache =
+False``: every hop down the slow path, no vector phase) and must produce
+the identical reply set.
 """
 
 from repro.analysis.report import ComparisonTable
@@ -26,30 +27,27 @@ def test_perf_scanner_throughput(benchmark, deployment):
     isp = deployment.isps["in-airtel-mobile"]
     probe = IcmpEchoProbe(Validator(bytes(range(16))))
 
-    def config(**overrides):
-        return ScanConfig(
-            scan_range=ScanRange.parse(isp.scan_spec),
-            seed=SEED,
-            max_probes=2000,
-            **overrides,
-        )
-
-    def run_scan(cfg):
-        scanner = Scanner(deployment.network, deployment.vantage, probe, cfg)
-        return scanner.run_batched() if cfg.batched else scanner.run()
-
-    # Headline: the full fast path (batched loop + flow cache).
-    result = benchmark.pedantic(
-        run_scan, args=(config(batched=True),), iterations=1, rounds=3
+    config = ScanConfig(
+        scan_range=ScanRange.parse(isp.scan_spec), seed=SEED, max_probes=2000,
     )
-    # A/B: serial probe loop, and the flow-cache escape hatch.
-    serial = run_scan(config())
-    no_cache = run_scan(config(batched=True, flow_cache=False))
 
-    # All three paths are the same scan.
-    assert serial.dedup_digest() == result.dedup_digest()
-    assert no_cache.dedup_digest() == result.dedup_digest()
-    assert serial.stats.sent == result.stats.sent
+    def run_scan():
+        return Scanner(
+            deployment.network, deployment.vantage, probe, config
+        ).run()
+
+    result = benchmark.pedantic(run_scan, iterations=1, rounds=3)
+    # A/B: the reference engine, via the one override the network has.
+    network = deployment.network
+    fast, network.flow_cache = network.flow_cache, False
+    try:
+        reference = run_scan()
+    finally:
+        network.flow_cache = fast
+
+    # Both engines are the same scan.
+    assert reference.dedup_digest() == result.dedup_digest()
+    assert reference.stats.sent == result.stats.sent
 
     feasibility = [
         FeasibilityRow("all /64 of a /24 block at 1 Gbps (paper: ~8 days)",
@@ -66,11 +64,10 @@ def test_perf_scanner_throughput(benchmark, deployment):
     for row in feasibility:
         table.add(row.label, row.window_bits, row.human)
     table.note(
-        f"measured simulator throughput (fast path): "
+        f"measured simulator throughput: "
         f"{result.stats.wall_pps:,.0f} probes/s wall, "
         f"{result.stats.virtual_pps:,.0f} pps virtual; "
-        f"serial loop {serial.stats.wall_pps:,.0f} pps; "
-        f"flow cache off {no_cache.stats.wall_pps:,.0f} pps"
+        f"reference engine {reference.stats.wall_pps:,.0f} pps"
     )
     write_result("perf_scanner", table)
     write_bench_json(
@@ -78,8 +75,7 @@ def test_perf_scanner_throughput(benchmark, deployment):
         sent=result.stats.sent,
         validated=result.stats.validated,
         wall_pps=result.stats.wall_pps,
-        serial_wall_pps=serial.stats.wall_pps,
-        no_flow_cache_wall_pps=no_cache.stats.wall_pps,
+        reference_wall_pps=reference.stats.wall_pps,
         virtual_pps=result.stats.virtual_pps,
         wall_seconds=result.stats.wall_seconds,
         projections={

@@ -39,7 +39,7 @@ and fails when a headline metric regressed beyond tolerance:
 * ``forwarding`` — ``columnar_pps`` (higher is better): the columnar
   forwarding engine on the loop-amplification workload
   (``bench_perf_forwarding.py``); the bench itself also asserts the >=10x
-  columnar-vs-scalar speedup and bit-identical results.
+  speedup over the reference engine and bit-identical results.
 * ``service`` — ``accepted_per_sec`` (higher is better): scan-service
   admission throughput, each submission paying tenant-policy checks plus
   one durable queue-state write (``bench_service.py``); the record also

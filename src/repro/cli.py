@@ -247,9 +247,6 @@ def cmd_scan(args) -> int:
             seed=args.seed,
             max_probes=args.max_probes,
             trace=args.trace,
-            flow_cache=not args.no_flow_cache,
-            batched=args.batched,
-            columnar=args.columnar,
             fault_schedule=fault_schedule,
             adaptive_rate=args.adaptive_rate,
             retransmit=args.retransmit,
@@ -1003,18 +1000,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "telemetry bundle to DIR on watchdog kill, "
                         "checkpoint/store quarantine, SIGTERM, or campaign "
                         "failure")
-    p.add_argument("--no-flow-cache", action="store_true",
-                   help="disable the forwarding flow cache (A/B escape "
-                        "hatch; results are identical, scans are slower)")
-    p.add_argument("--batched", action="store_true",
-                   help="run shards through the block-amortised scan loop "
-                        "(identical results)")
-    p.add_argument("--columnar", action="store_true",
-                   help="forward probe blocks through the vectorised "
-                        "columnar engine (repro.net.columnar; implies "
-                        "batched dispatch, identical results, falls back "
-                        "to scalar when numpy or preconditions are "
-                        "missing)")
     p.add_argument("--fault-schedule", default=None, metavar="FILE",
                    help="JSON fault schedule (repro.faults) injected into "
                         "every shard's simulated network — deterministic "

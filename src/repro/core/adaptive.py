@@ -19,9 +19,9 @@ are the proactive defence, retransmits the reactive one.
 Both knobs are **off by default** and add zero work to the scan hot loop
 when disabled (guarded by ``is not None`` checks); the equivalence tests
 assert bit-identical results, stats, and metrics against the undecorated
-scanner.  Decisions fire per *target*, at identical probe counts, in both
-the serial and batched scan loops, so serial/batched bit-identity holds
-with adaptation enabled too.
+scanner.  Decisions fire per *target*: while either knob is on the scan
+loop cuts its chunks at one target, so it sees a target's replies before
+pacing the next.
 """
 
 from __future__ import annotations
@@ -101,8 +101,7 @@ class RetransmitPolicy:
 
     The jitter RNG is seeded from the scan seed (never shared with the
     topology or fault RNGs), and is consumed once per retransmit in target
-    order — the same stream in serial and batched loops, so retransmission
-    preserves serial/batched bit-identity.
+    order, so retransmission is as deterministic as the scan.
     """
 
     def __init__(self, config: "ScanConfig", metrics) -> None:

@@ -62,7 +62,7 @@ class Validator:
     def prime(self, values) -> None:
         """Precompute the tags for a block of destination values.
 
-        The batched scan loop primes each target block through the
+        :meth:`Scanner.targets` primes each target block through the
         vectorised SipHash path; subsequent :meth:`tag` calls for those
         destinations (probe build, reply validation) become dict hits.
         The primed block replaces the previous one, bounding memory.

@@ -416,15 +416,23 @@ class CheckpointStore:
         attempt.chain = chain
         attempt.length += len(record)
 
+    @staticmethod
+    def _owns_log(path: pathlib.Path, attempt: _Attempt) -> bool:
+        """Is the file under the log's name this attempt's own copy?"""
+        if attempt.handle is None:
+            return False
+        try:
+            return os.fstat(attempt.handle.fileno()).st_ino == (
+                os.stat(path).st_ino
+            )
+        except FileNotFoundError:
+            return False
+
     def _own_log(self, path: pathlib.Path, attempt: _Attempt) -> None:
         """Make the file under the log's name this attempt's own copy."""
+        if self._owns_log(path, attempt):
+            return
         if attempt.handle is not None:
-            try:
-                mine = os.fstat(attempt.handle.fileno()).st_ino
-                if mine == os.stat(path).st_ino:
-                    return
-            except FileNotFoundError:
-                pass
             # A racing attempt renamed its copy over ours: put ours back.
             attempt.handle.seek(0)
             attempt.prefix = attempt.handle.read()
@@ -435,6 +443,7 @@ class CheckpointStore:
         # An attempt on record has checkpoint records in its log: rows the
         # head must point at.  Without one, every row rides in the head.
         attempt = self._attempts.pop(state.job_id, None)
+        log_path = self.log_path(state.job_id)
         log_length, log_chain = 0, ""
         try:
             if attempt is not None:
@@ -443,9 +452,8 @@ class CheckpointStore:
                         f"{state.job_id}: a DONE state over a checkpoint log "
                         "must carry the shard's whole result"
                     )
-                self._own_log(self.log_path(state.job_id), attempt)
                 log_length, log_chain = attempt.length, attempt.chain.hex()
-            self._atomic_write(self.shard_path(state.job_id), {
+            head = {
                 "version": STATE_VERSION,
                 "job_id": state.job_id,
                 "status": DONE,
@@ -460,7 +468,17 @@ class CheckpointStore:
                 "tail": _pack_rows(state.result.results).hex(),
                 "log_length": log_length,
                 "log_chain": log_chain,
-            })
+            }
+            while True:
+                if attempt is not None:
+                    self._own_log(log_path, attempt)
+                self._atomic_write(self.shard_path(state.job_id), head)
+                # A racing attempt may have renamed its log over ours
+                # between the two renames above, leaving our head over its
+                # log.  Whichever attempt finishes last must leave its own
+                # pair, so go again until the log is still ours afterwards.
+                if attempt is None or self._owns_log(log_path, attempt):
+                    break
         finally:
             if attempt is not None:
                 attempt.close()

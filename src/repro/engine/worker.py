@@ -14,6 +14,7 @@ and persists the shard's final (or, periodically, partial) state.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import signal
 from dataclasses import dataclass, field
@@ -240,21 +241,22 @@ def _run_shard(
         cumulative.written = len(total.results)
         return total
 
-    if (
-        store is not None
-        or job.interrupt_after is not None
-        or job.kill_after is not None
-    ):
-        last_checkpoint = [0]
+    kill_after = job.kill_after if skip == 0 else None  # resumes survive
+    every = job.checkpoint_every if store is not None else 0
+    # The first ``sent`` count at which an injected death fires, if any.
+    stop_at = min(
+        (n for n in (kill_after, job.interrupt_after) if n is not None),
+        default=math.inf,
+    )
+    if every or stop_at != math.inf:
+        next_checkpoint = every or math.inf
 
-        def on_progress(s: Scanner) -> None:
+        def on_progress(s: Scanner) -> float:
+            """Act on every point ``sent`` has reached; name the next one."""
+            nonlocal next_checkpoint
             assert s.result is not None
             sent = s.result.stats.sent
-            if (
-                job.kill_after is not None
-                and skip == 0  # only the first attempt dies; resumes survive
-                and sent >= job.kill_after
-            ):
+            if kill_after is not None and sent >= kill_after:
                 if store is not None:
                     _write(PARTIAL)
                 # A real, unhandled process death — no exception, no cleanup;
@@ -269,18 +271,15 @@ def _run_shard(
                 raise WorkerInterrupted(
                     f"{job.job_id}: injected worker death after {sent} probes"
                 )
-            if (
-                store is not None
-                and job.checkpoint_every
-                and sent - last_checkpoint[0] >= job.checkpoint_every
-            ):
-                last_checkpoint[0] = sent
+            if sent >= next_checkpoint:
+                next_checkpoint = sent + every
                 _write(PARTIAL)
+            return min(next_checkpoint, stop_at)
 
         scanner.on_progress = on_progress
 
     try:
-        result = scanner.run_batched() if config.batched else scanner.run()
+        result = scanner.run()
     except BaseException:
         if sink is not None:
             sink.writer.abort()  # leave only a .tmp, never a half-segment

@@ -38,9 +38,12 @@ columns so hash collisions degrade to a miss check instead of a wrong
 answer, exactly mirroring the per-device flow-cache invalidation protocol
 (``Network.generation`` + per-table ``version`` stamps).
 
-Everything degrades gracefully: no numpy, an active trace span, a loss
-model, a pending fault transition, or an uncompilable table all fall back
-to the sequential scalar loop with identical observables.
+Which engine a block takes is decided here and nowhere else, from what
+the code can observe: a block shorter than :data:`VECTOR_MIN_PROBES`, no
+numpy, the reference-engine override (``network.flow_cache = False``), an
+active trace span, a loss model, a pending fault transition, or an
+uncompilable table all take the sequential scalar loop, with identical
+observables.
 """
 
 from __future__ import annotations
@@ -64,6 +67,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ColumnarFib", "inject_block"]
 
 _M64 = 0xFFFFFFFFFFFFFFFF
+
+#: Shortest block worth the vector phase.  Setting up the lanes and walking
+#: the per-length tables costs a fixed few hundred microseconds per block,
+#: which only pays once enough lanes share it.  Measured on the e2e sweep
+#: shapes against per-probe :meth:`Network.inject`: at 16 probes the vector
+#: phase is 1.7x slower on the miss-heavy periphery blocks and level on the
+#: loop-dense ones; at 64 it is level on the former and 1.6x faster on the
+#: latter (see docs/architecture.md, "Send pipeline").
+VECTOR_MIN_PROBES = 64
 
 # -- FIB action codes (one int8 per compiled route) --------------------------
 #: No route matched at any length (equivalent to an UNREACHABLE route).
@@ -290,6 +302,8 @@ def _usable(network: "Network") -> bool:
     """Can the vector phase run without observing or perturbing state?"""
     if _np is None:
         return False
+    if not network.flow_cache:
+        return False  # the reference engine: every hop down the slow path
     if network.active_trace is not None:
         return False  # spans must see every scalar forwarding decision
     if network.loss_rate or network.link_loss:
@@ -335,7 +349,7 @@ def inject_block(
 
     if clocks is not None and len(clocks) != len(packets):
         raise ValueError("clocks must match packets one-to-one")
-    if not _usable(network):
+    if len(packets) < VECTOR_MIN_PROBES or not _usable(network):
         return _sequential(network, packets, vantage, clocks)
     fib = network.columnar_fib()
     if not fib.ok:

@@ -114,8 +114,9 @@ class Network:
         #: attack/case-study paths enable it (they read ``crossings``); the
         #: scanner leaves it off.
         self.record_links = record_links
-        #: Escape hatch for A/B measurement: ``False`` forces every hop
-        #: through the slow path regardless of scan configuration.
+        #: The oracle override: ``False`` selects the reference engine —
+        #: every hop down the slow path, no columnar vector phase — which
+        #: every parity test compares the fast engines against.
         self.flow_cache = flow_cache
         self.clock = 0.0
         #: Armed :class:`~repro.faults.injector.FaultInjector`, if any.
@@ -369,11 +370,13 @@ class Network:
 
         Observably identical to calling :meth:`inject` per packet with
         ``self.clock`` set to the matching ``clocks`` entry first (the
-        entry clock is restored afterwards).  When the columnar engine is
-        usable (numpy present, no tracing/loss/fault window active) the
-        batch advances through pure forwarding hops as struct-of-arrays
-        vector ops and only ejects to the scalar engine for stateful work;
-        otherwise this is literally the sequential loop.
+        entry clock is restored afterwards).  A batch long enough to repay
+        the vector phase (:data:`repro.net.columnar.VECTOR_MIN_PROBES`), on
+        a network where it is usable (numpy present, fast engine, no
+        tracing/loss/fault window active), advances through pure forwarding
+        hops as struct-of-arrays vector ops and only ejects to the scalar
+        engine for stateful work; otherwise this is literally the
+        sequential loop.
         """
         from repro.net import columnar
 

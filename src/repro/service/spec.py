@@ -18,6 +18,7 @@ property the service tests assert.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -67,6 +68,14 @@ class CampaignSpec:
             )
         if self.shards < 1:
             raise SpecError("shards must be >= 1")
+        if self.max_probes is not None and self.max_probes < 1:
+            # The probe budget is the admission charge: a negative one
+            # would credit the tenant's quota and scheduling deficit.
+            raise SpecError("max_probes must be >= 1")
+        if not (math.isfinite(self.rate_pps) and self.rate_pps > 0):
+            raise SpecError("rate_pps must be a positive number")
+        if self.checkpoint_every < 0:
+            raise SpecError("checkpoint_every must be >= 0")
         # Fail-fast on the range before the campaign is queued.
         self.parsed_range()
 
@@ -138,21 +147,38 @@ class CampaignSpec:
         params = data.get("topology_params") or {}
         if not isinstance(params, Mapping):
             raise SpecError("topology_params must be an object")
-        max_probes = data.get("max_probes")
         return cls(
             tenant=tenant,
             name=name,
             scan_range=scan_range,
             topology=str(data.get("topology", "mini")),
             topology_params=tuple(sorted(params.items())),
-            seed=int(data.get("seed", 0)),  # type: ignore[arg-type]
-            shards=int(data.get("shards", 2)),  # type: ignore[arg-type]
+            seed=_integer(data, "seed", 0),
+            shards=_integer(data, "shards", 2),
             executor=str(data.get("executor", "serial")),
             priority=str(data.get("priority", "normal")),
-            rate_pps=float(data.get("rate_pps", 25_000.0)),  # type: ignore[arg-type]
-            max_probes=None if max_probes is None else int(max_probes),  # type: ignore[arg-type]
-            checkpoint_every=int(data.get("checkpoint_every", 64)),  # type: ignore[arg-type]
+            rate_pps=float(_number(data, "rate_pps", 25_000.0)),
+            max_probes=(
+                None if data.get("max_probes") is None
+                else _integer(data, "max_probes", 0)
+            ),
+            checkpoint_every=_integer(data, "checkpoint_every", 64),
         )
+
+
+def _number(data: Mapping[str, object], key: str, default: float) -> float:
+    """A numeric submission field; JSON lets any type arrive in its place."""
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"{key} must be a number, not {value!r}")
+    return value
+
+
+def _integer(data: Mapping[str, object], key: str, default: int) -> int:
+    value = _number(data, key, default)
+    if not isinstance(value, int):
+        raise SpecError(f"{key} must be an integer, not {value!r}")
+    return value
 
 
 @dataclass

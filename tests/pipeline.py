@@ -1,0 +1,91 @@
+"""Drive the one send pipeline under every engine choice it can make.
+
+The pipeline has no user-facing engine switch: block size and the vector
+threshold are module constants, and the reference engine is the
+``Network(flow_cache=False)`` override.  Parity tests vary all three
+through :func:`observe` and compare everything a scan promises to keep
+identical.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Dict, Iterator, Optional
+
+import repro.core.scanner as scanner_module
+from repro.core.scanner import ScanConfig, Scanner
+from repro.core.target import ScanRange
+from repro.engine import ProbeSpec
+from repro.net import columnar
+from tests.topo import build_mini
+
+SPEC = "2001:db8:1::/56-64"  # 256 sub-prefixes over both CPEs' LAN space
+
+#: Vector thresholds for ``engine(vector_min=...)``: no chunk reaches the
+#: first, every chunk reaches the second.
+NEVER = 1 << 62
+ALWAYS = 1
+
+
+@contextmanager
+def engine(
+    block_size: Optional[int] = None, vector_min: Optional[int] = None
+) -> Iterator[None]:
+    """Run the body under another block size and/or vector threshold."""
+    saved = scanner_module.BLOCK_SIZE, columnar.VECTOR_MIN_PROBES
+    if block_size is not None:
+        scanner_module.BLOCK_SIZE = block_size
+    if vector_min is not None:
+        columnar.VECTOR_MIN_PROBES = vector_min
+    try:
+        yield
+    finally:
+        scanner_module.BLOCK_SIZE, columnar.VECTOR_MIN_PROBES = saved
+
+
+def observables(scanner: Scanner, result) -> Dict[str, object]:
+    """Everything a scan run promises to keep identical across engines."""
+    stats = result.stats.to_dict()
+    stats.pop("wall_seconds")  # the only legitimately nondeterministic field
+    return {
+        "digest": result.dedup_digest(),
+        "rows": [r.to_dict() for r in result.results],
+        "stats": stats,
+        "metrics": scanner.metrics.to_dict(),
+        "series": (
+            scanner.sampler.to_dict() if scanner.sampler is not None else None
+        ),
+        "traces": scanner.tracer.to_dicts(),
+        "position": scanner.position,
+    }
+
+
+def observe(
+    reference: bool = False,
+    block_size: Optional[int] = None,
+    vector_min: Optional[int] = None,
+    spec: str = SPEC,
+    topo=None,
+    **config,
+) -> Dict[str, object]:
+    """One full scan on a fresh mini topology; returns its observables.
+
+    ``reference=True`` is the oracle: the reference engine (every hop down
+    the slow path, no vector phase) fed one target at a time.  A fresh
+    network per run matters: the virtual clock advances during a scan, so
+    reusing one would shift ``virtual_start`` between identical runs.
+    """
+    if reference:
+        block_size = 1
+    if topo is None:
+        topo = build_mini(flow_cache=not reference)
+    config.setdefault("seed", 5)
+    flow_cache = topo.network.flow_cache
+    scanner = Scanner(
+        topo.network, topo.vantage, ProbeSpec.for_seed(5).build(),
+        ScanConfig(scan_range=ScanRange.parse(spec), **config),
+    )
+    with engine(block_size, vector_min):
+        result = scanner.run()
+    assert topo.network.flow_cache is flow_cache  # the scan left it be
+    return observables(scanner, result)

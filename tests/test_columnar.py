@@ -3,12 +3,15 @@
 The columnar engine (:mod:`repro.net.columnar`) is a pure performance
 feature: every observable output — reply bytes, ordered results, engine
 stats, store rows, telemetry counters — must be bit-identical to the
-scalar oracle.  These tests pin that contract at three levels (raw
-``inject_block`` vs sequential ``inject``, single scans, campaigns across
-executors), on three worlds (the mini testbed, the Table-IX-style BGP
-internet, the route-leak demo), plus the safety properties the fast path
-depends on: generation/version stamp invalidation, fault-schedule
-fallback to scalar, and the no-numpy degradation path.
+scalar oracle.  The generated matrix in ``tests/test_pipeline.py`` covers
+the cross product on the mini testbed; the named cases here force the
+vector phase on every chunk (``vector_min=ALWAYS``) and pin the contract
+at three levels (raw ``inject_block`` vs sequential ``inject``, single
+scans, campaigns across executors), on three worlds (the mini testbed, the
+Table-IX-style BGP internet, the route-leak demo), plus the safety
+properties the fast path depends on: generation/version stamp
+invalidation, fault-schedule fallback to scalar, and the no-numpy
+degradation path.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.net.addr import IPv6Addr
 from repro.net.device import Host
 from repro.net.spec import TopologySpec
 from repro.net.testbed import MiniTopology
+from tests.pipeline import ALWAYS, NEVER, engine, observables, observe
 from tests.topo import build_mini
 
 needs_numpy = pytest.mark.skipif(
@@ -42,27 +46,9 @@ def _config(spec: str = SPEC, **kwargs) -> ScanConfig:
     return ScanConfig(scan_range=ScanRange.parse(spec), seed=5, **kwargs)
 
 
-def _scan(run_batched: bool = False, **config_kwargs):
-    """One full scan on a fresh mini topology; returns (result, metrics)."""
-    topo = build_mini()
-    scanner = Scanner(
-        topo.network, topo.vantage, ProbeSpec.for_seed(5).build(),
-        _config(**config_kwargs),
-    )
-    result = scanner.run_batched() if run_batched else scanner.run()
-    return result, scanner.metrics
-
-
-def _observables(result, metrics):
-    """Everything a scan run promises to keep identical across paths."""
-    stats = result.stats.to_dict()
-    stats.pop("wall_seconds")  # the only legitimately nondeterministic field
-    return (
-        result.dedup_digest(),
-        [r.to_dict() for r in result.results],
-        stats,
-        metrics.to_dict(),
-    )
+def _vector(**kwargs):
+    """Every chunk through the vector phase (where it is usable)."""
+    return observe(vector_min=ALWAYS, **kwargs)
 
 
 def _outcome_key(outcomes):
@@ -118,9 +104,10 @@ class TestInjectBlockEquivalence:
             [i * 0.0005 for i in range(len(packets))]
             if clocks_present else None
         )
-        fast = columnar.inject_block(
-            topo_a.network, packets, topo_a.vantage, clocks
-        )
+        with engine(vector_min=ALWAYS):
+            fast = columnar.inject_block(
+                topo_a.network, packets, topo_a.vantage, clocks
+            )
         slow = columnar._sequential(
             topo_b.network, packets_for(self, topo_b), topo_b.vantage, clocks
         )
@@ -158,109 +145,79 @@ class TestScanEquivalence:
     """Columnar scans reproduce scalar scans bit-for-bit on the mini net."""
 
     def test_columnar_matches_scalar_batched(self):
-        scalar = _observables(*_scan(run_batched=True, batched=True))
-        fast = _observables(*_scan(run_batched=True, batched=True,
-                                   columnar=True))
+        scalar = observe(vector_min=NEVER)
+        fast = _vector()
         assert scalar == fast
-        assert fast[1]  # the scan actually produced replies
+        assert fast["rows"]  # the scan actually produced replies
 
     def test_columnar_matches_serial(self):
-        serial = _observables(*_scan())
-        fast = _observables(*_scan(run_batched=True, columnar=True))
-        assert serial == fast
-
-    def test_run_redirects_to_batched_when_columnar(self):
-        # The engine worker dispatches run() unless config.batched; the
-        # columnar flag must reach the block loop through either entry.
-        serial = _observables(*_scan())
-        redirected = _observables(*_scan(run_batched=False, columnar=True))
-        assert serial == redirected
+        assert _vector() == observe(reference=True)
 
     def test_columnar_with_flow_cache_off(self):
-        serial = _observables(*_scan(flow_cache=False))
-        fast = _observables(*_scan(run_batched=True, columnar=True,
-                                   flow_cache=False))
-        assert serial == fast
+        # The oracle override wins over any threshold: no vector phase.
+        overridden = _vector(topo=build_mini(flow_cache=False))
+        assert overridden == observe(reference=True)
 
     @pytest.mark.parametrize("batch_size", [1, 3, 256, 10_000])
     def test_batch_size_does_not_change_results(self, batch_size):
-        serial = _observables(*_scan())
-        fast = _observables(*_scan(run_batched=True, columnar=True,
-                                   batch_size=batch_size))
-        assert serial == fast
+        assert _vector(block_size=batch_size) == observe(reference=True)
 
     def test_columnar_with_blocklist_skip_and_cap(self):
         blocklist = Blocklist(blocked=["2001:db8:1:60::/60"])
         kwargs = dict(blocklist=blocklist, skip=17, max_probes=100)
-        serial = _observables(*_scan(**kwargs))
-        fast = _observables(*_scan(run_batched=True, columnar=True,
-                                   batch_size=32, **kwargs))
-        assert serial == fast
-        assert serial[2]["blocked"] > 0
+        serial = observe(reference=True, **kwargs)
+        assert _vector(block_size=32, **kwargs) == serial
+        assert serial["stats"]["blocked"] > 0
 
     def test_multi_probe_loop_range_with_timeseries(self):
         # Heavy per-target amplification over the looping /60 plus an armed
         # time-series sampler: exercises the 2-cycle fast-forward and the
         # chunk-boundary horizon that keeps sampler flushes scalar-exact.
-        def run(columnar_on: bool):
-            topo = build_mini()
-            scanner = Scanner(
-                topo.network, topo.vantage, ProbeSpec.for_seed(5).build(),
-                _config(spec=LOOP_SPEC, probes_per_target=5,
-                        timeseries_interval=0.001, batched=True,
-                        columnar=columnar_on),
-            )
-            result = scanner.run_batched()
-            assert scanner.sampler is not None
-            return (_observables(result, scanner.metrics),
-                    scanner.sampler.to_dict())
-
-        serial_obs, serial_series = run(False)
-        fast_obs, fast_series = run(True)
-        assert serial_obs == fast_obs
-        assert serial_series == fast_series
-        assert serial_series["series"]
+        kwargs = dict(spec=LOOP_SPEC, probes_per_target=5,
+                      timeseries_interval=0.001)
+        serial = observe(reference=True, **kwargs)
+        assert _vector(**kwargs) == serial
+        assert serial["series"]["series"]
 
 
 class TestWorldEquivalence:
     """The contract holds on the compiled-BGP worlds, not just the testbed."""
 
-    def _world_scan(self, spec, columnar_on: bool):
+    def _world_scan(self, spec, vector_min: int):
         built = spec.build()
         config = ScanConfig(
             scan_range=ScanRange.parse(built.handle.edges[0].scan_spec),
             seed=5,
-            batch_size=64,
-            columnar=columnar_on,
         )
         scanner = Scanner(
             built.network, built.vantage, ProbeSpec.for_seed(5).build(),
             config,
         )
-        return _observables(scanner.run_batched(), scanner.metrics)
+        with engine(block_size=64, vector_min=vector_min):
+            return observables(scanner, scanner.run())
 
     def test_internet_world(self):
         spec = TopologySpec.internet(seed=3, scale=20_000, n_tail_ases=20)
-        scalar = self._world_scan(spec, False)
-        fast = self._world_scan(spec, True)
+        scalar = self._world_scan(spec, NEVER)
+        fast = self._world_scan(spec, ALWAYS)
         assert scalar == fast
-        assert scalar[1]
+        assert scalar["rows"]
 
     def test_leak_demo_world(self):
         spec = TopologySpec.leak_demo(seed=5)
-        scalar = self._world_scan(spec, False)
-        fast = self._world_scan(spec, True)
+        scalar = self._world_scan(spec, NEVER)
+        fast = self._world_scan(spec, ALWAYS)
         assert scalar == fast
-        assert scalar[1]
+        assert scalar["rows"]
 
 
 class TestCampaignEquivalence:
     """Thread/process shards use the columnar engine transparently."""
 
-    def _run(self, executor: str, workers=None, **config_kwargs):
+    def _run(self, executor: str, workers=None, **network_kwargs):
         campaign = Campaign(
-            TopologySpec.mini(),
-            {"wide": _config(**config_kwargs)},
+            TopologySpec.mini(**network_kwargs),
+            {"wide": _config(timeseries_interval=0.002, trace="sample:16")},
             probe=ProbeSpec.for_seed(5),
             shards=2,
             executor=executor,
@@ -270,15 +227,22 @@ class TestCampaignEquivalence:
         merged = outcome.results["wide"]
         stats = merged.stats.to_dict()
         stats.pop("wall_seconds")
-        return merged.dedup_digest(), stats
+        metrics = [m for m in outcome.metrics.to_dict()["metrics"]
+                   if m["name"] != "campaign_wall_seconds"]
+        return (
+            merged.dedup_digest(), stats, metrics,
+            outcome.timeseries.to_dict(),
+            outcome.traces,
+        )
 
     @pytest.mark.parametrize("executor,workers", [
         ("serial", None), ("thread", 2), ("process", 2),
     ])
     def test_columnar_matches_scalar_per_executor(self, executor, workers):
-        scalar = self._run(executor, workers, batched=True)
-        fast = self._run(executor, workers, columnar=True)
-        assert scalar == fast
+        reference = self._run(executor, workers, flow_cache=False)
+        default = self._run(executor, workers)
+        assert reference == default
+        assert self._run("serial", flow_cache=False) == reference
 
 
 class TestFaultFallback:
@@ -295,18 +259,16 @@ class TestFaultFallback:
         ),
     )
 
-    def _faulted(self, columnar_on: bool, schedule):
-        return _observables(*_scan(
-            run_batched=True, batched=True, columnar=columnar_on,
-            rate_pps=2000.0, fault_schedule=schedule,
-        ))
+    def _faulted(self, vector_min: int, schedule):
+        return observe(vector_min=vector_min, rate_pps=2000.0,
+                       fault_schedule=schedule)
 
     def test_route_set_window_matches_scalar(self):
-        scalar = self._faulted(False, self.SCHEDULE)
-        fast = self._faulted(True, self.SCHEDULE)
+        scalar = self._faulted(NEVER, self.SCHEDULE)
+        fast = self._faulted(ALWAYS, self.SCHEDULE)
         assert scalar == fast
         # The fault actually fired: the rerouted window changes the scan.
-        assert scalar != self._faulted(False, None)
+        assert scalar != self._faulted(NEVER, None)
 
     @needs_numpy
     def test_exhausted_schedule_revectorises(self):
@@ -353,26 +315,20 @@ class TestStampInvalidation:
         """End-to-end: a mid-campaign delegation swap must reroute the
         columnar scan exactly as it reroutes the scalar scan."""
 
-        def run(columnar_on: bool):
+        def run(vector_min: int):
             topo = build_mini()
-            config = _config(max_probes=40, batched=True,
-                             columnar=columnar_on)
-            before = Scanner(
-                topo.network, topo.vantage, ProbeSpec.for_seed(5).build(),
-                config,
-            ).run_batched().dedup_digest()
+            before = observe(topo=topo, vector_min=vector_min,
+                             max_probes=40)["digest"]
             topo.isp.delegate(MiniTopology.LAN_OK,
                               MiniTopology.WAN_VULN.address(0x1234))
             topo.isp.delegate(MiniTopology.LAN_VULN,
                               MiniTopology.WAN_OK.address(0xDEADBEEF))
-            after = Scanner(
-                topo.network, topo.vantage, ProbeSpec.for_seed(5).build(),
-                config,
-            ).run_batched().dedup_digest()
+            after = observe(topo=topo, vector_min=vector_min,
+                            max_probes=40)["digest"]
             return before, after
 
-        assert run(columnar_on=True) == run(columnar_on=False)
-        before, after = run(columnar_on=True)
+        assert run(ALWAYS) == run(NEVER)
+        before, after = run(ALWAYS)
         assert before != after  # rotation changed the answers
 
 
@@ -380,11 +336,9 @@ class TestScalarFallbacks:
     """Every precondition failure degrades to the scalar loop unchanged."""
 
     def test_no_numpy_scan_is_identical(self, monkeypatch):
-        scalar = _observables(*_scan(run_batched=True, batched=True))
+        scalar = observe(vector_min=NEVER)
         monkeypatch.setattr(columnar, "_np", None)
-        fallback = _observables(*_scan(run_batched=True, batched=True,
-                                       columnar=True))
-        assert scalar == fallback
+        assert _vector() == scalar
 
     def test_no_numpy_compile_reports_not_ok(self, monkeypatch):
         monkeypatch.setattr(columnar, "_np", None)
@@ -396,6 +350,9 @@ class TestScalarFallbacks:
     def test_usable_preconditions(self):
         net = build_mini().network
         assert columnar._usable(net)
+        net.flow_cache = False  # the oracle override
+        assert not columnar._usable(net)
+        net.flow_cache = True
         net.loss_rate = 0.1
         assert not columnar._usable(net)
         net.loss_rate = 0.0

@@ -10,7 +10,8 @@ across both the serial and process executor backends.
 reduced; the default meets the ≥25-point acceptance bar).  Two walks are
 exhaustive whatever it says: every durability op of the fixed serial
 campaign, and an injected worker death at every checkpoint boundary of
-every shard on every executor backend.
+every shard — and, on a smaller campaign, after every single target — on
+every executor backend.
 """
 
 import json
@@ -22,10 +23,20 @@ import sys
 
 import pytest
 
+from repro.core.blocklist import Blocklist
+from repro.core.scanner import ScanConfig
 from repro.core.stats import ScanStats
-from repro.engine import CheckpointStore, WorkerInterrupted, make_executor
+from repro.core.target import ScanRange
+from repro.engine import (
+    Campaign,
+    CheckpointStore,
+    ProbeSpec,
+    WorkerInterrupted,
+    make_executor,
+)
 from repro.engine.checkpoint import DONE
 from repro.engine.killtest import SNAPSHOT, build_campaign
+from repro.net.spec import TopologySpec
 from repro.store import ResultStore
 
 #: Seeded SIGKILL points on the process backend: a third of the total the
@@ -261,3 +272,78 @@ class TestInterruptAtEveryCheckpoint:
                 assert segments == want_segments
                 walked += 1
         assert walked == 8  # 2 shards x boundaries 32, 64, 96, 128
+
+
+class TestOpCensus:
+    """The durability-op count is checkpoint cadence made visible: one
+    more or one fewer checkpoint moves it."""
+
+    @pytest.mark.parametrize("every,ops", [(64, 35), (16, 59)])
+    def test_op_count_is_unchanged(self, tmp_path, every, ops):
+        proc = _run(tmp_path, "--count-ops", "--checkpoint-every", str(every))
+        assert json.loads(proc.stdout)["ops"] == ops
+
+
+class TestInterruptAtEveryTarget:
+    """An injected worker death after every target of every shard — not
+    only at checkpoint boundaries, and with a blocklist vetoing positions
+    inside the block the targets are drawn from: the state the death
+    checkpoints is exact at any target, so the resumed campaign equals the
+    uninterrupted one in store rows, statistics (``blocked`` included) and
+    probe accounting."""
+
+    SPEC = "2001:db8:1:40::/58-64"  # 64 sub-prefixes, one block per shard
+
+    def _campaign(self, directory, executor, resume=False):
+        config = ScanConfig(
+            scan_range=ScanRange.parse(self.SPEC), seed=5,
+            blocklist=Blocklist(blocked=["2001:db8:1:68::/62",
+                                         "2001:db8:1:44::/63"]),
+        )
+        return Campaign(
+            TopologySpec.mini(), {"kill": config},
+            probe=ProbeSpec.for_seed(5), shards=2,
+            executor=make_executor(executor, workers=1),
+            checkpoint_dir=str(directory / "ckpt"), checkpoint_every=16,
+            resume=resume, store_dir=str(directory / "store"),
+            snapshot=SNAPSHOT, backoff_base=0.0,
+        )
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_resume_equals_uninterrupted(self, tmp_path, executor):
+        baseline = self._campaign(tmp_path / "base", executor).run()
+        want_rows, want_segments = _row_multiset(tmp_path / "base" / "store")
+        assert want_rows and baseline.stats.blocked == 6
+        total = baseline.stats.sent
+        sent = {o.job.job_id: o.result.stats.sent for o in baseline.outcomes}
+        for index, job_id in enumerate(sorted(sent)):
+            for k in range(1, sent[job_id] + 1):
+                directory = tmp_path / f"{executor}-{index}-{k}"
+                interrupted = self._campaign(directory, executor)
+                jobs = interrupted.plan()
+                assert jobs[index].job_id == job_id
+                jobs[index].interrupt_after = k
+                with pytest.raises(WorkerInterrupted):
+                    interrupted.run(jobs=jobs)
+                states = {
+                    s.job_id: s
+                    for s in CheckpointStore(directory / "ckpt").iter_states()
+                }
+                # Died after exactly k probes, vetoed positions accounted.
+                died = states[job_id]
+                assert died.result.stats.sent == k
+                assert died.position == k + died.result.stats.blocked
+                first_run_sent = sum(
+                    s.result.stats.sent for s in states.values()
+                )
+
+                resumed = self._campaign(directory, executor, resume=True).run()
+                by_id = {o.job.job_id: o for o in resumed.outcomes}
+                assert by_id[job_id].resumed_at == died.position
+                assert first_run_sent + resumed.sent_this_run == total
+                for name in ScanStats._COUNTERS:
+                    assert getattr(resumed.stats, name) == \
+                        getattr(baseline.stats, name), (name, k)
+                rows, segments = _row_multiset(directory / "store")
+                assert rows == want_rows
+                assert segments == want_segments

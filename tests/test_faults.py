@@ -23,6 +23,7 @@ from repro.faults import (
 from repro.net.device import ErrorRateLimiter
 from repro.telemetry.metrics import MetricsRegistry
 
+from tests.pipeline import engine
 from tests.topo import build_mini
 
 LAN_OK = "2001:db8:1:50::/60-64"  # 16 targets behind cpe-ok, all answer
@@ -36,9 +37,9 @@ def stats_key(stats):
     return data
 
 
-def scan(range_text=LAN_OK, schedule=None, rate_pps=2000.0, batched=False,
+def scan(range_text=LAN_OK, schedule=None, rate_pps=2000.0, reference=False,
          seed=1, **knobs):
-    topo = build_mini()
+    topo = build_mini(flow_cache=not reference)
     probe = IcmpEchoProbe(Validator(bytes(range(16))))
     config = ScanConfig(
         scan_range=ScanRange.parse(range_text),
@@ -50,7 +51,8 @@ def scan(range_text=LAN_OK, schedule=None, rate_pps=2000.0, batched=False,
     registry = MetricsRegistry()
     scanner = Scanner(topo.network, topo.vantage, probe, config,
                       metrics=registry)
-    result = scanner.run_batched() if batched else scanner.run()
+    with engine(block_size=1 if reference else None):
+        result = scanner.run()
     return topo, scanner, result, registry
 
 
@@ -339,9 +341,9 @@ class TestDeterminism:
 
     def test_serial_and_batched_identical_under_faults(self):
         _, _, serial, _ = scan(range_text=BOTH_LANS, schedule=self.SCHEDULE,
-                               rate_pps=self.RATE)
+                               rate_pps=self.RATE, reference=True)
         _, _, batched, _ = scan(range_text=BOTH_LANS, schedule=self.SCHEDULE,
-                                rate_pps=self.RATE, batched=True)
+                                rate_pps=self.RATE)
         assert serial.dedup_digest() == batched.dedup_digest()
         assert stats_key(serial.stats) == stats_key(batched.stats)
 
@@ -350,11 +352,11 @@ class TestDeterminism:
                      adaptive_rate=True, adaptive_window=4,
                      rate_pps=self.RATE)
         s_topo, _, serial, s_reg = scan(
-            range_text=BOTH_LANS, schedule=self.SCHEDULE, **knobs
+            range_text=BOTH_LANS, schedule=self.SCHEDULE, reference=True,
+            **knobs
         )
         b_topo, _, batched, b_reg = scan(
-            range_text=BOTH_LANS, schedule=self.SCHEDULE, batched=True,
-            **knobs
+            range_text=BOTH_LANS, schedule=self.SCHEDULE, **knobs
         )
         assert serial.dedup_digest() == batched.dedup_digest()
         assert stats_key(serial.stats) == stats_key(batched.stats)

@@ -1,13 +1,15 @@
 """Forwarding fast-path equivalence and invalidation tests.
 
-The flow cache and the batched scan loop are pure performance features:
-every observable output — reply sets, ordered results, engine stats,
-telemetry counters — must be bit-identical with them on or off.  These
-tests pin that contract, plus the cache-correctness properties the fast
-path depends on: generation/version invalidation under prefix rotation
-and churn, the more-specific-route guard, and the vectorised building
-blocks (block SipHash, block address derivation, validator priming,
-block target iteration).
+The flow cache and block-at-a-time target iteration are pure performance
+features: every observable output — reply sets, ordered results, engine
+stats, telemetry counters — must be bit-identical to the reference engine
+(``Network(flow_cache=False)``) fed one target at a time.  The generated
+matrix in ``tests/test_pipeline.py`` covers the cross product; the named
+cases here pin the scalar fast path (vector phase held off), plus the
+cache-correctness properties it depends on: generation/version
+invalidation under prefix rotation and churn, the more-specific-route
+guard, and the vectorised building blocks (block SipHash, block address
+derivation, validator priming, block target iteration).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.net.device import (
 )
 from repro.net.network import Network
 from repro.net.spec import TopologySpec
+from tests.pipeline import NEVER, engine, observe
 from tests.topo import build_mini
 
 SPEC = "2001:db8:1::/56-64"  # 256 sub-prefixes over both CPEs' LAN space
@@ -40,101 +43,46 @@ def _config(spec: str = SPEC, **kwargs) -> ScanConfig:
     return ScanConfig(scan_range=ScanRange.parse(spec), seed=5, **kwargs)
 
 
-def _scan(run_batched: bool = False, **config_kwargs):
-    """One full scan on a fresh mini topology; returns (result, metrics).
-
-    A fresh network per run matters: the virtual clock advances during a
-    scan, so reusing one network would shift ``virtual_start`` between
-    otherwise-identical runs.
-    """
-    topo = build_mini()
-    scanner = Scanner(
-        topo.network, topo.vantage, ProbeSpec.for_seed(5).build(),
-        _config(**config_kwargs),
-    )
-    result = scanner.run_batched() if run_batched else scanner.run()
-    return result, scanner.metrics
-
-
-def _observables(result, metrics):
-    """Everything a scan run promises to keep identical across paths."""
-    stats = result.stats.to_dict()
-    stats.pop("wall_seconds")  # the only legitimately nondeterministic field
-    return (
-        result.dedup_digest(),
-        [r.to_dict() for r in result.results],
-        stats,
-        metrics.to_dict(),
-    )
+def _fast(**kwargs):
+    """The scalar fast path: flow cache on, vector phase held off."""
+    return observe(vector_min=NEVER, **kwargs)
 
 
 class TestScanEquivalence:
-    """Flow cache on/off and batched/serial produce identical scans."""
+    """Flow cache on/off and any block size produce identical scans."""
 
     def test_flow_cache_off_is_identical(self):
-        on = _observables(*_scan(flow_cache=True))
-        off = _observables(*_scan(flow_cache=False))
+        on = _fast(block_size=1)
+        off = observe(reference=True)
         assert on == off
-        assert on[1]  # the scan actually produced replies
+        assert on["rows"]  # the scan actually produced replies
 
     def test_batched_matches_serial(self):
-        serial = _observables(*_scan())
-        batched = _observables(*_scan(run_batched=True))
-        assert serial == batched
+        assert _fast() == observe(reference=True)
 
     def test_batched_flow_cache_off_matches_serial(self):
-        serial = _observables(*_scan())
-        batched = _observables(*_scan(run_batched=True, flow_cache=False))
-        assert serial == batched
+        blocks_on_reference_engine = observe(topo=build_mini(flow_cache=False))
+        assert blocks_on_reference_engine == _fast(block_size=1)
 
     @pytest.mark.parametrize("batch_size", [1, 3, 256, 10_000])
     def test_batch_size_does_not_change_results(self, batch_size):
-        serial = _observables(*_scan())
-        batched = _observables(*_scan(run_batched=True,
-                                      batch_size=batch_size))
-        assert serial == batched
+        assert _fast(block_size=batch_size) == observe(reference=True)
 
     def test_batched_with_blocklist_skip_and_cap(self):
         blocklist = Blocklist(blocked=["2001:db8:1:60::/60"])
         kwargs = dict(blocklist=blocklist, skip=17, max_probes=100)
-        serial = _observables(*_scan(**kwargs))
-        batched = _observables(*_scan(run_batched=True, batch_size=32,
-                                      **kwargs))
-        assert serial == batched
-        assert serial[2]["blocked"] > 0
-
-    def test_batched_config_flag_routes_through_run(self):
-        topo = build_mini()
-        scanner = Scanner(
-            topo.network, topo.vantage, ProbeSpec.for_seed(5).build(),
-            _config(batched=True),
-        )
-        # The engine worker dispatches on config.batched; the scanner-level
-        # entry points must agree with each other.
-        batched = scanner.run_batched()
-        serial = _observables(*_scan())
-        stats = batched.stats.to_dict()
-        stats.pop("wall_seconds")
-        assert serial[0] == batched.dedup_digest()
-        assert serial[2] == stats
-
-    def test_run_batched_rejects_nonpositive_block(self):
-        topo = build_mini()
-        scanner = Scanner(
-            topo.network, topo.vantage, ProbeSpec.for_seed(5).build(),
-            _config(batch_size=0),
-        )
-        with pytest.raises(ValueError):
-            scanner.run_batched()
+        serial = observe(reference=True, **kwargs)
+        assert _fast(block_size=32, **kwargs) == serial
+        assert serial["stats"]["blocked"] > 0
 
 
 class TestCampaignEquivalence:
     """The same contract holds through the orchestration engine."""
 
-    def _run(self, executor: str, workers=None, **config_kwargs):
+    def _run(self, executor: str, workers=None, **network_kwargs):
         campaign = Campaign(
-            TopologySpec.mini(),
-            {"wide": _config(**config_kwargs)},
+            TopologySpec.mini(**network_kwargs),
+            {"wide": _config()},
             probe=ProbeSpec.for_seed(5),
             shards=2,
             executor=executor,
@@ -150,11 +98,11 @@ class TestCampaignEquivalence:
         ("serial", None), ("thread", 2), ("process", 2),
     ])
     def test_batched_matches_serial_per_executor(self, executor, workers):
-        plain = self._run(executor, workers)
-        batched = self._run(executor, workers, batched=True)
-        cacheless = self._run(executor, workers, batched=True,
-                              flow_cache=False)
-        assert plain == batched == cacheless
+        default = self._run(executor, workers)
+        with engine(block_size=1):  # forked pool workers inherit it
+            one_at_a_time = self._run(executor, workers)
+        reference = self._run(executor, workers, flow_cache=False)
+        assert default == one_at_a_time == reference
 
 
 class TestFlowCacheInvalidation:
@@ -356,25 +304,31 @@ class TestVectorisedBuildingBlocks:
         assert primed.tag(other) == fresh.tag(other)
 
     def test_target_blocks_match_targets_bookkeeping(self):
+        """``targets()`` pulls indices a block at a time; what it yields and
+        the bookkeeping it leaves behind do not depend on the block size."""
         blocklist = Blocklist(blocked=["2001:db8:1:60::/60"])
         kwargs = dict(blocklist=blocklist, skip=10, max_probes=150)
 
-        def fresh_scanner():
+        def walk(block_size):
             topo = build_mini()
-            return Scanner(
+            scanner = Scanner(
                 topo.network, topo.vantage, ProbeSpec.for_seed(5).build(),
                 _config(**kwargs),
             )
+            with engine(block_size=block_size):
+                # (target, position, blocked) as the consumer sees them.
+                steps = [(address, scanner.position, scanner.blocked_count)
+                         for address in scanner.targets()]
+            return steps, scanner.position, scanner.blocked_count
 
-        serial = fresh_scanner()
-        serial_targets = list(serial.targets())
-        for size in (1, 7, 64):
-            batched = fresh_scanner()
-            blocks = list(batched._target_blocks(size))
-            assert [a for block in blocks for a in block] == serial_targets
-            assert batched.position == serial.position
-            assert batched.blocked_count == serial.blocked_count
-            assert all(len(block) <= size for block in blocks)
+        one_by_one = walk(1)
+        steps, position, blocked = one_by_one
+        assert len(steps) == 150 and blocked > 0
+        assert position == 10 + 150 + blocked  # stopped at the cap
+        # Position while a target is out == every index consumed up to it.
+        assert [s[1] - s[2] for s in steps] == list(range(11, 161))
+        for size in (7, 64, 256):
+            assert walk(size) == one_by_one
 
 
 def _echo(src: IPv6Addr, dst: IPv6Addr):

@@ -29,6 +29,7 @@ from repro.net.addr import IPv6Addr
 from repro.net.spec import TopologySpec
 from repro.store.oslayer import RealOs
 from repro.store.segment import pack_row
+from tests.pipeline import ALWAYS, engine
 
 SPEC = "2001:db8:1::/56-64"  # 256 sub-prefixes over both CPEs' space
 
@@ -727,10 +728,9 @@ class TestCrossBackendDeterminism:
                    device="cpe-ok"),
     ))
 
-    def _run(self, executor, workers=None, batched=False):
+    def _run(self, executor, workers=None):
         config = _config(
             fault_schedule=self.SCHEDULE,
-            batched=batched,
             retransmit=2,
             retransmit_backoff=0.0002,
             adaptive_rate=True,
@@ -769,7 +769,8 @@ class TestCrossBackendDeterminism:
         assert faults == ref_faults
 
     def test_batched_loop_reproduces_identical_chaos(self, reference):
-        result = self._run("serial", batched=True)
+        with engine(block_size=3, vector_min=ALWAYS):
+            result = self._run("serial")
         assert _reply_set(result.results["wide"]) == _reply_set(
             reference.results["wide"]
         )

@@ -588,6 +588,37 @@ class TestHttpApi:
         finally:
             server.stop()
 
+    @pytest.mark.parametrize("field,value", [
+        ("seed", None), ("seed", "7"), ("seed", 1.5), ("seed", True),
+        ("shards", [2]), ("shards", 0), ("shards", "2"),
+        ("max_probes", -5), ("max_probes", 0), ("max_probes", "9"),
+        ("rate_pps", 0), ("rate_pps", -1.0), ("rate_pps", "fast"),
+        ("rate_pps", None), ("rate_pps", float("nan")),
+        ("checkpoint_every", -1), ("checkpoint_every", {}),
+        ("checkpoint_every", None),
+    ])
+    def test_hostile_numbers_are_a_400_and_queue_nothing(
+        self, tmp_path, field, value
+    ):
+        service = ScanService(str(tmp_path / "svc"), scope="num")
+        server = ServiceServer(service).start()
+        try:
+            client = ServiceClient(server.address)
+            body = spec("alice", "a0").to_dict()
+            body[field] = value
+            with pytest.raises(ApiError) as bad:
+                client.submit(body)
+            assert bad.value.status == 400
+            assert field in str(bad.value)
+            assert client.list_campaigns() == []
+            assert client.service_status()["states"] == {}
+            assert service.queue.outstanding_probes("alice") == 0
+            # The handler thread survived: the next request is served.
+            assert client.submit(spec("alice", "a1").to_dict())["state"] == (
+                "queued"
+            )
+        finally:
+            server.stop()
 
     def test_stop_does_not_wait_out_a_long_poll(self, tmp_path):
         service = ScanService(str(tmp_path / "svc"), scope="stop")

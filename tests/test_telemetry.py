@@ -213,16 +213,20 @@ class TestScannerMetrics:
         assert scanner.metrics is NULL_REGISTRY
 
     def test_progress_stride_throttles_the_hook(self):
+        """The hook names the ``sent`` count it next needs control at; the
+        scan runs it after the first target, then only at those points."""
         topo = build_mini()
         probe = ProbeSpec.for_seed(5).build()
         calls = []
-        scanner = Scanner(
-            topo.network, topo.vantage, probe, _config(progress_every=8)
-        )
-        scanner.on_progress = lambda s: calls.append(s.result.stats.sent)
+        scanner = Scanner(topo.network, topo.vantage, probe, _config())
+
+        def every_eight(s):
+            calls.append(s.result.stats.sent)
+            return s.result.stats.sent + 8
+
+        scanner.on_progress = every_eight
         scanner.run()
-        assert len(calls) == 256 // 8
-        assert calls[0] == 8
+        assert calls == [1, *range(9, 256, 8), 256]
 
 
 class TestMergeEquality:

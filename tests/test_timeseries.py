@@ -24,6 +24,7 @@ from repro.telemetry.timeseries import (
     sparkline,
 )
 
+from tests.pipeline import engine
 from tests.topo import build_mini
 
 #: 16 targets behind cpe-ok; at 2 kpps the scan spans 8 virtual ms.
@@ -217,11 +218,14 @@ class TestScannerSampling:
         assert sent == {0: 4, 1: 4, 2: 4, 3: 4}
 
     def test_batched_series_identical_to_serial(self):
-        serial_scanner, _ = _single_shot()
-        batched_scanner, _ = _single_shot(batched=True, batch_size=3)
+        with engine(block_size=1):
+            serial_scanner, _ = _single_shot()
+        with engine(block_size=3):
+            batched_scanner, _ = _single_shot()
+        whole_scanner, _ = _single_shot()
         assert batched_scanner.sampler.to_dict() == (
             serial_scanner.sampler.to_dict()
-        )
+        ) == whole_scanner.sampler.to_dict()
 
 
 class TestShardMergeIdentity:
