@@ -123,9 +123,9 @@ def test_perf_store_query():
     scanned: list = []
     original = SegmentReader.iter_rows
 
-    def tracking(self, blocks=None):
+    def tracking(self, *args):
         scanned.append(self.path.name)
-        return original(self, blocks)
+        return original(self, *args)
 
     prefix = "2001:db8::/32"  # block 0's /32
     SegmentReader.iter_rows = tracking

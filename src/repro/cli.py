@@ -340,9 +340,11 @@ def cmd_scan(args) -> int:
     )
     for label, scan_result in result.results.items():
         if store is not None:
+            # The formatted address is one-to-one with its value, so the
+            # dict projection answers this without building row objects.
             uniq = len({
-                row.responder.value
-                for row in store.iter_rows(label_segments.get(label, []))
+                row["responder"]
+                for row in store.iter_dicts(label_segments.get(label, []))
             })
         else:
             uniq = len(scan_result.unique_responders())

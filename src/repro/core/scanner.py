@@ -38,7 +38,7 @@ from repro.core.ratelimit import VirtualPacer
 from repro.core.stats import ScanStats
 from repro.core.target import IidStrategy, ScanRange, TargetGenerator
 from repro.core.validate import Validator
-from repro.net.addr import IPv6Addr, IPv6Prefix
+from repro.net.addr import IPv6Addr, IPv6Prefix, format_ipv6_packed
 from repro.net.device import Device
 from repro.net.network import Network
 from repro.net.packet import Packet
@@ -63,6 +63,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 BLOCK_SIZE = 256
 
 
+def row_dict(
+    target: bytes, responder: bytes, kind: str, icmp_type: int, icmp_code: int
+) -> Dict[str, object]:
+    """The JSON form of one result row, from its stored fields (the two
+    addresses as their 16 packed bytes).
+
+    The one row→dict function: :meth:`ProbeResult.to_dict` and the store's
+    dict projection (rows decoded from packed bytes without building a
+    :class:`ProbeResult`) both call it, so the two cannot drift apart.
+    """
+    return {
+        "target": format_ipv6_packed(target),
+        "responder": format_ipv6_packed(responder),
+        "kind": kind,
+        "icmp_type": icmp_type,
+        "icmp_code": icmp_code,
+    }
+
+
 @dataclass(frozen=True)
 class ProbeResult:
     """One validated reply, annotated with the probe that elicited it."""
@@ -83,13 +102,10 @@ class ProbeResult:
         return (self.responder.value, self.target.value, self.kind)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "target": str(self.target),
-            "responder": str(self.responder),
-            "kind": self.kind.value,
-            "icmp_type": self.icmp_type,
-            "icmp_code": self.icmp_code,
-        }
+        return row_dict(
+            self.target.to_bytes(), self.responder.to_bytes(),
+            self.kind.value, self.icmp_type, self.icmp_code,
+        )
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ProbeResult":

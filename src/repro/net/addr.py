@@ -16,6 +16,7 @@ library on randomly generated addresses.
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -87,33 +88,38 @@ def _parse_ipv4_tail(tail: str) -> int:
     return value
 
 
-def format_ipv6(value: int) -> str:
-    """Format a 128-bit integer as the RFC 5952 canonical string.
+_GROUPS = struct.Struct(">8H")
+#: ``:0:0:…:`` for every compressible run length, longest first.
+_ZERO_RUNS = tuple(":" + "0:" * length for length in range(8, 1, -1))
+
+
+def format_ipv6_packed(packed: bytes) -> str:
+    """Format 16 network-order bytes as the RFC 5952 canonical string.
 
     The longest run of two or more zero groups is compressed with ``::``
-    (leftmost run wins ties) and hex digits are lower-case.
+    (leftmost run wins ties) and hex digits are lower-case.  This is the
+    one formatter: :func:`format_ipv6` (and through it ``str(IPv6Addr)``)
+    and the result store's row projection, which has the packed form in
+    hand, both end here.
     """
+    if len(packed) != 16:
+        raise AddressError(f"expected 16 bytes, got {len(packed)}")
+    # Colon-fenced, so a run of zero groups is a plain substring and
+    # ``:10:0:`` cannot pass for one.
+    text = ":%x:%x:%x:%x:%x:%x:%x:%x:" % _GROUPS.unpack(packed)
+    if ":0:0:" in text:
+        for run in _ZERO_RUNS:  # the first length found is the longest
+            at = text.find(run)  # ... and ``find`` is leftmost
+            if at >= 0:
+                return f"{text[1:at]}::{text[at + len(run):-1]}"
+    return text[1:-1]
+
+
+def format_ipv6(value: int) -> str:
+    """Format a 128-bit integer as the RFC 5952 canonical string."""
     if not 0 <= value <= MAX_ADDR:
         raise AddressError(f"address out of range: {value:#x}")
-    groups = [(value >> (112 - 16 * i)) & 0xFFFF for i in range(8)]
-
-    best_start, best_len = -1, 0
-    run_start, run_len = -1, 0
-    for i, group in enumerate(groups):
-        if group == 0:
-            if run_start < 0:
-                run_start, run_len = i, 0
-            run_len += 1
-            if run_len > best_len:
-                best_start, best_len = run_start, run_len
-        else:
-            run_start, run_len = -1, 0
-
-    if best_len < 2:
-        return ":".join(f"{g:x}" for g in groups)
-    head = ":".join(f"{g:x}" for g in groups[:best_start])
-    tail = ":".join(f"{g:x}" for g in groups[best_start + best_len:])
-    return f"{head}::{tail}"
+    return format_ipv6_packed(value.to_bytes(16, "big"))
 
 
 @dataclass(frozen=True, order=True)

@@ -14,7 +14,11 @@ added; handler threads call straight into the thread-safe
 :class:`~repro.service.daemon.ScanService` API.  Errors map to status
 codes: admission rejections are 429, draining is 503, unknown ids 404,
 malformed submissions 400 — every body is a JSON object with an
-``error`` field on failure.
+``error`` field on failure.  ``/results`` adds three: a ``limit`` that is
+not a non-negative integer is 400 (``limit=0`` is an empty list), a round
+retention has since dropped is 410, and a store fault met while reading
+is 500 carrying the quarantine message — the request after it is served
+from what survived.
 
 :class:`ServiceClient` is the matching urllib client the CLI's
 ``submit``/``status``/``cancel`` subcommands wrap.
@@ -30,9 +34,10 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
-from repro.service.daemon import ScanService, ServiceDraining
+from repro.service.daemon import ResultsGone, ScanService, ServiceDraining
 from repro.service.queue import AdmissionError, QueueError
 from repro.service.spec import SpecError
+from repro.store.store import StoreCorruption
 
 
 class ApiError(RuntimeError):
@@ -112,6 +117,10 @@ def _make_handler(service: ScanService):
                 self._error(404, str(exc))
             except (ValueError, SpecError) as exc:
                 self._error(400, str(exc))
+            except ResultsGone as exc:
+                self._error(410, str(exc))
+            except StoreCorruption as exc:
+                self._error(500, str(exc))
 
         def do_POST(self) -> None:  # noqa: N802 - http.server API
             path, _ = self._route()

@@ -43,9 +43,15 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.engine.campaign import Campaign, CampaignAborted, NullSignals
-from repro.service.queue import DEFAULT_QUANTUM, CampaignQueue, CampaignRecord
+from repro.service.queue import (
+    DEFAULT_QUANTUM,
+    CampaignQueue,
+    CampaignRecord,
+    QueueError,
+)
 from repro.service.spec import CampaignSpec, TenantPolicy
 from repro.service.tenants import TenantStores
+from repro.store.store import StoreStale
 from repro.telemetry.events import EventLog
 from repro.telemetry.metrics import Histogram, MetricsRegistry
 
@@ -56,6 +62,10 @@ TTFR_BUCKETS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0)
 
 class ServiceDraining(RuntimeError):
     """Submission refused: the daemon is draining for shutdown/upgrade."""
+
+
+class ResultsGone(RuntimeError):
+    """A finished campaign's round is no longer in its tenant's store."""
 
 
 def histogram_quantile(hist: Histogram, q: float) -> float:
@@ -171,11 +181,12 @@ class ScanService:
     def results(
         self, campaign_id: str, limit: Optional[int] = None
     ) -> List[Dict[str, object]]:
-        """Committed rows of one finished campaign's store round."""
+        """Committed rows of one finished campaign's store round — the
+        first ``limit`` of them (0 is none; negative is a ValueError)."""
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
         record = self.queue.get(campaign_id)
         if record.state != "done":
-            from repro.service.queue import QueueError
-
             raise QueueError(
                 f"campaign {campaign_id} is {record.state}; "
                 "results exist only once done"
@@ -185,14 +196,31 @@ class ScanService:
     def _snapshot_rows(
         self, record: CampaignRecord, limit: Optional[int]
     ) -> List[Dict[str, object]]:
-        store = self.stores.open(record.tenant)
-        snap = store.snapshot(record.snapshot)
-        rows: List[Dict[str, object]] = []
-        for row in store.iter_rows(segments=list(snap.segments)):
-            rows.append(row.to_dict())
-            if limit is not None and len(rows) >= limit:
-                break
-        return rows
+        while True:
+            try:
+                store = self.stores.open(record.tenant)
+                snap = store.snapshots.get(record.snapshot)
+                if snap is None:
+                    raise self._gone(record)
+                return list(store.iter_dicts(snap.segments, limit=limit))
+            except StoreStale:
+                # Retention dropped or compacted segments under this read;
+                # nothing is corrupt, the handle is just out of date.  The
+                # manifest moved, so the next open() loads the new one.
+                pass
+
+    def _gone(self, record: CampaignRecord) -> ResultsGone:
+        policy = self.queue.policy(record.tenant)
+        dials = ", ".join(
+            f"{dial}={getattr(policy, dial)}"
+            for dial in ("retain_snapshots", "store_quota_rows")
+            if getattr(policy, dial) is not None
+        )
+        return ResultsGone(
+            f"round {record.snapshot} of campaign {record.campaign_id} "
+            + (f"was dropped by tenant retention ({dials})" if dials
+               else "is no longer in the tenant's store")
+        )
 
     def service_status(self) -> Dict[str, object]:
         """The /v1/status document: queue + fleet + latency summary."""

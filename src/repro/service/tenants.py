@@ -20,6 +20,13 @@ TenantPolicy`:
   drop_snapshot`);
 * ``store_quota_rows`` — drop oldest rounds until committed rows fit the
   quota, then compact so the disk actually shrinks.
+
+Reads share one handle per tenant: :meth:`TenantStores.open` hands back
+the tenant's :class:`~repro.store.store.ResultStore` for as long as its
+stamp holds (:meth:`~repro.store.store.ResultStore.valid`) and opens a
+fresh one — the full validating open — when it does not.  The shared
+handle is read-only: handler threads use it concurrently, so anything
+that writes (retention, campaigns) opens its own.
 """
 
 from __future__ import annotations
@@ -45,6 +52,8 @@ class TenantStores:
         self.root = Path(root)
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.events = events
+        #: tenant -> the shared read handle (see :meth:`open`).
+        self._handles: Dict[str, ResultStore] = {}
 
     # -- layout ------------------------------------------------------------
 
@@ -58,6 +67,21 @@ class TenantStores:
         return str(self.tenant_dir(tenant) / "ckpt" / campaign_id)
 
     def open(self, tenant: str) -> ResultStore:
+        """The tenant's shared **read-only** handle, current as of now.
+
+        Re-validated by stamp on every call and replaced — never refreshed
+        in place — when the manifest has moved, so a thread still reading
+        through the previous object keeps one complete manifest.  Two
+        threads that miss together each open one; the later assignment
+        wins and both handles are good.
+        """
+        store = self._handles.get(tenant)
+        if store is None or not store.valid():
+            store = self._private(tenant)
+            self._handles[tenant] = store
+        return store
+
+    def _private(self, tenant: str) -> ResultStore:
         return ResultStore(self.store_dir(tenant), metrics=self.metrics)
 
     def tenants(self) -> List[str]:
@@ -87,7 +111,7 @@ class TenantStores:
         store_path = Path(self.store_dir(tenant))
         if not store_path.is_dir():
             return summary
-        store = self.open(tenant)
+        store = self._private(tenant)  # it mutates: never the shared handle
         dropped: List[str] = []
         names = sorted(store.snapshots)
         if policy.retain_snapshots is not None:

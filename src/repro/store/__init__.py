@@ -39,7 +39,12 @@ from repro.store.sink import (
     TeeSink,
 )
 from repro.store.snapshot import Snapshot
-from repro.store.store import ResultStore, StoreCorruption, StoreError
+from repro.store.store import (
+    ResultStore,
+    StoreCorruption,
+    StoreError,
+    StoreStale,
+)
 
 __all__ = [
     "ChurnReport",
@@ -57,6 +62,7 @@ __all__ = [
     "Snapshot",
     "StoreCorruption",
     "StoreError",
+    "StoreStale",
     "TeeSink",
     "diff",
     "get_default_os",

@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.probes.base import ReplyKind
-from repro.core.scanner import ProbeResult
+from repro.core.scanner import ProbeResult, row_dict
 from repro.net.addr import IPv6Addr
 from repro.store.index import SegmentIndex, SegmentIndexBuilder
 from repro.store.oslayer import OsLayer, get_default_os
@@ -78,37 +78,48 @@ def pack_row(result: ProbeResult) -> bytes:
 
 
 def unpack_rows(
-    payload, count: int, kinds: Sequence[ReplyKind] = tuple(ReplyKind)
-) -> List[ProbeResult]:
-    """The inverse of :func:`pack_row` over ``count`` consecutive rows.
+    payload,
+    count: int,
+    kinds: Sequence[ReplyKind] = tuple(ReplyKind),
+    as_dicts: bool = False,
+) -> list:
+    """The inverse of :func:`pack_row` over the first ``count`` rows.
 
     ``kinds`` is the kind-code table the rows were packed against (the
     current one by default).  Raises :class:`SegmentCorrupt` on a kind code
-    outside it.
+    outside it.  ``as_dicts`` projects each row straight to its JSON form —
+    :func:`~repro.core.scanner.row_dict`, i.e. exactly
+    ``ProbeResult.to_dict()`` of the row — without building the
+    :class:`ProbeResult` and its two addresses in between.
     """
-    out: List[ProbeResult] = []
-    offset = 0
-    for _ in range(count):
-        target, responder, kind_code, icmp_type, icmp_code = (
-            ROW.unpack_from(payload, offset)
-        )
-        offset += ROW_SIZE
-        try:
-            kind = kinds[kind_code]
-        except IndexError:
+    from_bytes = int.from_bytes
+    with memoryview(payload) as view, view[:count * ROW_SIZE] as rows:
+        # Bounds-check every kind code up front (byte 32 of each row), so
+        # neither projection below has an error path that could leave a
+        # live buffer export in a traceback.
+        if count and max(rows[32::ROW_SIZE]) >= len(kinds):
             raise SegmentCorrupt(
-                f"kind code {kind_code} outside the recorded kind table"
-            ) from None
-        out.append(
+                f"kind code {max(rows[32::ROW_SIZE])} outside the recorded "
+                f"kind table"
+            )
+        if as_dicts:
+            names = [kind.value for kind in kinds]
+            return [
+                row_dict(target, responder, names[code], icmp_type, icmp_code)
+                for target, responder, code, icmp_type, icmp_code
+                in ROW.iter_unpack(rows)
+            ]
+        return [
             ProbeResult(
-                target=IPv6Addr(int.from_bytes(target, "big")),
-                responder=IPv6Addr(int.from_bytes(responder, "big")),
-                kind=kind,
+                target=IPv6Addr(from_bytes(target, "big")),
+                responder=IPv6Addr(from_bytes(responder, "big")),
+                kind=kinds[code],
                 icmp_type=icmp_type,
                 icmp_code=icmp_code,
             )
-        )
-    return out
+            for target, responder, code, icmp_type, icmp_code
+            in ROW.iter_unpack(rows)
+        ]
 
 
 class SegmentWriter:
@@ -231,7 +242,10 @@ class SegmentReader:
 
     def _buffer(self):
         """(buffer, closer): an mmap over the file, or its bytes."""
-        fh = open(self.path, "rb")
+        try:
+            fh = open(self.path, "rb")
+        except FileNotFoundError:
+            raise SegmentCorrupt(f"{self.path.name}: missing-file") from None
         if self.use_mmap:
             try:
                 view = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
@@ -259,20 +273,33 @@ class SegmentReader:
                     f"{self.path.name}: file CRC {crc:#x} != recorded "
                     f"{int(recorded):#x}"
                 )
-            for _ in self._iter_blocks(buffer, None):
+            for _ in self._iter_blocks(buffer, None, None, False):
                 pass
         finally:
             close()
 
-    def _decode_rows(self, payload, count: int) -> List[ProbeResult]:
+    def _decode_rows(self, payload, count: int, as_dicts: bool = False) -> list:
+        """The first ``count`` rows of one CRC-verified block payload."""
         try:
-            return unpack_rows(payload, count, self._kinds)
+            return unpack_rows(payload, count, self._kinds, as_dicts)
         except SegmentCorrupt as exc:
             raise SegmentCorrupt(f"{self.path.name}: {exc}") from None
 
     def _iter_blocks(
-        self, buffer, wanted: Optional[Sequence[int]]
-    ) -> Iterator[Tuple[int, List[ProbeResult]]]:
+        self,
+        buffer,
+        wanted: Optional[Sequence[int]],
+        limit: Optional[int],
+        as_dicts: bool,
+    ) -> Iterator[Tuple[int, list]]:
+        """(block id, decoded rows) for the wanted blocks, at most ``limit``
+        rows in all.
+
+        The walk stops once the budget is spent, and the block it stops in
+        materialises only the rows still owed — but that block's CRC is
+        computed over its **whole** payload first, so a row is never
+        returned from a block that did not verify.
+        """
         size = len(buffer)
         if size < len(HEADER) or bytes(buffer[:4]) != MAGIC:
             raise SegmentCorrupt(f"{self.path.name}: bad or missing magic")
@@ -281,7 +308,7 @@ class SegmentReader:
         block_id = 0
         view = memoryview(buffer)
         try:
-            while offset < size:
+            while offset < size and (limit is None or limit > 0):
                 if offset + 4 > size:
                     raise SegmentCorrupt(
                         f"{self.path.name}: truncated block header at "
@@ -310,7 +337,12 @@ class SegmentReader:
                                 f"{self.path.name}: CRC mismatch in block "
                                 f"{block_id}"
                             )
-                        yield block_id, self._decode_rows(payload, count)
+                        if limit is not None:
+                            count = min(count, limit)
+                            limit -= count
+                        yield block_id, self._decode_rows(
+                            payload, count, as_dicts
+                        )
                     finally:
                         payload.release()
                 offset = end
@@ -318,13 +350,34 @@ class SegmentReader:
         finally:
             view.release()
 
-    def iter_rows(
-        self, blocks: Optional[Sequence[int]] = None
-    ) -> Iterator[ProbeResult]:
-        """Rows in file order, optionally restricted to the given blocks."""
+    def _iter_decoded(
+        self, blocks: Optional[Sequence[int]], limit: Optional[int],
+        as_dicts: bool,
+    ) -> Iterator:
         buffer, close = self._buffer()
         try:
-            for _block_id, rows in self._iter_blocks(buffer, blocks):
+            for _block_id, rows in self._iter_blocks(
+                buffer, blocks, limit, as_dicts
+            ):
                 yield from rows
         finally:
             close()
+
+    def iter_rows(
+        self,
+        blocks: Optional[Sequence[int]] = None,
+        limit: Optional[int] = None,
+    ) -> Iterator[ProbeResult]:
+        """Rows in file order, optionally restricted to the given blocks
+        and to the first ``limit`` rows of them."""
+        return self._iter_decoded(blocks, limit, False)
+
+    def iter_dicts(
+        self,
+        blocks: Optional[Sequence[int]] = None,
+        limit: Optional[int] = None,
+    ) -> Iterator[Dict[str, object]]:
+        """:meth:`iter_rows` projected to JSON dicts — row for row
+        ``[r.to_dict() for r in iter_rows(...)]`` — straight from the
+        packed bytes."""
+        return self._iter_decoded(blocks, limit, True)

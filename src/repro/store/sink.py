@@ -34,14 +34,7 @@ SCAN_FIELDS = ("target", "responder", "kind", "icmp_type", "icmp_code",
 
 def probe_row(result: ProbeResult) -> dict:
     """The canonical dict form of one scan row (CSV/JSONL payload)."""
-    return {
-        "target": str(result.target),
-        "responder": str(result.responder),
-        "kind": result.kind.value,
-        "icmp_type": result.icmp_type,
-        "icmp_code": result.icmp_code,
-        "same_slash64": result.same_slash64,
-    }
+    return {**result.to_dict(), "same_slash64": result.same_slash64}
 
 
 class ResultSink:

@@ -19,10 +19,19 @@ reported by :meth:`ResultStore.info` and swept by compaction.  Stale
 **Integrity**: a torn or hand-edited manifest is quarantined (renamed
 ``manifest.json.corrupt``) and raises :class:`StoreCorruption` — the store
 never guesses.  Segments whose size no longer matches the manifest are
-quarantined on open; block-level CRC failures discovered mid-query
+quarantined on open — and, on a handle that outlives its open, by the read
+that next touches them; block-level CRC failures discovered mid-query
 quarantine the segment and raise, so a corrupt store can cost a rescan but
 can never return a silently wrong row set (mirroring PR 4's checkpoint
 quarantine).
+
+**Long-lived read handles**: opening validates everything (manifest
+checksum, version, every segment's size), so a reader that keeps its
+handle — the daemon keeps one per tenant — revalidates with
+:meth:`ResultStore.valid` instead: a stamp compare that costs one
+``stat``.  Such a handle is never mutated: every writer works on its own
+handle, and quarantine rewrites the manifest from a private copy, so a
+reader sees one complete manifest for as long as it holds the object.
 
 **Sharding**: every shard of a campaign writes its own segment under its
 own name — writers never contend — and the campaign commits them all in
@@ -40,7 +49,9 @@ manifest), and after compaction see the same logical row set.
 from __future__ import annotations
 
 import contextlib
+import copy
 import hashlib
+import itertools
 import json
 import os
 import threading
@@ -70,6 +81,14 @@ MANIFEST_VERSION = 1
 _FALLBACK_LOCKS: Dict[str, threading.Lock] = {}
 _FALLBACK_GUARD = threading.Lock()
 
+#: The in-process half of a handle's stamp (see :meth:`ResultStore.valid`):
+#: resolved store directory -> ticket of this process's latest manifest
+#: rewrite there.  Tickets come from one shared counter (``next`` on it is
+#: atomic), so two racing rewrites can never leave the value a reader
+#: already saw.
+_GENERATIONS: Dict[str, int] = {}
+_REWRITE_TICKETS = itertools.count(1)
+
 
 class StoreError(RuntimeError):
     """The store was asked something inconsistent (bad name, bad commit)."""
@@ -79,13 +98,21 @@ class StoreCorruption(StoreError):
     """On-disk state failed validation; the offender was quarantined."""
 
 
+class StoreStale(StoreError):
+    """A read found a segment gone that the handle's manifest lists and the
+    current manifest does not: the round was dropped or compacted since the
+    handle was opened.  Nothing is corrupt — re-open and read again."""
+
+
+def _stat_identity(stat: os.stat_result) -> Tuple[int, int, int, int]:
+    return (stat.st_ino, stat.st_mtime_ns, stat.st_ctime_ns, stat.st_size)
+
+
 def _checksum(payload: Dict[str, object]) -> str:
     canonical = json.dumps(
         {k: v for k, v in payload.items() if k != "checksum"}, sort_keys=True
     )
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
 
 
 class ResultStore:
@@ -121,6 +148,15 @@ class ResultStore:
         #: Names quarantined by past integrity failures (manifest-recorded).
         self.quarantined: List[str] = []
         self._commits = 0
+        #: Key of this directory in the process-wide generation table.
+        self._generation_key = str(self.directory.resolve())
+        #: What :meth:`valid` compares: (generation, manifest identity)
+        #: as they stood when the manifest was last read.
+        self._stamp: Tuple[object, ...] = ()
+        #: Thread inside :meth:`_exclusive` on this handle, for re-entry.
+        self._exclusive_owner: Optional[int] = None
+        #: Parsed readers by segment name; see :meth:`reader`.
+        self._readers: Dict[str, SegmentReader] = {}
         self._sweep_tmp()
         self._load_manifest()
         self._verify_segment_files()
@@ -154,6 +190,9 @@ class ResultStore:
             handle.flush()
             self.os.fsync(handle)
         self.os.replace(tmp, self.manifest_path)
+        # After the rename, never before: a reader that took the new ticket
+        # and then read the old manifest would hold it as current for good.
+        _GENERATIONS[self._generation_key] = next(_REWRITE_TICKETS)
         # A failed directory fsync degrades rename durability (a power cut
         # could resurrect the previous manifest) but the data is intact —
         # observable, not fatal.  Swallowing it silently was the old bug.
@@ -189,20 +228,32 @@ class ResultStore:
         per-directory in-process lock — same-process writers stay safe,
         cross-process writers are on their own (as before this lock
         existed).
+
+        Re-entrant per handle and thread: compaction reads its own
+        segments under the lock, and a corrupt one quarantines — which
+        takes the lock — from inside it.
         """
-        if fcntl is not None:
-            handle = open(self.directory / self.LOCK_FILE, "a+b")
-            try:
+        me = threading.get_ident()
+        if self._exclusive_owner == me:
+            yield
+            return
+        with contextlib.ExitStack() as stack:
+            if fcntl is not None:
+                handle = stack.enter_context(
+                    open(self.directory / self.LOCK_FILE, "a+b")
+                )  # closing the fd releases the flock
                 fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+            else:  # pragma: no cover - non-POSIX platforms
+                with _FALLBACK_GUARD:
+                    lock = _FALLBACK_LOCKS.setdefault(
+                        self._generation_key, threading.Lock()
+                    )
+                stack.enter_context(lock)
+            self._exclusive_owner = me
+            try:
                 yield
             finally:
-                handle.close()  # closing the fd releases the flock
-        else:  # pragma: no cover - non-POSIX platforms
-            key = str(self.directory.resolve())
-            with _FALLBACK_GUARD:
-                lock = _FALLBACK_LOCKS.setdefault(key, threading.Lock())
-            with lock:
-                yield
+                self._exclusive_owner = None
 
     def refresh(self) -> "ResultStore":
         """Re-read the manifest from disk, dropping in-memory state.
@@ -210,7 +261,9 @@ class ResultStore:
         Multi-writer stores need this: a handle opened before another
         handle's commit still sees the old manifest.  Mutating operations
         refresh automatically (under :meth:`_exclusive`); readers that
-        want the latest committed state call it explicitly.
+        want the latest committed state call it explicitly.  Not for a
+        handle other threads are reading — those are replaced, not
+        refreshed (:meth:`valid`).
         """
         self.segments = {}
         self.snapshots = {}
@@ -219,12 +272,38 @@ class ResultStore:
         self._load_manifest()
         return self
 
+    def valid(self) -> bool:
+        """Stamp check: is the manifest still the one this handle read?
+
+        The same compare-a-stamp idiom as ``Device.flow_entry`` and
+        ``ColumnarFib.valid``; one ``stat``, no parse — the full validation
+        of a cold open ran once, when the stamped manifest was loaded.  For
+        handles that only read (the daemon's per-tenant ones): a handle
+        does not re-stamp after its own writes.
+
+        The stamp has two halves because neither suffices alone.  The
+        generation ticket moves on every rewrite *this process* makes,
+        whatever the clock says — the stat cannot promise that: mtime ticks
+        at jiffy granularity and rename-over frees an inode number the next
+        tmp file may reuse, so A→B→C inside one tick can present A's
+        ``(ino, mtime, size)`` again.  The stat is what shows a rewrite by
+        *another* process, which no counter in this one sees.
+        """
+        try:
+            identity = _stat_identity(os.stat(self.manifest_path))
+        except FileNotFoundError:
+            identity = None  # a fresh store
+        return self._stamp == (
+            _GENERATIONS.get(self._generation_key, 0), identity
+        )
+
     def _quarantine_manifest(self, reason: str) -> None:
         target = self.manifest_path.with_name(self.MANIFEST + ".corrupt")
         try:
             self.manifest_path.replace(target)
         except OSError:  # pragma: no cover - concurrent writer race
             pass
+        _GENERATIONS[self._generation_key] = next(_REWRITE_TICKETS)
         self.metrics.counter("store_manifest_quarantined").inc()
         self._emit_event("store_quarantined", what="manifest", reason=reason)
         raise StoreCorruption(
@@ -233,10 +312,19 @@ class ResultStore:
         )
 
     def _load_manifest(self) -> None:
+        # Stamp first, then read: a rewrite landing in between leaves newer
+        # contents under an older stamp, which costs one needless reload —
+        # the other order would pin stale contents under a current stamp.
+        # The stat half is ``fstat`` of the file actually read.
+        generation = _GENERATIONS.get(self._generation_key, 0)
         try:
-            text = self.manifest_path.read_text()
+            with open(self.manifest_path) as handle:
+                identity = _stat_identity(os.fstat(handle.fileno()))
+                text = handle.read()
         except FileNotFoundError:
+            self._stamp = (generation, None)
             return  # a fresh store
+        self._stamp = (generation, identity)
         try:
             data = json.loads(text)
         except ValueError:
@@ -292,48 +380,82 @@ class ResultStore:
                     continue  # already gone (a racing sweep or seal)
                 path.unlink(missing_ok=True)
 
-    def _quarantine_segment(self, name: str, reason: str) -> None:
-        """Move a corrupt segment aside, drop it from manifest + snapshots."""
-        path = self.segment_path(name)
-        if path.exists():
-            path.replace(path.with_name(path.name + ".corrupt"))
-        self.segments.pop(name, None)
-        for snap_name, snapshot in list(self.snapshots.items()):
-            if name in snapshot.segments:
-                remaining = tuple(s for s in snapshot.segments if s != name)
-                self.snapshots[snap_name] = Snapshot(
-                    name=snapshot.name,
-                    segments=remaining,
-                    rows=sum(self._rows_of(s) for s in remaining),
-                    meta={**snapshot.meta, "incomplete": reason},
-                )
-        self.quarantined.append(name)
-        self._write_manifest()
+    def _quarantine_segment(self, name: str, reason: str) -> bool:
+        """Move a corrupt segment aside, drop it from manifest + snapshots.
+
+        The surgery runs on a private copy of this handle, under the
+        manifest lock and against the manifest as it stands on disk: this
+        handle may be one that other threads are reading (its dicts are
+        never touched — it just stops being :meth:`valid`), two readers
+        that trip over the same segment must not both rewrite the
+        manifest, and a commit from another handle must not be undone.
+        The second of two racing callers finds the name already
+        quarantined and changes nothing.  False means the current manifest
+        never heard of the segment — it was dropped or compacted away, and
+        it is this handle that is out of date, not the file that is bad.
+        """
+        surgeon = copy.copy(self)
+        with surgeon._exclusive():
+            surgeon.refresh()
+            if name not in surgeon.segments:
+                return name in surgeon.quarantined
+            path = self.segment_path(name)
+            if path.exists():
+                path.replace(path.with_name(path.name + ".corrupt"))
+            del surgeon.segments[name]
+            for snap_name, snapshot in list(surgeon.snapshots.items()):
+                if name in snapshot.segments:
+                    remaining = tuple(
+                        s for s in snapshot.segments if s != name
+                    )
+                    surgeon.snapshots[snap_name] = Snapshot(
+                        name=snapshot.name,
+                        segments=remaining,
+                        rows=sum(surgeon._rows_of(s) for s in remaining),
+                        meta={**snapshot.meta, "incomplete": reason},
+                    )
+            surgeon.quarantined.append(name)
+            surgeon._write_manifest()
         self.metrics.counter("store_segments_quarantined").inc()
         self._emit_event("store_quarantined", what="segment", name=name,
                          reason=reason)
+        return True
+
+    def _segment_fault(self, name: str) -> Optional[str]:
+        """Why a committed segment's file cannot be the one recorded (it
+        is missing, or not the recorded size), or None."""
+        meta = self.segments[name]
+        try:
+            actual = self.segment_path(name).stat().st_size
+        except FileNotFoundError:
+            return "missing-file"
+        if actual != int(meta.get("bytes", actual)):
+            return f"size {actual} != {meta.get('bytes')}"
+        return None
 
     def _verify_segment_files(self) -> None:
         """Cheap open-time check: every committed segment exists at the
         recorded size.  Full CRC verification happens block-by-block at
-        read time (and via :meth:`verify`)."""
-        bad: List[Tuple[str, str]] = []
-        for name, meta in self.segments.items():
-            path = self.segment_path(name)
-            try:
-                actual = path.stat().st_size
-            except FileNotFoundError:
-                bad.append((name, "missing-file"))
-                continue
-            if actual != int(meta.get("bytes", actual)):
-                bad.append((name, f"size {actual} != {meta.get('bytes')}"))
-        for name, reason in bad:
-            self._quarantine_segment(name, reason)
-        if bad:
+        read time (and via :meth:`verify`).  A handle kept past its open
+        repeats the check per segment as it reads (:meth:`_iter_segments`)."""
+        bad = [
+            (name, fault) for name in self.segments
+            if (fault := self._segment_fault(name)) is not None
+        ]
+        quarantined = [
+            (name, reason) for name, reason in bad
+            if self._quarantine_segment(name, reason)
+        ]
+        if quarantined:
             raise StoreCorruption(
                 "corrupt segment(s) quarantined: "
-                + ", ".join(f"{n} ({r})" for n, r in bad)
+                + ", ".join(f"{n} ({r})" for n, r in quarantined)
                 + " — re-open the store to continue without them"
+            )
+        if bad:
+            raise StoreStale(
+                "the manifest was rewritten (rounds dropped or compacted) "
+                "while the store was being opened — open it again"
             )
 
     def verify(self) -> None:
@@ -379,11 +501,19 @@ class ResultStore:
                              os_layer=self.os)
 
     def reader(self, name: str) -> SegmentReader:
+        """The segment's reader, parsed (kind table, prefix index) once per
+        meta dict: a sealed segment is immutable, so the reader stays good
+        for as long as this handle holds that dict.  Readers keep no open
+        file — each iteration maps the file afresh."""
         meta = self.segments.get(name)
         if meta is None:
             raise StoreError(f"unknown segment {name!r}")
-        return SegmentReader(self.segment_path(name), meta,
-                             use_mmap=self.use_mmap)
+        reader = self._readers.get(name)
+        if reader is None or reader.meta is not meta:
+            reader = self._readers[name] = SegmentReader(
+                self.segment_path(name), meta, use_mmap=self.use_mmap
+            )
+        return reader
 
     def commit(
         self,
@@ -504,24 +634,70 @@ class ResultStore:
     def total_rows(self) -> int:
         return sum(self._rows_of(name) for name in self.segments)
 
+    def _iter_segments(
+        self,
+        segments: Optional[Sequence[str]],
+        blocks_for: Optional[Dict[str, Sequence[int]]],
+        limit: Optional[int],
+        as_dicts: bool,
+    ) -> Iterator:
+        """The one segment walk behind :meth:`iter_rows`/:meth:`iter_dicts`.
+
+        ``limit`` is a row budget handed down to each segment's decoder;
+        segments past it are never opened.  Each segment's file is checked
+        against its recorded size as the walk reaches it — the open-time
+        check, repeated where a long-lived handle needs it — and any fault
+        (missing, resized, truncated, bad CRC, bad kind code) quarantines
+        the segment and raises.
+        """
+        names = list(segments) if segments is not None else list(self.segments)
+        produced = 0
+        for name in names:
+            if limit is not None and produced >= limit:
+                return
+            reader = self.reader(name)
+            wanted = blocks_for.get(name) if blocks_for else None
+            remaining = None if limit is None else limit - produced
+            try:
+                fault = self._segment_fault(name)
+                if fault is not None:
+                    raise SegmentCorrupt(fault)  # a cold open's wording
+                for row in (
+                    reader.iter_dicts(wanted, remaining) if as_dicts
+                    else reader.iter_rows(wanted, remaining)
+                ):
+                    produced += 1
+                    yield row
+            except SegmentCorrupt as exc:
+                if not self._quarantine_segment(name, str(exc)):
+                    raise StoreStale(
+                        f"segment {name} left the store while this handle "
+                        f"was reading it ({exc}) — re-open and read again"
+                    ) from exc
+                raise StoreCorruption(
+                    f"segment {name} is corrupt and was quarantined mid-"
+                    f"read: {exc} — re-open the store to continue without it"
+                ) from exc
+
     def iter_rows(
         self,
         segments: Optional[Sequence[str]] = None,
         blocks_for: Optional[Dict[str, Sequence[int]]] = None,
+        limit: Optional[int] = None,
     ) -> Iterator[ProbeResult]:
-        """Rows in commit order; corrupt segments quarantine and raise."""
-        names = list(segments) if segments is not None else list(self.segments)
-        for name in names:
-            reader = self.reader(name)
-            wanted = blocks_for.get(name) if blocks_for else None
-            try:
-                yield from reader.iter_rows(wanted)
-            except SegmentCorrupt as exc:
-                self._quarantine_segment(name, str(exc))
-                raise StoreCorruption(
-                    f"segment {name} is corrupt and was quarantined mid-"
-                    f"read: {exc}"
-                ) from exc
+        """Rows in commit order, at most ``limit`` of them; corrupt
+        segments quarantine and raise."""
+        return self._iter_segments(segments, blocks_for, limit, False)
+
+    def iter_dicts(
+        self,
+        segments: Optional[Sequence[str]] = None,
+        blocks_for: Optional[Dict[str, Sequence[int]]] = None,
+        limit: Optional[int] = None,
+    ) -> Iterator[Dict[str, object]]:
+        """:meth:`iter_rows` as JSON dicts — ``row.to_dict()`` of each row,
+        projected from the packed bytes without building the row."""
+        return self._iter_segments(segments, blocks_for, limit, True)
 
     def orphans(self) -> List[str]:
         """Sealed segment files on disk that no manifest entry references."""

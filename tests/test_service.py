@@ -620,6 +620,94 @@ class TestHttpApi:
         finally:
             server.stop()
 
+    def test_results_limit_zero_is_empty_and_bad_limits_are_400(
+        self, tmp_path, monkeypatch
+    ):
+        service = ScanService(str(tmp_path / "svc"), max_workers=1,
+                              scope="lim")
+        service.submit(spec("alice", "a0", RESPONSIVE[2], seed=3))
+        service.run_until_idle()
+        server = ServiceServer(service).start()
+        try:
+            client = ServiceClient(server.address)
+            full = client.results("lim-0000")
+            assert len(full) > 2
+            assert client.results("lim-0000", limit=0) == []
+            assert client.results("lim-0000", limit=2) == full[:2]
+            opened = []
+            monkeypatch.setattr(
+                service.stores, "open",
+                lambda tenant: opened.append(tenant),
+            )
+            for bad_limit in (-1, -5, "abc", "1.5"):
+                with pytest.raises(ApiError) as bad:
+                    client.results("lim-0000", limit=bad_limit)
+                assert bad.value.status == 400
+            assert opened == []  # refused before anything was read
+            monkeypatch.undo()
+            assert client.results("lim-0000") == full
+        finally:
+            server.stop()
+
+    def test_dropped_round_is_410_and_the_daemon_keeps_serving(
+        self, tmp_path
+    ):
+        service = ScanService(
+            str(tmp_path / "svc"), max_workers=1, scope="gone",
+            default_policy=TenantPolicy(max_in_flight=1, retain_snapshots=1),
+        )
+        server = ServiceServer(service).start()
+        try:
+            client = ServiceClient(server.address)
+            client.submit(spec("alice", "a0", RESPONSIVE[2], seed=3).to_dict())
+            service.run_until_idle()
+            first = client.results("gone-0000")  # the handle is now cached
+            assert first
+            client.submit(spec("alice", "a1", RESPONSIVE[0], seed=4).to_dict())
+            service.run_until_idle()  # retention drops round gone-0000
+            with pytest.raises(ApiError) as gone:
+                client.results("gone-0000")
+            assert gone.value.status == 410
+            assert "retain_snapshots=1" in str(gone.value)
+            assert client.results("gone-0001")
+            assert client.status("gone-0000")["state"] == "done"
+        finally:
+            server.stop()
+
+    def test_corrupt_segment_is_a_500_then_the_survivors_are_served(
+        self, tmp_path
+    ):
+        service = ScanService(str(tmp_path / "svc"), max_workers=1,
+                              scope="bad")
+        service.submit(spec("alice", "a0", RESPONSIVE[2], seed=3, shards=2))
+        service.run_until_idle()
+        server = ServiceServer(service).start()
+        try:
+            client = ServiceClient(server.address)
+            full = client.results("bad-0000")  # the handle is now cached
+            store = service.stores.open("alice")
+            victim, survivor = store.snapshot("round-bad-0000").segments
+            assert store.reader(victim).rows and store.reader(survivor).rows
+            path = store.segment_path(victim)
+            data = bytearray(path.read_bytes())
+            data[20] ^= 0x01  # same size: only the block CRC can tell
+            path.write_bytes(bytes(data))
+            with pytest.raises(ApiError) as corrupt:
+                client.results("bad-0000")
+            assert corrupt.value.status == 500
+            assert "quarantined" in str(corrupt.value)
+            assert victim in str(corrupt.value)
+            # The stamp moved with the quarantine: the next request reloads
+            # and serves what survived, the one after that is warm again.
+            rest = client.results("bad-0000")
+            assert rest == full[store.reader(victim).rows:]
+            assert client.results("bad-0000", limit=1) == rest[:1]
+            assert ResultStore(
+                service.stores.store_dir("alice")
+            ).quarantined == [victim]
+        finally:
+            server.stop()
+
     def test_stop_does_not_wait_out_a_long_poll(self, tmp_path):
         service = ScanService(str(tmp_path / "svc"), scope="stop")
         for _ in range(3):

@@ -463,9 +463,9 @@ class TestQuery:
         read: list = []
         original = SegmentReader.iter_rows
 
-        def tracking(self, blocks=None):
+        def tracking(self, *args):
             read.append(self.path.name)
-            return original(self, blocks)
+            return original(self, *args)
 
         SegmentReader.iter_rows = tracking
         try:
