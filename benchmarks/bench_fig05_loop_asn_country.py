@@ -9,25 +9,25 @@ from repro.analysis.figures import (
     PAPER_FIG5_COUNTRIES,
     figure5_loop_asn_country,
 )
-from repro.loop.bgp import TOP_LOOP_ASES
+from repro.bgp import TOP_LOOP_ASES
 
 from benchmarks.conftest import write_result
 
 
-def test_fig05_loop_asn_country(benchmark, world, world_loops):
+def test_fig05_loop_asn_country(benchmark, world_table, world_loops):
     loop_addrs = [
         r.last_hop for survey in world_loops.values() for r in survey.records
     ]
 
     asn_table, country_table = benchmark(
-        lambda: figure5_loop_asn_country(loop_addrs, world.table)
+        lambda: figure5_loop_asn_country(loop_addrs, world_table)
     )
     write_result("fig05_loop_asn_country", asn_table, country_table)
 
     # Recompute the rankings for the assertions.
     asn_counts, country_counts = {}, {}
     for addr in loop_addrs:
-        info = world.table.lookup(addr)
+        info = world_table.lookup(addr)
         asn_counts[info.asn] = asn_counts.get(info.asn, 0) + 1
         country_counts[info.country] = country_counts.get(info.country, 0) + 1
 

@@ -12,11 +12,11 @@ from repro.discovery.periphery import discover
 from benchmarks.conftest import AS_SCALE, SCALE, SEED, write_result
 
 
-def test_table9_bgp_scan(benchmark, world, world_loops):
+def test_table9_bgp_scan(benchmark, world, world_table, world_loops):
     # Discovery sweep across every AS window (the "4M last hops" column).
     def discover_all():
         found = []
-        for as_truth in world.ases:
+        for as_truth in world.edges:
             census = discover(
                 world.network, world.vantage, as_truth.scan_spec, seed=SEED
             )
@@ -27,7 +27,7 @@ def test_table9_bgp_scan(benchmark, world, world_loops):
 
     asns, countries = set(), set()
     for record in records:
-        info = world.table.lookup(record.last_hop)
+        info = world_table.lookup(record.last_hop)
         assert info is not None
         asns.add(info.asn)
         countries.add(info.country)
@@ -37,7 +37,7 @@ def test_table9_bgp_scan(benchmark, world, world_loops):
     ]
     loop_asns, loop_countries = set(), set()
     for addr in loop_addrs:
-        info = world.table.lookup(addr)
+        info = world_table.lookup(addr)
         loop_asns.add(info.asn)
         loop_countries.add(info.country)
 
@@ -54,5 +54,5 @@ def test_table9_bgp_scan(benchmark, world, world_loops):
     assert len(loop_asns) / len(asns) > 0.35  # paper: 56%
     assert len(loop_countries) / len(countries) > 0.5  # paper: 78%
     # Every AS with ground-truth loops was detected.
-    truth_loop_ases = {a.asn for a in world.ases if a.n_loops}
+    truth_loop_ases = {a.asn for a in world.edges if a.n_loops}
     assert loop_asns == truth_loop_ases

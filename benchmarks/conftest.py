@@ -20,10 +20,10 @@ import platform
 
 import pytest
 
+from repro.bgp import AsRole, build_internet
 from repro.discovery.periphery import discover
 from repro.discovery.vendor_id import VendorIdentifier
 from repro.isp.builder import build_deployment
-from repro.loop.bgp import build_global_internet
 from repro.loop.detector import find_loops
 from repro.services.zgrab import AppScanner
 
@@ -114,13 +114,19 @@ def loop_surveys(deployment):
 @pytest.fixture(scope="session")
 def world():
     """The BGP-advertised-prefix population (Table IX / Figure 5)."""
-    return build_global_internet(seed=SEED, scale=SCALE / 10, n_tail_ases=220)
+    return build_internet(seed=SEED, scale=SCALE / 10, n_tail_ases=220)
+
+
+@pytest.fixture(scope="session")
+def world_table(world):
+    """The Routeviews-shaped attribution table: one entry per edge AS."""
+    return world.fabric.bgp_table(roles=(AsRole.EDGE,))
 
 
 @pytest.fixture(scope="session")
 def world_loops(world):
     surveys = {}
-    for as_truth in world.ases:
+    for as_truth in world.edges:
         surveys[as_truth.asn] = find_loops(
             world.network, world.vantage, as_truth.scan_spec, seed=SEED
         )

@@ -11,20 +11,22 @@ Run:  python examples/bgp_survey.py
 
 from collections import Counter
 
+from repro.bgp import AsRole, build_internet
 from repro.discovery.periphery import discover
-from repro.loop.bgp import build_global_internet
 from repro.loop.detector import find_loops
 
 
 def main() -> None:
-    world = build_global_internet(seed=7, scale=2_000, n_tail_ases=120)
-    print(f"BGP table: {len(world.table)} advertised prefixes, "
+    world = build_internet(seed=7, scale=2_000, n_tail_ases=120)
+    # What Routeviews would show for the periphery: one entry per edge AS.
+    table = world.fabric.bgp_table(roles=(AsRole.EDGE,))
+    print(f"BGP table: {len(table)} advertised prefixes, "
           f"{len(world.network.devices) - 2:,} devices "
-          f"across {len({a.country for a in world.ases})} countries\n")
+          f"across {len({a.country for a in world.edges})} countries\n")
 
     total_last_hops = 0
     loop_addrs = []
-    for as_truth in world.ases:
+    for as_truth in world.edges:
         census = discover(world.network, world.vantage, as_truth.scan_spec,
                           seed=1)
         total_last_hops += census.n_unique
@@ -34,14 +36,14 @@ def main() -> None:
 
     asns, countries = Counter(), Counter()
     for addr in loop_addrs:
-        info = world.table.lookup(addr)
+        info = table.lookup(addr)
         asns[info.asn] += 1
         countries[info.country] += 1
 
     print(f"Last hops discovered : {total_last_hops:,} (paper: 4.0M)")
     print(f"With routing loop    : {len(loop_addrs):,} "
           f"({100 * len(loop_addrs) / total_last_hops:.1f}%; paper: 3.2%)")
-    print(f"Loop ASes            : {len(asns)} of {len(world.ases)} "
+    print(f"Loop ASes            : {len(asns)} of {len(world.edges)} "
           f"(paper: 3,877 of 6,911)")
     print(f"Loop countries       : {len(countries)} "
           f"(paper: 132 of 170)\n")

@@ -62,7 +62,6 @@ from repro.loop import (
     find_loops,
     run_loop_attack,
     run_case_study,
-    build_global_internet,
 )
 from repro.bgp import (
     BgpFabric,
@@ -121,7 +120,6 @@ __all__ = [
     "find_loops",
     "run_loop_attack",
     "run_case_study",
-    "build_global_internet",
     # BGP fabric
     "BgpFabric",
     "build_internet",

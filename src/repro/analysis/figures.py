@@ -10,9 +10,9 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from repro.analysis.report import ComparisonTable
+from repro.bgp.table import BgpTable
 from repro.discovery.vendor_id import IdentifiedDevice
 from repro.isp.profiles import SERVICE_KEYS
-from repro.loop.bgp import BgpTable
 from repro.net.addr import IPv6Addr
 from repro.services.zgrab import ServiceObservation
 

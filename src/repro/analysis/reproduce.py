@@ -18,6 +18,7 @@ from typing import Dict, List, Optional
 
 from repro.analysis import figures, tables
 from repro.analysis.report import ComparisonTable
+from repro.bgp import AsRole, InternetWorld, build_internet
 from repro.core.scanner import ScanConfig
 from repro.core.target import ScanRange
 from repro.discovery.periphery import PeripheryCensus, census_from_scan, discover
@@ -27,7 +28,6 @@ from repro.discovery.subnet import infer_subprefix_length
 from repro.discovery.vendor_id import IdentifiedDevice, VendorIdentifier
 from repro.isp.builder import Deployment, build_deployment
 from repro.loop.attack import run_loop_attack
-from repro.loop.bgp import GlobalInternet, build_global_internet
 from repro.loop.casestudy import run_case_study
 from repro.loop.detector import LoopSurvey, find_loops
 from repro.net.packet import MAX_HOP_LIMIT
@@ -46,7 +46,7 @@ class ReproductionRun:
     app_results: Dict[str, AppScanResult] = field(default_factory=dict)
     identified: Dict[str, List[IdentifiedDevice]] = field(default_factory=dict)
     loop_surveys: Dict[str, LoopSurvey] = field(default_factory=dict)
-    world: Optional[GlobalInternet] = None
+    world: Optional[InternetWorld] = None
     sections: List[str] = field(default_factory=list)
     #: Per-table telemetry: data-volume counters per stage, a
     #: ``reproduce_stage_seconds`` gauge per stage, and the Table II
@@ -228,10 +228,13 @@ def reproduce_all(
     # -- Tables IX/X + Figure 5 ---------------------------------------------------
     if include_bgp:
         say("scanning every BGP-advertised prefix (Tables IX-X, Figure 5)")
-        run.world = build_global_internet(seed=seed, scale=scale / 10)
+        run.world = build_internet(seed=seed, scale=scale / 10)
+        # Attribution sees what Routeviews would show for the periphery:
+        # one entry per edge AS.
+        bgp_table = run.world.fabric.bgp_table(roles=(AsRole.EDGE,))
         world_records = []
         loop_addrs = []
-        for as_truth in run.world.ases:
+        for as_truth in run.world.edges:
             census = discover(
                 run.world.network, run.world.vantage, as_truth.scan_spec,
                 seed=seed,
@@ -245,11 +248,11 @@ def reproduce_all(
         asns, countries = set(), set()
         loop_asns, loop_countries = set(), set()
         for record in world_records:
-            info = run.world.table.lookup(record.last_hop)
+            info = bgp_table.lookup(record.last_hop)
             asns.add(info.asn)
             countries.add(info.country)
         for addr in loop_addrs:
-            info = run.world.table.lookup(addr)
+            info = bgp_table.lookup(addr)
             loop_asns.add(info.asn)
             loop_countries.add(info.country)
         run.sections.append(
@@ -261,7 +264,7 @@ def reproduce_all(
         )
         run.sections.append(tables.table10_loop_iid(loop_addrs).render())
         asn_table, country_table = figures.figure5_loop_asn_country(
-            loop_addrs, run.world.table
+            loop_addrs, bgp_table
         )
         run.sections.append(asn_table.render())
         run.sections.append(country_table.render())

@@ -17,8 +17,9 @@ applied and reverted mid-scan through the :mod:`repro.faults`
 virtual-clock journal.
 
 :func:`build_internet` builds the Internet-scale scan substrate (tier-1
-mesh, regionals, hundreds of CPE-edge ASes) and subsumes the legacy
-``repro.loop.bgp.build_global_internet``, which now thinly wraps it.
+mesh, regionals, hundreds of CPE-edge ASes): the Table IX / Figure 5
+population is ``world.edges``, attributed through
+``world.fabric.bgp_table(roles=(AsRole.EDGE,))``.
 """
 
 from repro.bgp.fabric import (

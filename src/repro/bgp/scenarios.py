@@ -38,7 +38,7 @@ from repro.bgp.fabric import BgpFabric, FabricError
 from repro.bgp.solver import LeakSpec, Rib
 from repro.faults import BLACKHOLE, ROUTE_FLAP, ROUTE_SET, FaultEvent, FaultSchedule
 from repro.net.addr import IPv6Prefix
-from repro.net.routing import Route, RouteKind
+from repro.net.routing import RouteKind
 
 
 @dataclass(frozen=True)
@@ -257,16 +257,4 @@ def compute_delta(fabric: BgpFabric, scenario: Scenario) -> TableDelta:
     return TableDelta(
         scenario=scenario, ops=tuple(ops), dirty=tuple(dirty_list),
         rib_after=rib_after,
-    )
-
-
-def _route_for_op(op: RouteOp) -> Optional[Route]:
-    """The route a "set" op installs (used by tests)."""
-    if op.action != "set" or op.next_hop is None:
-        return None
-    from repro.net.addr import IPv6Addr
-
-    return Route(
-        IPv6Prefix.from_string(op.prefix), RouteKind.NEXT_HOP,
-        next_hop=IPv6Addr.from_string(op.next_hop),
     )

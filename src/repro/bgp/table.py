@@ -7,10 +7,8 @@ longest-prefix-match view over advertised prefixes, built on the shared
 :class:`repro.net.lpm.PrefixTrie` like the forwarding tables and the
 scanner blocklist.
 
-Historically this lived in :mod:`repro.loop.bgp` with its own trie; it
-moved here so the BGP fabric (:mod:`repro.bgp.fabric`) can derive one from
-its RIB without the loop layer importing the fabric.  :mod:`repro.loop.bgp`
-re-exports it unchanged.
+It lives here so the BGP fabric (:mod:`repro.bgp.fabric`) can derive one
+from its RIB (:meth:`~repro.bgp.fabric.BgpFabric.bgp_table`).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Internet-scale topology builders on top of the BGP fabric.
 
-:func:`build_internet` subsumes the flat ``repro.loop.bgp``
-``build_global_internet`` world: the same Figure-5-shaped CPE-edge AS
-population (identical blocks, device names, IID draws, and loop ground
+:func:`build_internet` subsumes the flat world the loop study first ran
+on (one vantage core with every edge AS hanging directly off it): the same
+Figure-5-shaped CPE-edge AS population (identical blocks, device names, IID draws, and loop ground
 truth for a given seed — the legacy builder's RNG stream is reproduced
 draw-for-draw), but reached through a real AS-level fabric: tier-1
 transits meshed at internet exchanges, regional transits buying from
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.bgp.fabric import AsRole, BgpFabric
 from repro.bgp.table import BgpTable
@@ -147,12 +147,6 @@ class InternetWorld:
     #: Optional ISP deployments mounted under the vantage core
     #: (``isp_profiles=``), for mixed fabric + profile-catalog worlds.
     isps: Optional[object] = None
-
-    def scan_specs(self) -> List[str]:
-        return [e.scan_spec for e in self.edges]
-
-    def edge_by_asn(self) -> Dict[int, EdgeAs]:
-        return {e.asn: e for e in self.edges}
 
 
 def populate_edge_as(

@@ -175,9 +175,6 @@ def cmd_scan(args) -> int:
     if args.retry_budget is not None and args.retry_budget < 0:
         print("error: --retry-budget must be >= 0", file=sys.stderr)
         return 2
-    if args.drain_timeout is not None and args.drain_timeout <= 0:
-        print("error: --drain-timeout must be positive", file=sys.stderr)
-        return 2
     fault_schedule = None
     if args.fault_schedule or args.host_faults:
         from repro.faults import FaultSchedule, ScheduleError
@@ -220,16 +217,11 @@ def cmd_scan(args) -> int:
               f"seed {fault_schedule.seed}", file=sys.stderr)
 
     supervisor_policy = None
-    if args.supervise or args.retry_budget is not None \
-            or args.drain_timeout is not None:
+    if args.supervise or args.retry_budget is not None:
         from repro.engine import SupervisorPolicy
 
         supervisor_policy = SupervisorPolicy(
-            enabled=True,
-            retry_budget=args.retry_budget,
-            drain_timeout=(args.drain_timeout
-                           if args.drain_timeout is not None
-                           else SupervisorPolicy.drain_timeout),
+            enabled=True, retry_budget=args.retry_budget
         )
 
     profiles = _profiles(args)
@@ -1018,10 +1010,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retry-budget", type=int, default=None, metavar="N",
                    help="global cap on shard retries across the campaign "
                         "(implies --supervise)")
-    p.add_argument("--drain-timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="grace period for in-flight shards after a SIGTERM "
-                        "drain request (implies --supervise)")
     p.add_argument("--adaptive-rate", action="store_true",
                    help="AIMD probe-rate control: back off on reply-rate "
                         "collapse, creep back to --rate when healthy")

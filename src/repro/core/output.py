@@ -16,11 +16,7 @@ from typing import IO, Iterable
 from repro.core.scanner import ScanResult
 from repro.discovery.periphery import PeripheryCensus
 from repro.loop.detector import LoopSurvey
-from repro.store.sink import CsvSink, JsonlSink, probe_row
-
-#: Re-exported for callers that build rows directly (the canonical dict
-#: form now lives with the streaming sinks in :mod:`repro.store.sink`).
-_probe_row = probe_row
+from repro.store.sink import CsvSink, JsonlSink
 
 
 def write_scan_csv(result: ScanResult, stream: IO[str]) -> int:

@@ -560,23 +560,17 @@ class Campaign:
                                 error=str(outcome),
                             )
                         if supervisor is not None:
-                            verdict = supervisor.note_failure(
-                                job.job_id, outcome,
-                                attempts[job.job_id], self.max_retries,
-                            )
-                            if verdict == "retry":
-                                retry.append(job)
-                                self.events.emit(
-                                    "shard_retry",
-                                    job_id=job.job_id,
-                                    attempt=attempts[job.job_id],
-                                    error=str(outcome),
-                                )
                             # Parked shards leave the rotation; the
                             # supervisor already journalled why.
-                        elif attempts[job.job_id] > self.max_retries:
-                            failures[job.job_id] = outcome
+                            again = supervisor.note_failure(
+                                job.job_id, outcome,
+                                attempts[job.job_id], self.max_retries,
+                            ) == "retry"
                         else:
+                            again = attempts[job.job_id] <= self.max_retries
+                            if not again:
+                                failures[job.job_id] = outcome
+                        if again:
                             retry.append(job)
                             self.events.emit(
                                 "shard_retry",

@@ -28,8 +28,9 @@ verifying a load is one pass over the file, and writing never re-reads it.
 A PARTIAL checkpoint is **one write and one fsync** of one record (the very
 first also creates the file: write, fsync, rename).
 
-**The head** is a small checksummed JSON document written atomically
-(tmp + fsync + rename) when the shard finishes: identity, final position and
+**The head** is a small durable document
+(:func:`repro.store.oslayer.write_document`: checksummed JSON, replaced
+atomically) written when the shard finishes: identity, final position and
 stats, the rows since the last log record inline (``tail``, hex of the same
 packed form), the length and chain digest of the log prefix the earlier rows
 live in (``log_length`` / ``log_chain``; 0 when the shard never checkpointed
@@ -75,13 +76,19 @@ import json
 import os
 import pathlib
 import struct
-import threading
 from dataclasses import dataclass
 from typing import IO, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.scanner import ProbeResult, ScanResult
 from repro.core.stats import ScanStats
 from repro.core.target import ScanRange
+from repro.store.oslayer import (
+    DocumentCorrupt,
+    get_default_os,
+    read_document,
+    write_document,
+    writer_tmp,
+)
 from repro.store.segment import ROW_SIZE, SegmentCorrupt, pack_row, unpack_rows
 
 STATE_VERSION = 2
@@ -103,14 +110,6 @@ _CHAIN_START = hashlib.sha256(_LOG_HEADER).digest()
 #: blocked, received, validated, discarded, virtual_start, virtual_end,
 #: wall_seconds); the packed rows follow.
 _PROGRESS = struct.Struct(">Q5Q3d")
-
-
-def _checksum(payload: Dict[str, object]) -> str:
-    """Whole-payload SHA-256 over canonical JSON (``checksum`` excluded)."""
-    canonical = json.dumps(
-        {k: v for k, v in payload.items() if k != "checksum"}, sort_keys=True
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 class _Corrupt(Exception):
@@ -239,8 +238,6 @@ class CheckpointStore:
         self.on_event = on_event
         #: Durability syscall surface (see :mod:`repro.store.oslayer`);
         #: swapped for a shim by the host fault domain / kill harness.
-        from repro.store.oslayer import get_default_os
-
         self.os = os_layer if os_layer is not None else get_default_os()
         #: job id -> the log state this store loaded or is appending to.
         self._attempts: Dict[str, _Attempt] = {}
@@ -284,54 +281,23 @@ class CheckpointStore:
     def _load_json(self, path: pathlib.Path, what: str,
                    companion: Optional[pathlib.Path] = None,
                    ) -> Optional[Dict[str, object]]:
-        """Parse + checksum-verify one state file; quarantine on corruption.
+        """Read one state document; quarantine on corruption.
 
         Returns None when the file is absent or corrupt (quarantined, with
-        ``companion``).  Every writer of this format records a ``checksum``;
-        a payload without one has lost it.
+        ``companion``).
         """
         try:
-            raw = path.read_bytes()
+            return read_document(path)
         except FileNotFoundError:
             return None
-        try:
-            data = json.loads(raw)
-        except ValueError:  # includes bytes that are not UTF-8
-            self._quarantine(path, what, "truncated-or-invalid-json", companion)
+        except DocumentCorrupt as exc:
+            self._quarantine(path, what, exc.reason, companion)
             return None
-        if not isinstance(data, dict):
-            self._quarantine(path, what, "not-a-json-object", companion)
-            return None
-        if data.get("checksum") != _checksum(data):
-            self._quarantine(path, what, "checksum-mismatch", companion)
-            return None
-        return data
-
-    def _tmp_name(self, path: pathlib.Path) -> pathlib.Path:
-        # Unique per writer: two workers checkpointing the same shard (a
-        # watchdog-abandoned straggler racing its retry) must not clobber
-        # each other's half-written tmp files.
-        return path.with_name(
-            f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
-        )
 
     def _write_durably(self, handle: IO[bytes], data: bytes) -> None:
         self.os.write(handle, data)
         handle.flush()
         self.os.fsync(handle)
-
-    def _atomic_write(self, path: pathlib.Path,
-                      payload: Dict[str, object]) -> None:
-        # One encoding is both hashed and written: the canonical form
-        # ``_checksum`` recomputes on load, with the checksum spliced in
-        # before the closing brace.
-        canonical = json.dumps(payload, sort_keys=True)
-        checksum = hashlib.sha256(canonical.encode()).hexdigest()
-        body = f'{canonical[:-1]}, "checksum": "{checksum}"}}'
-        tmp = self._tmp_name(path)
-        with open(tmp, "wb") as handle:
-            self._write_durably(handle, body.encode())
-        self.os.replace(tmp, path)
 
     # -- shard state: writing --------------------------------------------------
 
@@ -382,7 +348,7 @@ class CheckpointStore:
                  record: bytes = b"") -> None:
         """Start this attempt's own copy of the log — the prefix it rests
         on, plus ``record`` — and rename it over the shared name."""
-        tmp = self._tmp_name(path)
+        tmp = writer_tmp(path)
         handle = open(tmp, "w+b")
         try:
             self._write_durably(handle, attempt.prefix + record)
@@ -472,7 +438,7 @@ class CheckpointStore:
             while True:
                 if attempt is not None:
                     self._own_log(log_path, attempt)
-                self._atomic_write(self.shard_path(state.job_id), head)
+                write_document(self.os, self.shard_path(state.job_id), head)
                 # A racing attempt may have renamed its log over ours
                 # between the two renames above, leaving our head over its
                 # log.  Whichever attempt finishes last must leave its own
@@ -541,7 +507,7 @@ class CheckpointStore:
 
     def write_manifest(self, meta: Dict[str, object]) -> None:
         path = self.directory / self.MANIFEST
-        self._atomic_write(path, {"version": STATE_VERSION, **meta})
+        write_document(self.os, path, {"version": STATE_VERSION, **meta})
         self._event("manifest_written", directory=str(self.directory))
 
     def load_manifest(self) -> Optional[Dict[str, object]]:

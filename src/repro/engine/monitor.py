@@ -12,10 +12,7 @@ The monitor is a *view* over the campaign's structured
 :meth:`ProgressMonitor.handle_event` to the log and every status line is
 rendered from event records rather than ad-hoc method calls.  With
 ``json_mode=True`` (the CLI's ``--log-json``) the monitor forwards each
-raw event as one JSON line instead of formatting human text.  The legacy
-``campaign_started``/``shard_finished``/… methods remain as thin wrappers
-that synthesise the equivalent event record, so direct callers and
-event-log subscribers render identically.
+raw event as one JSON line instead of formatting human text.
 
 Retained lines are bounded (``max_lines``) so a 48-hour campaign with
 per-shard status output cannot grow the monitor without limit.
@@ -29,8 +26,6 @@ import time
 from collections import deque
 from typing import Callable, Deque, Dict, Optional
 
-from repro.engine.planner import ShardJob
-from repro.engine.worker import ShardOutcome
 from repro.telemetry.timeseries import sparkline
 
 #: Default retention for :attr:`ProgressMonitor.lines`; old lines fall off
@@ -140,49 +135,6 @@ class ProgressMonitor:
         "shard_retry": _on_shard_retry,
         "campaign_finished": _on_campaign_finished,
     }
-
-    # -- campaign lifecycle (legacy direct-call API) -----------------------------
-
-    def campaign_started(self, total_shards: int, ranges: int) -> None:
-        self.handle_event(
-            {
-                "type": "campaign_started",
-                "shards": total_shards,
-                "ranges": ranges,
-            }
-        )
-
-    def shard_finished(self, outcome: ShardOutcome) -> None:
-        self.handle_event(
-            {
-                "type": "shard_finished",
-                "job_id": outcome.job.job_id,
-                "label": outcome.label,
-                "shard": outcome.job.config.shard,
-                "shards": outcome.job.config.shards,
-                "sent_this_run": outcome.sent_this_run,
-                "sent": outcome.result.stats.sent,
-                "validated": outcome.result.stats.validated,
-                "from_checkpoint": outcome.from_checkpoint,
-                "attempts": outcome.attempts,
-                "worker": outcome.worker,
-            }
-        )
-
-    def shard_retry(self, job: ShardJob, error: Exception, attempt: int) -> None:
-        self.handle_event(
-            {
-                "type": "shard_retry",
-                "job_id": job.job_id,
-                "attempt": attempt,
-                "error": str(error),
-            }
-        )
-
-    def campaign_finished(self, wall_seconds: float) -> None:
-        self.handle_event(
-            {"type": "campaign_finished", "wall_seconds": wall_seconds}
-        )
 
     # -- formatting ----------------------------------------------------------------
 

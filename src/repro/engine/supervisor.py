@@ -24,10 +24,12 @@ a supervisor executes the byte-identical stock path):
 * **graceful partial commit** — parked shards are recorded on the result
   (and in the store snapshot's metadata) as ``degraded``; completed
   shards still merge and commit.
-* **SIGTERM drain** — :meth:`drain_scope` installs a chaining handler:
-  the first SIGTERM flips :attr:`draining`, the campaign stops dispatching
-  new work, seals what is in flight, checkpoints, commits, and exits
-  cleanly with the drained shards reported as such.
+* **SIGTERM drain** — :meth:`Supervisor.drain_scope` installs a chaining
+  handler (:func:`sigterm_drain_scope`, which the scan daemon drains its
+  whole fleet through as well): the first SIGTERM flips
+  :attr:`Supervisor.draining`, the campaign stops dispatching new work,
+  seals what is in flight, checkpoints, commits, and exits cleanly with the
+  drained shards reported as such.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import errno
 import signal
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, ContextManager, Dict, Iterator, List, Optional
 
 
 def failure_signature(exc: BaseException) -> str:
@@ -66,9 +68,6 @@ class SupervisorPolicy:
     retry_budget: Optional[int] = None
     #: Distinct failure signatures that open a shard's circuit breaker.
     breaker_distinct: int = 3
-    #: Seconds the SIGTERM drain path allows in-flight shards to finish
-    #: before the campaign gives up waiting (advisory; recorded on events).
-    drain_timeout: float = 30.0
 
 
 #: Reasons a shard can be parked (recorded on events and result).
@@ -185,40 +184,44 @@ class Supervisor:
             self._drain.set()
             self.metrics.counter("supervisor_drains").inc()
             if self.events is not None:
-                self.events.emit(
-                    "campaign_drain_requested",
-                    drain_timeout=self.policy.drain_timeout,
-                )
+                self.events.emit("campaign_drain_requested")
 
-    @contextlib.contextmanager
-    def drain_scope(self):
-        """Catch the *first* SIGTERM as a drain request.
+    def drain_scope(self) -> ContextManager[None]:
+        """Catch the first SIGTERM as a drain request for this campaign."""
+        return sigterm_drain_scope(self._drain.is_set, self.request_drain)
 
-        Chains: a second SIGTERM falls through to whatever handler was
-        installed before (the flight recorder's dump-and-die scope, or the
-        default action), so an operator who really means it still wins.
-        Main-thread only — elsewhere this is a no-op passthrough, matching
-        :meth:`FlightRecorder.sigterm_scope`'s discipline.
-        """
-        if threading.current_thread() is not threading.main_thread():
-            yield self
-            return
-        previous = signal.getsignal(signal.SIGTERM)
 
-        def handler(signum, frame):
-            if self._drain.is_set():
-                # Second SIGTERM: restore and re-deliver to the prior
-                # handler — drain was not fast enough for the operator.
-                signal.signal(signal.SIGTERM, previous)
-                if callable(previous):
-                    previous(signum, frame)
-                else:  # pragma: no cover - SIG_DFL/SIG_IGN re-raise path
-                    signal.raise_signal(signal.SIGTERM)
-                return
-            self.request_drain()
+@contextlib.contextmanager
+def sigterm_drain_scope(
+    is_draining: Callable[[], bool], request_drain: Callable[[], None]
+) -> Iterator[None]:
+    """Catch the *first* SIGTERM as a drain request.
 
-        signal.signal(signal.SIGTERM, handler)
-        try:
-            yield self
-        finally:
+    Chains: a second SIGTERM falls through to whatever handler was
+    installed before (the flight recorder's dump-and-die scope, or the
+    default action), so an operator who really means it still wins.
+    Main-thread only — elsewhere this is a no-op passthrough, matching
+    :meth:`FlightRecorder.sigterm_scope`'s discipline.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.getsignal(signal.SIGTERM)
+
+    def handler(signum, frame):
+        if is_draining():
+            # Second SIGTERM: restore and re-deliver to the prior
+            # handler — drain was not fast enough for the operator.
             signal.signal(signal.SIGTERM, previous)
+            if callable(previous):
+                previous(signum, frame)
+            else:  # pragma: no cover - SIG_DFL/SIG_IGN re-raise path
+                signal.raise_signal(signal.SIGTERM)
+            return
+        request_drain()
+
+    signal.signal(signal.SIGTERM, handler)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)

@@ -17,7 +17,10 @@ events (``fs-error`` / ``fs-torn-write`` / ``fs-crash``) arm against the
 *scanner host's* storage syscalls via :class:`HostFaultInjector`, which
 wraps the store's :class:`~repro.store.oslayer.OsLayer` in a
 :class:`FaultyOs` shim.  A mixed schedule is split automatically: each
-injector arms only its own domain's events.
+injector arms only its own domain's events, and both run them on the one
+:class:`~repro.faults.windows.FaultWindows` timeline-and-journal core.
+The kill-anywhere harness (:mod:`repro.faults.killtest`) lives here too,
+with :class:`KillSwitchOs`, the other ``OsLayer`` shim.
 
 Determinism is the design constraint: every random draw the fault layer
 makes comes from its own ``random.Random(schedule.seed)``, never from the
@@ -48,6 +51,7 @@ from repro.faults.injector import FaultError, FaultInjector
 from repro.faults.host import (
     FaultyOs,
     HostFaultInjector,
+    KillSwitchOs,
     SimulatedCrash,
 )
 
@@ -70,6 +74,7 @@ __all__ = [
     "FaultInjector",
     "FaultyOs",
     "HostFaultInjector",
+    "KillSwitchOs",
     "ScheduleError",
     "SimulatedCrash",
 ]

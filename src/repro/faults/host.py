@@ -6,17 +6,15 @@ and the checkpoint directory, which real campaigns lose to far more often
 than to packet loss (disk-full mid-segment, torn writes on power loss,
 operator kill -9 between a seal and the manifest commit).
 
-:class:`HostFaultInjector` mirrors the network injector's discipline
-exactly: it arms a :class:`~repro.faults.schedule.FaultSchedule`'s
-host-domain events (``fs-error`` / ``fs-torn-write`` / ``fs-crash``) as a
-sorted apply/revert timeline on the **virtual clock**, exposes
-``next_transition``, journals every transition into :attr:`records`
-(``fault_applied`` / ``fault_reverted`` — the same record shape the
-campaign EventLog ingests), and reverts everything on :meth:`restore`.
-The difference is the attachment point: instead of a ``Network`` it
-produces a :class:`FaultyOs` — an :class:`~repro.store.oslayer.OsLayer`
-shim the store's writers call — so scheduled windows intercept exactly
-the four durability syscalls the crash-safety claims rest on.
+:class:`HostFaultInjector` runs a :class:`~repro.faults.schedule.
+FaultSchedule`'s host-domain events (``fs-error`` / ``fs-torn-write`` /
+``fs-crash``) on the same :class:`~repro.faults.windows.FaultWindows` core
+as the network injector — one timeline on the **virtual clock**, one
+journal, one revert-on-restore.  The difference is the attachment point:
+instead of a ``Network`` it produces a :class:`FaultyOs` — an
+:class:`~repro.store.oslayer.OsLayer` shim the store's writers call — so
+scheduled windows intercept exactly the four durability syscalls the
+crash-safety claims rest on.
 
 Determinism: host faults draw no randomness at all.  Whether an operation
 fails is a pure function of (virtual clock, op, path, bytes-written-so-
@@ -26,17 +24,19 @@ failure — and the identical recovery — on every backend.
 ``fs-crash`` raises :class:`SimulatedCrash`, a ``BaseException`` like
 ``KeyboardInterrupt``: nothing on the worker path may swallow it, so it
 propagates out exactly as far as a real process death would, leaving only
-what was already durable.  (The kill-anywhere harness in
-:mod:`repro.engine.killtest` goes one step further and uses real SIGKILL;
-this in-process variant is what makes the crash *windows* unit-testable.)
+what was already durable.  The kill-anywhere harness
+(:mod:`repro.faults.killtest`) goes one step further and uses real SIGKILL
+through the other shim here, :class:`KillSwitchOs`; the in-process variant
+is what makes the crash *windows* unit-testable.
 """
 
 from __future__ import annotations
 
 import errno
-import math
+import os
+import signal
 from pathlib import Path
-from typing import Callable, Dict, IO, List, Optional, Tuple
+from typing import Callable, Dict, IO, Optional
 
 from repro.faults.schedule import (
     FS_CRASH,
@@ -45,7 +45,8 @@ from repro.faults.schedule import (
     FaultEvent,
     FaultSchedule,
 )
-from repro.store.oslayer import OsLayer, get_default_os
+from repro.faults.windows import FaultWindows
+from repro.store.oslayer import OsLayer, RealOs, get_default_os
 
 _ERRNOS = {"EIO": errno.EIO, "ENOSPC": errno.ENOSPC}
 
@@ -59,11 +60,6 @@ class SimulatedCrash(BaseException):
     campaign the way a real SIGKILL would instead of being politely
     retried.
     """
-
-
-def _os_error(err: str, path: str, op: str) -> OSError:
-    code = _ERRNOS[err]
-    return OSError(code, f"injected {err} on {op}", path)
 
 
 class FaultyOs(OsLayer):
@@ -111,7 +107,45 @@ class FaultyOs(OsLayer):
         self.base.fsync_dir(path)
 
 
-class HostFaultInjector:
+class KillSwitchOs(RealOs):
+    """Counts durability ops; SIGKILLs the calling process at op N,
+    **before** performing it — no cleanup, no ``atexit``, no flushed
+    buffers: the genuine article.
+
+    Each process counts its own ops (forked pool workers start from the
+    parent's count at fork time), so under the process backend the switch
+    kills whichever process reaches the threshold first — a worker death
+    the campaign retries, or a parent death the next ``--resume`` recovers.
+    Either way the property under test is the same.
+    """
+
+    def __init__(self, kill_after: Optional[int] = None) -> None:
+        self.ops = 0
+        self.kill_after = kill_after
+
+    def _tick(self) -> None:
+        self.ops += 1
+        if self.kill_after is not None and self.ops >= self.kill_after:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    def write(self, handle: IO[bytes], data: bytes) -> None:
+        self._tick()
+        super().write(handle, data)
+
+    def fsync(self, handle: IO) -> None:
+        self._tick()
+        super().fsync(handle)
+
+    def replace(self, src: Path, dst: Path) -> None:
+        self._tick()
+        super().replace(src, dst)
+
+    def fsync_dir(self, path: Path) -> None:
+        self._tick()
+        super().fsync_dir(path)
+
+
+class HostFaultInjector(FaultWindows):
     """Drives a schedule's host-domain events against the OS layer.
 
     ``clock`` is a zero-argument callable returning the current *virtual*
@@ -120,6 +154,8 @@ class HostFaultInjector:
     ride alongside.
     """
 
+    RECORD_FIELDS = ("op", "path")
+
     def __init__(
         self,
         schedule: FaultSchedule,
@@ -127,65 +163,21 @@ class HostFaultInjector:
         base: Optional[OsLayer] = None,
         metrics=None,
     ) -> None:
-        self.schedule = schedule
-        self.clock = clock
+        super().__init__(schedule.host_events(), clock, metrics)
         self.base = base if base is not None else get_default_os()
-        if metrics is None:
-            from repro.telemetry.metrics import NULL_REGISTRY
-
-            metrics = NULL_REGISTRY
-        self.metrics = metrics
-        #: Structured journal records (same shape as the network injector's)
-        #: for the worker event buffer / campaign EventLog.
-        self.records: List[Dict[str, object]] = []
-        #: Virtual time of the next apply/revert; +inf once exhausted.
-        self.next_transition = math.inf
-        timeline: List[Tuple[float, int, int, str, FaultEvent]] = []
-        for seq, event in enumerate(schedule.host_events()):
-            timeline.append((event.start, 1, seq, "apply", event))
-            timeline.append((event.end, 0, seq, "revert", event))
-        self._timeline = sorted(timeline)
-        self._cursor = 0
-        self._active: List[FaultEvent] = []
         #: Per-torn-write-event bytes already allowed through (the tear
         #: point is cumulative over the window, not per call).
         self._torn: Dict[int, int] = {}
-        if self._timeline:
-            self.next_transition = self._timeline[0][0]
 
     def os_layer(self) -> FaultyOs:
         """The shim to install under a store/segment/checkpoint writer."""
         return FaultyOs(self, self.base)
 
-    # -- timeline ----------------------------------------------------------
-
-    def sync(self, clock: float) -> None:
-        """Apply/revert every transition due at or before ``clock``."""
-        timeline = self._timeline
-        cursor = self._cursor
-        while cursor < len(timeline) and timeline[cursor][0] <= clock:
-            _t, _phase, _seq, action, event = timeline[cursor]
-            cursor += 1
-            if action == "apply":
-                self._active.append(event)
-                self._record("applied", event, clock)
-            else:
-                self._active.remove(event)
-                self._torn.pop(id(event), None)
-                self._record("reverted", event, clock, reason="window-end")
-        self._cursor = cursor
-        self.next_transition = (
-            timeline[cursor][0] if cursor < len(timeline) else math.inf
-        )
-
-    def restore(self) -> None:
-        """Revert anything still active (scan ended mid-window)."""
-        clock = self.clock()
-        for event in list(reversed(self._active)):
-            self._active.remove(event)
-            self._torn.pop(id(event), None)
-            self._record("reverted", event, clock, reason="scan-end")
-        self.next_transition = math.inf
+    # An active host window has no effect of its own — :meth:`match` reads
+    # the active list per operation — so applying one is a no-op and
+    # reverting one only forgets its tear point.
+    def _revert(self, event: FaultEvent) -> None:
+        self._torn.pop(id(event), None)
 
     # -- op hooks ----------------------------------------------------------
 
@@ -211,7 +203,9 @@ class HostFaultInjector:
         """Inject an ``fs-error``: journal it and raise its errno."""
         assert event.err is not None
         self._injected(event, op, path, err=event.err)
-        raise _os_error(event.err, path, op)
+        raise OSError(
+            _ERRNOS[event.err], f"injected {event.err} on {op}", path
+        )
 
     def tear(self, event: FaultEvent, handle: IO[bytes], data: bytes,
              base: OsLayer) -> None:
@@ -239,23 +233,6 @@ class HostFaultInjector:
         raise SimulatedCrash(f"injected crash {op} of {path}")
 
     # -- journal -----------------------------------------------------------
-
-    def _record(self, phase: str, event: FaultEvent, clock: float,
-                **extra: object) -> None:
-        record: Dict[str, object] = {
-            "type": f"fault_{phase}",
-            "kind": event.kind,
-            "t_virtual": clock,
-            "window": [event.start, event.end],
-        }
-        if event.op is not None:
-            record["op"] = event.op
-        if event.path is not None:
-            record["path"] = event.path
-        record.update(extra)
-        self.records.append(record)
-        self.metrics.counter("fault_events", kind=event.kind,
-                             phase=phase).inc()
 
     def _injected(self, event: FaultEvent, op: str, path: str,
                   **extra: object) -> None:

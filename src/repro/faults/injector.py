@@ -1,12 +1,13 @@
 """Arms a :class:`~repro.faults.schedule.FaultSchedule` against a live
 network.
 
-The injector precomputes the schedule's apply/revert transitions as a
-sorted timeline and exposes a single float, :attr:`next_transition`, that
-the forwarding engine compares against the virtual clock once per
+The timeline, the journal and revert-on-restore are the shared
+:class:`~repro.faults.windows.FaultWindows` core; the forwarding engine
+compares its :attr:`next_transition` against the virtual clock once per
 injection — the entire cost of a *disabled or idle* fault layer is that one
 comparison (guarded by an ``is not None`` check), which is what keeps the
-A/B overhead bench under its 2% budget.
+A/B overhead bench under its 2% budget.  This module is the network
+domain's half: what each fault kind does to a live network.
 
 Every fault effect reuses existing simulator machinery rather than adding
 parallel code paths:
@@ -29,9 +30,8 @@ and detaches from the network, leaving it pristine for reuse.
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.faults.schedule import (
     BLACKHOLE,
@@ -43,6 +43,7 @@ from repro.faults.schedule import (
     FaultEvent,
     FaultSchedule,
 )
+from repro.faults.windows import FaultWindows
 from repro.net.addr import IPv6Addr, IPv6Prefix
 from repro.net.device import Device, ErrorRateLimiter
 from repro.net.routing import Route
@@ -52,8 +53,10 @@ class FaultError(RuntimeError):
     """A schedule cannot be armed or applied against this network."""
 
 
-class FaultInjector:
-    """Drives one schedule against one network on the virtual clock."""
+class FaultInjector(FaultWindows):
+    """Drives one schedule's network-domain events against one network."""
+
+    RECORD_FIELDS = ("device", "link", "prefix", "rate")
 
     def __init__(
         self,
@@ -62,40 +65,21 @@ class FaultInjector:
         metrics=None,
         protected: Tuple[str, ...] = (),
     ) -> None:
+        # Host-domain events are not ours — they arm against the store's OS
+        # layer via a HostFaultInjector; a mixed schedule is split here.
+        super().__init__(
+            schedule.network_events(), lambda: network.clock, metrics
+        )
         self.network = network
         self.schedule = schedule
         #: Dedicated chaos RNG: loss draws never touch the topology RNG.
         self.rng = random.Random(schedule.seed)
-        if metrics is None:
-            from repro.telemetry.metrics import NULL_REGISTRY
-
-            metrics = NULL_REGISTRY
-        self.metrics = metrics
         #: Device names faults must not target (the scan vantage).
         self.protected = tuple(protected)
-        #: Structured fault records (virtual-clock timestamps) for the
-        #: worker event buffer / campaign EventLog.
-        self.records: List[Dict[str, object]] = []
-        #: Virtual time of the next apply/revert; +inf once exhausted.  The
-        #: forwarding engine checks ``clock >= next_transition`` per inject.
-        self.next_transition = math.inf
-        # (time, phase, seq, action, event): reverts sort before applies at
-        # the same instant so back-to-back windows hand over cleanly.
-        # Host-domain events are not ours — they arm against the store's OS
-        # layer via a HostFaultInjector; a mixed schedule is split here.
-        timeline: List[Tuple[float, int, int, str, FaultEvent]] = []
-        for seq, event in enumerate(schedule.events):
-            if event.host_domain:
-                continue
-            timeline.append((event.start, 1, seq, "apply", event))
-            timeline.append((event.end, 0, seq, "revert", event))
-        self._timeline = sorted(timeline)
-        self._cursor = 0
         self._devices: Dict[str, Device] = {}
         self._crashed: Dict[int, Device] = {}
         self._limiters: Dict[int, ErrorRateLimiter] = {}
         self._routes: Dict[int, Optional[Route]] = {}
-        self._active: List[FaultEvent] = []
         self._armed = False
         self._drops_baseline = 0
 
@@ -123,33 +107,10 @@ class FaultInjector:
         network.faults = self
         network.fault_rng = self.rng
         self._armed = True
-        if self._timeline:
-            self.next_transition = self._timeline[0][0]
 
-    def sync(self, clock: float) -> None:
-        """Apply/revert every transition due at or before ``clock``."""
-        timeline = self._timeline
-        cursor = self._cursor
-        while cursor < len(timeline) and timeline[cursor][0] <= clock:
-            _t, _phase, _seq, action, event = timeline[cursor]
-            cursor += 1
-            if action == "apply":
-                self._apply(event, clock)
-            else:
-                self._revert(event, clock, reason="window-end")
-        self._cursor = cursor
-        self.next_transition = (
-            timeline[cursor][0] if cursor < len(timeline) else math.inf
-        )
-
-    def restore(self) -> None:
-        """Revert anything still active and detach from the network."""
+    def _detach(self) -> None:
         if not self._armed:
             return
-        clock = self.network.clock
-        for event in list(reversed(self._active)):
-            self._revert(event, clock, reason="scan-end")
-        self.next_transition = math.inf
         dropped = self.network.fault_drops - self._drops_baseline
         if dropped:
             self.metrics.counter("fault_packets_lost").inc(dropped)
@@ -159,28 +120,7 @@ class FaultInjector:
 
     # -- fault effects -----------------------------------------------------
 
-    def _record(self, phase: str, event: FaultEvent, clock: float,
-                **extra: object) -> None:
-        record: Dict[str, object] = {
-            "type": f"fault_{phase}",
-            "kind": event.kind,
-            "t_virtual": clock,
-            "window": [event.start, event.end],
-        }
-        if event.device is not None:
-            record["device"] = event.device
-        if event.link is not None:
-            record["link"] = list(event.link)
-        if event.prefix is not None:
-            record["prefix"] = event.prefix
-        if event.rate is not None:
-            record["rate"] = event.rate
-        record.update(extra)
-        self.records.append(record)
-        self.metrics.counter("fault_events", kind=event.kind,
-                             phase=phase).inc()
-
-    def _apply(self, event: FaultEvent, clock: float) -> None:
+    def _apply(self, event: FaultEvent) -> None:
         network = self.network
         kind = event.kind
         if kind == LOSS_BURST:
@@ -221,11 +161,8 @@ class FaultInjector:
             device.table.add_next_hop(
                 prefix, IPv6Addr.from_string(event.next_hop)
             )
-        self._active.append(event)
-        self._record("applied", event, clock)
 
-    def _revert(self, event: FaultEvent, clock: float,
-                reason: str = "window-end") -> None:
+    def _revert(self, event: FaultEvent) -> None:
         network = self.network
         kind = event.kind
         if kind == LOSS_BURST:
@@ -241,27 +178,18 @@ class FaultInjector:
         elif kind == RATE_LIMIT:
             device = self._devices[event.device]  # type: ignore[index]
             device.error_limiter = self._limiters.pop(id(event))
-        elif kind == BLACKHOLE:
-            device = self._devices[event.device]  # type: ignore[index]
-            prefix = IPv6Prefix.from_string(event.prefix)  # type: ignore[arg-type]
-            device.table.remove(prefix)
-            saved = self._routes.pop(id(event))
-            if saved is not None:
-                device.table.add(saved)
         elif kind == ROUTE_FLAP:
             device = self._devices[event.device]  # type: ignore[index]
             saved = self._routes.pop(id(event))
             assert saved is not None
             device.table.add(saved)
-        elif kind == ROUTE_SET:
+        elif kind in (BLACKHOLE, ROUTE_SET):
             device = self._devices[event.device]  # type: ignore[index]
             prefix = IPv6Prefix.from_string(event.prefix)  # type: ignore[arg-type]
             device.table.remove(prefix)
             saved = self._routes.pop(id(event))
             if saved is not None:
                 device.table.add(saved)
-        self._active.remove(event)
-        self._record("reverted", event, clock, reason=reason)
 
     @staticmethod
     def _route_for(device: Device, prefix: IPv6Prefix) -> Optional[Route]:

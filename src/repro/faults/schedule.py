@@ -85,6 +85,10 @@ FS_OPS = ("write", "fsync", "rename")
 FS_ERRNOS = ("EIO", "ENOSPC")
 FS_CRASH_OPS = ("before-rename", "after-rename")
 
+#: A :class:`FaultEvent`'s optional fields, in document order.
+OPTIONAL_FIELDS = ("device", "link", "prefix", "rate", "burst", "next_hop",
+                   "op", "err", "path", "offset")
+
 
 class ScheduleError(ValueError):
     """A fault schedule is malformed (unknown kind, bad window, ...)."""
@@ -199,39 +203,27 @@ class FaultEvent:
             return ("host", self.op, self.path)
         return ("route", self.device, self.prefix)
 
+    def set_fields(self, names: Iterable[str]) -> Dict[str, object]:
+        """The named optional fields this event sets, as JSON-ready values —
+        what a schedule document and a journal record both carry."""
+        fields: Dict[str, object] = {}
+        for name in names:
+            value = getattr(self, name)
+            if value is not None:
+                fields[name] = list(value) if name == "link" else value
+        return fields
+
     def to_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
+        return {
             "kind": self.kind, "start": self.start, "end": self.end,
+            **self.set_fields(OPTIONAL_FIELDS),
         }
-        if self.device is not None:
-            data["device"] = self.device
-        if self.link is not None:
-            data["link"] = list(self.link)
-        if self.prefix is not None:
-            data["prefix"] = self.prefix
-        if self.rate is not None:
-            data["rate"] = self.rate
-        if self.burst is not None:
-            data["burst"] = self.burst
-        if self.next_hop is not None:
-            data["next_hop"] = self.next_hop
-        if self.op is not None:
-            data["op"] = self.op
-        if self.err is not None:
-            data["err"] = self.err
-        if self.path is not None:
-            data["path"] = self.path
-        if self.offset is not None:
-            data["offset"] = self.offset
-        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "FaultEvent":
         if not isinstance(data, dict):
             raise ScheduleError(f"fault event must be an object, got {data!r}")
-        known = {"kind", "start", "end", "device", "link", "prefix", "rate",
-                 "burst", "next_hop", "op", "err", "path", "offset"}
-        unknown = set(data) - known
+        unknown = set(data) - {"kind", "start", "end", *OPTIONAL_FIELDS}
         if unknown:
             raise ScheduleError(
                 f"unknown fault event field(s): {', '.join(sorted(unknown))}"

@@ -4,15 +4,15 @@
   §VI-B, producing Tables IX/XI;
 * :mod:`repro.loop.attack` — the amplification attack of §VI-A (Figure 4),
   measuring ISP↔CPE link crossings per attacker packet;
-* :mod:`repro.loop.bgp` — the synthetic global BGP table + AS/country
-  registry (Routeviews/MaxMind substitutes) behind Table IX and Figure 5;
 * :mod:`repro.loop.casestudy` — the 99-router firmware testbench of §VI-D
   (Table XII).
+
+The synthetic global BGP table + AS/country registry (Routeviews/MaxMind
+substitutes) behind Table IX and Figure 5 is :mod:`repro.bgp`.
 """
 
 from repro.loop.detector import LoopRecord, LoopSurvey, find_loops
 from repro.loop.attack import AttackReport, run_loop_attack
-from repro.loop.bgp import BgpTable, GlobalInternet, build_global_internet
 from repro.loop.casestudy import RouterModel, CaseStudyResult, run_case_study, CASE_STUDY_ROUTERS
 
 __all__ = [
@@ -21,9 +21,6 @@ __all__ = [
     "find_loops",
     "AttackReport",
     "run_loop_attack",
-    "BgpTable",
-    "GlobalInternet",
-    "build_global_internet",
     "RouterModel",
     "CaseStudyResult",
     "run_case_study",

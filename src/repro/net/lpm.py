@@ -3,7 +3,7 @@
 Three parts of the simulator need "most specific covering prefix" queries:
 forwarding tables (:mod:`repro.net.routing`), scanner block/allow lists
 (:mod:`repro.core.blocklist`), and BGP origin attribution
-(:class:`repro.loop.bgp.BgpTable`).  They historically carried three
+(:class:`repro.bgp.table.BgpTable`).  They historically carried three
 near-identical binary-trie walks; this module is the single shared
 implementation they all wrap now.
 

@@ -18,8 +18,8 @@ and drives them through the existing engine.  The pieces:
   leases, SIGKILL-anywhere recovery via the persisted queue;
 * :class:`ServiceServer` / :class:`ServiceClient` (:mod:`~repro.service.
   api`) — the stdlib HTTP JSON API and its CLI-facing client;
-* :mod:`repro.service.killtest` — the daemon-level kill-anywhere
-  harness (``python -m repro.service.killtest``).
+* the daemon-level kill-anywhere property is the ``daemon`` target of
+  :mod:`repro.faults.killtest` (``python -m repro.faults.killtest daemon``).
 """
 
 from repro.service.api import ApiError, ServiceClient, ServiceServer

@@ -10,7 +10,8 @@ tenant store layout (:mod:`repro.service.tenants`), and the engine's
   so the fleet is threads, and every campaign gets
   :class:`~repro.engine.campaign.NullSignals` so no lease ever touches
   the process signal table;
-* one **service-level SIGTERM handler** (:meth:`sigterm_scope`)
+* one **service-level SIGTERM handler** (:meth:`ScanService.sigterm_scope`,
+  the supervisor's :func:`~repro.engine.supervisor.sigterm_drain_scope`)
   multiplexes drain across every in-flight lease: draining stops
   admission and leasing, each campaign's injected ``abort_check`` trips
   at its next shard boundary, the lease raises
@@ -33,16 +34,15 @@ one :class:`~repro.telemetry.metrics.MetricsRegistry`.
 from __future__ import annotations
 
 import asyncio
-import contextlib
-import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import ContextManager, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.engine.campaign import Campaign, CampaignAborted, NullSignals
+from repro.engine.supervisor import sigterm_drain_scope
 from repro.service.queue import (
     DEFAULT_QUANTUM,
     CampaignQueue,
@@ -276,34 +276,10 @@ class ScanService:
             if lease.campaign is not None:
                 lease.campaign.request_abort()
 
-    @contextlib.contextmanager
-    def sigterm_scope(self) -> Iterator[None]:
-        """One process-level SIGTERM handler multiplexed over all leases.
-
-        First SIGTERM requests a drain; a second restores the previous
-        handler and re-delivers (operator escalation), matching the
-        supervisor's discipline.  Main-thread only; elsewhere a no-op.
-        """
-        if threading.current_thread() is not threading.main_thread():
-            yield
-            return
-        previous = signal.getsignal(signal.SIGTERM)
-
-        def handler(signum, frame):
-            if self._draining.is_set():
-                signal.signal(signal.SIGTERM, previous)
-                if callable(previous):
-                    previous(signum, frame)
-                else:  # pragma: no cover - SIG_DFL/SIG_IGN re-raise path
-                    signal.raise_signal(signal.SIGTERM)
-                return
-            self.request_drain()
-
-        signal.signal(signal.SIGTERM, handler)
-        try:
-            yield
-        finally:
-            signal.signal(signal.SIGTERM, previous)
+    def sigterm_scope(self) -> ContextManager[None]:
+        """One process-level SIGTERM handler multiplexed over all leases:
+        the first SIGTERM requests a drain, a second escalates."""
+        return sigterm_drain_scope(self._draining.is_set, self.request_drain)
 
     # -- scheduler ---------------------------------------------------------
 

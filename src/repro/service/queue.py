@@ -24,9 +24,11 @@ higher-priority traffic other tenants pour in.
 
 **Durability** (:meth:`CampaignQueue.save` / :meth:`CampaignQueue.load`)
 — the whole queue (records, deficits, counters, the id-allocator
-watermark) is one JSON document written atomically through the store's
-:mod:`~repro.store.oslayer` (tmp + fsync + rename + dir-fsync), so the
-kill-anywhere harness counts every queue write as a crash point.  A
+watermark) is one durable document (:func:`repro.store.oslayer.
+write_document`: checksummed, replaced atomically, then a directory
+fsync), so the kill-anywhere harness counts every queue write as a crash
+point, and a state file that fails its checksum is refused with
+:class:`QueueError` rather than loaded.  A
 daemon that died holding leases reloads them as ``queued`` with
 ``resume=True`` and ``attempts+1``: the engine's checkpoint/resume
 machinery makes re-running them converge to bit-identical stores, which
@@ -36,19 +38,23 @@ is what "no lost or duplicated campaigns" means operationally.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional
 
 from repro.service.spec import CampaignSpec, TenantPolicy
-from repro.store.oslayer import get_default_os
+from repro.store.oslayer import (
+    DocumentCorrupt,
+    get_default_os,
+    read_document,
+    write_document,
+)
 from repro.telemetry.events import CampaignIdAllocator, EventLog
 from repro.telemetry.metrics import MetricsRegistry, NULL_REGISTRY
 
-QUEUE_STATE_VERSION = 1
+#: 2: the document carries a ``checksum`` (v1 recorded none).
+QUEUE_STATE_VERSION = 2
 
 #: Probes of deficit accrued per round per unit weight.  Small enough
 #: that priority factors matter (a 4096-probe interactive campaign costs
@@ -195,9 +201,6 @@ class CampaignQueue:
                 (r for r in self.records.values() if r.state in states),
                 key=lambda r: r.submit_seq,
             )
-
-    def tenant_records(self, tenant: str, *states: str) -> List[CampaignRecord]:
-        return [r for r in self.in_state(*states) if r.tenant == tenant]
 
     @property
     def depth(self) -> int:
@@ -469,16 +472,8 @@ class CampaignQueue:
     def save(self) -> None:
         """Atomically persist the queue through the oslayer (crash point)."""
         with self._lock:
-            payload = json.dumps(self._payload(), sort_keys=True)
-            tmp = self.state_path.with_name(
-                f"{self.state_path.name}.{os.getpid()}.tmp"
-            )
             self.state_path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "wb") as handle:
-                self.os.write(handle, payload.encode())
-                handle.flush()
-                self.os.fsync(handle)
-            self.os.replace(tmp, self.state_path)
+            write_document(self.os, self.state_path, self._payload())
             try:
                 self.os.fsync_dir(self.state_path.parent)
             except OSError:
@@ -486,8 +481,9 @@ class CampaignQueue:
 
     def _load(self) -> None:
         try:
-            data = json.loads(self.state_path.read_text())
-        except (OSError, ValueError) as exc:
+            data = read_document(self.state_path)
+        except (OSError, DocumentCorrupt) as exc:
+            # A version-1 file lands here too: it recorded no checksum.
             raise QueueError(
                 f"corrupt queue state {self.state_path}: {exc}"
             ) from exc

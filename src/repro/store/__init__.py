@@ -36,7 +36,6 @@ from repro.store.sink import (
     ListSink,
     ResultSink,
     SegmentSink,
-    TeeSink,
 )
 from repro.store.snapshot import Snapshot
 from repro.store.store import (
@@ -63,7 +62,6 @@ __all__ = [
     "StoreCorruption",
     "StoreError",
     "StoreStale",
-    "TeeSink",
     "diff",
     "get_default_os",
     "query",

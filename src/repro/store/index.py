@@ -16,14 +16,13 @@ Queries pick the deepest indexed level not deeper than the query prefix,
 select the buckets contained in the query, and decode only the union of
 their block lists; rows are still re-checked for membership, so the index
 is purely a pruning accelerator — a stale or lossy index can cost time but
-can never produce a wrong answer.  At the store level,
-:meth:`SegmentIndex.touches_prefix` lets whole unrelated segments be
-skipped without opening them.
+can never produce a wrong answer.  At the store level, an empty block
+list lets a whole unrelated segment be skipped without decoding it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.net.addr import IPv6Prefix
 
@@ -137,7 +136,3 @@ class SegmentIndex:
         if prefix.length != 64:
             raise ValueError("responder buckets are indexed at /64 only")
         return self._matching_blocks(self.responder64, 64, prefix)
-
-    def touches_prefix(self, prefix: IPv6Prefix) -> bool:
-        """Cheap segment-level pruning: any target bucket under ``prefix``?"""
-        return bool(self.blocks_for_prefix(prefix))

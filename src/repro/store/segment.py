@@ -34,7 +34,6 @@ from __future__ import annotations
 import mmap
 import os
 import struct
-import threading
 import zlib
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -43,7 +42,7 @@ from repro.core.probes.base import ReplyKind
 from repro.core.scanner import ProbeResult, row_dict
 from repro.net.addr import IPv6Addr
 from repro.store.index import SegmentIndex, SegmentIndexBuilder
-from repro.store.oslayer import OsLayer, get_default_os
+from repro.store.oslayer import OsLayer, get_default_os, writer_tmp
 
 MAGIC = b"RPS1"
 SEGMENT_VERSION = 1
@@ -143,9 +142,7 @@ class SegmentWriter:
         #: a shim that fails/tears/crashes scheduled operations.
         self.os = os_layer if os_layer is not None else get_default_os()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._tmp = self.path.with_name(
-            f"{self.path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
-        )
+        self._tmp = writer_tmp(self.path)
         self._fh = open(self._tmp, "wb")
         self.os.write(self._fh, HEADER)
         self._crc = zlib.crc32(HEADER)

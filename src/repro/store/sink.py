@@ -6,8 +6,7 @@ out in one shot — fine for a mini-topology demo, fatal for a campaign-scale
 result set.  A :class:`ResultSink` inverts that: the scanner (and anything
 else producing :class:`~repro.core.scanner.ProbeResult` rows) calls
 ``emit`` per validated reply, and the sink streams it wherever it goes —
-a binary segment, a CSV/JSONL stream, a plain list, or several of those at
-once via :class:`TeeSink`.
+a binary segment, a CSV/JSONL stream, or a plain list.
 
 ``Scanner`` accepts a sink and, when one is set, emits rows to it *instead
 of* appending to ``result.results`` — which is what bounds a campaign's
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import IO, Iterable, List, Sequence
+from typing import IO, Iterable, List
 
 from repro.core.scanner import ProbeResult
 
@@ -111,20 +110,3 @@ class SegmentSink(ResultSink):
     def close(self) -> None:
         if self.meta is None and not self.writer.sealed:
             self.meta = self.writer.seal()
-
-
-class TeeSink(ResultSink):
-    """Fans each row out to several sinks (e.g. segment + live CSV)."""
-
-    def __init__(self, sinks: Sequence[ResultSink]) -> None:
-        super().__init__()
-        self.sinks = list(sinks)
-
-    def emit(self, result: ProbeResult) -> None:
-        self.rows += 1
-        for sink in self.sinks:
-            sink.emit(result)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()

@@ -9,8 +9,8 @@ results::
 
 **Commit protocol** (crash-safe): segment files are sealed first —
 flushed, fsynced, and atomically renamed into ``segments/`` — and only
-then does the manifest rewrite (itself tmp + fsync + rename, with a
-whole-payload SHA-256 like the engine's checkpoints) make them visible.
+then does the manifest rewrite (one durable document,
+:func:`repro.store.oslayer.write_document`) make them visible.
 A crash between the two steps leaves sealed-but-unreferenced *orphan*
 files, never a manifest pointing at missing or partial data; orphans are
 reported by :meth:`ResultStore.info` and swept by compaction.  Stale
@@ -50,9 +50,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import hashlib
 import itertools
-import json
 import os
 import threading
 from pathlib import Path
@@ -64,7 +62,13 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
 from repro.core.scanner import ProbeResult
-from repro.store.oslayer import OsLayer, get_default_os
+from repro.store.oslayer import (
+    DocumentCorrupt,
+    OsLayer,
+    get_default_os,
+    parse_document,
+    write_document,
+)
 from repro.store.segment import (
     DEFAULT_BLOCK_ROWS,
     SegmentCorrupt,
@@ -106,13 +110,6 @@ class StoreStale(StoreError):
 
 def _stat_identity(stat: os.stat_result) -> Tuple[int, int, int, int]:
     return (stat.st_ino, stat.st_mtime_ns, stat.st_ctime_ns, stat.st_size)
-
-
-def _checksum(payload: Dict[str, object]) -> str:
-    canonical = json.dumps(
-        {k: v for k, v in payload.items() if k != "checksum"}, sort_keys=True
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 class ResultStore:
@@ -179,17 +176,7 @@ class ResultStore:
         }
 
     def _write_manifest(self) -> None:
-        payload = self._manifest_payload()
-        payload["checksum"] = _checksum(payload)
-        tmp = self.manifest_path.with_name(
-            f"{self.MANIFEST}.{os.getpid()}.tmp"
-        )
-        text = json.dumps(payload)
-        with open(tmp, "wb") as handle:
-            self.os.write(handle, text.encode())
-            handle.flush()
-            self.os.fsync(handle)
-        self.os.replace(tmp, self.manifest_path)
+        write_document(self.os, self.manifest_path, self._manifest_payload())
         # After the rename, never before: a reader that took the new ticket
         # and then read the old manifest would hold it as current for good.
         _GENERATIONS[self._generation_key] = next(_REWRITE_TICKETS)
@@ -318,24 +305,17 @@ class ResultStore:
         # The stat half is ``fstat`` of the file actually read.
         generation = _GENERATIONS.get(self._generation_key, 0)
         try:
-            with open(self.manifest_path) as handle:
+            with open(self.manifest_path, "rb") as handle:
                 identity = _stat_identity(os.fstat(handle.fileno()))
-                text = handle.read()
+                raw = handle.read()
         except FileNotFoundError:
             self._stamp = (generation, None)
             return  # a fresh store
         self._stamp = (generation, identity)
         try:
-            data = json.loads(text)
-        except ValueError:
-            self._quarantine_manifest("truncated-or-invalid-json")
-            return
-        if not isinstance(data, dict):
-            self._quarantine_manifest("not-a-json-object")
-            return
-        recorded = data.get("checksum")
-        if recorded is not None and recorded != _checksum(data):
-            self._quarantine_manifest("checksum-mismatch")
+            data = parse_document(raw)
+        except DocumentCorrupt as exc:
+            self._quarantine_manifest(exc.reason)
             return
         if data.get("version") != MANIFEST_VERSION:
             self._quarantine_manifest(
@@ -592,12 +572,8 @@ class ResultStore:
         """
         with self._exclusive():
             self.refresh()
-            snap = self.snapshots.pop(name, None)
-            if snap is None:
-                raise StoreError(
-                    f"unknown snapshot {name!r}; have "
-                    f"{sorted(self.snapshots) or 'none'}"
-                )
+            snap = self.snapshot(name)
+            del self.snapshots[name]
             still_referenced = {
                 segment
                 for other in self.snapshots.values()

@@ -124,7 +124,7 @@ class TestFigures:
         assert "HTTP/8080" in fig3.render()
 
     def test_fig5_with_synthetic_bgp(self):
-        from repro.loop.bgp import BgpPrefixInfo, BgpTable
+        from repro.bgp.table import BgpPrefixInfo, BgpTable
         from repro.net.addr import IPv6Addr, IPv6Prefix
 
         table = BgpTable()

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.loop.bgp import (
+from repro.bgp import (
     GENERAL_IID_MIX,
     LOOP_IID_MIX,
     TOP_LOOP_ASES,
+    AsRole,
     BgpPrefixInfo,
     BgpTable,
-    build_global_internet,
+    build_internet,
 )
 from repro.loop.detector import find_loops
 from repro.net.addr import IPv6Addr, IPv6Prefix
@@ -35,26 +36,27 @@ class TestBgpTable:
 
 @pytest.fixture(scope="module")
 def world():
-    return build_global_internet(seed=3, scale=2_000, n_tail_ases=40)
+    return build_internet(seed=3, scale=2_000, n_tail_ases=40)
 
 
 class TestGlobalInternet:
     def test_as_count(self, world):
-        assert len(world.ases) == len(TOP_LOOP_ASES) + 40
-        assert len(world.table) == len(world.ases)
+        assert len(world.edges) == len(TOP_LOOP_ASES) + 40
+        edge_table = world.fabric.bgp_table(roles=(AsRole.EDGE,))
+        assert len(edge_table) == len(world.edges)
 
     def test_blocks_are_disjoint(self, world):
-        networks = [a.block.network for a in world.ases]
+        networks = [a.block.network for a in world.edges]
         assert len(networks) == len(set(networks))
 
     def test_loops_exist_in_top_ases(self, world):
         top = {asn for asn, _c, _n in TOP_LOOP_ASES}
-        for as_truth in world.ases:
+        for as_truth in world.edges:
             if as_truth.asn in top:
                 assert as_truth.n_loops >= 2
 
     def test_devices_inside_as_blocks(self, world):
-        for as_truth in world.ases:
+        for as_truth in world.edges:
             assert as_truth.n_devices >= as_truth.n_loops
 
     def test_iid_mixes_sum_to_one(self):
@@ -64,18 +66,19 @@ class TestGlobalInternet:
     def test_loop_detection_per_as(self, world):
         """Sweep a loop-dense AS and a couple of tail ASes: the detector's
         findings match each AS's ground truth."""
-        for as_truth in world.ases[:3]:
+        for as_truth in world.edges[:3]:
             survey = find_loops(
                 world.network, world.vantage, as_truth.scan_spec, seed=9
             )
             assert survey.n_unique == as_truth.n_loops
 
     def test_bgp_attribution_of_findings(self, world):
-        as_truth = world.ases[0]
+        as_truth = world.edges[0]
+        table = world.fabric.bgp_table(roles=(AsRole.EDGE,))
         survey = find_loops(
             world.network, world.vantage, as_truth.scan_spec, seed=9
         )
         for record in survey.records:
-            info = world.table.lookup(record.last_hop)
+            info = table.lookup(record.last_hop)
             assert info is not None
             assert info.asn == as_truth.asn

@@ -2,9 +2,10 @@
 the resumed campaign converges to a store row-for-row identical to an
 uninterrupted run (zero duplicates, zero losses, same snapshot membership).
 
-Driven through ``python -m repro.engine.killtest`` in subprocesses so the
-deaths are real SIGKILLs — no atexit, no flushed buffers, no cleanup —
-across both the serial and process executor backends.
+Driven through the ``campaign`` target of ``python -m repro.faults.killtest``
+in subprocesses (:mod:`tests.crashkit`) so the deaths are real SIGKILLs — no
+atexit, no flushed buffers, no cleanup — across both the serial and process
+executor backends.
 
 ``REPRO_KILL_POINTS`` scales the sampled kill-point count (CI smoke runs
 reduced; the default meets the ≥25-point acceptance bar).  Two walks are
@@ -14,12 +15,9 @@ every shard — and, on a smaller campaign, after every single target — on
 every executor backend.
 """
 
-import json
 import os
 import random
 import signal
-import subprocess
-import sys
 
 import pytest
 
@@ -35,75 +33,30 @@ from repro.engine import (
     make_executor,
 )
 from repro.engine.checkpoint import DONE
-from repro.engine.killtest import SNAPSHOT, build_campaign
+from repro.faults.killtest import SNAPSHOT, build_campaign
 from repro.net.spec import TopologySpec
 from repro.store import ResultStore
+
+from tests import crashkit
 
 #: Seeded SIGKILL points on the process backend: a third of the total the
 #: variable names (the serial backend's share is superseded by the full walk).
 TOTAL_POINTS = int(os.environ.get("REPRO_KILL_POINTS", "25"))
 PROCESS_POINTS = max(1, TOTAL_POINTS - (TOTAL_POINTS * 2) // 3)
 
-ENV = {**os.environ, "PYTHONPATH": "src"}
-
-
-def _run(directory, *flags, check=True):
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.engine.killtest", "--dir",
-         str(directory), *flags],
-        capture_output=True, text=True, env=ENV, cwd=os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__))),
-    )
-    if check and proc.returncode != 0:
-        raise AssertionError(
-            f"killtest run failed ({proc.returncode}):\n{proc.stderr}"
-        )
-    return proc
-
-
-def _row_multiset(store_dir):
-    """The committed snapshot's rows as a sorted multiset + segment names."""
-    store = ResultStore(store_dir)
-    snapshot = store.snapshot(SNAPSHOT)
-    rows = sorted(
-        (r.target.value, r.responder.value, r.kind.value,
-         r.icmp_type, r.icmp_code)
-        for r in store.iter_rows(snapshot.segments)
-    )
-    return rows, set(snapshot.segments)
-
 
 def _baseline(tmp_path, executor):
-    """One uninterrupted run; returns (rows, segments, total-op-count)."""
-    directory = tmp_path / f"baseline-{executor}"
-    proc = _run(directory, "--executor", executor, "--count-ops")
-    report = json.loads(proc.stdout)
-    assert report["rows"] > 0
-    rows, segments = _row_multiset(directory / "store")
-    assert len(rows) == report["rows"]
-    return rows, segments, int(report["ops"])
-
-
-def _kill_and_recover(directory, executor, kill_after):
-    """Kill a fresh run at op N, resume until success; bounded attempts."""
-    proc = _run(directory, "--executor", executor, "--kill-after-ops",
-                str(kill_after), check=False)
-    statuses = [proc.returncode]
-    if proc.returncode == 0:
-        # The kill landed in a pool worker and in-run retry absorbed it
-        # (process backend), or N exceeded this run's op count.  Either
-        # way the property below still must hold.
-        return statuses
-    for _ in range(6):
-        proc = _run(directory, "--executor", executor, "--resume",
-                    check=False)
-        statuses.append(proc.returncode)
-        if proc.returncode == 0:
-            return statuses
-    raise AssertionError(
-        f"campaign never recovered after kill at op {kill_after} "
-        f"({executor}): exit codes {statuses}"
+    """One uninterrupted run's report (rows, segments, op census)."""
+    report = crashkit.baseline(
+        "campaign", tmp_path / f"baseline-{executor}", "--executor", executor
     )
+    assert report["stores"]["store"]["rows"] > 0
+    return report
+
+
+def _assert_recovered(report, want, context):
+    crashkit.assert_same_stores(report, want, context)
+    assert report["segments"] == want["segments"], context
 
 
 class TestKillAnywhere:
@@ -115,13 +68,13 @@ class TestKillAnywhere:
     def test_sigkill_at_seeded_ops_recovers_identical_store(
         self, tmp_path, executor, points
     ):
-        want_rows, want_segments, _ = _baseline(tmp_path, executor)
+        want = _baseline(tmp_path, executor)
         # The parent's own op count is small — forked workers tick their
         # *own* counters — so sample kill points from the serial op census
         # (the full durability stream); a point beyond what any one process
         # reaches simply yields an unkilled run, and the store property is
         # asserted regardless.
-        _, _, total_ops = _baseline(tmp_path, "serial")
+        total_ops = _baseline(tmp_path, "serial")["ops"]
         assert total_ops > 10  # the harness exercises real durability work
         rng = random.Random(1337)
         kill_points = sorted(
@@ -129,50 +82,44 @@ class TestKillAnywhere:
         )
         assert len(kill_points) >= min(points, total_ops)
         for kill_after in kill_points:
-            directory = tmp_path / f"{executor}-kill-{kill_after}"
-            statuses = _kill_and_recover(directory, executor, kill_after)
-            rows, segments = _row_multiset(directory / "store")
-            assert rows == want_rows, (
-                f"store diverged after kill at op {kill_after} "
-                f"({executor}, exits {statuses}): "
-                f"{len(rows)} rows vs {len(want_rows)} expected"
+            statuses, report = crashkit.kill_and_recover(
+                "campaign", tmp_path / f"{executor}-kill-{kill_after}",
+                kill_after, "--executor", executor,
             )
-            assert segments == want_segments
+            _assert_recovered(
+                report, want,
+                f"kill at op {kill_after} ({executor}, exits {statuses})",
+            )
 
     def test_sigkill_at_every_op_recovers_identical_store(self, tmp_path):
-        want_rows, want_segments, total_ops = _baseline(tmp_path, "serial")
-        for kill_after in range(1, total_ops + 1):
-            directory = tmp_path / f"kill-{kill_after}"
-            statuses = _kill_and_recover(directory, "serial", kill_after)
-            assert statuses[0] != 0  # every op is a real death
-            rows, segments = _row_multiset(directory / "store")
-            assert rows == want_rows, (
-                f"store diverged after kill at op {kill_after} "
-                f"(exits {statuses})"
+        want = _baseline(tmp_path, "serial")
+        for kill_after in range(1, want["ops"] + 1):
+            statuses, report = crashkit.kill_and_recover(
+                "campaign", tmp_path / f"kill-{kill_after}", kill_after
             )
-            assert segments == want_segments
+            assert statuses[0] != 0  # every op is a real death
+            _assert_recovered(
+                report, want, f"kill at op {kill_after} (exits {statuses})"
+            )
 
     def test_durability_ops_are_linear_in_checkpoints(self, tmp_path):
         """Two ops (write, fsync) per PARTIAL checkpoint, whatever the shard
         already holds: quartering ``checkpoint_every`` adds exactly two ops
         per added checkpoint."""
-        def census(every):
-            proc = _run(tmp_path / f"every-{every}", "--count-ops",
-                        "--checkpoint-every", str(every))
-            return int(json.loads(proc.stdout)["ops"])
+        def count(every):
+            return crashkit.baseline("campaign", tmp_path / f"every-{every}",
+                                     "--checkpoint-every", str(every))["ops"]
 
         # 2 shards x 128 probes: 1, 3 and 7 PARTIAL checkpoints per shard
         # before the last boundary (which the DONE head covers) ...
-        ops = {every: census(every) for every in (64, 32, 16)}
+        ops = {every: count(every) for every in (64, 32, 16)}
         # ... and the first of each shard also renames its log into place.
         assert ops[32] - ops[64] == 2 * 2 * 2
         assert ops[16] - ops[32] == 2 * 4 * 2
 
     def test_backends_agree_on_the_baseline(self, tmp_path):
-        serial_rows, serial_segments, _ = _baseline(tmp_path, "serial")
-        process_rows, process_segments, _ = _baseline(tmp_path, "process")
-        assert process_rows == serial_rows
-        assert process_segments == serial_segments
+        serial = _baseline(tmp_path, "serial")
+        _assert_recovered(_baseline(tmp_path, "process"), serial, "process")
 
 
 class TestSealCommitWindow:
@@ -182,16 +129,17 @@ class TestSealCommitWindow:
 
     def test_orphans_absorbed_never_double_committed(self, tmp_path):
         directory = tmp_path / "window"
-        want_rows, want_segments, total_ops = _baseline(
-            tmp_path, "serial"
-        )
+        want = _baseline(tmp_path, "serial")
+        total_ops = want["ops"]
         # Walk backwards from the end of the op stream: the tail ops are
         # the final seals, the manifest write/fsync/rename, and the
         # directory fsync.  Kill at every one of the last eight.
         for kill_after in range(max(1, total_ops - 7), total_ops + 1):
             subdir = directory / f"op-{kill_after}"
-            proc = _run(subdir, "--kill-after-ops", str(kill_after),
-                        check=False)
+            proc = crashkit.run_harness(
+                "campaign", subdir, "--kill-after-ops", str(kill_after),
+                check=False,
+            )
             assert proc.returncode == -signal.SIGKILL.value or \
                 proc.returncode == 137
             store_dir = subdir / "store"
@@ -204,14 +152,13 @@ class TestSealCommitWindow:
                     name not in committed for name in store.orphans()
                 )
             del store
-            _run(subdir, "--resume")
-            rows, segments = _row_multiset(store_dir)
-            assert rows == want_rows
-            assert segments == want_segments
+            crashkit.run_harness("campaign", subdir, "--resume")
+            assert crashkit.committed(store_dir) == \
+                (want["stores"]["store"], want["segments"])
             # Exactly one committed copy; orphans for this round are gone.
             final = ResultStore(store_dir)
             assert final.orphans() == []
-            assert sorted(final.segments) == sorted(want_segments)
+            assert sorted(final.segments) == want["segments"]
 
 
 class TestInterruptAtEveryCheckpoint:
@@ -231,7 +178,7 @@ class TestInterruptAtEveryCheckpoint:
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_resume_equals_uninterrupted(self, tmp_path, executor):
         baseline = self._campaign(tmp_path / "base", executor).run()
-        want_rows, want_segments = _row_multiset(tmp_path / "base" / "store")
+        want = crashkit.committed(tmp_path / "base" / "store")
         sent = {o.job.job_id: o.result.stats.sent for o in baseline.outcomes}
         assert sum(sent.values()) == baseline.stats.sent == 256
         walked = 0
@@ -267,9 +214,7 @@ class TestInterruptAtEveryCheckpoint:
                 for label, result in baseline.results.items():
                     assert resumed.results[label].dedup_digest() == \
                         result.dedup_digest()
-                rows, segments = _row_multiset(directory / "store")
-                assert rows == want_rows
-                assert segments == want_segments
+                assert crashkit.committed(directory / "store") == want
                 walked += 1
         assert walked == 8  # 2 shards x boundaries 32, 64, 96, 128
 
@@ -280,8 +225,8 @@ class TestOpCensus:
 
     @pytest.mark.parametrize("every,ops", [(64, 35), (16, 59)])
     def test_op_count_is_unchanged(self, tmp_path, every, ops):
-        proc = _run(tmp_path, "--count-ops", "--checkpoint-every", str(every))
-        assert json.loads(proc.stdout)["ops"] == ops
+        assert crashkit.baseline("campaign", tmp_path, "--checkpoint-every",
+                                 str(every))["ops"] == ops
 
 
 class TestInterruptAtEveryTarget:
@@ -312,8 +257,8 @@ class TestInterruptAtEveryTarget:
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_resume_equals_uninterrupted(self, tmp_path, executor):
         baseline = self._campaign(tmp_path / "base", executor).run()
-        want_rows, want_segments = _row_multiset(tmp_path / "base" / "store")
-        assert want_rows and baseline.stats.blocked == 6
+        want = crashkit.committed(tmp_path / "base" / "store")
+        assert want[0]["rows"] and baseline.stats.blocked == 6
         total = baseline.stats.sent
         sent = {o.job.job_id: o.result.stats.sent for o in baseline.outcomes}
         for index, job_id in enumerate(sorted(sent)):
@@ -344,6 +289,4 @@ class TestInterruptAtEveryTarget:
                 for name in ScanStats._COUNTERS:
                     assert getattr(resumed.stats, name) == \
                         getattr(baseline.stats, name), (name, k)
-                rows, segments = _row_multiset(directory / "store")
-                assert rows == want_rows
-                assert segments == want_segments
+                assert crashkit.committed(directory / "store") == want

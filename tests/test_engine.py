@@ -21,9 +21,10 @@ from repro.engine import (
     execute_job,
     make_executor,
 )
-from repro.engine.checkpoint import DONE, PARTIAL, _checksum
+from repro.engine.checkpoint import DONE, PARTIAL
 from repro.net.addr import IPv6Addr
 from repro.net.spec import BuiltTopology, TopologySpec, register_topology
+from repro.store.oslayer import document_checksum as _checksum
 from repro.store.segment import pack_row
 
 from tests.topo import build_mini

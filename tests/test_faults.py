@@ -20,7 +20,6 @@ from repro.faults import (
     FaultSchedule,
     ScheduleError,
 )
-from repro.net.device import ErrorRateLimiter
 from repro.telemetry.metrics import MetricsRegistry
 
 from tests.pipeline import engine
@@ -430,3 +429,92 @@ class TestScannerHardening:
                               direction="down") == 0
         assert scanner.pacer.rate == 2000.0
         assert result.stats.validated == 16
+
+
+def _applied(kind, t, window, **fields):
+    return {"type": "fault_applied", "kind": kind, "t_virtual": t,
+            "window": list(window), **fields}
+
+
+def _reverted(kind, t, window, reason, **fields):
+    return {"type": "fault_reverted", "kind": kind, "t_virtual": t,
+            "window": list(window), **fields, "reason": reason}
+
+
+class TestGoldenJournal:
+    """The fault records a worker ships to the campaign's EventLog, pinned
+    field for field: one mixed network + host schedule over the mini
+    topology, every executor.  The host windows filter on a path no file
+    has, so the shards survive them; two windows are still open when the
+    scan ends."""
+
+    SCHEDULE = FaultSchedule(seed=11, events=(
+        FaultEvent(kind=LOSS_BURST, start=0.0010, end=0.0020, rate=0.3),
+        FaultEvent(kind="fs-error", start=0.0005, end=0.0025, op="write",
+                   err="EIO", path="no-such-file"),
+        FaultEvent(kind=RATE_LIMIT, start=0.0015, end=0.0030, device="isp",
+                   rate=1.0, burst=1.0),
+        FaultEvent(kind=ROUTE_FLAP, start=0.0020, end=0.0035, device="isp",
+                   prefix="2001:db8:1:60::/60"),
+        FaultEvent(kind="fs-error", start=0.0030, end=9.0, op="fsync",
+                   err="ENOSPC", path="no-such-file"),
+        FaultEvent(kind=RATE_LIMIT, start=0.0040, end=9.0, device="cpe-ok",
+                   rate=2.0),
+    ))
+
+    #: One shard's records, in shipping order: the network injector's
+    #: journal (restored when the scan ends), then the host injector's
+    #: (restored after the final checkpoint and the segment seal).  The
+    #: loss burst ends at the instant the route flap starts: the revert
+    #: comes first.  Host windows move when a durability op next looks.
+    PER_SHARD = [
+        _applied(LOSS_BURST, 0.001, (0.001, 0.002), rate=0.3),
+        _applied(RATE_LIMIT, 0.0015200000000000014, (0.0015, 0.003),
+                 device="isp", rate=1.0),
+        _reverted(LOSS_BURST, 0.0020000000000000026, (0.001, 0.002),
+                  "window-end", rate=0.3),
+        _applied(ROUTE_FLAP, 0.0020000000000000026, (0.002, 0.0035),
+                 device="isp", prefix="2001:db8:1:60::/60"),
+        _reverted(RATE_LIMIT, 0.0030000000000000053, (0.0015, 0.003),
+                  "window-end", device="isp", rate=1.0),
+        _reverted(ROUTE_FLAP, 0.0035200000000000066, (0.002, 0.0035),
+                  "window-end", device="isp", prefix="2001:db8:1:60::/60"),
+        _applied(RATE_LIMIT, 0.004000000000000008, (0.004, 9.0),
+                 device="cpe-ok", rate=2.0),
+        _reverted(RATE_LIMIT, 0.005080000000000011, (0.004, 9.0),
+                  "scan-end", device="cpe-ok", rate=2.0),
+        _applied("fs-error", 0.0006000000000000001, (0.0005, 0.0025),
+                 op="write", path="no-such-file"),
+        _reverted("fs-error", 0.002520000000000004, (0.0005, 0.0025),
+                  "window-end", op="write", path="no-such-file"),
+        _applied("fs-error", 0.0031600000000000057, (0.003, 9.0),
+                 op="fsync", path="no-such-file"),
+        _reverted("fs-error", 0.005080000000000011, (0.003, 9.0),
+                  "scan-end", op="fsync", path="no-such-file"),
+    ]
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_records_shipped_to_the_event_log(self, tmp_path, executor):
+        from repro.engine import Campaign, make_executor
+        from repro.net.spec import TopologySpec
+
+        config = ScanConfig(scan_range=ScanRange.parse(BOTH_LANS), seed=5,
+                            fault_schedule=self.SCHEDULE)
+        result = Campaign(
+            TopologySpec.mini(), {"golden": config}, shards=2,
+            executor=make_executor(executor, workers=2),
+            checkpoint_dir=str(tmp_path / "ckpt"), checkpoint_every=16,
+            store_dir=str(tmp_path / "store"), snapshot="round",
+            backoff_base=0.0,
+        ).run()
+        stamps = ("seq", "t", "campaign", "worker_t", "worker_seq")
+        shipped = [
+            {k: v for k, v in event.items() if k not in stamps}
+            for event in result.events.events
+            if str(event["type"]).startswith(("fault_", "host_fault"))
+        ]
+        # Two shards, each on its own copy of the network and its own
+        # clock: the same journal twice, back to back.
+        assert shipped == self.PER_SHARD * 2
+        assert [list(r) for r in shipped] == \
+            [list(r) for r in self.PER_SHARD * 2]  # key order too

@@ -23,11 +23,12 @@ from repro.engine import (
     execute_job,
     make_executor,
 )
-from repro.engine.checkpoint import DONE, PARTIAL, ShardState, _checksum
+from repro.engine.checkpoint import DONE, PARTIAL, ShardState
 from repro.faults import FaultEvent, FaultSchedule, LOSS_BURST, ROUTER_CRASH
 from repro.net.addr import IPv6Addr
 from repro.net.spec import TopologySpec
 from repro.store.oslayer import RealOs
+from repro.store.oslayer import document_checksum as _checksum
 from repro.store.segment import pack_row
 from tests.pipeline import ALWAYS, engine
 

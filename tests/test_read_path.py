@@ -44,6 +44,7 @@ from repro.store import (
     StoreCorruption,
     StoreError,
 )
+from repro.store import oslayer as oslayer_module
 from repro.store import store as store_module
 
 ENV = {**os.environ, "PYTHONPATH": "src"}
@@ -505,7 +506,7 @@ def counted(monkeypatch):
     counting(SegmentReader, "_buffer", "segments")
     counting(ResultStore, "__init__", "opens")
     counting(ResultStore, "_load_manifest", "loads")
-    counting(store_module, "_checksum", "sha")
+    counting(oslayer_module, "document_checksum", "sha")
     return counts
 
 

@@ -7,7 +7,7 @@ The three satellite properties from the issue get dedicated classes:
 * **Fairness** — a low-priority tenant under sustained interactive
   pressure from another tenant provably keeps making progress.
 * **Kill-anywhere** — a daemon SIGKILLed between lease transitions (real
-  ``kill -9`` via ``python -m repro.service.killtest`` subprocesses)
+  ``kill -9`` via ``python -m repro.faults.killtest daemon`` subprocesses)
   restarts with no lost and no duplicated campaigns, converging to
   stores digest-identical to an uninterrupted run.
 
@@ -20,8 +20,6 @@ daemon finishes.
 import json
 import os
 import random
-import subprocess
-import sys
 import threading
 import time
 
@@ -43,7 +41,7 @@ from repro.service.api import ApiError
 from repro.store import ResultStore
 from repro.telemetry.events import CampaignIdAllocator, EventLog
 
-ENV = {**os.environ, "PYTHONPATH": "src"}
+from tests import crashkit
 
 #: Seeded SIGKILL points for the daemon kill-anywhere class.
 SERVICE_KILL_POINTS = int(os.environ.get("REPRO_SERVICE_KILL_POINTS", "4"))
@@ -719,50 +717,28 @@ class TestHttpApi:
             server = None
 
 
-def _run_killtest(root, *flags, check=True):
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.service.killtest", "--root",
-         str(root), *flags],
-        capture_output=True, text=True, env=ENV,
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    )
-    if check and proc.returncode != 0:
-        raise AssertionError(
-            f"service killtest failed ({proc.returncode}):\n{proc.stderr}"
-        )
-    return proc
-
-
 class TestServiceKillAnywhere:
     """Real SIGKILLs between lease transitions; queue state must recover
     with no lost or duplicated campaigns and digest-identical stores."""
 
+    def test_op_census_is_unchanged(self, tmp_path):
+        """The fixed workload's durability-op count: a queue save, a
+        checkpoint or a commit more or fewer moves it."""
+        assert crashkit.baseline("daemon", tmp_path)["ops"] == 214
+
     def test_sigkill_at_seeded_ops_recovers_identical_state(self, tmp_path):
-        baseline = json.loads(
-            _run_killtest(tmp_path / "base", "--count-ops").stdout
-        )
-        total_ops = baseline["ops"]
+        want = crashkit.baseline("daemon", tmp_path / "base")
+        total_ops = want["ops"]
         assert total_ops > 50
-        assert set(baseline["states"].values()) == {"done"}
+        assert set(want["states"].values()) == {"done"}
         rng = random.Random(20260807)
         points = sorted(
             rng.sample(range(2, total_ops), SERVICE_KILL_POINTS)
         )
         for point in points:
-            root = tmp_path / f"kill-{point}"
-            proc = _run_killtest(
-                root, "--kill-after-ops", str(point), check=False
+            statuses, report = crashkit.kill_and_recover(
+                "daemon", tmp_path / f"kill-{point}", point
             )
-            assert proc.returncode != 0, (
-                f"op {point}: expected a SIGKILL death"
-            )
-            out = json.loads(_run_killtest(root, "--resume").stdout)
-            assert out["states"] == baseline["states"], f"op {point}"
-            for tenant, expect in baseline["tenants"].items():
-                got = out["tenants"][tenant]
-                assert got["digest"] == expect["digest"], (
-                    f"op {point}: tenant {tenant} store diverged"
-                )
-                assert got["rows"] == got["unique_rows"], (
-                    f"op {point}: duplicated rows for {tenant}"
-                )
+            assert statuses[0] != 0, f"op {point}: expected a SIGKILL death"
+            assert report["states"] == want["states"], f"op {point}"
+            crashkit.assert_same_stores(report, want, f"op {point}")

@@ -198,9 +198,9 @@ class TestCampaignSupervision:
 
 
 class TestCliSupervision:
-    """`repro-xmap scan --supervise/--retry-budget/--drain-timeout/
-    --host-faults`: supervised partial results exit 0 with the parked
-    shards named on stderr."""
+    """`repro-xmap scan --supervise/--retry-budget/--host-faults`:
+    supervised partial results exit 0 with the parked shards named on
+    stderr."""
 
     def _host_schedule(self, tmp_path, path_filter="shard-"):
         import json
@@ -218,8 +218,6 @@ class TestCliSupervision:
 
         assert main(["scan", "--retry-budget", "-1"]) == 2
         assert "--retry-budget" in capsys.readouterr().err
-        assert main(["scan", "--drain-timeout", "0"]) == 2
-        assert "--drain-timeout" in capsys.readouterr().err
         assert main(["scan", "--host-faults", "/nonexistent.json"]) == 2
         assert "--host-faults" in capsys.readouterr().err
 
