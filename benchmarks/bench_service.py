@@ -5,10 +5,13 @@ Two headline numbers for the multi-tenant daemon, the first gated by
 
 * **Admission** (``accepted_per_sec``): submissions stream through
   :meth:`~repro.service.queue.CampaignQueue.submit`, each paying policy
-  checks plus one durable (tmp + fsync + rename) queue-state write.
-  This is the service's front-door rate — the ``/v1/campaigns`` handler
-  adds only JSON parsing on top — and the durable save dominates, so a
-  regression here means the queue's persistence got more expensive.
+  checks plus one durable journal append (one record: write + fsync),
+  whatever the backlog already holds.  This is the service's front-door
+  rate — the ``/v1/campaigns`` handler adds only JSON parsing on top —
+  and the fsync dominates, so a regression here means the queue's
+  persistence got more expensive; the 400 submissions are enough that an
+  O(queue length) cost per submit (the rewrite-everything ``queue.json``
+  this replaced ran at a tenth of the rate) cannot clear the gate.
 
 * **Burst** (``burst_campaigns_per_sec``, ``ttfr_p99_seconds``): three
   tenants submit twelve campaigns at once; a two-worker fleet drains
@@ -71,7 +74,7 @@ def test_service_admission_throughput(tmp_path):
         "service_admission",
         f"service admission: {SUBMISSIONS} campaigns accepted in "
         f"{elapsed:.3f}s ({accepted_per_sec:,.0f}/s), each with policy "
-        f"checks and one durable queue-state write",
+        f"checks and one durable journal append",
     )
     write_bench_json(
         "service",

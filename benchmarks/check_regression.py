@@ -42,7 +42,7 @@ and fails when a headline metric regressed beyond tolerance:
   speedup over the reference engine and bit-identical results.
 * ``service`` — ``accepted_per_sec`` (higher is better): scan-service
   admission throughput, each submission paying tenant-policy checks plus
-  one durable queue-state write (``bench_service.py``); the record also
+  one durable queue-journal append (``bench_service.py``); the record also
   carries the multi-tenant burst's wall time and p99 TTFR, recorded but
   not gated (bucket-quantised).
 

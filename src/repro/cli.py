@@ -1151,7 +1151,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the multi-tenant scan-service daemon "
                             "(HTTP API + fair-share scheduler)")
     p.add_argument("--root", required=True,
-                   help="service state root (queue.json, tenants/, logs/)")
+                   help="service state root (queue.json + queue.log, "
+                        "tenants/, logs/)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0,
                    help="HTTP port (default 0 = ephemeral; the chosen "

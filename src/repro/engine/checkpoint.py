@@ -26,7 +26,10 @@ the previous record, packed with :func:`repro.store.segment.pack_row`.
 digest, so a record's digest vouches for the whole prefix before it:
 verifying a load is one pass over the file, and writing never re-reads it.
 A PARTIAL checkpoint is **one write and one fsync** of one record (the very
-first also creates the file: write, fsync, rename).
+first also creates the file: write, fsync, rename).  The record framing,
+the chain replay and the writer are :mod:`repro.store.framing` — shared
+with the daemon's queue journal; the header, the payloads and the reaction
+to corruption below are this module's.
 
 **The head** is a small durable document
 (:func:`repro.store.oslayer.write_document`: checksummed JSON, replaced
@@ -46,12 +49,13 @@ the whole deduplicated reply set — computed once, here, not per checkpoint.
   left alone; the resuming attempt carries only the verified prefix over
   (below);
 * a record *before* the tail that fails (digest, or a length that does not
-  match its complement), a head whose ``checksum`` fails, a head whose
-  ``log_length`` / ``log_chain`` do not match the log, or a head whose
-  ``digest`` is not that of the reassembled rows, is corruption: head and
-  log are **quarantined together** — renamed to ``<name>.corrupt`` and
-  reported in one ``checkpoint_corrupt`` event — and the shard is re-scanned
-  instead of resuming from (or crashing on) garbage.
+  match its complement: :class:`~repro.store.framing.FrameCorrupt`), a head
+  whose ``checksum`` fails, a head whose ``log_length`` / ``log_chain`` do
+  not match the log, or a head whose ``digest`` is not that of the
+  reassembled rows, is corruption: head and log are **quarantined
+  together** — renamed to ``<name>.corrupt`` and reported in one
+  ``checkpoint_corrupt`` event — and the shard is re-scanned instead of
+  resuming from (or crashing on) garbage.
 
 **Racing attempts.**  A watchdog-abandoned straggler and its retry can
 checkpoint the same shard at once, and appends to one inode would
@@ -71,23 +75,28 @@ version, is treated as missing: the shard is scanned afresh.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import pathlib
 import struct
 from dataclasses import dataclass
-from typing import IO, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.scanner import ProbeResult, ScanResult
 from repro.core.stats import ScanStats
 from repro.core.target import ScanRange
+from repro.store.framing import (
+    ChainedLog,
+    FrameCorrupt,
+    chain_start,
+    frame,
+    replay,
+)
 from repro.store.oslayer import (
     DocumentCorrupt,
     get_default_os,
     read_document,
     write_document,
-    writer_tmp,
 )
 from repro.store.segment import ROW_SIZE, SegmentCorrupt, pack_row, unpack_rows
 
@@ -100,12 +109,6 @@ DONE = "done"
 
 _LOG_MAGIC = b"RPCK"
 _LOG_HEADER = _LOG_MAGIC + bytes([STATE_VERSION, 0, 0, 0])
-#: Record framing: payload length and its one's complement, so a damaged
-#: length is told from a record that merely runs past the end of the file.
-_FRAME = struct.Struct(">II")
-_DIGEST_SIZE = hashlib.sha256().digest_size
-#: Where every log's chain starts: the digest of the file header.
-_CHAIN_START = hashlib.sha256(_LOG_HEADER).digest()
 #: Checkpoint payload prefix: position, then the ScanStats fields (sent,
 #: blocked, received, validated, discarded, virtual_start, virtual_end,
 #: wall_seconds); the packed rows follow.
@@ -147,13 +150,6 @@ def _filename(job_id: str) -> str:
     return f"shard-{safe}.json"
 
 
-def _frame(chain: bytes, payload: bytes) -> Tuple[bytes, bytes]:
-    """One log record, and the chain digest it advances to."""
-    digest = hashlib.sha256(chain + payload).digest()
-    size = len(payload)
-    return _FRAME.pack(size, size ^ 0xFFFFFFFF) + payload + digest, digest
-
-
 def _pack_rows(rows: Sequence[ProbeResult]) -> bytes:
     return b"".join([pack_row(row) for row in rows])
 
@@ -166,50 +162,6 @@ def _unpack_rows(packed: bytes) -> List[ProbeResult]:
         return unpack_rows(packed, count)
     except SegmentCorrupt:
         raise _Corrupt("malformed-state") from None
-
-
-def _replay(data: bytes) -> Tuple[List[bytes], int, bytes]:
-    """Verify a log's chain in one pass.
-
-    Returns the payloads of the records that verify, the offset just past
-    the last of them, and the chain digest there.  Stops silently at a torn
-    tail; raises :class:`_Corrupt` for damage before the tail.
-    """
-    offset, chain = len(_LOG_HEADER), _CHAIN_START
-    payloads: List[bytes] = []
-    while len(data) - offset >= _FRAME.size:
-        size, complement = _FRAME.unpack_from(data, offset)
-        if size ^ complement != 0xFFFFFFFF:
-            raise _Corrupt("checksum-mismatch")
-        body = offset + _FRAME.size
-        end = body + size + _DIGEST_SIZE
-        if end > len(data):
-            break  # cut short: never acknowledged
-        payload = data[body:body + size]
-        digest = hashlib.sha256(chain + payload).digest()
-        if digest != data[body + size:end]:
-            if end == len(data):
-                break  # the last record, complete but torn inside
-            raise _Corrupt("checksum-mismatch")
-        payloads.append(payload)
-        offset, chain = end, digest
-    return payloads, offset, chain
-
-
-class _Attempt:
-    """One store's private view of one shard's log: the verified prefix it
-    loaded (until its own copy is published), then its own descriptor."""
-
-    def __init__(self, prefix: bytes, chain: bytes) -> None:
-        self.prefix = prefix
-        self.length = len(prefix)
-        self.chain = chain
-        self.handle: Optional[IO[bytes]] = None
-
-    def close(self) -> None:
-        if self.handle is not None:
-            self.handle.close()
-            self.handle = None
 
 
 class CheckpointStore:
@@ -239,8 +191,10 @@ class CheckpointStore:
         #: Durability syscall surface (see :mod:`repro.store.oslayer`);
         #: swapped for a shim by the host fault domain / kill harness.
         self.os = os_layer if os_layer is not None else get_default_os()
-        #: job id -> the log state this store loaded or is appending to.
-        self._attempts: Dict[str, _Attempt] = {}
+        #: job id -> this store's private copy of the shard's log: the
+        #: verified prefix it loaded (until its own copy is published),
+        #: then its own descriptor.
+        self._attempts: Dict[str, ChainedLog] = {}
 
     def _event(self, event_type: str, **fields: object) -> None:
         if self.on_event is not None:
@@ -294,11 +248,6 @@ class CheckpointStore:
             self._quarantine(path, what, exc.reason, companion)
             return None
 
-    def _write_durably(self, handle: IO[bytes], data: bytes) -> None:
-        self.os.write(handle, data)
-        handle.flush()
-        self.os.fsync(handle)
-
     # -- shard state: writing --------------------------------------------------
 
     def shard_path(self, job_id: str) -> pathlib.Path:
@@ -329,7 +278,7 @@ class CheckpointStore:
             sent=state.result.stats.sent,
         )
 
-    def _attempt(self, state: ShardState) -> _Attempt:
+    def _attempt(self, state: ShardState) -> ChainedLog:
         attempt = self._attempts.get(state.job_id)
         if attempt is None:
             identity = json.dumps({
@@ -338,26 +287,12 @@ class CheckpointStore:
                 "shards": state.shards,
                 "range": str(state.result.range),
             }, sort_keys=True).encode()
-            record, chain = _frame(_CHAIN_START, identity)
-            attempt = self._attempts[state.job_id] = _Attempt(
-                _LOG_HEADER + record, chain
+            record, chain = frame(chain_start(_LOG_HEADER), identity)
+            attempt = self._attempts[state.job_id] = ChainedLog(
+                self.os, self.log_path(state.job_id),
+                _LOG_HEADER + record, chain,
             )
         return attempt
-
-    def _publish(self, path: pathlib.Path, attempt: _Attempt,
-                 record: bytes = b"") -> None:
-        """Start this attempt's own copy of the log — the prefix it rests
-        on, plus ``record`` — and rename it over the shared name."""
-        tmp = writer_tmp(path)
-        handle = open(tmp, "w+b")
-        try:
-            self._write_durably(handle, attempt.prefix + record)
-            self.os.replace(tmp, path)
-        except BaseException:
-            handle.close()
-            raise
-        attempt.handle = handle
-        attempt.prefix = b""
 
     def _append(self, state: ShardState) -> None:
         stats = state.result.stats
@@ -367,23 +302,17 @@ class CheckpointStore:
             stats.virtual_end, stats.wall_seconds,
         ) + _pack_rows(state.result.results)
         attempt = self._attempt(state)
-        record, chain = _frame(attempt.chain, payload)
         try:
-            if attempt.handle is None:
-                self._publish(self.log_path(state.job_id), attempt, record)
-            else:
-                self._write_durably(attempt.handle, record)
+            attempt.append(payload)
         except BaseException:
             # Whatever reached the file is a torn tail for the next load to
             # step over; this store cannot vouch for the log any more.
             attempt.close()
             del self._attempts[state.job_id]
             raise
-        attempt.chain = chain
-        attempt.length += len(record)
 
     @staticmethod
-    def _owns_log(path: pathlib.Path, attempt: _Attempt) -> bool:
+    def _owns_log(path: pathlib.Path, attempt: ChainedLog) -> bool:
         """Is the file under the log's name this attempt's own copy?"""
         if attempt.handle is None:
             return False
@@ -394,7 +323,7 @@ class CheckpointStore:
         except FileNotFoundError:
             return False
 
-    def _own_log(self, path: pathlib.Path, attempt: _Attempt) -> None:
+    def _own_log(self, path: pathlib.Path, attempt: ChainedLog) -> None:
         """Make the file under the log's name this attempt's own copy."""
         if self._owns_log(path, attempt):
             return
@@ -403,7 +332,7 @@ class CheckpointStore:
             attempt.handle.seek(0)
             attempt.prefix = attempt.handle.read()
             attempt.close()
-        self._publish(path, attempt)
+        attempt.publish()
 
     def _write_head(self, state: ShardState) -> None:
         # An attempt on record has checkpoint records in its log: rows the
@@ -478,7 +407,7 @@ class CheckpointStore:
 
     def _read(
         self, head_path: pathlib.Path
-    ) -> Optional[Tuple[ShardState, Optional[_Attempt]]]:
+    ) -> Optional[Tuple[ShardState, Optional[ChainedLog]]]:
         """One shard's state from its head (DONE) or, failing a head, its
         log (PARTIAL, with the log state to continue from); corruption
         quarantines both files."""
@@ -493,10 +422,12 @@ class CheckpointStore:
         try:
             if head is not None:
                 return _done_state(head, log), None
-            if log is None:
+            partial = None if log is None else _partial_state(log)
+            if partial is None:
                 return None
-            return _partial_state(log)
-        except _Corrupt as exc:
+            state, prefix, chain = partial
+            return state, ChainedLog(self.os, log_path, prefix, chain)
+        except (_Corrupt, FrameCorrupt) as exc:
             if head is not None:
                 self._quarantine(head_path, "shard", str(exc), log_path)
             else:
@@ -543,13 +474,14 @@ def _checkpoint_rows(payloads: Sequence[bytes]) -> List[ProbeResult]:
     return rows
 
 
-def _partial_state(log: bytes) -> Optional[Tuple[ShardState, _Attempt]]:
-    """The state a log alone vouches for: that of its last good record."""
+def _partial_state(log: bytes) -> Optional[Tuple[ShardState, bytes, bytes]]:
+    """The state a log alone vouches for — that of its last good record —
+    with the verified prefix and the chain digest to continue it from."""
     if log[:len(_LOG_HEADER)] != _LOG_HEADER:
         if log[:len(_LOG_MAGIC)] == _LOG_MAGIC and len(log) >= len(_LOG_HEADER):
             return None  # another version's log: as good as missing
         raise _Corrupt("malformed-state")
-    payloads, good, chain = _replay(log)
+    payloads, good, chain = replay(log, _LOG_HEADER)
     if len(payloads) < 2:
         return None  # no checkpoint was ever acknowledged
     rows = _checkpoint_rows(payloads)
@@ -570,7 +502,7 @@ def _partial_state(log: bytes) -> Optional[Tuple[ShardState, _Attempt]]:
         )
     except (ValueError, KeyError, TypeError):
         raise _Corrupt("malformed-state") from None
-    return state, _Attempt(log[:good], chain)
+    return state, log[:good], chain
 
 
 def _done_state(head: Dict[str, object], log: Optional[bytes]) -> ShardState:
@@ -582,7 +514,9 @@ def _done_state(head: Dict[str, object], log: Optional[bytes]) -> ShardState:
         log_length = int(head["log_length"])
         rows: List[ProbeResult] = []
         if log_length:
-            payloads, good, chain = _replay((log or b"")[:log_length])
+            payloads, good, chain = replay(
+                (log or b"")[:log_length], _LOG_HEADER
+            )
             if good != log_length or chain.hex() != head["log_chain"]:
                 raise _Corrupt("checksum-mismatch")
             rows = _checkpoint_rows(payloads)

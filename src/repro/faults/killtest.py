@@ -19,11 +19,12 @@ Run as a module so a test (or CI) can drive real process deaths::
 
 The switch is :class:`~repro.faults.host.KillSwitchOs`, installed as the
 process-wide default ``OsLayer`` *before* the target is built, so every
-checkpoint write, segment write/fsync, manifest and queue-state rename and
-directory fsync — those inside forked pool workers included — ticks the op
-counter.  Targets are deterministic (fixed seeds, shard counts, queue
-scope, a one-worker fleet), so every invocation walks the same op sequence
-and ``--kill-after-ops N`` is a reproducible crash point, not a race.
+checkpoint write, segment write/fsync, manifest and queue-snapshot rename,
+queue-journal append and directory fsync — those inside forked pool workers
+included — ticks the op counter.  Targets are deterministic (fixed seeds,
+shard counts, queue scope, a one-worker fleet), so every invocation walks
+the same op sequence and ``--kill-after-ops N`` is a reproducible crash
+point, not a race.
 
 A target (:data:`TARGETS`) is three functions — ``build(args)`` constructs
 the subject under the kill switch (``args.dir`` to work in, ``args.resume``
@@ -120,8 +121,9 @@ def _summarise_campaign(campaign, result) -> Dict[str, object]:
 #: answers (its responsive /64s sit under ``2001:db8:0-2``), so every store
 #: ends up with real rows to digest.  A kill may land inside a campaign's
 #: checkpoint or segment write, inside a store commit, or inside one of the
-#: *queue's own state saves* between lease transitions; every (tenant,
-#: name) pair must still end ``done`` exactly once (the ``states`` extra).
+#: *queue's own writes* — a journal append per transition, the snapshot the
+#: first one extends and the one written on exit — and every (tenant, name)
+#: pair must still end ``done`` exactly once (the ``states`` extra).
 WORKLOAD: List[Dict[str, object]] = [
     {"tenant": "alice", "name": "a0",
      "scan_range": "2001:db8:1:40::/58-64", "seed": 3,
@@ -154,10 +156,11 @@ def _build_service(args: argparse.Namespace):
 
 
 def _run_service(service) -> None:
-    """Submit, one durable save each, the workload entries not yet in the
-    queue — a kill mid-submission is recovered by re-submitting only the
-    missing pairs; the allocator watermark persisted with each record keeps
-    ids aligned with the baseline — then run until the queue is empty."""
+    """Submit, one durable journal record each, the workload entries not
+    yet in the queue — a kill mid-submission is recovered by re-submitting
+    only the missing pairs; the allocator watermark that rides in every
+    journal record keeps ids aligned with the baseline — then run until the
+    queue is empty."""
     from repro.service.spec import CampaignSpec
 
     present = {

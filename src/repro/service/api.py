@@ -13,7 +13,9 @@ Built on :class:`http.server.ThreadingHTTPServer` so no dependency is
 added; handler threads call straight into the thread-safe
 :class:`~repro.service.daemon.ScanService` API.  Errors map to status
 codes: admission rejections are 429, draining is 503, unknown ids 404,
-malformed submissions 400 — every body is a JSON object with an
+malformed submissions 400, and a submit or cancel the queue could not
+make durable (disk full, I/O error) is 503 — nothing was queued or
+changed, so the client may retry — every body is a JSON object with an
 ``error`` field on failure.  ``/results`` adds three: a ``limit`` that is
 not a non-negative integer is 400 (``limit=0`` is an empty list), a round
 retention has since dropped is 410, and a store fault met while reading
@@ -143,6 +145,10 @@ def _make_handler(service: ScanService):
                 self._error(404, str(exc))
             except (ValueError, SpecError) as exc:
                 self._error(400, str(exc))
+            except OSError as exc:
+                # The queue is write-ahead: what could not be made durable
+                # did not happen.
+                self._error(503, f"queue state not durable: {exc}")
 
     return Handler
 

@@ -35,6 +35,9 @@ damaged.  :func:`write_document` is the one writer and
 :func:`read_document` / :func:`parse_document` the one reader.  What to do
 *about* a corrupt document — quarantine, rescan, refuse to start — and
 whether the rename needs a directory fsync stay with the document's owner.
+State that grows instead of being replaced — checkpoint logs, the queue
+journal — has its own one format and one writer on the same four
+operations: :mod:`repro.store.framing`.
 """
 
 from __future__ import annotations

@@ -60,6 +60,12 @@ class CampaignIdAllocator:
             self._next += 1
         return f"{self.scope}-{n:04d}"
 
+    def peek(self) -> str:
+        """The id :meth:`next` would hand out, without handing it out —
+        for a caller that must make the allocation durable before it
+        happens (it then advances the counter with :meth:`reserve`)."""
+        return f"{self.scope}-{self.allocated:04d}"
+
     def reserve(self, floor: int) -> None:
         """Never hand out a counter below ``floor`` (restart recovery)."""
         with self._lock:

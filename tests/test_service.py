@@ -43,8 +43,9 @@ from repro.telemetry.events import CampaignIdAllocator, EventLog
 
 from tests import crashkit
 
-#: Seeded SIGKILL points for the daemon kill-anywhere class.
-SERVICE_KILL_POINTS = int(os.environ.get("REPRO_SERVICE_KILL_POINTS", "4"))
+#: SIGKILL points for the daemon kill-anywhere class: a seeded sample of
+#: this many, or ``all`` to walk every durability op of the workload.
+SERVICE_KILL_POINTS = os.environ.get("REPRO_SERVICE_KILL_POINTS", "4")
 
 #: Windows the mini topology answers, so stores are non-trivial.
 RESPONSIVE = [
@@ -722,19 +723,26 @@ class TestServiceKillAnywhere:
     with no lost or duplicated campaigns and digest-identical stores."""
 
     def test_op_census_is_unchanged(self, tmp_path):
-        """The fixed workload's durability-op count: a queue save, a
-        checkpoint or a commit more or fewer moves it."""
-        assert crashkit.baseline("daemon", tmp_path)["ops"] == 214
+        """The fixed workload's durability-op count: a queue snapshot, a
+        journal append, a checkpoint or a commit more or fewer moves it.
+
+        184 = 214 (every one of the 18 transitions and the exit a
+        four-op rewrite of ``queue.json``) - 19 x 4 + 2 snapshots x 4
+        (the fresh root's and the exit's) + the generation's first
+        append x 4 + 17 appends x 2."""
+        assert crashkit.baseline("daemon", tmp_path)["ops"] == 184
 
     def test_sigkill_at_seeded_ops_recovers_identical_state(self, tmp_path):
         want = crashkit.baseline("daemon", tmp_path / "base")
         total_ops = want["ops"]
         assert total_ops > 50
         assert set(want["states"].values()) == {"done"}
-        rng = random.Random(20260807)
-        points = sorted(
-            rng.sample(range(2, total_ops), SERVICE_KILL_POINTS)
-        )
+        if SERVICE_KILL_POINTS == "all":
+            points = list(range(1, total_ops + 1))
+        else:
+            points = sorted(random.Random(20260807).sample(
+                range(2, total_ops), int(SERVICE_KILL_POINTS)
+            ))
         for point in points:
             statuses, report = crashkit.kill_and_recover(
                 "daemon", tmp_path / f"kill-{point}", point
