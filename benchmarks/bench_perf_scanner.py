@@ -6,8 +6,11 @@ regenerates the paper's wall-clock projections: a 1 Gbps scanner covers all
 paper's own 25 kpps budget covers a 32-bit window in ~48 hours.
 
 The headline number is ``Scanner.run()`` end to end: block target
-generation (vectorised SipHash IIDs + primed validation tags) feeding
+generation (IIDs and primed validation tags from the lane SipHash) feeding
 chunks to ``Network.inject_block``, which picks the forwarding engine.  The
+block scanned here is a /64 window — one hash per IID; the /56 and /60
+windows of eight Table II blocks hash twice per IID through the same
+kernel, and ``benchmarks/e2e``'s ``sweep_loops`` is where those are timed.  The
 A/B run is the same scan on the reference engine (``network.flow_cache =
 False``: every hop down the slow path, no vector phase) and must produce
 the identical reply set.

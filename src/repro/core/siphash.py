@@ -15,6 +15,10 @@ Two implementations share the reference test vectors:
   precomputes the key schedule once and runs fully inlined rounds on
   128-bit integers with no byte-string construction at all.  Its output is
   bit-identical to ``siphash24`` (asserted in the unit tests).
+  :meth:`SipKey.hash_uints_block` is the same hash over a block of values
+  at once, in numpy uint64 lanes — every target's IID and validation tag
+  comes from it, with :meth:`SipKey.hash_uints` as its oracle and its
+  fallback when numpy is absent.
 
 Reference test vectors from the SipHash paper are checked in the unit tests.
 """
@@ -156,29 +160,30 @@ class SipKey:
             v2 = ((v2 << 32) | (v2 >> 32)) & M
         return (v0 ^ v1 ^ v2 ^ v3) & M
 
-    def hash_uints_block(self, values) -> list:
-        """``[self.hash_uints(v) for v in values]``, vectorised.
+    def hash_uints_block(self, values, *suffix: int) -> list:
+        """``[self.hash_uints(v, *suffix) for v in values]``, vectorised.
 
-        Each value is hashed as one 16-LE-byte message (the single-part
-        case the scan hot path uses for IID derivation and probe tagging).
-        With numpy available the whole block runs as uint64 lane arithmetic
-        — wrapping adds and shifts are exactly the mod-2^64 operations
-        SipHash needs, so the outputs are bit-identical to the scalar path
-        (asserted in the unit tests).  Without numpy, or for tiny blocks,
-        this falls back to the scalar loop.
+        A k-part message per lane: the lane's own value, then the constant
+        trailing ``suffix`` parts, each encoded as 16 LE bytes.  No suffix
+        is the one-part message of probe tagging and of IIDs that fit 64
+        bits; ``(values, 1)`` is the second half of a wider IID
+        (:meth:`TargetGenerator.iid`).  With numpy available the whole
+        block runs as uint64 lane arithmetic — wrapping adds and shifts are
+        exactly the mod-2^64 operations SipHash needs, and a constant part
+        is a scalar XORed into every lane — so the outputs are
+        bit-identical to the scalar path and to :func:`siphash24` (asserted
+        in the unit tests).  Without numpy, or for tiny blocks, this falls
+        back to the scalar loop.
         """
         n = len(values)
         if _np is None or n < _VECTOR_MIN:
-            return [self.hash_uints(v) for v in values]
+            return [self.hash_uints(v, *suffix) for v in values]
         M64 = _MASK
-        m0 = _np.fromiter((v & M64 for v in values), dtype=_np.uint64,
-                          count=n)
-        m1 = _np.fromiter(((v >> 64) & M64 for v in values),
-                          dtype=_np.uint64, count=n)
-        v0 = _np.full(n, self._v0, dtype=_np.uint64)
-        v1 = _np.full(n, self._v1, dtype=_np.uint64)
-        v2 = _np.full(n, self._v2, dtype=_np.uint64)
-        v3 = _np.full(n, self._v3, dtype=_np.uint64)
+        u64 = _np.uint64
+        v0 = _np.full(n, self._v0, dtype=u64)
+        v1 = _np.full(n, self._v1, dtype=u64)
+        v2 = _np.full(n, self._v2, dtype=u64)
+        v3 = _np.full(n, self._v3, dtype=u64)
 
         def rounds(count: int) -> None:
             nonlocal v0, v1, v2, v3  # in-place array ops rebind the names
@@ -198,17 +203,24 @@ class SipKey:
                 v1 ^= v2
                 v2[:] = (v2 << 32) | (v2 >> 32)
 
-        v3 ^= m0
-        rounds(2)
-        v0 ^= m0
-        v3 ^= m1
-        rounds(2)
-        v0 ^= m1
-        tail = _np.uint64(0x10 << 56)  # length byte: one 16-byte part
-        v3 ^= tail
-        rounds(2)
-        v0 ^= tail
-        v2 ^= _np.uint64(0xFF)
+        def compress(m) -> None:
+            # One 8-byte message word: a lane array, or a scalar every lane
+            # shares (suffix parts, the tail block).
+            nonlocal v0, v3
+            v3 ^= m
+            rounds(2)
+            v0 ^= m
+
+        compress(_np.fromiter((v & M64 for v in values), dtype=u64, count=n))
+        compress(_np.fromiter(((v >> 64) & M64 for v in values), dtype=u64,
+                              count=n))
+        for part in suffix:
+            compress(u64(part & M64))
+            compress(u64((part >> 64) & M64))
+        # Tail block: the message is whole 8-byte words, so it carries only
+        # the length byte — 16 bytes per part, mod 256 — as ``hash_uints``.
+        compress(u64((((1 + len(suffix)) << 4) & 0xFF) << 56))
+        v2 ^= u64(0xFF)
         rounds(4)
         return (v0 ^ v1 ^ v2 ^ v3).tolist()
 

@@ -95,6 +95,10 @@ class TargetGenerator:
     RNG, keeping target generation stateless and shard-independent: the same
     (seed, index) pair always produces the same probe address, so shards of
     one logical scan agree on targets without coordination.
+
+    :meth:`address` / :meth:`iid` derive one target and define what a target
+    is; :meth:`addresses_block` is what a scan calls, and derives a block of
+    them with no per-index Python hashing at any window width.
     """
 
     def __init__(
@@ -129,21 +133,42 @@ class TargetGenerator:
     def addresses_block(self, indices: Sequence[int]) -> List[IPv6Addr]:
         """``[self.address(i) for i in indices]``, derived a block at a time.
 
-        For the scanner's common case — RANDOM IIDs with at most 64 host
-        bits — the whole block's IID hashes run through the vectorised
-        SipHash path and the addresses are assembled directly from
-        ``base | (index << host_bits) | iid`` (what ``subprefix().address()``
-        computes one object at a time).  Other strategies fall back to the
-        scalar path.  Outputs are identical either way.
+        Every window width and every strategy takes the one formula
+        ``base | (index << host_bits) | iid`` — what
+        ``subprefix().address()`` computes one object at a time — with no
+        per-index :class:`IPv6Prefix`.  RANDOM IIDs come from the lane
+        SipHash (:meth:`SipKey.hash_uints_block`): one hash per index up to
+        64 host bits, and for the wider windows the paper's /56 and /60
+        scans leave (72 / 68 bits) the second, ``(index, 1)`` hash shifted
+        above the first, exactly as :meth:`iid` assembles them.  LOW_BYTE
+        and FIXED are one constant.  :meth:`address` stays the scalar
+        oracle; outputs and the out-of-range :class:`AddressError` are
+        identical either way.
         """
+        if not indices:
+            return []
         rng = self.range
         host_bits = rng.host_bits
-        if self.strategy is IidStrategy.RANDOM and 0 < host_bits <= 64:
-            base = rng.base.network
-            mask = (1 << host_bits) - 1
-            hashes = self._key.hash_uints_block(indices)
-            return [
-                IPv6Addr(base | (index << host_bits) | (wide & mask))
-                for index, wide in zip(indices, hashes)
-            ]
-        return [self.address(index) for index in indices]
+        for index in (min(indices), max(indices)):
+            if not 0 <= index < rng.count:
+                raise AddressError(f"sub-prefix index {index} out of range")
+        count = len(indices)
+        if host_bits == 0:
+            iids = [0] * count
+        elif self.strategy is IidStrategy.RANDOM:
+            iids = self._key.hash_uints_block(indices)
+            if host_bits > 64:
+                iids = [
+                    low | (high << 64) for low, high in
+                    zip(iids, self._key.hash_uints_block(indices, 1))
+                ]
+        elif self.strategy is IidStrategy.LOW_BYTE:
+            iids = [1] * count
+        else:
+            iids = [self.fixed_iid] * count
+        base = rng.base.network
+        mask = (1 << host_bits) - 1
+        return [
+            IPv6Addr(base | (index << host_bits) | (iid & mask))
+            for index, iid in zip(indices, iids)
+        ]

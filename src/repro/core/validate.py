@@ -56,8 +56,10 @@ class Validator:
         #: reply, so this one-slot memo saves one to two SipHash runs per
         #: probe on the scan hot path.
         self._last: tuple = (None, 0)
-        #: Block-primed tags (see :meth:`prime`); replaced per block.
+        #: Block-primed tags (see :meth:`prime`): the newest block's and the
+        #: one before it.
         self._primed: dict = {}
+        self._primed_before: dict = {}
 
     def prime(self, values) -> None:
         """Precompute the tags for a block of destination values.
@@ -65,8 +67,25 @@ class Validator:
         :meth:`Scanner.targets` primes each target block through the
         vectorised SipHash path; subsequent :meth:`tag` calls for those
         destinations (probe build, reply validation) become dict hits.
-        The primed block replaces the previous one, bounding memory.
+
+        Two generations are kept — this block and the previous one — and
+        older ones dropped, bounding memory.  One is not enough: a chunk of
+        :meth:`Scanner.run` is validated only after its last target has
+        been pulled, and a chunk that straddles two target blocks (every
+        chunk until the first sync point when a progress hook is set,
+        because the first chunk is then a single target) pulls the next
+        block, re-priming, before the replies to the older block's targets
+        are checked.
+
+        Two cover every chunk of a scan with no blocklist: a chunk is at
+        most a block's worth of targets and each block then yields all of
+        its own.  Blocklist vetoes shrink what a block yields (and, near a
+        ``max_probes`` stop, how many indices the next one pulls), so a
+        chunk can then draw on three or more blocks; replies to the
+        oldest's targets miss both dicts and :meth:`tag` re-hashes them —
+        a few scalar hashes, the same tags.
         """
+        self._primed_before = self._primed
         self._primed = dict(zip(values, self._key.hash_uints_block(values)))
 
     def tag(self, dst: IPv6Addr | int) -> int:
@@ -76,6 +95,8 @@ class Validator:
         if value == last_value:
             return last_tag
         tag = self._primed.get(value)
+        if tag is None:
+            tag = self._primed_before.get(value)
         if tag is None:
             tag = self._key.hash_uints(value)
         self._last = (value, tag)

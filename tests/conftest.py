@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.siphash import SipKey
 from repro.isp.builder import build_deployment
 from repro.isp.profiles import profile_by_key
 
@@ -32,3 +33,20 @@ def jio_deployment():
         scale=20_000,
         seed=7,
     )
+
+
+@pytest.fixture
+def scalar_hash_calls(monkeypatch):
+    """The argument tuples of every scalar ``SipKey.hash_uints`` call made
+    while the test runs — a count of per-value Python hashing, which the
+    block paths exist to avoid (with numpy; without it they are all scalar).
+    """
+    calls = []
+    scalar = SipKey.hash_uints
+
+    def counted(key, *parts):
+        calls.append(parts)
+        return scalar(key, *parts)
+
+    monkeypatch.setattr(SipKey, "hash_uints", counted)
+    return calls

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import siphash
 from repro.core.blocklist import Blocklist
 from repro.core.scanner import ScanConfig, Scanner
 from repro.core.siphash import SipKey, siphash24
@@ -283,14 +284,18 @@ class TestVectorisedBuildingBlocks:
                 gen.address(i) for i in indices
             ]
 
-    def test_addresses_block_wide_host_bits_fall_back(self):
-        # >64 host bits takes the scalar path (two hashes per IID).
+    def test_addresses_block_wide_host_bits_hash_in_lanes(
+        self, scalar_hash_calls
+    ):
+        # >64 host bits is two hashes per IID, ``(index)`` and ``(index, 1)``:
+        # both come out of the lane kernel, none out of the scalar one.
         rng = ScanRange.parse("2001:db8::/32-48")
         gen = TargetGenerator(rng, seed=9)
         indices = list(range(32))
-        assert gen.addresses_block(indices) == [
-            gen.address(i) for i in indices
-        ]
+        block = gen.addresses_block(indices)
+        if siphash._np is not None:
+            assert scalar_hash_calls == []
+        assert block == [gen.address(i) for i in indices]
 
     def test_validator_prime_matches_unprimed_tags(self):
         values = [(0x20010DB8 << 96) | i for i in range(50)]

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.core import siphash
 from repro.core.blocklist import Blocklist
 from repro.core.probes import IcmpEchoProbe, ReplyKind
 from repro.core.scanner import ScanConfig, Scanner
 from repro.core.target import IidStrategy, ScanRange
 from repro.core.validate import Validator
+from repro.isp.builder import build_deployment
+from repro.isp.profiles import profile_by_key
 
 from tests.topo import build_mini
 
@@ -154,3 +157,57 @@ class TestScannerEndToEnd:
         result = _scanner(topo, spec).run()
         assert result.by_kind().get(ReplyKind.ECHO_REPLY) == 1
         assert result.last_hops() == []
+
+
+@pytest.mark.skipif(
+    siphash._np is None, reason="without numpy every hash is a scalar one"
+)
+class TestScalarHashCensus:
+    """A work bound, counted not timed: a scan of a /60 window (68 host
+    bits, two hashes per IID) with no blocklist makes no scalar SipHash
+    call — every IID and every validation tag comes out of the lane
+    kernel.  With a blocklist the IIDs still do; tags of a chunk that drew
+    on more than two target blocks fall back, and only those."""
+
+    KEY = "cn-unicom-broadband"  # a /50-60 block: 1,024 targets
+
+    def _scanner(self, every, **config):
+        dep = build_deployment([profile_by_key(self.KEY)], scale=8000.0, seed=7)
+        scanner = Scanner.with_defaults(
+            dep.network, dep.vantage, dep.isps[self.KEY].scan_spec, seed=3,
+            **config,
+        )
+        if every is not None:
+            scanner.on_progress = (
+                lambda s: (s.result.stats.sent // every + 1) * every
+            )
+        return scanner
+
+    # No hook: chunks are whole target blocks.  512: the first chunk is one
+    # target, so every later chunk straddles two blocks and its replies are
+    # checked after the next block was primed.  64: several chunks a block.
+    # max_probes alone only shortens the last block.
+    @pytest.mark.parametrize(
+        "every,max_probes", [(None, None), (512, None), (64, None), (512, 700)]
+    )
+    def test_a_wide_window_scan_makes_no_scalar_hash(
+        self, scalar_hash_calls, every, max_probes
+    ):
+        result = self._scanner(every, max_probes=max_probes).run()
+        assert result.stats.sent == (max_probes or 1024)
+        assert result.stats.validated > 100
+        assert len(scalar_hash_calls) == 0
+
+    def test_heavy_vetoes_re_hash_some_tags_and_no_iid(self, scalar_hash_calls):
+        # Half the window vetoed: a block yields ~128 targets, a 256-target
+        # chunk draws on three, and replies to the oldest block's targets
+        # miss both primed generations (21 of them here).  The fallback is
+        # one tag hash per such reply and never an IID hash.
+        base = self._scanner(None).config.scan_range.base
+        half = Blocklist(blocked=[base.subprefix(0, base.length + 1)])
+        result = self._scanner(None, blocklist=half).run()
+        assert result.stats.sent == 512 and result.stats.blocked == 512
+        tags = [parts for parts in scalar_hash_calls if len(parts) == 1]
+        assert tags == scalar_hash_calls  # an IID is hash(i) | hash(i, 1) << 64
+        assert all(base.contains(value) for (value,) in tags)  # not indices
+        assert len(tags) < result.stats.received

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import siphash
 from repro.core.validate import Validator
 from repro.net.addr import IPv6Addr
 
@@ -63,3 +64,41 @@ class TestValidator:
         b = Validator(bytes(reversed(SECRET)))
         fields = a.fields(dst)
         assert not b.check_echo(dst, fields.ident, fields.seq)
+
+
+class TestPrimedTags:
+    """``prime`` keeps two blocks of tags: the newest and the one before."""
+
+    BLOCKS = [
+        [(0x20010DB8 << 96) | (block << 16) | i for i in range(20)]
+        for block in range(3)
+    ]
+
+    def test_primed_tags_are_the_unprimed_ones(self):
+        primed, fresh = Validator(SECRET), Validator(SECRET)
+        for block in self.BLOCKS:
+            primed.prime(block)
+        for value in [v for block in self.BLOCKS for v in block]:
+            assert primed.tag(value) == fresh.tag(value)
+
+    @pytest.mark.skipif(
+        siphash._np is None, reason="without numpy priming hashes in Python"
+    )
+    def test_previous_block_still_hits_after_the_next_is_primed(
+        self, scalar_hash_calls
+    ):
+        v = Validator(SECRET)
+        first, second, third = self.BLOCKS
+        v.prime(first)
+        v.prime(second)
+        for value in first + second:
+            v.tag(value)
+        assert scalar_hash_calls == []
+        # Two generations, not an ever-growing table: the third block
+        # pushes the first out, whose tags are then re-derived.
+        v.prime(third)
+        for value in second + third:
+            v.tag(value)
+        assert scalar_hash_calls == []
+        v.tag(first[0])
+        assert scalar_hash_calls == [(first[0],)]
