@@ -4,17 +4,28 @@ All three run the same entry point (:func:`repro.engine.worker.execute_job`)
 over a batch of shard jobs and return ``(job, outcome-or-exception)`` pairs
 in submission order, so the campaign's retry logic is backend-agnostic:
 
-* **serial** — one shard after another in the calling process.  The only
-  backend that can *reuse* a pre-built live topology (``prebuilt``), which
-  is how ``reproduce_all`` routes its sweep through the engine without
-  rebuilding the simulated Internet per range;
-* **thread** — a ``ThreadPoolExecutor``.  Each shard rebuilds its own
-  topology: a ``Network`` is single-threaded state (clock, RNG), so workers
-  must not share one.  Python threads don't parallelise the CPU-bound scan
+* **serial** — one shard after another in the calling process, each
+  checking the topology out of the process's artifact pool
+  (:meth:`TopologySpec.checkout <repro.net.spec.TopologySpec.checkout>`),
+  so a campaign's shards — and the next campaign over an equal spec — scan
+  one built world.  The only backend that accepts a caller's own live
+  topology (``prebuilt``): every shard scans *that* network as it stands,
+  which is how ``reproduce_all`` sweeps one deployment and how the churn
+  and leakage studies re-scan a world they have mutated;
+* **thread** — a ``ThreadPoolExecutor``.  A ``Network`` is single-threaded
+  state (clock, RNG), so a checkout is exclusive: concurrent shards each
+  hold a world of their own (at most ``workers`` are built) and later
+  shards reuse them.  Python threads don't parallelise the CPU-bound scan
   loop (the GIL), but this backend exercises the full fan-out/merge path
   cheaply and overlaps any blocking I/O;
 * **process** — a ``ProcessPoolExecutor``; true parallelism.  Jobs are
-  pickled, workers rebuild the topology from the job's ``TopologySpec``.
+  pickled; each worker builds the job's ``TopologySpec`` once and reuses the
+  artifact across the jobs it is handed.  Workers come from a *forkserver*
+  that has imported :mod:`repro.engine.worker` and nothing else: the daemon
+  starts pools from lease threads, and a child forked from a threaded
+  process inherits whatever locks other threads held (the artifact pool's
+  among them) locked forever.  Nothing the parent did at run time crosses
+  over — a topology kind registered there is unknown to a worker.
   Fault hooks are supported here too as long as they pickle — a module-level
   function or a frozen dataclass with ``__call__`` ships fine; a lambda or
   closure is rejected up front with a clear error.
@@ -36,6 +47,7 @@ aborting the batch the way a real ^C would.
 from __future__ import annotations
 
 import concurrent.futures
+import multiprocessing
 import pickle
 from abc import ABC, abstractmethod
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -154,7 +166,7 @@ class SerialExecutor(Executor):
 
 
 class ThreadPoolBackend(Executor):
-    """Concurrent shards in threads; each rebuilds its own topology."""
+    """Concurrent shards in threads; each checks out a topology of its own."""
 
     name = "thread"
 
@@ -206,7 +218,11 @@ class ProcessPoolBackend(Executor):
         self.shard_timeout = shard_timeout
 
     def run_jobs(self, jobs: Sequence[ShardJob]) -> List[JobReturn]:
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.workers)
+        context = multiprocessing.get_context("forkserver")
+        context.set_forkserver_preload(["repro.engine.worker"])
+        pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=self.workers, mp_context=context
+        )
         timed_out = True  # assume the worst if collection itself blows up
         try:
             if self.fault_hook is not None:
@@ -248,7 +264,7 @@ def make_executor(
     if prebuilt is not None:
         raise ValueError(
             f"a pre-built topology cannot be shared with the {name!r} "
-            "backend; workers rebuild from the TopologySpec"
+            "backend; workers check out their own from the TopologySpec"
         )
     if name == "thread":
         return ThreadPoolBackend(

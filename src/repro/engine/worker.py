@@ -4,11 +4,15 @@ pool worker.
 :func:`execute_job` is a module-level function taking one picklable
 :class:`~repro.engine.planner.ShardJob`, so a
 ``concurrent.futures.ProcessPoolExecutor`` can ship it across process
-boundaries.  Each invocation rebuilds the simulator topology from the job's
-:class:`~repro.net.spec.TopologySpec` (the live ``Network`` is not
-picklable), rebuilds the probe from its :class:`ProbeSpec`, fast-forwards
-past any checkpointed progress via ``ScanConfig.skip``, runs the scanner,
-and persists the shard's final (or, periodically, partial) state.
+boundaries.  Each invocation checks the simulator topology out of the
+process's artifact pool by the job's :class:`~repro.net.spec.TopologySpec`
+(the live ``Network`` is not picklable: a process builds a spec's world the
+first time it meets it and scans the restored artifact from then on),
+rebuilds the probe from its :class:`ProbeSpec`, fast-forwards past any
+checkpointed progress via ``ScanConfig.skip``, runs the scanner, and
+persists the shard's final (or, periodically, partial) state.  A
+``prebuilt`` topology is a different promise: scan *that* network as it
+stands — mutated or not, its clock running on from the last shard.
 """
 
 from __future__ import annotations
@@ -177,7 +181,23 @@ def _run_shard(
             segment=segment_meta,
         )
 
-    built = prebuilt if prebuilt is not None else job.topology.build()
+    if prebuilt is not None:
+        return _scan_shard(job, prebuilt, buffer, store, prior)
+    # Held to the end of the shard: the host-fault clock, the final
+    # checkpoint, the segment seal and the series export all still read
+    # the network after the scan returns.
+    with job.topology.checkout() as built:
+        return _scan_shard(job, built, buffer, store, prior)
+
+
+def _scan_shard(
+    job: ShardJob,
+    built: BuiltTopology,
+    buffer: WorkerEventBuffer,
+    store: Optional[CheckpointStore],
+    prior: Optional[ShardState],
+) -> ShardOutcome:
+    """Scan what is left of the shard on ``built`` and persist the result."""
     probe = job.probe.build()
     skip = prior.position if prior is not None else 0
     config = dataclasses.replace(job.config, skip=skip)

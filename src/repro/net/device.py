@@ -114,6 +114,11 @@ class ErrorRateLimiter:
             return True
         return False
 
+    def reset(self) -> None:
+        """Back to a full bucket that has seen no traffic."""
+        self._tokens = self.burst
+        self._last = None
+
 
 class Device:
     """Base class: owns addresses, answers echo probes, runs services."""
@@ -170,6 +175,24 @@ class Device:
 
     def owns(self, addr: IPv6Addr) -> bool:
         return addr in self.addresses
+
+    def reset_scan_state(self) -> None:
+        """Forget everything carrying traffic wrote on this device.
+
+        The device's half of :meth:`repro.net.network.Network.restore`:
+        afterwards it is the device its builder constructed — addresses,
+        routes and services untouched, a full error bucket, cold neighbour
+        and flow caches, zeroed counters.  A per-scan field added to a
+        device belongs here (``tests/test_topology_pool.py`` walks
+        ``vars(device)`` to say so).
+        """
+        self.error_limiter.reset()
+        self.errors_suppressed = 0
+        neighbors = self.neighbor_cache
+        neighbors.flush()
+        neighbors.hits = neighbors.misses = neighbors.solicitations = 0
+        self._flow_cache.clear()
+        self._flow_stamp = (-1, -1)
 
     # -- packet handling ---------------------------------------------------
 
@@ -547,6 +570,10 @@ class CpeRouter(Router):
             self.lan_prefix != self.wan_prefix
         ):
             self.table.add_unreachable(self.lan_prefix)
+
+    def reset_scan_state(self) -> None:
+        super().reset_scan_state()
+        self._loop_bounces = 0
 
     def _forward(self, packet: Packet, network: "Network") -> ReceiveResult:
         if self.loop_forward_limit is not None and (

@@ -28,6 +28,13 @@ scan hot loop does not pay for dict updates it never reads.
 
 Time is virtual: the scanner's rate limiter advances :attr:`Network.clock`,
 and device ICMPv6 error limiters read it.
+
+A built network is an *artifact* (devices, tables, address ownership, the
+compiled FIB — what scans only read) carrying *scan state* (clock, RNG,
+counters, fault-layer residue, per-device buckets and caches — what they
+write).  :meth:`Network.seal` draws that line and :meth:`Network.restore`
+puts the scan state back, which is what lets one build serve many scans
+(:meth:`repro.net.spec.TopologySpec.checkout`).
 """
 
 from __future__ import annotations
@@ -125,7 +132,9 @@ class Network:
         self.faults = None
         #: Fault-layer loss windows: ``{(src, dst) names | None: rate}``
         #: (None = every link), drawn against :attr:`fault_rng` so chaos
-        #: never perturbs the topology RNG stream.
+        #: never perturbs the topology RNG stream.  An injector leaves its
+        #: RNG here when it detaches, so ``fault_rng is not None`` says one
+        #: was armed since construction or the last :meth:`restore`.
         self.link_loss: Dict[Optional[Tuple[str, str]], float] = {}
         self.fault_rng: Optional[random.Random] = None
         #: Packets the fault layer dropped (read by fault telemetry).
@@ -150,6 +159,9 @@ class Network:
         #: active the flow-cache fast path stands down, so the span sees
         #: every route-lookup decision exactly as the slow path takes it.
         self.active_trace: Optional["ProbeTrace"] = None
+        #: The baseline :meth:`seal` recorded, by value: (topology stamp,
+        #: ``rng`` state, ``clock``).  None until sealed.
+        self._sealed: Optional[Tuple[object, object, float]] = None
 
     def trace_event(self, name: str, **fields: object) -> None:
         """Record a forwarding-decision event on the active span, if any."""
@@ -201,6 +213,61 @@ class Network:
 
     def advance(self, seconds: float) -> None:
         self.clock += seconds
+
+    # -- artifact / scan-state boundary --------------------------------------
+
+    def _stamp(self) -> Tuple[int, Tuple[int, ...]]:
+        """``generation`` x every table's ``version``: what the flow caches
+        and :meth:`ColumnarFib.valid` compare, taken whole."""
+        return self.generation, tuple(
+            device.table.version for device in self.devices.values()
+        )
+
+    def seal(self) -> None:
+        """Declare this network a finished artifact; see :meth:`restore`.
+
+        Everything built so far — devices, routing tables, address
+        ownership, bound services, the compiled FIB once a block asks for
+        it — is from now on the part scans only read.  What they write is
+        *scan state*, and its baseline is recorded here by value: the
+        topology stamp, the RNG state and the clock.  Counters and
+        per-device state go back to their constructed values, so the
+        network must not have carried traffic yet.
+        """
+        if self.total_injected:
+            raise NetworkError(
+                "seal() a network before it carries traffic: device scan "
+                "state restores to its constructed values"
+            )
+        self._sealed = (self._stamp(), self.rng.getstate(), self.clock)
+
+    def restore(self) -> bool:
+        """Put every piece of scan state back to the sealed baseline.
+
+        Afterwards the network is indistinguishable — to a scan, and to a
+        walk of its attributes — from a fresh build of the same recipe.
+        Returns False, having touched nothing, when that cannot be
+        promised: the network was never sealed, a fault injector is still
+        attached, or the topology stamp moved (a device, binding or route
+        changed — even if it changed back).
+        """
+        sealed = self._sealed
+        if sealed is None or self.faults is not None:
+            return False
+        stamp, rng_state, clock = sealed
+        if stamp != self._stamp():
+            return False
+        self.clock = clock
+        self.rng.setstate(rng_state)
+        self.link_loss.clear()
+        self.fault_rng = None
+        self.fault_drops = 0
+        self.total_hops = self.total_injected = 0
+        self.flow_hits = self.flow_misses = 0
+        self.active_trace = None
+        for device in self.devices.values():
+            device.reset_scan_state()
+        return True
 
     # -- forwarding engine -----------------------------------------------------
 

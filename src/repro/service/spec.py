@@ -188,9 +188,12 @@ class TenantPolicy:
     ``weight`` scales deficit accrual (fair-share bandwidth); a tenant
     with weight 2 leases twice the probe volume of a weight-1 tenant
     under contention.  ``max_in_flight`` bounds concurrent leases;
-    ``max_queued`` bounds the backlog; ``probe_budget`` caps the probes
-    outstanding (queued + leased) at once — the service-level analogue
-    of the paper's good-citizen rate budget.  ``retain_snapshots`` /
+    ``max_queued`` bounds admission to the backlog; a requeued or
+    recovered lease may exceed it by at most ``max_in_flight`` (that work
+    was already admitted — refusing its return would drop an acknowledged
+    campaign); ``probe_budget`` caps the probes outstanding (queued +
+    leased) at once — the service-level analogue of the paper's
+    good-citizen rate budget.  ``retain_snapshots`` /
     ``store_quota_rows`` drive the tenant store's retention/compaction
     (see :mod:`repro.service.tenants`).
     """

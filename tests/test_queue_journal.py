@@ -307,7 +307,11 @@ class QueueMachine(RuleBasedStateMachine):
         for tenant in TENANTS:
             queued = self.in_model(tenant, "queued")
             live = self.in_model(tenant, "queued", "leased")
-            assert len(queued) <= self.POLICY.max_queued
+            # The cap is on admission: leases coming back (requeue, crash
+            # recovery) were admitted already and are never refused.
+            assert len(queued) <= (
+                self.POLICY.max_queued + self.POLICY.max_in_flight
+            )
             assert queue.outstanding_probes(tenant) == sum(
                 m["budget"] for m in live
             ) <= self.POLICY.probe_budget
@@ -323,6 +327,29 @@ QueueMachine.TestCase.settings = settings(
     max_examples=50, stateful_step_count=50, deadline=None
 )
 TestQueueMachine = QueueMachine.TestCase
+
+
+def test_the_backlog_cap_is_on_admission_not_on_returning_leases(tmp_path):
+    """The trace the machine found while its bound still read
+    ``queued <= max_queued``: a lease coming back is work the tenant was
+    admitted for, so ``requeue`` never refuses it and the backlog may
+    stand ``max_in_flight`` above the cap — which then refuses the next
+    *submission* (``AdmissionError``, HTTP 429 at the API)."""
+    queue = CampaignQueue(
+        str(tmp_path / "queue.json"), default_policy=QueueMachine.POLICY,
+        scope="m", seed=5, quantum=16.0,
+    )
+    try:
+        queue.submit(_spec("alice", "c0"))
+        assert queue.next_lease().campaign_id == "m-0000"
+        for name in ("c1", "c2", "c3"):
+            queue.submit(_spec("alice", name))  # 3 queued: at the cap
+        assert queue.requeue("m-0000").state == "queued"
+        assert len(queue.in_state("queued")) == 4
+        with pytest.raises(AdmissionError, match="backlog full"):
+            queue.submit(_spec("alice", "c4"))
+    finally:
+        queue.close()
 
 
 # -- write-ahead: a failed durable write changes nothing ---------------------------
