@@ -10,6 +10,7 @@ from typing import Optional
 from repro.core.validate import Validator
 from repro.net.addr import IPv6Addr
 from repro.net.packet import (
+    DEFAULT_HOP_LIMIT,
     Icmpv6Message,
     Icmpv6Type,
     Packet,
@@ -62,13 +63,18 @@ class ProbeModule(ABC):
     """Builds probes for targets and validates candidate replies."""
 
     name: str = "probe"
+    #: The hop limit every probe leaves with.  The scanner forwards a target
+    #: block from this declaration before any packet is built, so
+    #: :meth:`build` must honour it.
+    hop_limit: int = DEFAULT_HOP_LIMIT
 
     def __init__(self, validator: Validator) -> None:
         self.validator = validator
 
     @abstractmethod
     def build(self, src: IPv6Addr, dst: IPv6Addr) -> Packet:
-        """The probe packet for one target."""
+        """The probe packet for one target: a pure function of ``(src,
+        dst)``, addressed to ``dst``, with :attr:`hop_limit` hops to live."""
 
     @abstractmethod
     def classify(self, packet: Packet) -> Optional[ProbeReply]:

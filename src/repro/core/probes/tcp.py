@@ -26,7 +26,8 @@ class TcpSynProbe(ProbeModule):
             seq=fields.tcp_seq,
             flags=int(TcpFlags.SYN),
         )
-        return Packet(src=src, dst=dst, payload=segment)
+        return Packet(src=src, dst=dst, payload=segment,
+                      hop_limit=self.hop_limit)
 
     def classify(self, packet: Packet) -> Optional[ProbeReply]:
         segment = packet.payload

@@ -22,7 +22,8 @@ class UdpProbe(ProbeModule):
     def build(self, src: IPv6Addr, dst: IPv6Addr) -> Packet:
         fields = self.validator.fields(dst)
         datagram = UdpDatagram(fields.sport, self.port, self.payload)
-        return Packet(src=src, dst=dst, payload=datagram)
+        return Packet(src=src, dst=dst, payload=datagram,
+                      hop_limit=self.hop_limit)
 
     def classify(self, packet: Packet) -> Optional[ProbeReply]:
         datagram = packet.payload

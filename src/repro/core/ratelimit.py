@@ -9,6 +9,8 @@ inter-arrival times without the reproduction actually sleeping.
 
 from __future__ import annotations
 
+from typing import List
+
 
 class TokenBucket:
     """A classic token bucket usable against any monotonic clock."""
@@ -100,6 +102,42 @@ class VirtualPacer:
             self._stalls.inc()
             self._waits.observe(send_at - now)
         return send_at
+
+    def pace_block(self, n: int) -> List[float]:
+        """``n`` x :meth:`pace` in one loop; returns the send timestamps.
+
+        The same float operations in the same order as :meth:`pace` over
+        :meth:`TokenBucket.consume`, so clocks, bucket state, the stall
+        counter and the wait histogram come out bit-identical.  An attached
+        sampler cuts its buckets in :meth:`pace`, one send at a time.
+        """
+        if self.sampler is not None:
+            return [self.pace() for _ in range(n)]
+        bucket = self.bucket
+        rate, burst = bucket.rate, bucket.burst
+        tokens, last = bucket._tokens, bucket._last
+        now = self.network.clock
+        stall, wait = self._stalls.inc, self._waits.observe
+        sends = []
+        for _ in range(n):
+            refilled = tokens + (now - last) * rate
+            if refilled > burst:
+                refilled = burst
+            if refilled >= 1.0:  # common case: no stall
+                tokens, last = refilled - 1.0, now
+            else:
+                send_at = now + (1.0 - refilled) / rate
+                tokens = tokens + (send_at - last) * rate
+                tokens = (burst if tokens > burst else tokens) - 1.0
+                last = send_at
+                if send_at > now:
+                    stall()
+                    wait(send_at - now)
+                    now = send_at
+            sends.append(now)
+        bucket._tokens, bucket._last = tokens, last
+        self.network.clock = now
+        return sends
 
     def set_rate(self, rate_pps: float) -> None:
         """Retarget the pacing rate mid-scan (AIMD adaptive control)."""

@@ -39,6 +39,7 @@ from repro.core.stats import ScanStats
 from repro.core.target import IidStrategy, ScanRange, TargetGenerator
 from repro.core.validate import Validator
 from repro.net.addr import IPv6Addr, IPv6Prefix, format_ipv6_packed
+from repro.net.columnar import Lanes, Probes
 from repro.net.device import Device
 from repro.net.network import Network
 from repro.net.packet import Packet
@@ -390,18 +391,24 @@ class Scanner:
     # -- target iteration ------------------------------------------------------
 
     def targets(self) -> Iterator[IPv6Addr]:
-        """Probe addresses in permuted order (after blocklist filtering).
+        """Probe addresses in permuted order (after blocklist filtering)."""
+        return (address for address, _ride in self._pull())
+
+    def _pull(self) -> Iterator[Tuple[IPv6Addr, Tuple[Lanes, int]]]:
+        """The target stream: each address with the lane it rides.
 
         The one owner of ``skip`` / ``max_probes`` / blocklist vetoes.
         ``config.skip`` fast-forwards past already-scanned positions of this
         shard's stream (checkpoint resume) without evaluating the blocklist
         or generating addresses for them.  Permutation indices are pulled
-        up to :data:`BLOCK_SIZE` at a time so IID hashing and validation-tag
-        priming run through their vectorised block paths, but ``position``,
-        ``blocked_count`` and the veto counters advance one yielded target
-        at a time: whenever the consumer stops pulling — a chunk end, a
-        checkpoint — they describe exactly the targets handed out so far.
-        Indices past a ``max_probes`` stop are never consumed.
+        up to :data:`BLOCK_SIZE` at a time so IID hashing, validation-tag
+        priming and forwarding run through their vectorised block paths —
+        the block's probes are forwarded here, as :class:`Lanes`, from the
+        addresses and the probe module's declared hop limit — but
+        ``position``, ``blocked_count`` and the veto counters advance one
+        yielded target at a time: whenever the consumer stops pulling — a
+        chunk end, a checkpoint — they describe exactly the targets handed
+        out so far.  Indices past a ``max_probes`` stop are never consumed.
         """
         config = self.config
         permutation = make_permutation(
@@ -427,9 +434,13 @@ class Scanner:
             if not indices:
                 return
             block = addresses_block(indices)
+            values = [address.value for address in block]
             if prime is not None:
-                prime([address.value for address in block])
-            for address in block:
+                prime(values)
+            lanes = Lanes(self.network, self.vantage, values,
+                          [self.probe.hop_limit] * len(values),
+                          max(1, config.probes_per_target))
+            for lane, address in enumerate(block):
                 self.position += 1
                 if blocklist is not None:
                     decision = blocklist.check(address)
@@ -446,7 +457,7 @@ class Scanner:
                         counter.inc()  # type: ignore[union-attr]
                         continue
                 produced += 1
-                yield address
+                yield address, (lanes, lane)
 
     # -- resilience layer (all no-ops unless configured) -----------------------
 
@@ -612,16 +623,19 @@ class Scanner:
         return account
 
     def run(self) -> ScanResult:
-        """Scan the window: permute → pace → build → send → validate.
+        """Scan the window: permute → forward → pace → send → validate.
 
-        One loop over *chunks* of targets.  A chunk is paced and built probe
-        by probe (device-side ICMPv6 limiters read the virtual clock, so
-        every probe's send time rides along), handed to
-        :meth:`Network.inject_block` in one call — which picks the
-        forwarding engine from the chunk's length and the network's state —
-        and its replies go through the one accounting routine.  ``sent`` is
-        flushed and :attr:`on_progress` runs at chunk ends only.  A chunk
-        ends at the first of:
+        One loop over *chunks* of targets.  A chunk's targets arrive with
+        their lanes — the block they were pulled in went through the
+        forwarding engine's vector phase then — and are paced in one go
+        (device-side ICMPv6 limiters read the virtual clock, so every
+        probe's send time rides along).  :meth:`Network.inject_block`
+        finishes the chunk in probe order, building the packet of a probe
+        only if its lane ejected to the scalar engine (``wire_mode`` and a
+        traced target build every probe first), and the replies go through
+        the one accounting routine.  ``sent`` is flushed and
+        :attr:`on_progress` runs at chunk ends only.  A chunk ends at the
+        first of:
 
         * :data:`BLOCK_SIZE` targets;
         * the series sampler's next bucket boundary: the chunk is cut before
@@ -655,11 +669,17 @@ class Scanner:
         # Hot-loop hoists: bound methods looked up once per scan.
         copies = max(1, config.probes_per_target)
         wire = config.wire_mode
-        pace = pacer.pace
+        pace_block = pacer.pace_block
         next_send_time = pacer.bucket.next_send_time
         build = self.probe.build
         inject_block = network.inject_block
-        targets = self.targets()
+        pull = self._pull()
+        probes: List[Tuple[IPv6Addr, Tuple[Lanes, int]]] = []
+
+        def build_probe(i: int) -> Packet:
+            # Asked for by ``inject_block`` when something stateful has to
+            # look at the current chunk's probe ``i``; most die silently.
+            return build(source, probes[i][0])
 
         def snapshot() -> None:
             # Keep the trailing counters coherent so progress hooks (and
@@ -680,11 +700,15 @@ class Scanner:
             pacer.sampler = sampler
         try:
             while True:
-                chunk: List[IPv6Addr] = []
-                packets: List[Packet] = []
+                # Targets up to the hook's sync point: one at least, a
+                # block at most.
+                want = 1 if single else max(1, math.ceil(
+                    min(BLOCK_SIZE, (sync - stats.sent) / copies)
+                ))
+                chunk: List[Tuple[IPv6Addr, Tuple[Lanes, int]]] = []
                 clocks: List[float] = []
                 span = None
-                while len(chunk) < BLOCK_SIZE:
+                while len(chunk) < want:
                     if (
                         sampler is not None
                         and chunk
@@ -695,11 +719,16 @@ class Scanner:
                         + copies / pacer.rate >= sampler.boundary
                     ):
                         break
-                    target = next(targets, None)
-                    if target is None:
+                    # That rule reads the clock between targets; without a
+                    # sampler the chunk is pulled, then paced, in one go.
+                    pulled = list(islice(
+                        pull, 1 if sampler is not None else want - len(chunk)
+                    ))
+                    if not pulled:
                         break
-                    chunk.append(target)
-                    if tracing:
+                    chunk += pulled
+                    if tracing:  # hence single: ``pulled`` is the chunk
+                        target = pulled[0][0]
                         span = tracer.begin(target)
                         if span is not None:
                             span.add("generated", network.clock,
@@ -708,35 +737,39 @@ class Scanner:
                             if config.blocklist is not None:
                                 span.add("blocklist_check", network.clock,
                                          verdict="allowed")
-                    for copy in range(copies):
-                        send_at = pace()
-                        packet = build(source, target)
-                        if wire:
-                            packet = Packet.decode(packet.encode())
-                        if span is not None:
+                    sends = pace_block(len(pulled) * copies)
+                    if span is not None:
+                        for copy, send_at in enumerate(sends):
                             span.add("paced_send", send_at, copy=copy)
-                        packets.append(packet)
-                        clocks.append(network.clock)
-                    if single or stats.sent + len(packets) >= sync:
-                        break
+                    clocks += sends
                 if not chunk:
                     break  # the stream is exhausted
+                probes = chunk if copies == 1 else [
+                    item for item in chunk for _copy in range(copies)
+                ]
+                if wire:  # every probe crosses the codec, silent or not
+                    packets = [Packet.decode(build(source, target).encode())
+                               for target, _ in probes]
                 network.active_trace = span
-                outcomes = iter(inject_block(packets, vantage, clocks))
+                outcomes = inject_block(
+                    Probes([ride for _, ride in probes],
+                           packets.__getitem__ if wire else build_probe),
+                    vantage, clocks,
+                )
                 network.active_trace = None
-                sent = len(packets)
+                sent = len(probes)
                 stats.sent += sent
                 c_sent.inc(sent)
-                for target in chunk:
-                    replies: List[Packet] = []
-                    for inbox, delivery in islice(outcomes, copies):
-                        observe_hops(delivery.hops)
-                        replies += inbox
-                    validated = account(replies, span) if replies else 0
-                if single:  # the chunk is the one ``target``
+                for hops in outcomes.hops:
+                    observe_hops(hops)
+                validated = sum(
+                    account(inbox, span)
+                    for inbox, _ in outcomes.ejected.values() if inbox
+                )
+                if single:  # the chunk is one target
                     if policy is not None and not validated:
                         resent, validated = self._retransmit(
-                            policy, target, span, account
+                            policy, chunk[0][0], span, account
                         )
                         stats.sent += resent
                         c_sent.inc(resent)

@@ -9,18 +9,22 @@ scalar engine as the bit-identical oracle.
 
 The design splits every injection into two phases:
 
-* a **vector phase** that advances all lanes (one lane per injected probe)
-  through *pure* forwarding hops only — base-semantics routers resolving a
+* a **vector phase** that advances all lanes (one lane per probe) through
+  *pure* forwarding hops only — base-semantics routers resolving a
   ``NEXT_HOP`` route with hop limit left to burn.  Those hops touch no
   mutable state in the scalar engine either (no RNG, no NDP cache, no rate
-  limiter), so they can be replayed out of order and en masse;
-* a **scalar replay phase** that finishes each lane *in probe order* from
-  its ejection point by re-entering the real engine
-  (:meth:`Network._drain`).  Everything stateful — NDP resolution, ICMPv6
-  error synthesis and its token-bucket limiter, subclass forwarding hooks
-  (loop mitigation counters), TCP ISN draws from the topology RNG — runs
-  through the exact scalar code, under the exact virtual clock the scalar
-  engine would have used.
+  limiter, no clock), so they can be taken out of order, en masse and
+  *early*: the scanner forwards a whole target block when it pulls it
+  (:class:`Lanes`), from the destinations and the probe module's declared
+  hop limit alone, before any packet exists;
+* a **scalar replay phase**, per chunk (:func:`inject_block`), that finishes
+  each lane *in probe order*.  A silent lane is two counters; one that
+  ejected gets its :class:`Packet` built and re-enters the real engine
+  (:meth:`Network._drain`) at its ejection point.  Everything stateful —
+  NDP resolution, ICMPv6 error synthesis and its token-bucket limiter,
+  subclass forwarding hooks (loop mitigation counters), TCP ISN draws from
+  the topology RNG — runs through the exact scalar code, under the exact
+  virtual clock the scalar engine would have used.
 
 A lane **ejects** from the vector phase whenever the next step *could*
 observe or mutate state: delivery to the destination's owner, a device with
@@ -39,11 +43,16 @@ answer, exactly mirroring the per-device flow-cache invalidation protocol
 (``Network.generation`` + per-table ``version`` stamps).
 
 Which engine a block takes is decided here and nowhere else, from what
-the code can observe: a block shorter than :data:`VECTOR_MIN_PROBES`, no
-numpy, the reference-engine override (``network.flow_cache = False``), an
-active trace span, a loss model, a pending fault transition, or an
-uncompilable table all take the sequential scalar loop, with identical
-observables.
+the code can observe.  At the pull: a block shorter than
+:data:`VECTOR_MIN_PROBES`, no numpy, the reference-engine override
+(``network.flow_cache = False``), a loss model, a pending fault transition
+or an uncompilable table leave it unforwarded, and its probes go down
+per-probe :meth:`Network.inject`.  At each chunk, again: a network that is
+not usable *now* (the above, or an active trace span) takes the sequential
+scalar loop whatever lanes exist, and lanes whose FIB is no longer the
+network's (a route edit, a rotation, a fault swap since the pull) are
+dropped and what is left of their block forwarded afresh — nothing stale is
+ever replayed.  Identical observables on every path.
 """
 
 from __future__ import annotations
@@ -64,17 +73,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.network import DeliveryTrace, Network
     from repro.net.packet import Packet
 
-__all__ = ["ColumnarFib", "inject_block"]
+__all__ = ["ColumnarFib", "Lanes", "Probes", "inject_block"]
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 
 #: Shortest block worth the vector phase.  Setting up the lanes and walking
 #: the per-length tables costs a fixed few hundred microseconds per block,
 #: which only pays once enough lanes share it.  Measured on the e2e sweep
-#: shapes against per-probe :meth:`Network.inject`: at 16 probes the vector
-#: phase is 1.7x slower on the miss-heavy periphery blocks and level on the
-#: loop-dense ones; at 64 it is level on the former and 1.6x faster on the
-#: latter (see docs/architecture.md, "Send pipeline").
+#: shapes, warm, target blocks of N (scan seconds with the phase ÷ without,
+#: two readings): on the miss-heavy periphery blocks 1.5 at 8, 1.3 at 16,
+#: 0.96-1.09 at 32, 0.87 at 48, 0.86-0.96 at 64, 0.5-0.7 at 256; on the
+#: loop-dense ones 1.1-1.3 at 8, level at 16, 0.46 at 64, 0.26 at 256.  A
+#: lane no longer costs a ``Packet``, so the crossover that sat at 64 sits
+#: near 32; the constant moves when ``admission_burst``'s windows have been
+#: measured against it (EXPERIMENTS.md, "Vector phase by block length").
 VECTOR_MIN_PROBES = 64
 
 # -- FIB action codes (one int8 per compiled route) --------------------------
@@ -95,7 +107,8 @@ A_UNRESOLVED = 5
 _ACTIVE = 0  # still advancing through pure vector hops
 _SILENT = 1  # terminated with no observable left to produce
 _EJECT = 2  # finish via scalar replay from (cur device, current hop limit)
-_ORIGIN = 3  # replay the whole injection (degenerate originate path)
+_ORIGIN = 3  # replay the whole injection (not forwarded, or degenerate)
+_OVERRUN = 4  # took more than ``max_hops`` hops: the replay raises
 
 #: Hash-seed attempts for each per-length table before giving up on the
 #: whole compile (``ok=False`` → scalar fallback).  Collisions across a few
@@ -206,6 +219,13 @@ class ColumnarFib:
                 if owner_map.get(addr.value) is not device:
                     self.ok = False
                     return
+        #: Address value -> index of the device that owns it.
+        self.owners: Dict[int, int] = {}
+        for value, device in owner_map.items():
+            if id(device) not in self.index:  # bound but never registered
+                self.ok = False
+                return
+            self.owners[value] = self.index[id(device)]
         by_length: Dict[int, list] = {}
         for dev_idx, device in enumerate(self.devices):
             if not device.forwards:
@@ -333,85 +353,96 @@ def _sequential(
     return results
 
 
-def inject_block(
-    network: "Network",
-    packets: List["Packet"],
-    vantage: "Device",
-    clocks: Optional[List[float]] = None,
-) -> List[Tuple[List["Packet"], "DeliveryTrace"]]:
-    """Batch equivalent of per-packet :meth:`Network.inject`.
+class Lanes:
+    """A block of probes as the vector phase leaves them, one lane each.
 
-    Bit-identical to the sequential loop in :func:`_sequential` (which is
-    also the fallback whenever the vector phase cannot run safely).  The
-    network's clock is restored to its entry value before returning.
+    Per lane, as plain lists for the replay in :func:`inject_block`: its
+    ``status``, the device it stopped at (``cur``, an index into
+    ``fib.devices``), the hop limit it has left (``hl``), and the ``hops``
+    and ``drops`` it took — with ``fib``, the :class:`ColumnarFib` they were
+    computed under.  Forwarding is pure, so it happens once, when the block
+    is pulled, however its probes are later cut into chunks; the replay
+    re-forwards what is left of the block if ``fib`` is no longer the
+    network's.  A block that was not forwarded — fewer than
+    :data:`VECTOR_MIN_PROBES` probes (``copies`` ride each lane), a network
+    not :func:`_usable`, an uncompilable table — has no ``fib`` and every
+    lane ``_ORIGIN``.
     """
-    from repro.net.network import DeliveryTrace, NetworkError
 
-    if clocks is not None and len(clocks) != len(packets):
-        raise ValueError("clocks must match packets one-to-one")
-    if len(packets) < VECTOR_MIN_PROBES or not _usable(network):
-        return _sequential(network, packets, vantage, clocks)
-    fib = network.columnar_fib()
-    if not fib.ok:
-        return _sequential(network, packets, vantage, clocks)
+    __slots__ = ("values", "hop_limits", "copies", "fib",
+                 "status", "cur", "hl", "hops", "drops")
 
-    n = len(packets)
+    def __init__(self, network: "Network", vantage: "Device",
+                 values: List[int], hop_limits: List[int],
+                 copies: int = 1) -> None:
+        self.values = values  # destination addresses, as ints
+        self.hop_limits = hop_limits
+        self.copies = copies
+        self.forward(network, vantage)
+
+    def forward(self, network: "Network", vantage: "Device",
+                start: int = 0) -> None:
+        """Run the vector phase over lanes ``start``.. on today's FIB."""
+        self.fib = None
+        self.status = [_ORIGIN] * len(self.values)
+        self.cur = self.hl = self.hops = self.drops = ()
+        probes = (len(self.values) - start) * self.copies
+        if probes < VECTOR_MIN_PROBES or not _usable(network):
+            return
+        fib = network.columnar_fib()
+        if fib.ok:
+            self.fib = fib
+            self.status, self.cur, self.hl, self.hops, self.drops = (
+                [_ORIGIN] * start + column.tolist()
+                for column in _vector_phase(
+                    network, fib, vantage,
+                    self.values[start:], self.hop_limits[start:],
+                )
+            )
+
+
+def _vector_phase(network, fib, vantage, values, hop_limits):
+    """``(status, cur, hl, hops, drops)`` columns for probes of ``values``
+    sent from ``vantage``: every lane advanced through its pure hops."""
+    n = len(values)
+    dst_hi = _np.array([v >> 64 for v in values], dtype=_np.uint64)
+    dst_lo = _np.array([v & _M64 for v in values], dtype=_np.uint64)
+    owner = _np.array([fib.owners.get(v, -1) for v in values],
+                      dtype=_np.int64)
     status = _np.zeros(n, dtype=_np.int8)
     cur = _np.full(n, -1, dtype=_np.int64)
-    hl = _np.zeros(n, dtype=_np.int64)
+    hl = _np.array(hop_limits, dtype=_np.int64)
     hops = _np.zeros(n, dtype=_np.int64)
     drops = _np.zeros(n, dtype=_np.int64)
-    owner = _np.full(n, -1, dtype=_np.int64)
-    dst_hi = _np.zeros(n, dtype=_np.uint64)
-    dst_lo = _np.zeros(n, dtype=_np.uint64)
 
-    addr_owner = network._addr_owner
-    index = fib.index
-    vantage_idx = index[id(vantage)]
-
-    # -- spawn: replicate Network._originate(vantage, packet) per lane ------
-    for i, packet in enumerate(packets):
-        value = packet.dst.value
-        dst_hi[i] = (value >> 64) & _M64
-        dst_lo[i] = value & _M64
-        hl[i] = packet.hop_limit
-        owning = addr_owner.get(value)
-        if owning is not None:
-            owner[i] = index[id(owning)]
-        if packet.dst in vantage.addresses:
-            # Scalar queues (vantage, packet) directly — no hop taken.
-            status[i] = _EJECT
-            cur[i] = vantage_idx
-            continue
-        if vantage.forwards:
-            route = vantage.table.lookup(packet.dst)
-            if route is None or route.kind is RouteKind.UNREACHABLE:
-                drops[i] = 1
-                status[i] = _SILENT
-                continue
-            if route.kind is RouteKind.CONNECTED:
-                next_device = owning  # _originate targets dst directly
-            elif route.kind is RouteKind.NEXT_HOP:
-                next_device = addr_owner.get(route.next_hop.value)
-            else:
-                # BLACKHOLE originate: the scalar engine asserts — replay
-                # the whole injection so even that reproduces faithfully.
-                status[i] = _ORIGIN
-                continue
-            if next_device is None:
-                drops[i] = 1
-                status[i] = _SILENT
-                continue
-            hops[i] = 1  # _originate enqueues without a hop-limit decrement
-            cur[i] = index[id(next_device)]
-        else:
-            gateway = vantage.gateway
-            if gateway is None:
-                drops[i] = 1
-                status[i] = _SILENT
-                continue
-            hops[i] = 1
-            cur[i] = index[id(gateway)]
+    # -- spawn: Network._originate(vantage, packet), a column at a time -----
+    vantage_idx = fib.index[id(vantage)]
+    away = owner != vantage_idx
+    # A probe of the vantage's own address is queued there, no hop taken.
+    status[~away] = _EJECT
+    cur[~away] = vantage_idx
+    if vantage.forwards:
+        idx = _np.nonzero(away)[0]
+        action, nxt = fib.lookup(
+            _np.full(idx.size, vantage_idx), dst_hi[idx], dst_lo[idx]
+        )
+        # A CONNECTED route originates straight at the destination's owner.
+        nxt = _np.where(action == A_CONNECTED, owner[idx], nxt)
+        # BLACKHOLE originate: the scalar engine asserts — replay the whole
+        # injection so even that reproduces faithfully.
+        status[idx[action == A_BLACKHOLE]] = _ORIGIN
+        sent = ((action == A_NEXT_HOP) | (action == A_CONNECTED)) & (nxt >= 0)
+        lost = idx[~sent & (action != A_BLACKHOLE)]
+        drops[lost] = 1
+        status[lost] = _SILENT
+        cur[idx[sent]] = nxt[sent]
+        hops[idx[sent]] = 1  # enqueued without a hop-limit decrement
+    elif vantage.gateway is None:
+        drops[away] = 1
+        status[away] = _SILENT
+    else:
+        hops[away] = 1
+        cur[away] = fib.index[id(vantage.gateway)]
 
     # -- vector phase: advance all lanes through pure hops ------------------
     # Each iteration either terminates a lane or burns one hop limit, so
@@ -421,18 +452,29 @@ def inject_block(
     alive = status == _ACTIVE
     prev1 = _np.full(n, -2, dtype=_np.int64)  # device one step ago
     prev2 = _np.full(n, -3, dtype=_np.int64)  # device two steps ago
+
+    def settle(lanes, outcome) -> None:  # these lanes leave the phase
+        status[lanes] = outcome
+        alive[lanes] = False
+
     while True:
         idx = _np.nonzero(alive)[0]
         if not idx.size:
             break
+        # The scalar engine's check at every dequeue.  The lane raises when
+        # the chunk holding its probe replays it, as that engine would.
+        mask = hops[idx] > max_hops
+        if mask.any():
+            settle(idx[mask], _OVERRUN)
+            idx = idx[~mask]
+            if not idx.size:
+                continue
         at = cur[idx]
         # (A) reached the destination's owner: local delivery is stateful
         # (echo replies, services, vantage inbox) — eject.
         mask = at == owner[idx]
         if mask.any():
-            lanes = idx[mask]
-            status[lanes] = _EJECT
-            alive[lanes] = False
+            settle(idx[mask], _EJECT)
             idx = idx[~mask]
             at = at[~mask]
             if not idx.size:
@@ -440,9 +482,7 @@ def inject_block(
         # (B) non-forwarding device: hosts drop transit packets silently.
         mask = ~fib.forwards[at]
         if mask.any():
-            lanes = idx[mask]
-            status[lanes] = _SILENT
-            alive[lanes] = False
+            settle(idx[mask], _SILENT)
             idx = idx[~mask]
             at = at[~mask]
             if not idx.size:
@@ -450,9 +490,7 @@ def inject_block(
         # (C) overridden forwarding hook (loop mitigation): stateful, eject.
         mask = ~fib.flow_safe[at]
         if mask.any():
-            lanes = idx[mask]
-            status[lanes] = _EJECT
-            alive[lanes] = False
+            settle(idx[mask], _EJECT)
             idx = idx[~mask]
             at = at[~mask]
             if not idx.size:
@@ -461,15 +499,11 @@ def inject_block(
         # (D) no route / unreachable: ICMPv6 no-route synthesis — eject.
         mask = (action == A_MISS) | (action == A_UNREACHABLE)
         if mask.any():
-            lanes = idx[mask]
-            status[lanes] = _EJECT
-            alive[lanes] = False
+            settle(idx[mask], _EJECT)
         # (E) blackhole route: silent discard, nothing recorded.
         mask = action == A_BLACKHOLE
         if mask.any():
-            lanes = idx[mask]
-            status[lanes] = _SILENT
-            alive[lanes] = False
+            settle(idx[mask], _SILENT)
         # Route check passed: like both scalar paths, the hop-limit test
         # comes before any next-hop resolution outcome.
         remaining = (
@@ -480,23 +514,17 @@ def inject_block(
         # (F) hop limit exhausted: ICMPv6 time-exceeded synthesis — eject.
         mask = remaining & (hl[idx] <= 1)
         if mask.any():
-            lanes = idx[mask]
-            status[lanes] = _EJECT
-            alive[lanes] = False
+            settle(idx[mask], _EJECT)
         remaining &= ~mask
         # (G) on-link delivery: NDP resolution is stateful — eject.
         mask = remaining & (action == A_CONNECTED)
         if mask.any():
-            lanes = idx[mask]
-            status[lanes] = _EJECT
-            alive[lanes] = False
+            settle(idx[mask], _EJECT)
         # (H) churn blackhole: counted drop, then silence.
         mask = remaining & (action == A_UNRESOLVED)
         if mask.any():
-            lanes = idx[mask]
-            drops[lanes] += 1
-            status[lanes] = _SILENT
-            alive[lanes] = False
+            drops[idx[mask]] += 1
+            settle(idx[mask], _SILENT)
         # (I) the pure hop: decrement, advance, keep the lane in flight.
         mask = remaining & (action == A_NEXT_HOP)
         if mask.any():
@@ -521,33 +549,128 @@ def inject_block(
                 hl[spinners] = 1
                 swap = spinners[(steps & 1) == 1]
                 cur[swap] = prev1[swap]
-            if int(hops[lanes].max()) > max_hops:
-                raise NetworkError(
-                    f"forwarding exceeded {network.max_hops} hops; "
-                    "unbounded loop (hop limits should prevent this)"
-                )
+    return status, cur, hl, hops, drops
 
-    # -- scalar replay: finish each lane in probe order ---------------------
+
+class Probes:
+    """A chunk for :func:`inject_block` whose packets need not exist yet:
+    probe ``i`` rides ``lanes[i] = (Lanes, lane index)`` and ``packet(i)``
+    is its :class:`Packet`, asked for only when something stateful has to
+    look at it."""
+
+    __slots__ = ("lanes", "packet")
+
+    def __init__(self, lanes, packet) -> None:
+        self.lanes = lanes
+        self.packet = packet
+
+    def __len__(self) -> int:
+        return len(self.lanes)
+
+
+class Outcomes:
+    """What a chunk did, per probe in send order: ``hops`` and ``drops`` of
+    every probe, and ``ejected[i] = (inbox, DeliveryTrace)`` of those the
+    scalar engine finished — a silent lane has no more to say.  Iterates as
+    the ``inject`` result of every probe, a silent lane's built on demand."""
+
+    __slots__ = ("hops", "drops", "ejected")
+
+    def __init__(self, hops, drops, ejected) -> None:
+        self.hops = hops
+        self.drops = drops
+        self.ejected = ejected
+
+    def __len__(self) -> int:
+        return len(self.hops)
+
+    def __iter__(self):
+        from repro.net.network import DeliveryTrace
+
+        for i, hops in enumerate(self.hops):
+            yield self.ejected.get(i) or (
+                [], DeliveryTrace(hops=hops, drops=self.drops[i])
+            )
+
+
+def inject_block(
+    network: "Network",
+    block,
+    vantage: "Device",
+    clocks: Optional[List[float]] = None,
+) -> Outcomes:
+    """Batch equivalent of per-packet :meth:`Network.inject`.
+
+    ``block`` is a :class:`Probes` chunk, or a list of built packets —
+    forwarded here, each its own materialiser.  Bit-identical to the
+    sequential loop in :func:`_sequential` (which is also the fallback
+    whenever the network is not :func:`_usable`): the lanes are finished in
+    probe order, each under its own clock, and only one that ejected is
+    built and handed to the scalar engine.  The network's clock is restored
+    to its entry value before returning.
+    """
+    from repro.net.network import DeliveryTrace, NetworkError
+
+    if clocks is not None and len(clocks) != len(block):
+        raise ValueError("clocks must match packets one-to-one")
+    if isinstance(block, list):
+        lanes = Lanes(network, vantage, [p.dst.value for p in block],
+                      [p.hop_limit for p in block])
+        block = Probes([(lanes, i) for i in range(len(block))],
+                       block.__getitem__)
+    packet = block.packet
+    if not _usable(network):
+        pairs = _sequential(
+            network, [packet(i) for i in range(len(block))], vantage, clocks
+        )
+        return Outcomes([trace.hops for _, trace in pairs],
+                        [trace.drops for _, trace in pairs],
+                        dict(enumerate(pairs)))
+
     entry_clock = network.clock
-    results: List[Tuple[List["Packet"], DeliveryTrace]] = []
-    devices = fib.devices
+    all_hops: List[int] = []
+    all_drops: List[int] = []
+    ejected: Dict[int, Tuple[List["Packet"], DeliveryTrace]] = {}
     drain = network._drain
-    for i, packet in enumerate(packets):
+    fib = checked = None
+    lane_probes = lane_hops = 0  # the lanes' share of the network's totals
+    for i, (lanes, lane) in enumerate(block.lanes):
         if clocks is not None:
             network.clock = clocks[i]
-        lane_status = status[i]
-        if lane_status == _ORIGIN:
-            results.append(network.inject(packet, vantage))
-            continue
-        network.total_injected += 1
-        lane_hops = int(hops[i])
-        network.total_hops += lane_hops
-        trace = DeliveryTrace(hops=lane_hops, drops=int(drops[i]))
-        inbox: List["Packet"] = []
-        if lane_status == _EJECT:
-            resumed = packet.with_hop_limit(int(hl[i]))
-            queue = deque([(devices[int(cur[i])], resumed)])
+        if lanes is not checked:  # once per block this chunk draws on
+            checked = lanes
+            if lanes.fib is not None:
+                if fib is None:
+                    fib = network.columnar_fib()
+                if lanes.fib is not fib:  # routes moved since the forward
+                    lanes.forward(network, vantage, lane)
+            statuses, hops_of, drops_of = lanes.status, lanes.hops, lanes.drops
+        status = statuses[lane]
+        if status == _ORIGIN:
+            result = network.inject(packet(i), vantage)
+        elif status == _OVERRUN:
+            raise NetworkError(
+                f"forwarding exceeded {network.max_hops} hops; "
+                "unbounded loop (hop limits should prevent this)"
+            )
+        else:
+            hops = hops_of[lane]
+            lane_probes += 1
+            lane_hops += hops
+            if status == _SILENT:
+                all_hops.append(hops)
+                all_drops.append(drops_of[lane])
+                continue
+            inbox: List["Packet"] = []
+            trace = DeliveryTrace(hops=hops, drops=drops_of[lane])
+            resumed = packet(i).with_hop_limit(lanes.hl[lane])
+            queue = deque([(lanes.fib.devices[lanes.cur[lane]], resumed)])
             drain(queue, vantage, inbox, trace)
-        results.append((inbox, trace))
+            result = inbox, trace
+        ejected[i] = result
+        all_hops.append(result[1].hops)
+        all_drops.append(result[1].drops)
     network.clock = entry_clock
-    return results
+    network.total_injected += lane_probes
+    network.total_hops += lane_hops
+    return Outcomes(all_hops, all_drops, ejected)

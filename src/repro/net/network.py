@@ -427,27 +427,27 @@ class Network:
             result = device.receive(current, self)
             self._apply(device, result, queue, trace)
 
-    def inject_block(
-        self,
-        packets: List[Packet],
-        vantage: Device,
-        clocks: Optional[List[float]] = None,
-    ) -> List[Tuple[List[Packet], DeliveryTrace]]:
-        """Inject a batch of packets, returning one ``inject`` result each.
+    def inject_block(self, block, vantage: Device,
+                     clocks: Optional[List[float]] = None):
+        """Inject a chunk of probes, returning one ``inject`` result each.
 
-        Observably identical to calling :meth:`inject` per packet with
-        ``self.clock`` set to the matching ``clocks`` entry first (the
-        entry clock is restored afterwards).  A batch long enough to repay
-        the vector phase (:data:`repro.net.columnar.VECTOR_MIN_PROBES`), on
-        a network where it is usable (numpy present, fast engine, no
-        tracing/loss/fault window active), advances through pure forwarding
-        hops as struct-of-arrays vector ops and only ejects to the scalar
-        engine for stateful work; otherwise this is literally the
-        sequential loop.
+        ``block`` is a list of packets or a chunk of lanes whose packets
+        are not built yet (:class:`repro.net.columnar.Probes`); ``len()`` of
+        it is the probe count and the result iterates as ``(inbox,
+        DeliveryTrace)`` pairs.  Observably identical to calling
+        :meth:`inject` per packet with ``self.clock`` set to the matching
+        ``clocks`` entry first (the entry clock is restored afterwards).
+        Probes of a block long enough to repay the vector phase
+        (:data:`repro.net.columnar.VECTOR_MIN_PROBES`), on a network where
+        it is usable (numpy present, fast engine, no tracing/loss/fault
+        window active), advanced through their pure forwarding hops as
+        struct-of-arrays vector ops when the block was pulled and only eject
+        to the scalar engine for stateful work; otherwise this is literally
+        the sequential loop.
         """
         from repro.net import columnar
 
-        return columnar.inject_block(self, packets, vantage, clocks)
+        return columnar.inject_block(self, block, vantage, clocks)
 
     def columnar_fib(self):
         """The cached columnar FIB for the current topology generation.

@@ -78,11 +78,13 @@ def internet_checksum(data: bytes) -> int:
     """The 16-bit one's-complement Internet checksum (RFC 1071)."""
     if len(data) % 2:
         data += b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
+    # 2^16 = 1 (mod 0xFFFF), so the whole buffer read as one big-endian
+    # number is congruent to the sum of its 16-bit words, and the end-around
+    # carry fold of that sum is its residue — except that a non-zero sum
+    # folds to 0xFFFF, never to 0, when it is a multiple of 0xFFFF.
+    total = int.from_bytes(data, "big")
+    if total:
+        total = total % 0xFFFF or 0xFFFF
     return ~total & 0xFFFF
 
 

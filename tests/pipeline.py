@@ -10,7 +10,7 @@ identical.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import repro.core.scanner as scanner_module
 from repro.core.scanner import ScanConfig, Scanner
@@ -60,12 +60,36 @@ def observables(scanner: Scanner, result) -> Dict[str, object]:
     }
 
 
+def editing_hook(
+    edits: Sequence[Tuple[int, Callable]], stride: int
+) -> Callable:
+    """``hook(topo)`` for :func:`observe`: a progress hook that asks for
+    control every ``stride`` probes and at every ``(sent, edit)`` point of
+    ``edits``, where it applies ``edit(topo)`` — after the same probe
+    however the scan is chunked, and (for any chunking that pulls target
+    blocks ahead) between a block's pull and a later chunk of it."""
+
+    def bind(topo):
+        pending = sorted(edits, key=lambda point: point[0])
+
+        def hook(scanner: Scanner) -> int:
+            sent = scanner.result.stats.sent
+            while pending and sent >= pending[0][0]:
+                pending.pop(0)[1](topo)
+            return min([sent + stride] + [at for at, _ in pending[:1]])
+
+        return hook
+
+    return bind
+
+
 def observe(
     reference: bool = False,
     block_size: Optional[int] = None,
     vector_min: Optional[int] = None,
     spec: str = SPEC,
     topo=None,
+    hook: Optional[Callable] = None,
     **config,
 ) -> Dict[str, object]:
     """One full scan on a fresh mini topology; returns its observables.
@@ -74,6 +98,7 @@ def observe(
     the slow path, no vector phase) fed one target at a time.  A fresh
     network per run matters: the virtual clock advances during a scan, so
     reusing one would shift ``virtual_start`` between identical runs.
+    ``hook(topo)`` makes the scan's ``on_progress``.
     """
     if reference:
         block_size = 1
@@ -85,6 +110,8 @@ def observe(
         topo.network, topo.vantage, ProbeSpec.for_seed(5).build(),
         ScanConfig(scan_range=ScanRange.parse(spec), **config),
     )
+    if hook is not None:
+        scanner.on_progress = hook(topo)
     with engine(block_size, vector_min):
         result = scanner.run()
     assert topo.network.flow_cache is flow_cache  # the scan left it be

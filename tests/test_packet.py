@@ -39,6 +39,44 @@ class TestChecksum:
     def test_pseudo_header_length(self):
         assert len(pseudo_header(SRC, DST, 8, 58)) == 40
 
+    @staticmethod
+    def _word_loop(data: bytes) -> int:
+        """RFC 1071 as written: add the 16-bit words, fold the carries."""
+        if len(data) % 2:
+            data += b"\x00"
+        total = 0
+        for i in range(0, len(data), 2):
+            total += (data[i] << 8) | data[i + 1]
+        while total >> 16:
+            total = (total & 0xFFFF) + (total >> 16)
+        return ~total & 0xFFFF
+
+    @given(
+        st.one_of(
+            st.binary(max_size=1500),
+            # Carry chains and the one's-complement edge: all-ones words
+            # (a non-zero sum that is a multiple of 0xFFFF folds to 0xFFFF,
+            # not 0), each with an odd tail.
+            st.builds(
+                lambda words, tail: b"\xff\xff" * words + tail,
+                st.integers(min_value=0, max_value=700),
+                st.binary(max_size=3),
+            ),
+            st.lists(st.sampled_from([b"\xff\xfe", b"\x00\x01", b"\x80\x00",
+                                      b"\xff\xff", b"\x00\x00"]),
+                     max_size=64).map(b"".join),
+        )
+    )
+    def test_matches_the_word_loop(self, data):
+        assert internet_checksum(data) == self._word_loop(data)
+
+    @pytest.mark.parametrize("data", [
+        b"", b"\xff", b"\xff\xff", b"\xff" * 40, b"\xff" * 41, b"\x00" * 8,
+        b"\xff\xff\x00\x01", b"\xff\xfe\x00\x01",
+    ])
+    def test_edges_match_the_word_loop(self, data):
+        assert internet_checksum(data) == self._word_loop(data)
+
 
 class TestIcmpv6:
     def test_echo_roundtrip(self):

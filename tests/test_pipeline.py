@@ -1,15 +1,18 @@
 """The one send pipeline: invariance, engine selection, cadence, cleanup.
 
-``Scanner.run`` is a single chunked loop; which forwarding engine a chunk
-takes is decided inside ``Network.inject_block`` from what it can observe.
-Nothing a scan reports may depend on how it was chunked or forwarded, so
-one generated matrix compares every configuration to the reference engine
+``Scanner.run`` is a single chunked loop over targets that were forwarded,
+as lanes, when their block was pulled; which engine a block takes is
+decided inside ``repro.net.columnar`` from what it can observe, and
+re-checked at every chunk.  Nothing a scan reports may depend on how it was
+chunked or forwarded — or on what happened to the topology between a
+block's pull and the chunks that replay it — so one generated matrix
+compares every configuration to the reference engine
 (``Network(flow_cache=False)``, one target per chunk) on ordered rows,
 stats, metrics, series and traces.  The rest pins what the merge of the
 three old loops must not have changed: where chunks are cut for the
 progress hook (checkpoint cadence), which side of the size threshold the
-benchmark's shard shapes fall on, and what an interrupted scan leaves
-behind.
+benchmark's shard shapes fall on, what work a scan is allowed to do per
+probe, and what an interrupted scan leaves behind.
 """
 
 from __future__ import annotations
@@ -28,18 +31,34 @@ from repro.faults import (
     FaultEvent,
     FaultSchedule,
 )
+from repro.isp.builder import build_deployment
+from repro.isp.profiles import profile_by_key
+from repro.isp.rotation import rotate_delegations
 from repro.net import columnar
-from repro.net.network import Network
+from repro.net.addr import IPv6Prefix
+from repro.net.network import DeliveryTrace, Network, NetworkError
 from repro.net.spec import TopologySpec
 from repro.net.testbed import MiniTopology
-from tests.pipeline import ALWAYS, NEVER, SPEC, observe
+from repro.telemetry.metrics import HOP_BUCKETS
+from tests.pipeline import (
+    ALWAYS,
+    NEVER,
+    SPEC,
+    editing_hook,
+    engine,
+    observe,
+)
 from tests.topo import build_mini
 
 BLOCKLIST = Blocklist(blocked=["2001:db8:1:60::/60", "2001:db8:1:a0::/61"])
+#: Three quarters of the window vetoed (both CPEs' LANs left in): a pulled
+#: block yields a quarter of its targets, so a chunk draws on four blocks.
+HEAVY_BLOCKLIST = Blocklist(blocked=["2001:db8:1::/58", "2001:db8:1:80::/57"])
 
 WINDOWS = {
     "whole": {},
     "blocklist": {"blocklist": BLOCKLIST},
+    "heavy-blocklist": {"blocklist": HEAVY_BLOCKLIST},
     "skip+cap": {"blocklist": BLOCKLIST, "skip": 17, "max_probes": 100},
     "cap": {"max_probes": 33},
 }
@@ -114,22 +133,220 @@ class TestInvariance:
         assert want["stats"]["blocked"] > 0
 
 
+def _late_target():
+    """The last target of the whole-window scan behind the healthy CPE."""
+    topo = build_mini()
+    scanner = Scanner(
+        topo.network, topo.vantage, ProbeSpec.for_seed(5).build(),
+        ScanConfig(scan_range=ScanRange.parse(SPEC), seed=5),
+    )
+    return [target for target in scanner.targets()
+            if MiniTopology.LAN_OK.contains(target)][-1]
+
+
+LATE_TARGET = _late_target()
+WAN_OK = MiniTopology.WAN_OK.address(0xDEADBEEF)
+WAN_VULN = MiniTopology.WAN_VULN.address(0x1234)
+
+
+def _swap(topo):  # a rotation step: each delegation moves to the other CPE
+    topo.isp.delegate(MiniTopology.LAN_OK, WAN_VULN)
+    topo.isp.delegate(MiniTopology.LAN_VULN, WAN_OK)
+
+
+#: What can happen to the world between two chunks, by name.
+EDITS = {
+    "route-remove": lambda topo: topo.isp.table.remove(MiniTopology.LAN_OK),
+    "route-add": lambda topo: topo.isp.delegate(MiniTopology.LAN_OK, WAN_OK),
+    "transit-reroute": lambda topo: topo.core.table.add_blackhole(
+        IPv6Prefix.from_string("2001:db8:1:68::/61")
+    ),
+    "rotation": _swap,
+    # An address the scan has yet to probe starts answering.
+    "bind": lambda topo: topo.network.bind(LATE_TARGET, topo.cpe_ok),
+}
+
+
+class TestEditedBetweenPullAndChunk:
+    """Lanes are computed at the pull and replayed chunks later; whatever
+    moves the routes in between, the scan reports what the reference engine
+    — which never looks ahead — reports."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        block_size=st.sampled_from([64, 256]),
+        threshold=st.sampled_from(["always", "default"]),
+        stride=st.sampled_from([7, 64, 100]),
+        copies=st.sampled_from([1, 2]),
+        sampled=st.booleans(),
+        window=st.sampled_from(["whole", "blocklist", "heavy-blocklist"]),
+        edits=st.lists(
+            st.tuples(st.integers(min_value=1, max_value=240),
+                      st.sampled_from(sorted(EDITS))),
+            min_size=1, max_size=4, unique_by=lambda point: point[0],
+        ),
+    )
+    def test_matches_the_reference_engine(
+        self, block_size, threshold, stride, copies, sampled, window, edits
+    ):
+        config = {
+            "probes_per_target": copies,
+            "timeseries_interval": 0.002 if sampled else 0.0,
+            **WINDOWS[window],
+        }
+        points = [(at, EDITS[name]) for at, name in edits]
+        want = _reference(
+            (copies, sampled, window, tuple(edits)),
+            dict(config, hook=editing_hook(points, stride=1)),
+        )
+        got = observe(block_size=block_size,
+                      vector_min=THRESHOLDS[threshold],
+                      hook=editing_hook(points, stride), **config)
+        assert got == want
+
+    @pytest.mark.parametrize("name", sorted(EDITS))
+    def test_every_edit_changes_the_scan_or_the_stamp(self, name):
+        plain = observe(reference=True)
+        topo = build_mini()
+        stamp = topo.network._stamp()
+        edited = observe(reference=True,
+                         hook=editing_hook([(40, EDITS[name])], stride=1))
+        EDITS[name](topo)
+        assert topo.network._stamp() != stamp  # the lanes must be dropped
+        if name not in ("route-add", "transit-reroute"):  # no-ops at 40
+            assert edited["rows"] != plain["rows"]
+
+    @pytest.mark.skipif(columnar._np is None, reason="counts vector phases")
+    def test_stale_lanes_are_reforwarded_not_replayed(self, monkeypatch):
+        forwarded = []
+        vector_phase = columnar._vector_phase
+
+        def spy(network, fib, vantage, values, hop_limits):
+            forwarded.append(len(values))
+            return vector_phase(network, fib, vantage, values, hop_limits)
+
+        monkeypatch.setattr(columnar, "_vector_phase", spy)
+        points = [(100, EDITS["rotation"])]
+        got = observe(hook=editing_hook(points, stride=64))
+        # One block of 256, forwarded at the pull; the edit lands after 100
+        # probes and the next chunk re-forwards the 156 that are left.
+        assert forwarded == [256, 156]
+        assert got == observe(reference=True,
+                              hook=editing_hook(points, stride=1))
+        # Fewer than the threshold left: the rest goes probe by probe.
+        del forwarded[:]
+        points = [(200, EDITS["rotation"])]
+        got = observe(hook=editing_hook(points, stride=64))
+        assert forwarded == [256]
+        assert got == observe(reference=True,
+                              hook=editing_hook(points, stride=1))
+
+    def test_a_rotation_step_on_a_built_deployment(self):
+        """``isp.rotation`` proper, mid-scan, on a Table II block."""
+        key = "in-jio-broadband"
+
+        def scan(reference: bool):
+            world = build_deployment([profile_by_key(key)], scale=16000.0,
+                                     seed=7)
+            world.network.flow_cache = not reference
+            rotate = editing_hook(
+                [(300, lambda w: rotate_delegations(w, w.isps[key], 0.5,
+                                                    seed=2))],
+                stride=1 if reference else 64,
+            )
+            return observe(topo=world, spec=world.isps[key].scan_spec,
+                           block_size=1 if reference else None, hook=rotate,
+                           max_probes=700)
+
+        want, got = scan(True), scan(False)
+        assert got == want
+        assert want["rows"]
+
+
+class TestStraddledBlocks:
+    def test_a_heavily_vetoed_chunk_draws_on_three_blocks(self, monkeypatch):
+        drawn = []
+        inject_block = columnar.inject_block
+
+        def spy(network, block, vantage, clocks=None):
+            drawn.append(len({id(lanes) for lanes, _ in block.lanes}))
+            return inject_block(network, block, vantage, clocks)
+
+        monkeypatch.setattr(columnar, "inject_block", spy)
+        got = observe(block_size=64, blocklist=HEAVY_BLOCKLIST)
+        assert max(drawn) >= 3
+        assert got == observe(reference=True, blocklist=HEAVY_BLOCKLIST)
+        assert got["stats"]["blocked"] == 192 and got["rows"]
+
+
+class TestHopBudgetOverrun:
+    """``max_hops`` under the loop length: the lane that overran raises when
+    its own chunk replays it — never at the pull, a block early."""
+
+    @staticmethod
+    def _run(stride, block_size=None, vector_min=None, **net):
+        topo = build_mini(max_hops=30, **net)
+        scanner = Scanner(
+            topo.network, topo.vantage, ProbeSpec.for_seed(5).build(),
+            # Seed 36 reaches its first looping target 46th.
+            ScanConfig(scan_range=ScanRange.parse(SPEC), seed=36),
+        )
+        calls = []
+
+        def hook(s):
+            calls.append((s.result.stats.sent, s.position,
+                          s.result.stats.validated))
+            return s.result.stats.sent + stride
+
+        scanner.on_progress = hook
+        with engine(block_size, vector_min):
+            with pytest.raises(NetworkError) as raised:
+                scanner.run()
+        stats = scanner.result.stats
+        return (str(raised.value), calls, stats.sent, stats.validated,
+                scanner.position, [r.to_dict() for r in scanner.result.results])
+
+    @pytest.mark.parametrize("stride", [1, 5, 64, 1000])
+    @pytest.mark.parametrize("block_size", [16, 256])
+    def test_same_error_after_the_same_probes(self, stride, block_size):
+        want = self._run(stride, block_size, flow_cache=False)
+        assert "exceeded 30 hops" in want[0]
+        # One target, then ``stride`` (a block at most) at a time: the
+        # chunks before the one that holds the 46th target went out, each
+        # seen by the hook.
+        step = min(stride, block_size)
+        assert want[2] == 1 + (44 // step) * step
+        assert [call[0] for call in want[1]] == list(
+            range(1, want[2] + 1, step)
+        )
+        assert self._run(stride, block_size) == want
+        assert self._run(stride, block_size, ALWAYS) == want
+        assert self._run(stride, block_size, NEVER) == want
+
+
 class TestSelection:
-    """Vector phase vs per-probe ``inject``: one constant, both sides."""
+    """Vector phase vs per-probe ``inject``: one constant, compared with the
+    length of the *pulled block* — however its probes are cut into chunks."""
 
     @staticmethod
     def _vector_blocks(monkeypatch, **config):
-        """Chunk lengths that entered the vector phase during one scan."""
-        entered = []
-        compiled = Network.columnar_fib  # only the vector phase asks for it
+        """Lane counts of the vector phases one scan entered, plus how
+        often it asked for the compiled FIB at all."""
+        entered, asked = [], []
+        vector_phase, compiled = columnar._vector_phase, Network.columnar_fib
 
-        def spy(network):
-            entered.append(network.total_injected)
+        def phase_spy(network, fib, vantage, values, hop_limits):
+            entered.append(len(values))
+            return vector_phase(network, fib, vantage, values, hop_limits)
+
+        def fib_spy(network):
+            asked.append(network.total_injected)
             return compiled(network)
 
-        monkeypatch.setattr(Network, "columnar_fib", spy)
+        monkeypatch.setattr(columnar, "_vector_phase", phase_spy)
+        monkeypatch.setattr(Network, "columnar_fib", fib_spy)
         observe(**config)
-        return entered
+        return entered, asked
 
     def test_threshold_sits_between_the_measured_sides(self):
         assert 16 < columnar.VECTOR_MIN_PROBES <= 64
@@ -138,15 +355,39 @@ class TestSelection:
     def test_burst_sized_shards_never_enter_the_vector_phase(
         self, monkeypatch, probes
     ):
-        # admission_burst's shards are 2-32 probes, each its own chunk.
-        assert self._vector_blocks(monkeypatch, max_probes=probes) == []
+        # admission_burst's shards are 2-32 probes: blocks under the
+        # threshold, which never so much as ask for the FIB to be compiled.
+        assert self._vector_blocks(monkeypatch, max_probes=probes) == ([], [])
 
-    def test_a_64_probe_chunk_enters_it_when_numpy_is_present(
+    def test_a_64_target_block_enters_it_once_when_numpy_is_present(
         self, monkeypatch
     ):
-        # sweep_periphery's chunks: checkpoint_every=64 cuts 64-probe chunks.
-        entered = self._vector_blocks(monkeypatch, max_probes=64)
-        assert entered == ([0] if columnar._np is not None else [])
+        # sweep_periphery's chunks: a progress hook cuts 1 + 63 probes, then
+        # 64 at a time (checkpoint_every=64) — the block is forwarded once,
+        # however finely its probes are cut.
+        for stride in (1, 16, 64):
+            entered, _ = self._vector_blocks(
+                monkeypatch, max_probes=64, hook=editing_hook([], stride)
+            )
+            assert entered == ([64] if columnar._np is not None else [])
+
+    @pytest.mark.parametrize("config,blocks", [
+        ({}, [64, 64, 64, 64]),
+        ({"max_probes": 100}, [64]),  # 64 + a 36-target tail, under it
+        ({"max_probes": 200, "probes_per_target": 2}, [64, 64, 64]),  # + 8
+        ({"blocklist": HEAVY_BLOCKLIST}, [64, 64, 64, 64]),
+        # The threshold counts probes: a target's copies ride one lane, so
+        # 16 looping targets x 4 copies repay the phase and x 3 do not.
+        ({"spec": "2001:db8:1:60::/60-64", "probes_per_target": 4}, [16]),
+        ({"spec": "2001:db8:1:60::/60-64", "probes_per_target": 3}, []),
+    ])
+    def test_one_vector_phase_per_pulled_block_of_64_or_more(
+        self, monkeypatch, config, blocks
+    ):
+        entered, _ = self._vector_blocks(
+            monkeypatch, block_size=64, hook=editing_hook([], 10), **config
+        )
+        assert entered == (blocks if columnar._np is not None else [])
 
     def test_reference_engine_never_enters_it(self, monkeypatch):
         entered = []
@@ -156,6 +397,81 @@ class TestSelection:
         observe(topo=topo, block_size=256, vector_min=ALWAYS)
         assert entered == []
         assert topo.network.flow_hits == topo.network.flow_misses == 0
+
+
+class TestCountedWork:
+    """What a scan may do per probe, counted — not timed — on a Table II
+    block cut the way the engine's ``checkpoint_every=64`` hook cuts it."""
+
+    PROBES = 2 * 256 + 40  # two full target blocks and a tail under 64
+
+    def _census(self, monkeypatch):
+        from repro.core.probes.icmp import IcmpEchoProbe
+
+        key = "in-jio-broadband"
+        world = build_deployment([profile_by_key(key)], scale=16000.0, seed=7)
+        scanner = Scanner(
+            world.network, world.vantage, ProbeSpec.for_seed(5).build(),
+            ScanConfig(scan_range=ScanRange.parse(world.isps[key].scan_spec),
+                       seed=5, max_probes=self.PROBES),
+        )
+        # The worker's hook: control at every multiple of 64 probes.
+        scanner.on_progress = lambda s: (s.result.stats.sent // 64 + 1) * 64
+        seen = {"builds": 0, "injects": 0, "traces": 0, "phases": [],
+                "chunks": [], "ejected": 0}
+
+        def counting(owner, name, key):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                seen[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(IcmpEchoProbe, "build", "builds")
+        counting(Network, "inject", "injects")
+        counting(DeliveryTrace, "__init__", "traces")
+        vector_phase, inject_block = (columnar._vector_phase,
+                                      columnar.inject_block)
+
+        def phase_spy(network, fib, vantage, values, hop_limits):
+            seen["phases"].append(len(values))
+            return vector_phase(network, fib, vantage, values, hop_limits)
+
+        def block_spy(network, block, vantage, clocks=None):
+            outcomes = inject_block(network, block, vantage, clocks)
+            seen["chunks"].append(len(block))
+            seen["ejected"] += len(outcomes.ejected)
+            return outcomes
+
+        monkeypatch.setattr(columnar, "_vector_phase", phase_spy)
+        monkeypatch.setattr(columnar, "inject_block", block_spy)
+        result = scanner.run()
+        assert result.stats.sent == self.PROBES
+        assert scanner.metrics.histogram(
+            "probe_hops", bounds=HOP_BUCKETS).count == self.PROBES
+        return seen, result
+
+    def test_packets_exist_only_for_probes_something_stateful_looks_at(
+        self, monkeypatch
+    ):
+        seen, result = self._census(monkeypatch)
+        assert seen["chunks"] == [1, 63] + [64] * 7 + [40]
+        # An ``inject`` result — packet, DeliveryTrace — exists per probe
+        # the scalar engine finished, and for no other.
+        assert seen["builds"] == seen["traces"] == seen["ejected"]
+        assert result.stats.received <= seen["ejected"]
+        if columnar._np is None:
+            assert seen["phases"] == []
+            assert seen["injects"] == seen["ejected"] == self.PROBES
+            return
+        # One vector phase per pulled block, not per chunk; whole
+        # injections only for the block under the threshold; four probes in
+        # five on a periphery block die silently and cost no object.
+        assert seen["phases"] == [256, 256]
+        assert seen["injects"] == 40
+        assert seen["ejected"] < self.PROBES // 3
 
 
 class _Stop(Exception):

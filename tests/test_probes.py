@@ -182,3 +182,44 @@ class TestUdpProbe:
         original = probe.build(SRC, DST)
         error = icmpv6_error(DST, SRC, Icmpv6Type.DEST_UNREACHABLE, 4, original)
         assert probe.classify(error).kind is ReplyKind.PORT_UNREACHABLE
+
+
+class TestDeclaredShape:
+    """The scanner forwards a probe as a lane — from the target and the
+    module's declared hop limit — and builds the packet later, and only if
+    the lane ejects; so what a module declares and what it builds must be
+    one thing, for every module."""
+
+    MODULES = {
+        "icmp": lambda v: IcmpEchoProbe(v),
+        "icmp-255": lambda v: IcmpEchoProbe(v, hop_limit=255),
+        "tcp": lambda v: TcpSynProbe(v, 443),
+        "udp": lambda v: UdpProbe(v, 53, b"\x12\x34"),
+    }
+
+    @pytest.mark.parametrize("module", sorted(MODULES))
+    def test_build_is_pure_and_honours_the_declaration(self, validator, module):
+        probe = self.MODULES[module](validator)
+        other = IPv6Addr.from_string("2001:db8:7::9")
+        first = probe.build(SRC, DST)
+        probe.build(SRC, other)  # an interleaved build must leave no trace
+        again = probe.build(SRC, DST)
+        assert first == again
+        assert first.encode() == again.encode()
+        assert first.dst == DST and first.src == SRC
+        assert first.hop_limit == probe.hop_limit
+
+    def test_every_module_declares_a_hop_limit(self, validator):
+        from repro.net.packet import DEFAULT_HOP_LIMIT
+
+        assert TcpSynProbe(validator, 80).hop_limit == DEFAULT_HOP_LIMIT
+        assert UdpProbe(validator, 53).hop_limit == DEFAULT_HOP_LIMIT
+        assert IcmpEchoProbe(validator).hop_limit == DEFAULT_HOP_LIMIT
+        assert IcmpEchoProbe(validator, hop_limit=7).hop_limit == 7
+
+    def test_a_declared_hop_limit_reaches_the_packet(self, validator):
+        # A subclass (or an instance) that re-declares the hop limit gets
+        # it on the wire without overriding build().
+        probe = UdpProbe(validator, 53)
+        probe.hop_limit = 9
+        assert probe.build(SRC, DST).hop_limit == 9
