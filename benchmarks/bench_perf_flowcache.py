@@ -2,11 +2,17 @@
 
 A periphery scan touches each /64 once, so the flow cache mostly
 accelerates the *reply* direction there.  Where it pays off directly is
-repeated-destination traffic — the §VI routing-loop amplification shapes,
-retransmission-heavy probing, or any workload revisiting the same
-delegated prefixes.  This bench drives the same packet stream through the
-mini topology with the cache on (headline, via pytest-benchmark) and off
-(A/B timer), asserts delivery is identical, and records the hit rate.
+repeated-destination traffic — retransmission-heavy probing, or any
+workload revisiting the same delegated prefixes.  The §VI routing-loop
+shapes are not among them any more: an unobserved loop leaves the fast path
+in O(1) (``network.loop_exit``) after two look-ups, and a loop that is
+walked hop by hop is one something watches (``record_links`` in the attack
+measurement), where the cache still serves every hop.  This bench drives
+the same packet stream through the mini topology with the cache on
+(headline, via pytest-benchmark) and off (A/B timer), asserts delivery is
+identical, and records the hit rate.  Its stream holds no loop — both /64s
+are a CPE's advertised, on-link subnet, probed at hop limit 64 — so every
+recorded hit is a look-up that was made.
 """
 
 import time

@@ -83,10 +83,13 @@ _M64 = 0xFFFFFFFFFFFFFFFF
 #: shapes, warm, target blocks of N (scan seconds with the phase ÷ without,
 #: two readings): on the miss-heavy periphery blocks 1.5 at 8, 1.3 at 16,
 #: 0.96-1.09 at 32, 0.87 at 48, 0.86-0.96 at 64, 0.5-0.7 at 256; on the
-#: loop-dense ones 1.1-1.3 at 8, level at 16, 0.46 at 64, 0.26 at 256.  A
-#: lane no longer costs a ``Packet``, so the crossover that sat at 64 sits
-#: near 32; the constant moves when ``admission_burst``'s windows have been
-#: measured against it (EXPERIMENTS.md, "Vector phase by block length").
+#: loop-dense ones 1.5-1.6 at 32, 1.1-1.2 at 64, 0.8-0.9 at 128, 0.6 at 256.
+#: The loop-dense crossover sat at 16 while the scalar engine walked its
+#: loops; a loop is O(1) there too now (``network.loop_exit``), so a short
+#: loop-dense block is cheaper scalar than this set-up and both crossovers
+#: sit near the constant — which is why ``admission_burst``'s sub-64 looping
+#: windows no longer argue for a lower one (EXPERIMENTS.md, "Vector phase
+#: by block length").
 VECTOR_MIN_PROBES = 64
 
 # -- FIB action codes (one int8 per compiled route) --------------------------
@@ -537,10 +540,10 @@ def _vector_phase(network, fib, vantage, values, hop_limits):
             # Routing-loop fast-forward: a lane back on the device it left
             # two pure hops ago is in a deterministic 2-cycle (the FIB is
             # frozen for the whole vector phase), i.e. the paper's
-            # amplification loop.  It will bounce until the hop limit runs
-            # out, so burn the remaining budget analytically: from (A, h)
-            # the lane takes s = h - 1 further hops and ejects with hl=1 at
-            # A for even s, at the other loop device for odd s.
+            # amplification loop.  Burn the remaining budget analytically,
+            # by the arithmetic of ``network.loop_exit``, a column at a
+            # time: ``steps`` further hops, hop limit 1, and the other loop
+            # device holding the lane when ``steps`` is odd.
             cycle = (cur[lanes] == prev2[lanes]) & (hl[lanes] > 1)
             if cycle.any():
                 spinners = lanes[cycle]

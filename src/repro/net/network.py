@@ -101,6 +101,24 @@ class NetworkError(RuntimeError):
     """Raised for topology misconfigurations (duplicate addresses, etc.)."""
 
 
+def loop_exit(here: Device, there: Device, hop_limit: int) -> Tuple[int, Device]:
+    """Where a routing loop leaves a packet: ``(steps, holder)``.
+
+    A packet at ``here`` with ``hop_limit`` > 1 whose destination ``here``
+    forwards to ``there`` and ``there`` forwards straight back is in a
+    deterministic 2-cycle — the paper's amplification loop — for as long as
+    both decisions stand.  Each hop burns one hop limit and nothing else,
+    so the packet takes ``steps = hop_limit - 1`` more hops and is then
+    held, with hop limit 1, by ``there`` if ``steps`` is odd and by ``here``
+    if it is even; the holder answers it with Time Exceeded.  Both fast
+    engines burn a loop with this arithmetic instead of walking it: the
+    scalar one in :meth:`Network._drain`, the vector one (a column at a
+    time) in :func:`repro.net.columnar._vector_phase`.
+    """
+    steps = hop_limit - 1
+    return steps, there if steps & 1 else here
+
+
 class Network:
     """Device registry plus the synchronous packet-forwarding engine."""
 
@@ -306,6 +324,25 @@ class Network:
         vectorised phase already took, queues the packet at its ejection
         device, and re-enters here for the stateful tail (NDP, error rate
         limiting, subclass hooks) with bit-identical semantics.
+
+        A routing loop costs O(1) here too.  When nothing observes single
+        hops (``plain`` below) and a flow entry forwards the only packet in
+        flight back to the device whose flow entry has just forwarded it
+        here, the packet is in the 2-cycle of :func:`loop_exit` — nothing
+        inside a drain moves the stamp both entries were resolved under —
+        and is queued once, at the holder, with hop limit 1 and all the hops
+        counted; the ``hop_limit <= 1`` branch then raises Time Exceeded
+        through ``_make_error``, the limiter and the clock as after a walk.
+        Four things keep the walk, hop by hop, exactly as it was: the
+        reference engine (``flow_cache=False``) and an active trace span
+        (``fast`` is false); a loss model, a ``link_loss`` window or
+        ``record_links`` / ``record_paths`` (``plain`` is false — each hop
+        draws from an RNG or is recorded); a device with
+        ``flow_forward_safe = False`` (a loop-limited CPE counts forwards,
+        and never reaches the fast path); and a second packet in flight,
+        whose turns the walk would interleave.  A loop that would carry
+        ``trace.hops`` past ``max_hops`` is walked as well, so the
+        ``NetworkError`` is raised at the dequeue it always was.
         """
         # Hot-loop hoists: every per-hop attribute/constant below is looked
         # up once per injection instead of once per hop.
@@ -321,6 +358,9 @@ class Network:
         popleft = queue.popleft
         append = queue.append
         addr_owner = self._addr_owner
+        # The previous pure hop of this drain: ``hop_from`` forwarded
+        # ``hop_dst`` to ``hop_to``.
+        hop_from = hop_to = hop_dst = None
 
         while queue:
             if trace.hops > max_hops:
@@ -366,10 +406,29 @@ class Network:
                         continue
                     if action == FLOW_FORWARD:
                         if plain:
+                            next_device = entry.next_device
+                            if (
+                                next_device is hop_from
+                                and device is hop_to
+                                and dst is hop_dst
+                                and not queue
+                            ):
+                                # Routing-loop exit: the previous pure hop
+                                # sent this destination here and this one
+                                # sends it straight back.
+                                steps, holder = loop_exit(
+                                    device, next_device, hop_limit
+                                )
+                                if trace.hops + steps <= max_hops:
+                                    trace.hops += steps
+                                    self.total_hops += steps
+                                    append((holder, current.with_hop_limit(1)))
+                                    continue
+                            hop_from, hop_to, hop_dst = device, next_device, dst
                             trace.hops += 1
                             self.total_hops += 1
                             append((
-                                entry.next_device,
+                                next_device,
                                 current.with_hop_limit(hop_limit - 1),
                             ))
                         else:
@@ -443,7 +502,9 @@ class Network:
         window active), advanced through their pure forwarding hops as
         struct-of-arrays vector ops when the block was pulled and only eject
         to the scalar engine for stateful work; otherwise this is literally
-        the sequential loop.
+        the sequential loop.  A routing loop is O(1) either way: lanes leave
+        one by the vector phase's fast-forward, a scalar ``inject`` by
+        :meth:`_drain`'s exit (:func:`loop_exit`).
         """
         from repro.net import columnar
 

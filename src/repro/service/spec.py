@@ -76,14 +76,18 @@ class CampaignSpec:
             raise SpecError("rate_pps must be a positive number")
         if self.checkpoint_every < 0:
             raise SpecError("checkpoint_every must be >= 0")
-        # Fail-fast on the range before the campaign is queued.
-        self.parsed_range()
-
-    def parsed_range(self) -> ScanRange:
+        # Fail-fast on the range before the campaign is queued, and parse
+        # it once: the scheduler asks for the probe budget several times a
+        # lease.  Not a field, so it stays out of ``==``, ``hash``, ``repr``
+        # and every serialised form; ``scan_range`` is the spec's word.
         try:
-            return ScanRange.parse(self.scan_range)
+            parsed = ScanRange.parse(self.scan_range)
         except Exception as exc:
             raise SpecError(f"bad scan range {self.scan_range!r}: {exc}") from exc
+        object.__setattr__(self, "_parsed_range", parsed)
+
+    def parsed_range(self) -> ScanRange:
+        return self._parsed_range  # type: ignore[attr-defined]
 
     @property
     def probe_budget(self) -> int:

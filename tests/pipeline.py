@@ -20,6 +20,9 @@ from repro.net import columnar
 from tests.topo import build_mini
 
 SPEC = "2001:db8:1::/56-64"  # 256 sub-prefixes over both CPEs' LAN space
+#: The vulnerable CPE's delegation: 15 of its 16 /64s loop (the probe module
+#: sends at hop limit 255), the 16th is its advertised, on-link subnet.
+LOOP_SPEC = "2001:db8:1:60::/60-64"
 
 #: Vector thresholds for ``engine(vector_min=...)``: no chunk reaches the
 #: first, every chunk reaches the second.

@@ -31,7 +31,14 @@ from repro.net.addr import IPv6Addr
 from repro.net.device import Host
 from repro.net.spec import TopologySpec
 from repro.net.testbed import MiniTopology
-from tests.pipeline import ALWAYS, NEVER, engine, observables, observe
+from tests.pipeline import (
+    ALWAYS,
+    LOOP_SPEC,
+    NEVER,
+    engine,
+    observables,
+    observe,
+)
 from tests.topo import build_mini
 
 needs_numpy = pytest.mark.skipif(
@@ -40,7 +47,6 @@ needs_numpy = pytest.mark.skipif(
 )
 
 SPEC = "2001:db8:1::/56-64"  # 256 sub-prefixes over both CPEs' LAN space
-LOOP_SPEC = "2001:db8:1:60::/60-64"  # the vulnerable CPE's looping /60
 
 
 def _config(spec: str = SPEC, **kwargs) -> ScanConfig:

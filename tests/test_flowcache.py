@@ -14,7 +14,11 @@ derivation, validator priming, block target iteration).
 
 from __future__ import annotations
 
+import random
+from collections import deque
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import siphash
 from repro.core.blocklist import Blocklist
@@ -29,11 +33,16 @@ from repro.net.device import (
     FLOW_CACHE_MAX,
     FLOW_CONNECTED,
     FLOW_FORWARD,
+    CpeRouter,
+    Device,
     Host,
     Router,
 )
-from repro.net.network import Network
+from repro.net.network import DeliveryTrace, Network, NetworkError
+from repro.net.packet import Packet
 from repro.net.spec import TopologySpec
+from repro.net.testbed import MiniTopology
+from repro.telemetry.trace import ProbeTrace
 from tests.pipeline import NEVER, engine, observe
 from tests.topo import build_mini
 
@@ -336,7 +345,224 @@ class TestVectorisedBuildingBlocks:
             assert walk(size) == one_by_one
 
 
-def _echo(src: IPv6Addr, dst: IPv6Addr):
+VANTAGE = IPv6Addr.from_string("2001:4860::100")
+#: Not-used space the vulnerable CPE bounces back to its ISP router: a /64
+#: of its delegation outside the advertised subnet, and its WAN /64.
+LOOP_LAN = IPv6Addr.from_string("2001:db8:1:61::5")
+LOOP_WAN = MiniTopology.WAN_VULN.address(0x99)
+DESTINATIONS = {
+    "loop-lan": LOOP_LAN,
+    "loop-wan": LOOP_WAN,
+    "on-link": MiniTopology.SUBNET_VULN.address(0x5),  # NDP miss at the CPE
+    "healthy": MiniTopology.SUBNET_OK.address(0x5),
+    "unassigned": IPv6Addr.from_string("2001:db9::1"),  # no route at the core
+    "blackholed": IPv6Addr.from_string("2001:db8:9::1"),  # the ISP discards
+    "vantage": VANTAGE,
+}
+#: A spoofed source inside looping space: the Time Exceeded loops as well
+#: (``run_loop_attack``'s second burn).
+SOURCES = {"vantage": VANTAGE, "spoofed": IPv6Addr.from_string("2001:db8:1:62::7")}
+#: Everything that observes single hops, and so keeps the walk.
+OBSERVERS = ("none", "record-links", "record-paths", "loss", "link-loss",
+             "trace", "bounce-limit")
+
+
+def _loop_world(flow_cache: bool, observer: str, max_hops: int):
+    """``mini`` under one per-hop observer; returns ``(topo, span)``."""
+    topo = build_mini(
+        flow_cache=flow_cache, max_hops=max_hops,
+        record_links=observer == "record-links",
+        record_paths=observer == "record-paths",
+        loss_rate=0.003 if observer == "loss" else 0.0,
+    )
+    network, span = topo.network, None
+    if observer == "link-loss":
+        network.link_loss[("isp", "cpe-vuln")] = 0.004
+        network.fault_rng = random.Random(9)
+    elif observer == "trace":
+        span = network.active_trace = ProbeTrace(0, "loop")
+    elif observer == "bounce-limit":
+        _limit_bounces(topo)
+    return topo, span
+
+
+def _limit_bounces(topo, isp_address=None):
+    """Swap ``mini``'s vulnerable CPE for one whose firmware stops a loop
+    after ten bounces toward ``isp_address`` (its ISP router by default)."""
+    old = topo.cpe_vuln
+    topo.network.unregister(old)
+    topo.cpe_vuln = topo.network.register(CpeRouter(
+        old.name, old.wan_address, old.wan_prefix, old.lan_prefix,
+        subnet_prefix=old.subnet_prefix,
+        isp_address=isp_address or old.isp_address,
+        vulnerable_wan=True, vulnerable_lan=True, loop_forward_limit=10,
+    ))
+    return topo.cpe_vuln
+
+
+def _loop_outcome(flow_cache, observer, packet, max_hops, repeat=3):
+    """Everything ``repeat`` injections of ``packet`` leave behind."""
+    topo, span = _loop_world(flow_cache, observer, max_hops)
+    network = topo.network
+    results = []
+    try:
+        for _ in range(repeat):  # the later ones find the caches warm
+            inbox, trace = network.inject(packet, topo.vantage)
+            results.append({
+                "inbox": [reply.encode() for reply in inbox],
+                "hops": trace.hops, "drops": trace.drops,
+                "errors": trace.errors_generated,
+                "delivered": trace.delivered,
+                "links": sorted(trace.link_counts.items()),
+                "path": trace.path,
+            })
+    except NetworkError as exc:
+        results.append(str(exc))
+    fault_rng = network.fault_rng
+    return {
+        "results": results,
+        "total_hops": network.total_hops,
+        "total_injected": network.total_injected,
+        "suppressed": {name: device.errors_suppressed
+                       for name, device in network.devices.items()},
+        "rng": network.rng.getstate(),
+        "fault_rng": fault_rng.getstate() if fault_rng is not None else None,
+        "fault_drops": network.fault_drops,
+        "bounces": topo.cpe_vuln._loop_bounces,
+        "span": span.events if span is not None else None,
+    }
+
+
+class TestLoopExit:
+    """The scalar fast path burns a routing loop in one step
+    (``network.loop_exit``); nothing a caller can see tells it from the
+    reference engine's hop-by-hop walk, and whatever observes single hops
+    still gets every one of them."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        hop_limit=st.integers(min_value=0, max_value=255),
+        dst=st.sampled_from(sorted(DESTINATIONS)),
+        src=st.sampled_from(sorted(SOURCES)),
+        budget=st.sampled_from(["probe", "error", "never"]),
+        offset=st.integers(min_value=-3, max_value=3),
+    )
+    def test_matches_the_reference_walk(
+        self, hop_limit, dst, src, budget, offset
+    ):
+        # ``max_hops`` around where the probe's own burn ends, around where
+        # a looping Time Exceeded's (255 more hops) does, or out of reach.
+        max_hops = {"probe": hop_limit + offset,
+                    "error": hop_limit + 255 + offset, "never": 4096}[budget]
+        packet = _echo(SOURCES[src], DESTINATIONS[dst], hop_limit)
+        for observer in OBSERVERS:
+            fast = _loop_outcome(True, observer, packet, max_hops)
+            assert fast == _loop_outcome(False, observer, packet, max_hops), (
+                observer
+            )
+            walked = [r for r in fast["results"] if isinstance(r, dict)]
+            if observer == "record-links":
+                for result in walked:
+                    assert sum(n for _, n in result["links"]) == result["hops"]
+            elif observer == "record-paths":
+                for result in walked:
+                    assert len(result["path"]) == result["hops"]
+            elif observer == "trace" and len(walked) == len(fast["results"]):
+                hops = [e for e in fast["span"] if e["event"] == "hop"]
+                assert len(hops) == fast["total_hops"]
+
+    def test_the_cases_cover_both_burns_and_the_overrun(self):
+        probe = _echo(VANTAGE, LOOP_LAN, 255)
+        once = _loop_outcome(True, "none", probe, 4096, repeat=1)
+        assert once["results"][0]["hops"] == 258  # 255 out, 3 back
+        assert len(once["results"][0]["inbox"]) == 1
+        spoofed = _echo(SOURCES["spoofed"], LOOP_WAN, 200)
+        twice = _loop_outcome(True, "none", spoofed, 4096, repeat=1)
+        assert twice["results"][0]["hops"] == 200 + 255  # both burns
+        assert twice["results"][0]["inbox"] == []
+        over = _loop_outcome(True, "none", probe, 254, repeat=1)
+        assert "exceeded 254 hops" in over["results"][0]
+        limited = _loop_outcome(True, "bounce-limit", probe, 4096, repeat=1)
+        assert limited["results"][0]["hops"] < 30  # the firmware gave up
+
+    @pytest.mark.parametrize("hop_limit", [2, 3, 64, 254, 255])
+    @pytest.mark.parametrize("dst", ["loop-lan", "loop-wan"])
+    def test_a_loop_costs_a_handful_of_lookups_whatever_its_length(
+        self, monkeypatch, hop_limit, dst
+    ):
+        """Work counted, not timed: both parities of the hops skipped."""
+        packet = _echo(VANTAGE, DESTINATIONS[dst], hop_limit)
+        want = _loop_outcome(False, "none", packet, 4096, repeat=1)
+        calls = {"lookups": 0, "copies": 0}
+
+        def counting(owner, name, key):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(Device, "flow_entry", "lookups")
+        counting(Packet, "with_hop_limit", "copies")
+        assert _loop_outcome(True, "none", packet, 4096, repeat=1) == want
+        # Out, then two or three hops back from whichever router held it.
+        assert want["results"][0]["hops"] - hop_limit in (2, 3)
+        assert 0 < calls["lookups"] <= 8 and 0 < calls["copies"] <= 8
+        # The walk, where something watches it, is still one of each a hop.
+        calls.update(lookups=0, copies=0)
+        _loop_outcome(True, "record-links", packet, 4096, repeat=1)
+        if hop_limit >= 64:
+            assert calls["lookups"] >= hop_limit - 2
+            assert calls["copies"] >= hop_limit - 2
+
+    def test_a_second_packet_in_flight_keeps_the_walk(self):
+        """Two packets in one loop take turns hop by hop; jumping one would
+        move its Time Exceeded ahead of the other's in the limiter and the
+        inbox.  The columnar replay is the caller that seeds a drain."""
+
+        def drain(flow_cache: bool):
+            topo = build_mini(flow_cache=flow_cache)
+            inbox, trace = [], DeliveryTrace()
+            topo.network._drain(
+                deque([
+                    (topo.isp, _echo(VANTAGE, LOOP_LAN, 6, seq=1)),
+                    (topo.cpe_vuln, _echo(VANTAGE, LOOP_LAN, 11, seq=2)),
+                ]),
+                topo.vantage, inbox, trace,
+            )
+            return ([reply.encode() for reply in inbox], trace.hops,
+                    trace.errors_generated, topo.network.total_hops)
+
+        fast = drain(True)
+        assert fast == drain(False)
+        assert len(fast[0]) == 2 and fast[0][0] != fast[0][1]
+
+    def test_a_cycle_through_a_device_that_counts_is_walked(self):
+        """isp -> cpe -> upstream -> isp, where the CPE's firmware counts
+        its bounces: the upstream router sends the packet to the device the
+        last *pure* hop left from, but not straight back from where that hop
+        went — no 2-cycle, and the CPE must see every pass."""
+        upstream_addr = IPv6Addr.from_string("2001:db8:0:7::1")
+
+        def run(flow_cache: bool):
+            topo = build_mini(flow_cache=flow_cache)
+            network = topo.network
+            upstream = network.register(Router("upstream", upstream_addr))
+            upstream.table.add_default(topo.isp.primary_address)
+            cpe = _limit_bounces(topo, isp_address=upstream_addr)
+            inbox, trace = network.inject(_echo(VANTAGE, LOOP_LAN, 255),
+                                          topo.vantage)
+            return ([reply.encode() for reply in inbox], trace.hops,
+                    trace.drops, trace.errors_generated, cpe._loop_bounces)
+
+        fast = run(True)
+        assert fast == run(False)
+        assert fast[0] == [] and fast[1] == 3 + 3 * 10  # given up, silently
+
+
+def _echo(src: IPv6Addr, dst: IPv6Addr, hop_limit: int = 64, seq: int = 1):
     from repro.net.packet import echo_request
 
-    return echo_request(src, dst, 1, 1, b"x" * 8)
+    return echo_request(src, dst, 1, seq, b"x" * 8, hop_limit=hop_limit)

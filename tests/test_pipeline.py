@@ -42,6 +42,7 @@ from repro.net.testbed import MiniTopology
 from repro.telemetry.metrics import HOP_BUCKETS
 from tests.pipeline import (
     ALWAYS,
+    LOOP_SPEC,
     NEVER,
     SPEC,
     editing_hook,
@@ -57,6 +58,7 @@ HEAVY_BLOCKLIST = Blocklist(blocked=["2001:db8:1::/58", "2001:db8:1:80::/57"])
 
 WINDOWS = {
     "whole": {},
+    "loops": {"spec": LOOP_SPEC},
     "blocklist": {"blocklist": BLOCKLIST},
     "heavy-blocklist": {"blocklist": HEAVY_BLOCKLIST},
     "skip+cap": {"blocklist": BLOCKLIST, "skip": 17, "max_probes": 100},
@@ -131,6 +133,28 @@ class TestInvariance:
                        blocklist=BLOCKLIST, trace="sample:4")
         assert want["rows"] and want["traces"] and want["series"]["series"]
         assert want["stats"]["blocked"] > 0
+
+
+class TestLoopWindow:
+    """One place where the three ways a loop is burnt meet: the vector
+    phase's exit, the scalar fast path's, and the reference walk."""
+
+    @pytest.mark.parametrize("copies", [1, 5])
+    def test_vector_exit_scalar_exit_and_reference_walk_agree(self, copies):
+        config = dict(spec=LOOP_SPEC, probes_per_target=copies,
+                      timeseries_interval=0.001)
+        walk = observe(reference=True, **config)
+        vector = observe(vector_min=ALWAYS, **config)
+        scalar = observe(vector_min=NEVER, **config)
+        # Rows, stats, merged metrics, series, traces and position.
+        assert vector == walk
+        assert scalar == walk
+        (hops,) = [m for m in walk["metrics"]["metrics"]
+                   if m["name"] == "probe_hops"]
+        assert hops["count"] == 16 * copies == walk["position"] * copies
+        assert hops["counts"][-1] == 15 * copies  # past 256 hops: the loops
+        assert hops["sum"] == copies * (15 * 258 + 6)
+        assert len(walk["rows"]) == 16 and walk["series"]["series"]
 
 
 def _late_target():

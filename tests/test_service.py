@@ -107,6 +107,42 @@ class TestCampaignSpec:
         assert spec("a", "m", "2001:db8::/56-64",
                     max_probes=10).probe_budget == 10
 
+    def test_range_is_parsed_once_and_stays_out_of_the_spec(self, monkeypatch):
+        import copy
+        import pickle
+        from dataclasses import replace
+
+        from repro.core.target import ScanRange
+
+        parses = []
+        parse = ScanRange.parse.__func__
+        monkeypatch.setattr(
+            ScanRange, "parse",
+            classmethod(lambda cls, text: parses.append(text) or parse(cls, text)),
+        )
+        s = spec("alice", "a0", "2001:db8::/58-64", priority="batch")
+        for _ in range(5):
+            assert s.probe_budget == 64 and s.effective_cost == 256
+            assert s.scan_config().scan_range is s.parsed_range()
+        assert parses == ["2001:db8::/58-64"]
+        # The spec's value, hash, repr and wire form are its fields alone.
+        twin = CampaignSpec.from_dict(json.loads(json.dumps(s.to_dict())))
+        assert twin == s and hash(twin) == hash(s) and repr(twin) == repr(s)
+        assert "parsed" not in repr(s) and "parsed" not in json.dumps(s.to_dict())
+        assert set(s.to_dict()) == {
+            "tenant", "name", "scan_range", "topology", "topology_params",
+            "seed", "shards", "executor", "priority", "rate_pps",
+            "max_probes", "checkpoint_every",
+        }
+        # Every way a spec is copied carries (or rebuilds) the parsed range.
+        wider = replace(s, scan_range="2001:db8::/56-64")
+        assert wider.probe_budget == 256 and s.probe_budget == 64
+        for clone in (copy.copy(s), copy.deepcopy(s),
+                      pickle.loads(pickle.dumps(s))):
+            assert clone == s and clone.probe_budget == 64
+        with pytest.raises(SpecError, match="bad scan range 'nope': "):
+            replace(s, scan_range="nope")
+
 
 class TestAdmission:
     def test_backlog_cap(self, tmp_path):
