@@ -1,14 +1,14 @@
 """Supervisor fast-path cost: supervision enabled but never needed.
 
 The robustness contract mirrors the fault-layer one: a campaign that never
-fails a shard must not pay for the crash-recovery machinery.  A disabled
-:class:`~repro.engine.SupervisorPolicy` resolves to the stock fail-fast
-dispatch loop (``Campaign.supervisor_policy is None`` — literally the same
-code path), and an *enabled* supervisor on a clean run costs only the
-per-batch drain check and the per-shard bookkeeping dictionary lookups;
-neither may tax the §IV-E probing budget.  This bench runs the same
-4-shard campaign twice — policy disabled, and enabled with a retry budget
-armed — and asserts the difference stays under the <2% budget.
+fails a shard must not pay for the crash-recovery machinery.  Without a
+:class:`~repro.engine.SupervisorPolicy` (``supervisor=None``) a campaign
+runs the stock fail-fast dispatch loop, and a supervisor on a clean run
+costs only the per-batch drain check and the per-shard bookkeeping
+dictionary lookups; it may not tax the §IV-E probing budget.  This bench
+runs the same 4-shard campaign twice — no policy, and a policy with a
+retry budget armed — and asserts the difference stays under the <2%
+budget.
 
 The measurement is the same defensive ABBA-paired scheme as
 ``bench_faults_overhead``: rounds alternate which configuration goes
@@ -44,7 +44,7 @@ def test_supervisor_clean_run_overhead():
 
     def one_round(supervised: bool):
         config = ScanConfig(scan_range=ScanRange.parse(SPEC), seed=SEED)
-        policy = SupervisorPolicy(enabled=supervised, retry_budget=8)
+        policy = SupervisorPolicy(retry_budget=8) if supervised else None
         campaign = Campaign(
             spec,
             {"bench": config},

@@ -32,10 +32,9 @@ and fails when a headline metric regressed beyond tolerance:
   sampled-vs-plain assertion bounds the relative cost, this gate catches
   an absolute slowdown of the sampled path itself.
 * ``supervisor_overhead`` — ``disabled_pps`` (higher is better): campaign
-  throughput with the crash-recovery supervisor compiled in but disabled
-  (the stock dispatch loop), so dead-path cost added to the campaign loop
-  shows up even though the bench's own <2% enabled-vs-disabled assertion
-  would not catch it.
+  throughput without a supervisor policy (the stock dispatch loop), so
+  dead-path cost added to the campaign loop shows up even though the
+  bench's own <2% supervised-vs-stock assertion would not catch it.
 * ``forwarding`` — ``columnar_pps`` (higher is better): the columnar
   forwarding engine on the loop-amplification workload
   (``bench_perf_forwarding.py``); the bench itself also asserts the >=10x

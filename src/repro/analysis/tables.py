@@ -235,10 +235,11 @@ def table4_vendors(
         bucket[device.vendor] = bucket.get(device.vendor, 0) + 1
     for kind, paper in (("CPE", PAPER_TABLE4_CPE), ("UE", PAPER_TABLE4_UE)):
         measured = by_kind.get(kind, {})
+        # Ties break by name: set order is string-hash order, which
+        # differs per process unless PYTHONHASHSEED is pinned.
         names = sorted(
             set(measured) | set(paper),
-            key=lambda n: measured.get(n, 0),
-            reverse=True,
+            key=lambda n: (-measured.get(n, 0), n),
         )
         for name in names[:20]:
             paper_count = paper.get(name)

@@ -220,9 +220,7 @@ def cmd_scan(args) -> int:
     if args.supervise or args.retry_budget is not None:
         from repro.engine import SupervisorPolicy
 
-        supervisor_policy = SupervisorPolicy(
-            enabled=True, retry_budget=args.retry_budget
-        )
+        supervisor_policy = SupervisorPolicy(retry_budget=args.retry_budget)
 
     profiles = _profiles(args)
     keys = tuple(p.key for p in profiles)

@@ -39,16 +39,22 @@ class AdaptiveRateController:
 
     #: EMA smoothing for the healthy-reply-rate baseline.
     EMA_ALPHA = 0.2
+    #: Floor the adaptive rate never decreases below (pps).
+    MIN_PPS = 100.0
+    #: Multiplicative-decrease factor applied on reply-rate collapse.
+    DECREASE = 0.5
+    #: Additive increase per healthy window, as a fraction of ``rate_pps``.
+    INCREASE = 0.05
+    #: A window counts as collapsed when its reply rate falls below this
+    #: fraction of the EMA baseline.
+    COLLAPSE = 0.5
 
     def __init__(self, pacer: "VirtualPacer", config: "ScanConfig",
                  metrics) -> None:
         self.pacer = pacer
         self.base_rate = config.rate_pps
         self.window = max(1, config.adaptive_window)
-        self.min_rate = max(1.0, min(config.adaptive_min_pps, config.rate_pps))
-        self.decrease = config.adaptive_decrease
-        self.increase = config.adaptive_increase
-        self.collapse = config.adaptive_collapse
+        self.min_rate = max(1.0, min(self.MIN_PPS, config.rate_pps))
         self.rate = config.rate_pps
         self._window_sent = 0
         self._window_validated = 0
@@ -76,9 +82,9 @@ class AdaptiveRateController:
         if self.baseline is None:
             self.baseline = observed
             return
-        if self.baseline > 0 and observed < self.collapse * self.baseline:
+        if self.baseline > 0 and observed < self.COLLAPSE * self.baseline:
             # Reply rate collapsed vs the healthy baseline: back off hard.
-            new_rate = max(self.min_rate, self.rate * self.decrease)
+            new_rate = max(self.min_rate, self.rate * self.DECREASE)
             if new_rate != self.rate:
                 self.rate = new_rate
                 self.pacer.set_rate(new_rate)
@@ -88,7 +94,7 @@ class AdaptiveRateController:
         # Healthy window: fold into the baseline, creep back toward budget.
         self.baseline += self.EMA_ALPHA * (observed - self.baseline)
         new_rate = min(self.base_rate,
-                       self.rate + self.increase * self.base_rate)
+                       self.rate + self.INCREASE * self.base_rate)
         if new_rate != self.rate:
             self.rate = new_rate
             self.pacer.set_rate(new_rate)
@@ -104,10 +110,12 @@ class RetransmitPolicy:
     order, so retransmission is as deterministic as the scan.
     """
 
+    #: Jitter fraction applied to each backoff.
+    JITTER = 0.5
+
     def __init__(self, config: "ScanConfig", metrics) -> None:
         self.limit = config.retransmit
         self.base = config.retransmit_backoff
-        self.jitter = config.retransmit_jitter
         self.rng = random.Random((config.seed << 8) ^ 0x5EED)
         from repro.telemetry.metrics import WAIT_BUCKETS
 
@@ -119,10 +127,9 @@ class RetransmitPolicy:
 
     def backoff(self, attempt: int) -> float:
         """Virtual seconds to wait before retry ``attempt`` (0-based)."""
-        delay = self.base * (2.0 ** attempt)
-        if self.jitter:
-            delay *= 1.0 + self.jitter * self.rng.random()
-        return delay
+        return self.base * (2.0 ** attempt) * (
+            1.0 + self.JITTER * self.rng.random()
+        )
 
     def on_retransmit(self, delay: float) -> None:
         self._c_retransmits.inc()

@@ -245,10 +245,8 @@ class ScanConfig:
     #: recall on lossy paths at proportional bandwidth cost.
     probes_per_target: int = 1
     max_probes: Optional[int] = None
-    permutation_backend: str = "auto"
     blocklist: Optional[Blocklist] = None
     wire_mode: bool = False
-    dedup_replies: bool = True
     #: Collect per-scan telemetry counters/histograms into
     #: :attr:`Scanner.metrics`.  Off buys back the (small) registry cost.
     collect_metrics: bool = True
@@ -260,38 +258,25 @@ class ScanConfig:
     #: fault layer at all — the default costs nothing on the hot path).
     fault_schedule: Optional["FaultSchedule"] = None
     #: AIMD rate control (ZMap/XMap-style): multiplicative decrease when
-    #: the validated-reply rate collapses below ``adaptive_collapse`` ×
-    #: its EMA baseline, additive increase back toward ``rate_pps``.
+    #: the validated-reply rate collapses below its EMA baseline, additive
+    #: increase back toward ``rate_pps`` (factors: the class constants of
+    #: :class:`~repro.core.adaptive.AdaptiveRateController`).
     #: Off by default; when off the scan is bit-identical to today.
     adaptive_rate: bool = False
     #: Targets per AIMD observation window.
     adaptive_window: int = 256
-    #: Floor the adaptive rate never decreases below (pps).
-    adaptive_min_pps: float = 100.0
-    #: Multiplicative-decrease factor applied on reply-rate collapse.
-    adaptive_decrease: float = 0.5
-    #: Additive increase per healthy window, as a fraction of ``rate_pps``.
-    adaptive_increase: float = 0.05
-    #: A window counts as collapsed when its reply rate falls below this
-    #: fraction of the EMA baseline.
-    adaptive_collapse: float = 0.5
     #: Retransmission policy: max retries for a target whose probes (all
     #: ``probes_per_target`` copies) produced zero validated replies.
     #: 0 disables retransmission entirely (the default).
     retransmit: int = 0
     #: Base virtual-seconds backoff before the first retry (doubles per
-    #: attempt, plus jitter).
+    #: attempt, plus :attr:`~repro.core.adaptive.RetransmitPolicy.JITTER`).
     retransmit_backoff: float = 0.01
-    #: Jitter fraction applied to each backoff (0 = deterministic spacing;
-    #: the jitter RNG is seeded from ``seed`` either way).
-    retransmit_jitter: float = 0.5
     #: Virtual seconds per time-series bucket (0 disables sampling).  The
     #: sampler rides the pacer's clock and snapshots counter deltas into
     #: :attr:`Scanner.sampler`; shard workers export the series and the
     #: campaign merges them bit-identically (see telemetry/timeseries.py).
     timeseries_interval: float = 0.0
-    #: Ring bound on retained buckets per series.
-    timeseries_max_buckets: int = 4096
 
 
 class Scanner:
@@ -341,7 +326,6 @@ class Scanner:
                 self.metrics,
                 config.timeseries_interval,
                 shards=max(1, config.shards),
-                max_buckets=config.timeseries_max_buckets,
             )
         #: Streaming result sink.  When set, validated replies are emitted
         #: to the sink as they are produced *instead of* accumulating in
@@ -411,11 +395,8 @@ class Scanner:
         out so far.  Indices past a ``max_probes`` stop are never consumed.
         """
         config = self.config
-        permutation = make_permutation(
-            config.scan_range.count,
-            seed=config.seed,
-            backend=config.permutation_backend,
-        )
+        permutation = make_permutation(config.scan_range.count,
+                                       seed=config.seed)
         blocklist = config.blocklist
         metrics = self.metrics
         veto_counters: Dict[tuple, object] = {}  # (reason, rule) -> Counter
@@ -542,7 +523,6 @@ class Scanner:
         network = self.network
         classify = self.probe.classify
         wire = self.config.wire_mode
-        dedup = self.config.dedup_replies
         emit = self.sink.emit if self.sink is not None else result.results.append
         seen: Set[tuple] = set()
         # Hoisted so the per-reply cost is one bound-method call each; the
@@ -572,20 +552,19 @@ class Scanner:
                         span.add("verdict", network.clock,
                                  outcome="validation-failed")
                     continue
-                if dedup:
-                    key = (
-                        classified.responder.value,
-                        classified.target.value,
-                        classified.kind,
-                    )
-                    if key in seen:
-                        stats.discarded += 1
-                        c_duplicate.inc()
-                        if span is not None:
-                            span.add("verdict", network.clock,
-                                     outcome="duplicate")
-                        continue
-                    seen.add(key)
+                key = (
+                    classified.responder.value,
+                    classified.target.value,
+                    classified.kind,
+                )
+                if key in seen:
+                    stats.discarded += 1
+                    c_duplicate.inc()
+                    if span is not None:
+                        span.add("verdict", network.clock,
+                                 outcome="duplicate")
+                    continue
+                seen.add(key)
                 validated += 1
                 stats.validated += 1
                 c_validated.inc()

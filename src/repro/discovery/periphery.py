@@ -87,9 +87,6 @@ class PeripheryCensus:
             return 0.0
         return 100.0 * len(self.eui64_records()) / len(self.records)
 
-    def unique_macs(self) -> Set[MacAddress]:
-        return {r.mac for r in self.records if r.mac is not None}
-
     @property
     def mac_unique_pct(self) -> float:
         """Share of embedded MACs that appear exactly once (Table II)."""

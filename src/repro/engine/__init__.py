@@ -18,8 +18,6 @@ from repro.engine.campaign import (
     CampaignAborted,
     CampaignError,
     CampaignResult,
-    CampaignSignals,
-    NullSignals,
 )
 from repro.engine.checkpoint import CheckpointStore, ShardState
 from repro.engine.executor import (
@@ -50,8 +48,6 @@ __all__ = [
     "CampaignAborted",
     "CampaignError",
     "CampaignResult",
-    "CampaignSignals",
-    "NullSignals",
     "CheckpointStore",
     "CoverageError",
     "Executor",

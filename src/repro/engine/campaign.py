@@ -32,7 +32,7 @@ import contextlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.core.scanner import ScanConfig, ScanResult
 from repro.core.stats import ScanStats
@@ -44,7 +44,7 @@ from repro.engine.supervisor import Supervisor, SupervisorPolicy
 from repro.engine.worker import ShardOutcome
 from repro.net.spec import BuiltTopology, TopologySpec
 from repro.telemetry.events import EventLog
-from repro.telemetry.health import HealthEngine, HealthReport, HealthRule
+from repro.telemetry.health import HealthEngine, HealthReport
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.recorder import FlightRecorder
 from repro.telemetry.timeseries import SeriesSet
@@ -70,53 +70,6 @@ class CampaignAborted(RuntimeError):
     scheduling daemon uses to preempt or drain a lease it intends to
     resume later.
     """
-
-
-class CampaignSignals:
-    """Process-lifetime signal registration, as an injectable hook.
-
-    The stock one-shot campaign owns its process, so it installs real
-    SIGTERM handlers for the run: the flight recorder's dump-on-SIGTERM
-    scope, with the supervisor's drain handler chained inside it.  A
-    daemon running many concurrent campaigns in one process must NOT let
-    each campaign clobber the process handler — it injects
-    :class:`NullSignals` and multiplexes its own single handler into each
-    campaign's :meth:`Campaign.request_abort` /
-    :meth:`Supervisor.request_drain` instead.
-    """
-
-    @contextlib.contextmanager
-    def scope(
-        self,
-        recorder: Optional[FlightRecorder],
-        supervisor: Optional[Supervisor],
-    ) -> Iterator[None]:
-        sigterm = (
-            recorder.sigterm_scope() if recorder is not None
-            else contextlib.nullcontext()
-        )
-        # The supervisor's drain handler installs *inside* the recorder's
-        # scope, so it is the live SIGTERM handler: the first SIGTERM
-        # requests a graceful drain, a second chains through to the
-        # recorder's dump-and-die handler (operator escalation).
-        drain = (
-            supervisor.drain_scope() if supervisor is not None
-            else contextlib.nullcontext()
-        )
-        with sigterm, drain:
-            yield
-
-
-class NullSignals(CampaignSignals):
-    """No process-level handlers: the embedding service owns signals."""
-
-    @contextlib.contextmanager
-    def scope(
-        self,
-        recorder: Optional[FlightRecorder],
-        supervisor: Optional[Supervisor],
-    ) -> Iterator[None]:
-        yield
 
 
 @dataclass
@@ -205,11 +158,9 @@ class Campaign:
         shard_timeout: Optional[float] = None,
         store_dir: Optional[str] = None,
         snapshot: Optional[str] = None,
-        health: Union[bool, Sequence[HealthRule]] = False,
+        health: bool = False,
         flight_dir: Optional[str] = None,
-        recorder: Optional[FlightRecorder] = None,
         supervisor: Optional[SupervisorPolicy] = None,
-        signals: Optional[CampaignSignals] = None,
         abort_check: Optional[Callable[[], bool]] = None,
     ) -> None:
         if isinstance(configs, Mapping):
@@ -229,12 +180,8 @@ class Campaign:
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         #: Degraded-mode supervision (see :mod:`repro.engine.supervisor`);
-        #: a policy with ``enabled=False`` — the default — is equivalent to
-        #: no supervisor at all: the stock fail-fast retry loop runs.
-        self.supervisor_policy = (
-            supervisor if supervisor is not None and supervisor.enabled
-            else None
-        )
+        #: None — the default — runs the stock fail-fast retry loop.
+        self.supervisor_policy = supervisor
         #: Set by :meth:`_prepare_result_store` on resume when this round's
         #: snapshot already committed (the crash happened after the manifest
         #: rewrite); :meth:`_commit_segments` then verifies instead of
@@ -254,31 +201,17 @@ class Campaign:
             (snapshot or f"round-{self.events.campaign_id}")
             if store_dir else None
         )
-        #: Health rules evaluated over the merged series after the run:
-        #: ``True`` = stock :func:`~repro.telemetry.health.default_rules`,
-        #: a sequence = custom rules, ``False`` = off.
-        if health is True:
-            self._health_rules: Optional[List[HealthRule]] = None  # stock
-            self._health = True
-        elif health:
-            self._health_rules = list(health)  # type: ignore[arg-type]
-            self._health = True
-        else:
-            self._health_rules = None
-            self._health = False
-        #: Always-on crash telemetry: an explicit recorder wins; otherwise
-        #: one is built when ``flight_dir`` names a bundle directory.
-        self.recorder = recorder
-        if self.recorder is None and flight_dir is not None:
+        #: Evaluate the stock health rules
+        #: (:func:`~repro.telemetry.health.default_rules`) over the merged
+        #: series after the run.
+        self._health = health
+        #: Crash telemetry, when ``flight_dir`` names a bundle directory.
+        self.recorder: Optional[FlightRecorder] = None
+        if flight_dir is not None:
             self.recorder = FlightRecorder(flight_dir)
-        if self.recorder is not None:
             self.recorder.attach(self.events)
         if monitor is not None:
             self.events.subscribe(monitor.handle_event)
-        #: Signal registration hook: the default installs this process's
-        #: SIGTERM scopes for the run; a daemon injects :class:`NullSignals`
-        #: and multiplexes its one handler across campaigns itself.
-        self.signals = signals if signals is not None else CampaignSignals()
         #: Optional external preemption probe, polled at shard boundaries;
         #: returning True aborts the run (no commit) via
         #: :class:`CampaignAborted`.
@@ -502,7 +435,21 @@ class Campaign:
             if self.supervisor_policy is not None
             else None
         )
-        with self.signals.scope(recorder, supervisor):
+        # SIGTERM scopes for the run: the recorder's dump-on-SIGTERM, with
+        # the supervisor's drain handler installed inside it, so the first
+        # SIGTERM requests a graceful drain and a second chains through to
+        # the recorder's dump-and-die handler (operator escalation).  Both
+        # are pass-through off the main thread, so a daemon's lease threads
+        # never touch the process handler.
+        sigterm = (
+            recorder.sigterm_scope() if recorder is not None
+            else contextlib.nullcontext()
+        )
+        drain = (
+            supervisor.drain_scope() if supervisor is not None
+            else contextlib.nullcontext()
+        )
+        with sigterm, drain:
             while pending:
                 if self._should_abort():
                     self._abort_now(len(pending), len(outcomes))
@@ -651,7 +598,7 @@ class Campaign:
             result.stats.merge(merged.stats)
         result.timeseries = series
         if self._health and series is not None:
-            report = HealthEngine(self._health_rules).evaluate(series)
+            report = HealthEngine().evaluate(series)
             report.emit(self.events)
             result.health = report
             metrics.counter("campaign_health_windows").inc(

@@ -170,9 +170,7 @@ class ShardPlanner:
                 f"scan space of {count} indices exceeds the enumeration "
                 f"limit ({limit}); coverage holds by construction"
             )
-        permutation = make_permutation(
-            count, seed=config.seed, backend=config.permutation_backend
-        )
+        permutation = make_permutation(count, seed=config.seed)
         seen = set()
         for shard in range(self.shards):
             for index in permutation.indices(shard, self.shards):

@@ -9,9 +9,9 @@ operational reality: a 48-hour, twelve-ISP campaign that loses one shard
 to a dying disk at hour 40 should land the other 95% of the measurement,
 clearly labelled, not crash.
 
-:class:`Supervisor` is that opt-in posture, enabled explicitly via
-:class:`SupervisorPolicy` (``enabled=False`` default — a campaign without
-a supervisor executes the byte-identical stock path):
+:class:`Supervisor` is that opt-in posture, enabled by passing a
+:class:`SupervisorPolicy` (``supervisor=None`` is the default — a campaign
+without a supervisor executes the byte-identical stock path):
 
 * **per-shard circuit breakers** — every failure is classified into a
   *signature* (exception type, plus errno for OSErrors).  A shard that has
@@ -58,11 +58,10 @@ def failure_signature(exc: BaseException) -> str:
 
 @dataclass
 class SupervisorPolicy:
-    """Knobs for degraded-mode campaign supervision.  All off by default:
-    a policy with ``enabled=False`` (or no policy at all) leaves the
-    campaign's behaviour bit-identical to the stock retry loop."""
+    """Knobs for degraded-mode campaign supervision.  Passing a policy
+    turns supervision on; no policy at all leaves the campaign's behaviour
+    bit-identical to the stock retry loop."""
 
-    enabled: bool = False
     #: Total retries allowed across *all* shards; None = unbounded (the
     #: per-shard ``max_retries`` still applies).
     retry_budget: Optional[int] = None

@@ -331,7 +331,7 @@ def _usable(network: "Network") -> bool:
         return False  # spans must see every scalar forwarding decision
     if network.loss_rate or network.link_loss:
         return False  # per-hop RNG draws must happen in scalar hop order
-    if network.record_links or network.record_paths:
+    if network.record_links:
         return False  # per-hop recording is exactly what we elide
     faults = network.faults
     if faults is not None and faults.next_transition != math.inf:

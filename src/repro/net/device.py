@@ -163,9 +163,6 @@ class Device:
 
     # -- configuration -----------------------------------------------------
 
-    def add_address(self, addr: IPv6Addr) -> None:
-        self.addresses.add(addr)
-
     def bind_service(self, service: "Service") -> None:
         """Expose a service on this device (TCP and/or UDP per its spec)."""
         if service.spec.udp:

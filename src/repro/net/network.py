@@ -23,8 +23,8 @@ The engine has two forwarding paths with identical observable behaviour:
 The engine can track per-link traversal counts, which is how the
 routing-loop benchmarks measure amplification: the paper's >200x factor is
 literally the number of times one attack packet crosses the ISP↔CPE link.
-Link/path recording is opt-in (``record_links`` / ``record_paths``) so the
-scan hot loop does not pay for dict updates it never reads.
+Link recording is opt-in (``record_links``) so the scan hot loop does not
+pay for dict updates it never reads.
 
 Time is virtual: the scanner's rate limiter advances :attr:`Network.clock`,
 and device ICMPv6 error limiters read it.
@@ -78,9 +78,9 @@ class Link(NamedTuple):
 class DeliveryTrace:
     """Per-injection record of what the forwarding engine did.
 
-    ``link_counts`` and ``path`` fill only when the network's
-    ``record_links`` / ``record_paths`` flags are set — the loop-attack
-    measurements enable them; the scanner's hot loop leaves them off.
+    ``link_counts`` fills only when the network's ``record_links`` flag is
+    set — the loop-attack measurements enable it; the scanner's hot loop
+    leaves it off.
     """
 
     hops: int = 0
@@ -88,7 +88,6 @@ class DeliveryTrace:
     delivered: int = 0
     errors_generated: int = 0
     link_counts: Dict[Link, int] = field(default_factory=dict)
-    path: List[str] = field(default_factory=list)
 
     def crossings(self, a: str, b: str) -> int:
         """Traversals of the (a, b) link, both directions."""
@@ -127,14 +126,12 @@ class Network:
         seed: int = 0,
         loss_rate: float = 0.0,
         max_hops: int = 4096,
-        record_paths: bool = False,
         record_links: bool = False,
         flow_cache: bool = True,
     ) -> None:
         self.rng = random.Random(seed)
         self.loss_rate = loss_rate
         self.max_hops = max_hops
-        self.record_paths = record_paths
         #: Fill ``DeliveryTrace.link_counts`` per hop.  Opt-in: the loop
         #: attack/case-study paths enable it (they read ``crossings``); the
         #: scanner leaves it off.
@@ -336,10 +333,10 @@ class Network:
         Four things keep the walk, hop by hop, exactly as it was: the
         reference engine (``flow_cache=False``) and an active trace span
         (``fast`` is false); a loss model, a ``link_loss`` window or
-        ``record_links`` / ``record_paths`` (``plain`` is false — each hop
-        draws from an RNG or is recorded); a device with
-        ``flow_forward_safe = False`` (a loop-limited CPE counts forwards,
-        and never reaches the fast path); and a second packet in flight,
+        ``record_links`` (``plain`` is false — each hop draws from an RNG
+        or is recorded); a device with ``flow_forward_safe = False`` (a
+        loop-limited CPE counts forwards, and never reaches the fast
+        path); and a second packet in flight,
         whose turns the walk would interleave.  A loop that would carry
         ``trace.hops`` past ``max_hops`` is walked as well, so the
         ``NetworkError`` is raised at the dequeue it always was.
@@ -347,12 +344,11 @@ class Network:
         # Hot-loop hoists: every per-hop attribute/constant below is looked
         # up once per injection instead of once per hop.
         fast = self.flow_cache and self.active_trace is None
-        # When nothing observes individual hops (no loss model, no link/path
+        # When nothing observes individual hops (no loss model, no link
         # recording), the fast path appends to the queue directly instead of
         # paying a _enqueue call per hop.
         plain = fast and not (
-            self.loss_rate or self.link_loss
-            or self.record_links or self.record_paths
+            self.loss_rate or self.link_loss or self.record_links
         )
         max_hops = self.max_hops
         popleft = queue.popleft
@@ -621,8 +617,6 @@ class Network:
             trace.link_counts[link] = trace.link_counts.get(link, 0) + 1
         trace.hops += 1
         self.total_hops += 1
-        if self.record_paths:
-            trace.path.append(dst.name)
         if self.active_trace is not None:
             self.active_trace.add(
                 "hop", self.clock, device=dst.name, via=src.name,

@@ -7,9 +7,9 @@ tenant store layout (:mod:`repro.service.tenants`), and the engine's
 * an **asyncio scheduler** (:meth:`ScanService.run`) leases campaigns
   from the WDRR queue whenever fleet slots are free and hands each lease
   to a bounded ``ThreadPoolExecutor`` — ``Campaign.run`` is synchronous,
-  so the fleet is threads, and every campaign gets
-  :class:`~repro.engine.campaign.NullSignals` so no lease ever touches
-  the process signal table;
+  so the fleet is threads — and off the main thread a campaign's SIGTERM
+  scopes are pass-through, so no lease ever touches the process signal
+  table;
 * one **service-level SIGTERM handler** (:meth:`ScanService.sigterm_scope`,
   the supervisor's :func:`~repro.engine.supervisor.sigterm_drain_scope`)
   multiplexes drain across every in-flight lease: draining stops
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ContextManager, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.engine.campaign import Campaign, CampaignAborted, NullSignals
+from repro.engine.campaign import Campaign, CampaignAborted
 from repro.engine.supervisor import sigterm_drain_scope
 from repro.service.queue import (
     DEFAULT_QUANTUM,
@@ -388,7 +388,6 @@ class ScanService:
             snapshot=record.snapshot,
             backoff_base=0.0,
             events=log,
-            signals=NullSignals(),
             abort_check=lambda: (
                 self._draining.is_set() or record.cancel_requested
             ),

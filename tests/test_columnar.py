@@ -68,7 +68,6 @@ def _outcome_key(outcomes):
             trace.delivered,
             trace.errors_generated,
             sorted(trace.link_counts.items()),
-            trace.path,
         )
         for inbox, trace in outcomes
     ]
@@ -478,7 +477,7 @@ class TestScalarFallbacks:
         net.loss_rate = 0.1
         assert not columnar._usable(net)
         net.loss_rate = 0.0
-        net.record_paths = True
+        net.record_links = True
         assert not columnar._usable(net)
-        net.record_paths = False
+        net.record_links = False
         assert columnar._usable(net)

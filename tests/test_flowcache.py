@@ -363,8 +363,8 @@ DESTINATIONS = {
 #: (``run_loop_attack``'s second burn).
 SOURCES = {"vantage": VANTAGE, "spoofed": IPv6Addr.from_string("2001:db8:1:62::7")}
 #: Everything that observes single hops, and so keeps the walk.
-OBSERVERS = ("none", "record-links", "record-paths", "loss", "link-loss",
-             "trace", "bounce-limit")
+OBSERVERS = ("none", "record-links", "loss", "link-loss", "trace",
+             "bounce-limit")
 
 
 def _loop_world(flow_cache: bool, observer: str, max_hops: int):
@@ -372,7 +372,6 @@ def _loop_world(flow_cache: bool, observer: str, max_hops: int):
     topo = build_mini(
         flow_cache=flow_cache, max_hops=max_hops,
         record_links=observer == "record-links",
-        record_paths=observer == "record-paths",
         loss_rate=0.003 if observer == "loss" else 0.0,
     )
     network, span = topo.network, None
@@ -414,7 +413,6 @@ def _loop_outcome(flow_cache, observer, packet, max_hops, repeat=3):
                 "errors": trace.errors_generated,
                 "delivered": trace.delivered,
                 "links": sorted(trace.link_counts.items()),
-                "path": trace.path,
             })
     except NetworkError as exc:
         results.append(str(exc))
@@ -464,9 +462,6 @@ class TestLoopExit:
             if observer == "record-links":
                 for result in walked:
                     assert sum(n for _, n in result["links"]) == result["hops"]
-            elif observer == "record-paths":
-                for result in walked:
-                    assert len(result["path"]) == result["hops"]
             elif observer == "trace" and len(walked) == len(fast["results"]):
                 hops = [e for e in fast["span"] if e["event"] == "hop"]
                 assert len(hops) == fast["total_hops"]

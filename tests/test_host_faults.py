@@ -263,7 +263,7 @@ class TestCampaignIntegration:
         schedule = FaultSchedule(events=(
             _event(FS_ERROR, op="write", err="EIO", path="s00of02"),
         ))
-        policy = SupervisorPolicy(enabled=True)
+        policy = SupervisorPolicy()
         campaign = _campaign(tmp_path, schedule, "sup", supervisor=policy)
         result = campaign.run()
         assert [d["job_id"] for d in result.degraded] == \
@@ -325,7 +325,7 @@ class TestCampaignIntegration:
         schedule = FaultSchedule(events=(
             _event(FS_TORN_WRITE, 0.0, 0.5, offset=7, path="s00of02"),
         ))
-        policy = SupervisorPolicy(enabled=True)
+        policy = SupervisorPolicy()
         campaign = _campaign(tmp_path, schedule, "torn", supervisor=policy)
         result = campaign.run()
         injected = [e for e in result.events.of_type("host_fault_injected")]

@@ -106,14 +106,6 @@ class TestForwardingEngine:
         assert len(inbox) == 1
         assert inbox[0].payload.type == Icmpv6Type.TIME_EXCEEDED
 
-    def test_trace_records_paths_when_enabled(self):
-        topo = build_mini(record_paths=True)
-        probe = echo_request(
-            topo.vantage.primary_address, topo.ue.ue_address, 1, 1
-        )
-        _, trace = topo.network.inject(probe, topo.vantage)
-        assert trace.path[:3] == ["core", "isp", "ue"]
-
     def test_loss_drops_packets(self):
         topo = build_mini(loss_rate=1.0)
         probe = echo_request(

@@ -1,8 +1,17 @@
 """The one-call reproduction orchestrator."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.analysis.reproduce import reproduce_all
+from repro.analysis.tables import table4_vendors
+from repro.discovery.vendor_id import IdentifiedDevice
+from repro.net.addr import IPv6Addr
 
 
 @pytest.fixture(scope="module")
@@ -52,3 +61,35 @@ class TestReproduceAll:
         messages = run._progress
         assert any("discovery" in m for m in messages)
         assert any("loop" in m for m in messages)
+
+
+def _report_under_hash_seed(hash_seed):
+    """The reproduction report rendered in a fresh interpreter."""
+    code = (
+        "from repro.analysis.reproduce import reproduce_all\n"
+        "print(reproduce_all(scale=100000, seed=7, include_bgp=False,"
+        " include_case_study=False).report())\n"
+    )
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+class TestDeterminism:
+    def test_report_independent_of_hash_seed(self):
+        assert _report_under_hash_seed(1) == _report_under_hash_seed(2)
+
+    def test_table4_ties_break_by_name(self):
+        def device(vendor, i):
+            return IdentifiedDevice(IPv6Addr(i), vendor, "CPE", "mac")
+
+        vendors = ["Zyxel-test", "Acme-test", "Mid-test"]
+        forward = [device(v, i) for i, v in enumerate(vendors)]
+        backward = forward[::-1]
+        rendered = [table4_vendors(order, 1000).render()
+                    for order in (forward, backward)]
+        assert rendered[0] == rendered[1]
+        positions = [rendered[0].index(v) for v in sorted(vendors)]
+        assert positions == sorted(positions)

@@ -107,7 +107,7 @@ class TestScannerEndToEnd:
             r.responder for r in wired.results
         }
 
-    def test_dedup_replies(self):
+    def test_replies_are_deduplicated(self):
         topo = build_mini()
         result = _scanner(topo, "2001:db8:1:50::/60-64").run()
         keys = [(r.responder.value, r.target.value, r.kind) for r in result.results]

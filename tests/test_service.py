@@ -25,7 +25,7 @@ import time
 
 import pytest
 
-from repro.engine.campaign import Campaign, CampaignAborted, NullSignals
+from repro.engine.campaign import Campaign, CampaignAborted
 from repro.service import (
     AdmissionError,
     CampaignQueue,
@@ -369,7 +369,7 @@ class TestCampaignAbort:
             s.topology_spec(), {"x": s.scan_config()}, shards=2,
             checkpoint_dir=str(tmp_path / "ckpt"),
             store_dir=str(tmp_path / "store"), snapshot="r0",
-            backoff_base=0.0, signals=NullSignals(),
+            backoff_base=0.0,
         )
         campaign.request_abort()
         with pytest.raises(CampaignAborted):
@@ -386,7 +386,7 @@ class TestCampaignAbort:
                 checkpoint_every=8,
                 store_dir=str(tmp_path / "store"), snapshot="r0",
                 resume=resume, backoff_base=0.0,
-                signals=NullSignals(), abort_check=abort_check,
+                abort_check=abort_check,
             )
 
         # The check runs at the top of the wave and before each serial
@@ -410,7 +410,7 @@ class TestCampaignAbort:
         Campaign(
             s.topology_spec(), {"x": s.scan_config()}, shards=4,
             store_dir=str(tmp_path / "base"), snapshot="r0",
-            backoff_base=0.0, signals=NullSignals(),
+            backoff_base=0.0,
         ).run()
         assert store_rows(str(tmp_path / "store")) == store_rows(
             str(tmp_path / "base")
@@ -453,7 +453,6 @@ def standalone_rows(tmp_path, service):
             ),
             store_dir=str(tmp_path / "solo" / s.tenant / "store"),
             snapshot=record.snapshot, backoff_base=0.0,
-            signals=NullSignals(),
         ).run()
     return {
         tenant: store_rows(str(tmp_path / "solo" / tenant / "store"))

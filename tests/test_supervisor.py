@@ -1,8 +1,8 @@
 """Campaign supervision: breakers, retry budgets, SIGTERM drain.
 
-The supervisor is opt-in (``SupervisorPolicy(enabled=True)``); everything
-here also pins the contract that a disabled policy leaves the campaign
-bit-identical to the stock fail-fast loop.
+The supervisor is opt-in (pass a ``SupervisorPolicy``); everything here
+also pins the contract that no policy leaves the campaign bit-identical to
+the stock fail-fast loop.
 """
 
 import os
@@ -68,7 +68,7 @@ class TestSignatures:
 
 class TestSupervisorUnit:
     def test_same_signature_retries_until_exhausted(self):
-        sup = Supervisor(SupervisorPolicy(enabled=True))
+        sup = Supervisor(SupervisorPolicy())
         exc = OSError(5, "io")
         assert sup.note_failure("j", exc, attempt=1, max_retries=2) == "retry"
         assert sup.note_failure("j", exc, attempt=2, max_retries=2) == "retry"
@@ -77,7 +77,7 @@ class TestSupervisorUnit:
         assert sup.parked[0].signatures == ["OSError:EIO"]
 
     def test_distinct_signatures_open_the_breaker_early(self):
-        sup = Supervisor(SupervisorPolicy(enabled=True, breaker_distinct=3))
+        sup = Supervisor(SupervisorPolicy(breaker_distinct=3))
         assert sup.note_failure("j", ValueError(), 1, 99) == "retry"
         assert sup.note_failure("j", KeyError(), 2, 99) == "retry"
         assert sup.note_failure("j", RuntimeError(), 3, 99) == "park"
@@ -85,14 +85,14 @@ class TestSupervisorUnit:
         assert len(sup.parked[0].signatures) == 3
 
     def test_global_budget_parks_across_shards(self):
-        sup = Supervisor(SupervisorPolicy(enabled=True, retry_budget=2))
+        sup = Supervisor(SupervisorPolicy(retry_budget=2))
         assert sup.note_failure("a", ValueError(), 1, 99) == "retry"
         assert sup.note_failure("b", ValueError(), 1, 99) == "retry"
         assert sup.note_failure("c", ValueError(), 1, 99) == "park"
         assert sup.parked[0].reason == BUDGET_EXHAUSTED
 
     def test_drain_flag_and_scope(self):
-        sup = Supervisor(SupervisorPolicy(enabled=True))
+        sup = Supervisor(SupervisorPolicy())
         assert not sup.draining
         with sup.drain_scope():
             os.kill(os.getpid(), signal.SIGTERM)
@@ -120,16 +120,16 @@ class _FlakyHook:
 
 
 class TestCampaignSupervision:
-    def test_disabled_policy_is_the_stock_path(self):
+    def test_no_policy_is_the_stock_path(self):
         hook = _FlakyHook("s00of02", [ValueError("always")] * 99)
-        campaign = _campaign(hook=hook, supervisor=SupervisorPolicy())
+        campaign = _campaign(hook=hook)
         with pytest.raises(CampaignError):
             campaign.run()
 
     def test_flaky_shard_recovers_within_retries(self):
         baseline = _campaign().run()
         hook = _FlakyHook("s00of02", [ValueError("once")])
-        policy = SupervisorPolicy(enabled=True)
+        policy = SupervisorPolicy()
         result = _campaign(hook=hook, supervisor=policy).run()
         assert result.degraded == []
         assert not result.drained
@@ -142,7 +142,7 @@ class TestCampaignSupervision:
             [ValueError("a"), KeyError("b"), RuntimeError("c"),
              ValueError("d")],
         )
-        policy = SupervisorPolicy(enabled=True, breaker_distinct=3)
+        policy = SupervisorPolicy(breaker_distinct=3)
         result = _campaign(hook=hook, supervisor=policy,
                            max_retries=99).run()
         assert len(result.degraded) == 1
@@ -155,7 +155,7 @@ class TestCampaignSupervision:
 
     def test_budget_exhaustion_emits_and_parks(self):
         hook = _FlakyHook("s00of02", [ValueError("x")] * 99)
-        policy = SupervisorPolicy(enabled=True, retry_budget=0)
+        policy = SupervisorPolicy(retry_budget=0)
         result = _campaign(hook=hook, supervisor=policy).run()
         assert result.degraded[0]["reason"] == BUDGET_EXHAUSTED
         assert result.events.of_type("retry_budget_exhausted")
@@ -170,7 +170,7 @@ class TestCampaignSupervision:
             if "s01of03" in job.job_id:
                 os.kill(os.getpid(), signal.SIGTERM)
 
-        policy = SupervisorPolicy(enabled=True)
+        policy = SupervisorPolicy()
         campaign = _campaign(shards=3, hook=hook, supervisor=policy)
         result = campaign.run()
         assert result.drained
@@ -182,7 +182,7 @@ class TestCampaignSupervision:
 
     def test_supervised_clean_run_matches_stock_results(self):
         stock = _campaign().run()
-        policy = SupervisorPolicy(enabled=True, retry_budget=5)
+        policy = SupervisorPolicy(retry_budget=5)
         supervised = _campaign(supervisor=policy).run()
         stock_rows = {
             (r.target.value, r.responder.value, r.kind)
@@ -195,6 +195,42 @@ class TestCampaignSupervision:
         assert supervised_rows == stock_rows
         assert supervised.stats.sent == stock.stats.sent
         assert supervised.degraded == [] and not supervised.drained
+
+
+class TestSignalScopes:
+    """A campaign installs SIGTERM handlers only on the main thread: a
+    daemon's lease threads must never touch the process signal table."""
+
+    def _observed_run(self, tmp_path):
+        """Run a supervised, flight-recorded campaign in this thread;
+        returns the SIGTERM handlers its shards saw."""
+        seen = []
+        campaign = _campaign(
+            hook=lambda job: seen.append(signal.getsignal(signal.SIGTERM)),
+            supervisor=SupervisorPolicy(),
+            flight_dir=str(tmp_path / "flight"),
+        )
+        campaign.run()
+        return seen
+
+    def test_main_thread_installs_then_restores(self, tmp_path):
+        before = signal.getsignal(signal.SIGTERM)
+        seen = self._observed_run(tmp_path)
+        assert len(seen) == 2 and all(h is not before for h in seen)
+        assert signal.getsignal(signal.SIGTERM) is before
+
+    def test_lease_thread_leaves_the_handler_alone(self, tmp_path):
+        import threading
+
+        before = signal.getsignal(signal.SIGTERM)
+        seen = []
+        lease = threading.Thread(
+            target=lambda: seen.extend(self._observed_run(tmp_path))
+        )
+        lease.start()
+        lease.join()
+        assert seen == [before, before]
+        assert signal.getsignal(signal.SIGTERM) is before
 
 
 class TestCliSupervision:

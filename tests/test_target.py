@@ -200,10 +200,8 @@ class TestTargetStream:
             config.scan_range, strategy=config.iid_strategy,
             seed=config.seed, fixed_iid=config.fixed_iid,
         )
-        permutation = make_permutation(
-            config.scan_range.count, seed=config.seed,
-            backend=config.permutation_backend,
-        )
+        permutation = make_permutation(config.scan_range.count,
+                                       seed=config.seed)
         indices = islice(
             permutation.indices(config.shard, config.shards), config.skip, None
         )
