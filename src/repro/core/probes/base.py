@@ -85,14 +85,21 @@ class ProbeModule(ABC):
     def _classify_icmp_error(self, packet: Packet) -> Optional[ProbeReply]:
         """Validate an ICMPv6 error by re-deriving fields for the quoted
         invoking packet's destination (works for every probe type, since the
-        error quotes our own probe)."""
+        error quotes our own probe).
+
+        An error built in process holds the quoted packet itself, and its
+        fields are read as they are.  Only a quote that came off the wire,
+        or one cut to the minimum MTU, is decoded — from the bytes the wire
+        carries, checksum and all."""
         message = packet.payload
         if not isinstance(message, Icmpv6Message) or not message.is_error:
             return None
-        try:
-            invoking = Packet.decode(message.invoking)
-        except PacketError:
-            return None
+        invoking = message.quoted
+        if invoking is None:
+            try:
+                invoking = Packet.decode(message.body()[4:])
+            except PacketError:
+                return None
         if not self._validates_invoking(invoking):
             return None
         if message.type == Icmpv6Type.DEST_UNREACHABLE:

@@ -35,9 +35,22 @@ classification — it re-executes the scalar engine from the ejection device
 with the ejection hop limit — so equivalence reduces to the pure hops being
 pure, not to this module re-implementing error semantics correctly.
 
+Nor does the replay re-implement the way home; it skips walking it.  The
+ICMPv6 error the stateful step raises is finished by a **return plan**
+(:meth:`ColumnarFib.send_home`), read once per (origin device, error
+destination) off the same tables the scalar walk would consult.  The plan
+trusts two things: the tables cannot move while this FIB is the network's
+(the stamp below), and an error is never answered with an error (RFC 4443
+§2.4(e)), so the walk home draws on no limiter, RNG or counter — it is
+pure but for each on-link hop's NDP ``resolve``, which the plan still runs,
+live, in path order and under the lane's clock.  Anything else on the path
+— a device with its own forwarding or error code, a possible ``max_hops``
+overrun — sends the error down the walk as before.
+
 Routing state is compiled once per topology **generation** into a
 :class:`ColumnarFib`: one globally shared hash table per prefix length
-(longest first), keyed by (device index, masked prefix), with verification
+(longest first), keyed by one hash of (device index, masked prefix) and
+masked by the devices that have a route of that length, with verification
 columns so hash collisions degrade to a miss check instead of a wrong
 answer, exactly mirroring the per-device flow-cache invalidation protocol
 (``Network.generation`` + per-table ``version`` stamps).
@@ -61,6 +74,8 @@ import math
 from collections import deque
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.net.device import Device, IspRouter
+from repro.net.ndp import resolve
 from repro.net.routing import RouteKind
 
 try:  # optional acceleration; sequential scalar fallback otherwise
@@ -69,7 +84,6 @@ except ImportError:  # pragma: no cover - numpy is present in CI images
     _np = None  # type: ignore[assignment]
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.device import Device
     from repro.net.network import DeliveryTrace, Network
     from repro.net.packet import Packet
 
@@ -89,7 +103,9 @@ _M64 = 0xFFFFFFFFFFFFFFFF
 #: loop-dense block is cheaper scalar than this set-up and both crossovers
 #: sit near the constant — which is why ``admission_burst``'s sub-64 looping
 #: windows no longer argue for a lower one (EXPERIMENTS.md, "Vector phase
-#: by block length").
+#: by block length").  The one-hash lookup and the return plans moved both
+#: crossovers down again (periphery 16-32, loop-dense 32-64); whether that
+#: argues for a lower constant is for ``admission_burst`` to show.
 VECTOR_MIN_PROBES = 64
 
 # -- FIB action codes (one int8 per compiled route) --------------------------
@@ -110,14 +126,19 @@ A_UNRESOLVED = 5
 _ACTIVE = 0  # still advancing through pure vector hops
 _SILENT = 1  # terminated with no observable left to produce
 _EJECT = 2  # finish via scalar replay from (cur device, current hop limit)
-_ORIGIN = 3  # replay the whole injection (not forwarded, or degenerate)
+_ORIGIN = 3  # replay the whole injection (the lane was not forwarded)
 _OVERRUN = 4  # took more than ``max_hops`` hops: the replay raises
 
 #: Hash-seed attempts for each per-length table before giving up on the
-#: whole compile (``ok=False`` → scalar fallback).  Collisions across a few
-#: thousand 64-bit keys are already ~never; eight seeds make the retry path
-#: deterministic rather than probabilistic.
-_SEEDS = tuple(0x9E3779B97F4A7C15 + k * 0x100000001B3 for k in range(8))
+#: whole compile (``ok=False`` → scalar fallback).  A seed is the pair of
+#: odd multipliers ``(K₁, K₂)`` of the key ``hi ^ dev·K₁ ^ lo·K₂``.
+#: Collisions across a few thousand 64-bit keys are already ~never; eight
+#: seeds make the retry path deterministic rather than probabilistic.
+_SEEDS = tuple(
+    ((0x9E3779B97F4A7C15 + k * 0x100000001B3) & _M64 | 1,
+     (0xC2B2AE3D27D4EB4F + k * 0x165667B19E3779F9) & _M64 | 1)
+    for k in range(8)
+)
 
 
 def _finalize(z):  # splitmix64 finalizer on uint64 arrays (wrapping)
@@ -127,31 +148,30 @@ def _finalize(z):  # splitmix64 finalizer on uint64 arrays (wrapping)
     return z ^ (z >> _np.uint64(31))
 
 
-def _mix(dev, hi, lo, seed):
-    """64-bit hash of one (device index, masked 128-bit prefix) key."""
-    z = _finalize(dev + _np.uint64(seed & _M64))
-    z = _finalize(z ^ hi)
-    return _finalize(z ^ lo)
-
-
 class _LengthTable:
     """All routes of one prefix length, across every device, sorted by key.
 
-    ``searchsorted`` gives the candidate row; the ``dev``/``hi``/``lo``
-    verification columns reject hash collisions on the query side.  Compile
-    rejects seed choices that collide between *stored* keys, so at most one
-    candidate row can match a query key, and it matches iff the entry is
-    genuinely present.
+    A key is one splitmix64 finaliser over ``hi ^ dev·K₁ ^ lo·K₂`` (no
+    ``lo`` term at /64 and shorter, where it is zero).  ``searchsorted``
+    gives the candidate row and the ``dev``/``hi``/``lo`` verification
+    columns decide: compile rejects seeds that collide between *stored*
+    keys, so a query's genuine entry, if there is one, is the row it lands
+    on, and any other row fails the columns — a collision is a miss at this
+    length, never a wrong answer.  A sentinel row of the largest key (and a
+    device index no device has) keeps every ``searchsorted`` in range.
+    ``has`` marks the devices with a route of this length: a lane at any
+    other device skips the table without hashing.
     """
 
     __slots__ = (
-        "length", "seed", "mask_hi", "mask_lo",
-        "keys", "dev", "hi", "lo", "action", "nxt",
+        "length", "wide", "seed", "k_dev", "k_lo", "mask_hi", "mask_lo",
+        "has", "keys", "dev", "hi", "lo", "action", "nxt",
     )
 
-    def __init__(self, length: int, entries) -> None:
+    def __init__(self, length: int, entries, n_devices: int) -> None:
         # entries: list of (dev_idx, masked_hi, masked_lo, action, nxt)
         self.length = length
+        self.wide = length > 64
         if length == 0:
             self.mask_hi = _np.uint64(0)
             self.mask_lo = _np.uint64(0)
@@ -161,29 +181,41 @@ class _LengthTable:
         else:
             self.mask_hi = _np.uint64(_M64)
             self.mask_lo = _np.uint64((_M64 << (128 - length)) & _M64)
-        self.dev = _np.array([e[0] for e in entries], dtype=_np.uint64)
-        self.hi = _np.array([e[1] for e in entries], dtype=_np.uint64)
-        self.lo = _np.array([e[2] for e in entries], dtype=_np.uint64)
-        self.action = _np.array([e[3] for e in entries], dtype=_np.int8)
-        self.nxt = _np.array([e[4] for e in entries], dtype=_np.int64)
-        self.seed = -1
-        order = None
+        dev = _np.array([e[0] for e in entries], dtype=_np.uint64)
+        hi = _np.array([e[1] for e in entries], dtype=_np.uint64)
+        lo = _np.array([e[2] for e in entries], dtype=_np.uint64)
+        self.has = _np.zeros(n_devices, dtype=bool)
+        self.has[dev.astype(_np.int64)] = True
+        self.seed = None
         for seed in _SEEDS:
-            keys = _mix(self.dev, self.hi, self.lo, seed)
+            self.k_dev, self.k_lo = _np.uint64(seed[0]), _np.uint64(seed[1])
+            keys = self.key(dev, hi, lo)
             order = _np.argsort(keys)
             keys = keys[order]
             if not bool((keys[1:] == keys[:-1]).any()):
                 self.seed = seed
                 break
-        if self.seed < 0:
+        if self.seed is None:
             self.keys = None  # signals compile failure to ColumnarFib
             return
-        self.keys = keys
-        self.dev = self.dev[order]
-        self.hi = self.hi[order]
-        self.lo = self.lo[order]
-        self.action = self.action[order]
-        self.nxt = self.nxt[order]
+
+        def column(values, dtype, sentinel):
+            return _np.append(_np.asarray(values, dtype=dtype)[order],
+                              _np.array([sentinel], dtype=dtype))
+
+        self.keys = _np.append(keys, _np.uint64(_M64))
+        self.dev = column(dev, _np.uint64, _M64)
+        self.hi = column(hi, _np.uint64, 0)
+        self.lo = column(lo, _np.uint64, 0)
+        self.action = column([e[3] for e in entries], _np.int8, A_MISS)
+        self.nxt = column([e[4] for e in entries], _np.int64, -1)
+
+    def key(self, dev, hi, lo):
+        """Hash of (device index, masked prefix) columns under this seed."""
+        z = hi ^ (dev * self.k_dev)
+        if self.wide:
+            z ^= lo * self.k_lo
+        return _finalize(z)
 
 
 class ColumnarFib:
@@ -202,6 +234,10 @@ class ColumnarFib:
         }
         self.generation = network.generation
         self.versions = [d.table.version for d in self.devices]
+        #: Return plans by (origin device, error destination value), each
+        #: one of the interned ``_plans`` — or False: walk that one home.
+        self._homes: Dict[Tuple["Device", int], object] = {}
+        self._plans: Dict[tuple, tuple] = {}
         self.ok = _np is not None
         if not self.ok:  # pragma: no cover - numpy is present in CI images
             return
@@ -267,7 +303,8 @@ class ColumnarFib:
                 )
         self._tables: List[_LengthTable] = []
         for length in sorted(by_length, reverse=True):
-            table = _LengthTable(length, by_length[length])
+            table = _LengthTable(length, by_length[length],
+                                 len(self.devices))
             if table.keys is None:  # pragma: no cover - 8 seeds all collided
                 self.ok = False
                 return
@@ -290,7 +327,9 @@ class ColumnarFib:
         """Vectorised longest-prefix match for a batch of lanes.
 
         ``dev`` indexes this FIB's device list; returns ``(action, nxt)``
-        int arrays where ``action == A_MISS`` means no length matched.
+        int arrays where ``action == A_MISS`` means no length matched.  A
+        table is hashed only for the pending lanes whose device has a route
+        of its length.
         """
         n = dev.size
         action = _np.zeros(n, dtype=_np.int8)
@@ -298,27 +337,148 @@ class ColumnarFib:
         pending = _np.arange(n)
         devu = dev.astype(_np.uint64)
         for table in self._tables:
-            if not pending.size:
-                break
-            mhi = dst_hi[pending] & table.mask_hi
-            mlo = dst_lo[pending] & table.mask_lo
-            key = _mix(devu[pending], mhi, mlo, table.seed)
-            pos = _np.minimum(
-                _np.searchsorted(table.keys, key), table.keys.size - 1
-            )
-            hit = (
-                (table.keys[pos] == key)
-                & (table.dev[pos] == devu[pending])
-                & (table.hi[pos] == mhi)
-                & (table.lo[pos] == mlo)
-            )
+            mine = table.has[dev[pending]]
+            if not mine.any():
+                continue
+            lanes = pending[mine]
+            d = devu[lanes]
+            mhi = dst_hi[lanes] & table.mask_hi
+            mlo = dst_lo[lanes] & table.mask_lo if table.wide else None
+            pos = _np.searchsorted(table.keys, table.key(d, mhi, mlo))
+            hit = (table.dev[pos] == d) & (table.hi[pos] == mhi)
+            if mlo is not None:
+                hit &= table.lo[pos] == mlo
             if hit.any():
                 rows = pos[hit]
-                lanes = pending[hit]
-                action[lanes] = table.action[rows]
-                nxt[lanes] = table.nxt[rows]
-                pending = pending[~hit]
+                found = lanes[hit]
+                action[found] = table.action[rows]
+                nxt[found] = table.nxt[rows]
+                mine[mine] = hit
+                pending = pending[~mine]
+                if not pending.size:
+                    break
         return action, nxt
+
+    def send_home(self, network: "Network", device: "Device",
+                  error: "Packet", vantage: "Device",
+                  inbox: List["Packet"], trace: "DeliveryTrace") -> bool:
+        """Finish ``error``, an ICMPv6 error ``device`` has just originated,
+        by its return plan instead of the walk home; False, having touched
+        nothing, where the walk has to run (see :func:`_plan_home`).
+
+        What the plan trusts is that the path home is pure: it was read
+        off the tables this FIB was compiled from, which cannot move while
+        it is the network's, and an error answers no error (RFC 4443
+        §2.4(e)) — so no limiter, no RNG and no counter lies on the way
+        home.  Only each on-link hop's NDP ``resolve`` reads and writes
+        state; those run here, in path order, under the lane's clock, and
+        a failed one ends the path where the walk's would end it."""
+        dst = error.dst
+        key = (device, dst.value)
+        plan = self._homes.get(key)
+        if plan is None:
+            plan = _plan_home(network, device, dst, error.hop_limit)
+            if plan:
+                plan = self._plans.setdefault(plan, plan)
+            self._homes[key] = plan
+        if not plan:
+            return False
+        start, hops, resolves, owner, drops, hop_limit, longest = plan
+        if error.hop_limit != start or trace.hops + longest > network.max_hops:
+            return False  # the walk raises where it always did
+        for router, further in resolves:
+            if not resolve(router, dst, network):
+                owner, drops = None, 0
+                break
+            hops += further
+        trace.hops += hops
+        network.total_hops += hops
+        trace.drops += drops
+        if owner is vantage:
+            inbox.append(error.with_hop_limit(hop_limit))
+            trace.delivered += 1
+        return True
+
+
+def _plain(device: "Device") -> bool:
+    """Is the device code the walk home would run at ``device`` the
+    library's own — ``receive`` (an owner swallows an error, a host drops
+    it) and ``_make_error`` (which never answers one)?"""
+    cls = type(device)
+    return cls.receive is Device.receive and cls._make_error in (
+        Device._make_error, IspRouter._make_error
+    )
+
+
+def _plan_home(network: "Network", device: "Device", dst, hop_limit: int):
+    """The return plan of an ICMPv6 error ``device`` originates towards
+    ``dst`` with ``hop_limit``, or False if only the walk will do.
+
+    :meth:`Network._originate` and ``Network._drain``'s fast path walked
+    once, statically: a pure hop adds a hop and takes one hop limit, and
+    wherever the walk would raise an error about the error (no route, hop
+    limit spent, failed NDP) or a host drops it, the path ends in silence.
+    The plan is ``(hop_limit, hops, resolves, owner, drops, final hop
+    limit, longest)``: the hops before the first on-link hop; per on-link
+    hop, the router whose ``resolve`` must run and the hops a success adds;
+    the device that owns ``dst`` where the path ends there (it reaches an
+    inbox if that is the vantage); 1 for a counted drop; and the hops if
+    every resolve succeeds.  A device that is not :func:`_plain` or not
+    ``flow_forward_safe``, or an on-link destination nobody owns (a stale
+    neighbour entry would send the walk to no device), leaves it to the
+    walk."""
+    owners = network._addr_owner
+    hops = [0]  # per stretch: before the first resolve, then after each
+    routers: List["Device"] = []
+    owner = None
+    drops = 0
+    at = device
+    if dst not in device.addresses:
+        if not device.forwards:
+            return False
+        route = device.table.lookup(dst)
+        if route is None or route.kind is RouteKind.UNREACHABLE:
+            at, drops = None, 1
+        elif route.kind is RouteKind.BLACKHOLE:
+            at = None
+        else:
+            hop = dst if route.kind is RouteKind.CONNECTED else route.next_hop
+            at = owners.get(hop.value)
+            if at is None:
+                drops = 1
+            else:
+                hops[0] = 1
+    limit = hop_limit
+    while at is not None:
+        if not _plain(at):
+            return False
+        if dst in at.addresses:
+            owner = at
+            break
+        if not at.forwards:
+            break  # a host drops what is not its own
+        if not at.flow_forward_safe:
+            return False
+        route = at.table.lookup(dst)
+        if (route is None or route.kind is RouteKind.UNREACHABLE
+                or route.kind is RouteKind.BLACKHOLE or limit <= 1):
+            break
+        if route.kind is RouteKind.CONNECTED:
+            nxt = owners.get(dst.value)
+            if nxt is None:
+                return False
+            routers.append(at)
+            hops.append(1)
+        else:
+            nxt = owners.get(route.next_hop.value)
+            if nxt is None:
+                drops = 1
+                break
+            hops[-1] += 1
+        at = nxt
+        limit -= 1
+    return (hop_limit, hops[0], tuple(zip(routers, hops[1:])), owner, drops,
+            limit, sum(hops))
 
 
 def _usable(network: "Network") -> bool:
@@ -431,13 +591,10 @@ def _vector_phase(network, fib, vantage, values, hop_limits):
         )
         # A CONNECTED route originates straight at the destination's owner.
         nxt = _np.where(action == A_CONNECTED, owner[idx], nxt)
-        # BLACKHOLE originate: the scalar engine asserts — replay the whole
-        # injection so even that reproduces faithfully.
-        status[idx[action == A_BLACKHOLE]] = _ORIGIN
         sent = ((action == A_NEXT_HOP) | (action == A_CONNECTED)) & (nxt >= 0)
-        lost = idx[~sent & (action != A_BLACKHOLE)]
-        drops[lost] = 1
-        status[lost] = _SILENT
+        # What is not sent is dropped, counted — but a blackhole says nothing.
+        status[idx[~sent]] = _SILENT
+        drops[idx[~sent & (action != A_BLACKHOLE)]] = 1
         cur[idx[sent]] = nxt[sent]
         hops[idx[sent]] = 1  # enqueued without a hop-limit decrement
     elif vantage.gateway is None:
@@ -668,7 +825,7 @@ def inject_block(
             trace = DeliveryTrace(hops=hops, drops=drops_of[lane])
             resumed = packet(i).with_hop_limit(lanes.hl[lane])
             queue = deque([(lanes.fib.devices[lanes.cur[lane]], resumed)])
-            drain(queue, vantage, inbox, trace)
+            drain(queue, vantage, inbox, trace, lanes.fib)
             result = inbox, trace
         ejected[i] = result
         all_hops.append(result[1].hops)

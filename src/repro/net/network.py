@@ -64,6 +64,7 @@ from repro.net.packet import (
 from repro.net.routing import RouteKind
 
 if False:  # TYPE_CHECKING without the import cost on the hot path
+    from repro.net.columnar import ColumnarFib
     from repro.telemetry.trace import ProbeTrace
 
 
@@ -313,6 +314,7 @@ class Network:
         vantage: Device,
         inbox: List[Packet],
         trace: DeliveryTrace,
+        home: Optional["ColumnarFib"] = None,
     ) -> None:
         """Run the forwarding engine until every queued packet settles.
 
@@ -340,6 +342,13 @@ class Network:
         whose turns the walk would interleave.  A loop that would carry
         ``trace.hops`` past ``max_hops`` is walked as well, so the
         ``NetworkError`` is raised at the dequeue it always was.
+
+        ``home`` is the :class:`~repro.net.columnar.ColumnarFib` the
+        columnar replay forwarded the packet under.  When it is given and
+        ``plain`` holds, an ICMPv6 error the fast path raises with nothing
+        else in flight is finished by the FIB's return plan
+        (:meth:`~repro.net.columnar.ColumnarFib.send_home`): same inbox,
+        counters and NDP state as the walk home, without the walk.
         """
         # Hot-loop hoists: every per-hop attribute/constant below is looked
         # up once per injection instead of once per hop.
@@ -357,6 +366,16 @@ class Network:
         # The previous pure hop of this drain: ``hop_from`` forwarded
         # ``hop_dst`` to ``hop_to``.
         hop_from = hop_to = hop_dst = None
+        if plain and home is not None:
+            def originate(device: Device, packet: Packet,
+                          queue: Deque[Tuple[Device, Packet]],
+                          trace: DeliveryTrace) -> None:
+                if queue or not home.send_home(
+                    self, device, packet, vantage, inbox, trace
+                ):
+                    self._originate(device, packet, queue, trace)
+        else:
+            originate = self._originate
 
         while queue:
             if trace.hops > max_hops:
@@ -398,7 +417,7 @@ class Network:
                         )
                         if error is not None:
                             trace.errors_generated += 1
-                            self._originate(device, error, queue, trace)
+                            originate(device, error, queue, trace)
                         continue
                     if action == FLOW_FORWARD:
                         if plain:
@@ -463,7 +482,7 @@ class Network:
                         )
                         if error is not None:
                             trace.errors_generated += 1
-                            self._originate(device, error, queue, trace)
+                            originate(device, error, queue, trace)
                         continue
                     trace.drops += 1  # FLOW_UNRESOLVED: churn blackhole
                     continue
@@ -476,7 +495,7 @@ class Network:
                     )
                     if error is not None:
                         trace.errors_generated += 1
-                        self._originate(device, error, queue, trace)
+                        originate(device, error, queue, trace)
                     continue
                 continue  # FLOW_BLACKHOLE: silent discard
             result = device.receive(current, self)
@@ -554,6 +573,8 @@ class Network:
             if route.kind is RouteKind.UNREACHABLE:
                 trace.drops += 1
                 return
+            if route.kind is RouteKind.BLACKHOLE:
+                return  # silent discard, as in ``_forward``
             next_addr = (
                 packet.dst if route.kind is RouteKind.CONNECTED else route.next_hop
             )

@@ -15,9 +15,9 @@ original probe target from that embedded packet to attribute replies.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import IntEnum
-from typing import Union
+from typing import Optional, Union
 
 from repro.net.addr import IPv6Addr
 
@@ -99,17 +99,75 @@ def pseudo_header(src: IPv6Addr, dst: IPv6Addr, length: int, proto: int) -> byte
     )
 
 
-@dataclass(frozen=True)
 class Icmpv6Message:
     """An ICMPv6 message: echoes carry ident/seq + payload, errors carry the
-    invoking packet's bytes (truncated per RFC 4443 to fit the minimum MTU)."""
+    invoking packet's bytes (truncated per RFC 4443 to fit the minimum MTU).
 
-    type: int
-    code: int = 0
-    ident: int = 0
-    seq: int = 0
-    payload: bytes = b""
-    invoking: bytes = b""
+    An error built in process (:func:`icmpv6_error`) holds the invoking
+    :class:`Packet` itself, by reference: :attr:`invoking`, :meth:`body` and
+    :meth:`encode` produce its bytes on demand, and equality, hashing and
+    ``repr`` treat the message as the frozen value of its six fields with
+    ``invoking`` as those bytes.  One decoded off the wire holds the bytes.
+    """
+
+    __slots__ = ("type", "code", "ident", "seq", "payload", "_quote")
+
+    def __init__(self, type: int, code: int = 0, ident: int = 0,
+                 seq: int = 0, payload: bytes = b"",
+                 invoking: Union[bytes, "Packet"] = b"") -> None:
+        init = object.__setattr__
+        init(self, "type", type)
+        init(self, "code", code)
+        init(self, "ident", ident)
+        init(self, "seq", seq)
+        init(self, "payload", payload)
+        init(self, "_quote", invoking)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Icmpv6Message, (self.type, self.code, self.ident, self.seq,
+                               self.payload, self._quote)
+
+    def _fields(self) -> tuple:
+        return (self.type, self.code, self.ident, self.seq, self.payload,
+                self.invoking)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"Icmpv6Message(type={self.type!r}, code={self.code!r}, "
+            f"ident={self.ident!r}, seq={self.seq!r}, "
+            f"payload={self.payload!r}, invoking={self.invoking!r})"
+        )
+
+    @property
+    def invoking(self) -> bytes:
+        """The quoted invoking packet's bytes, untruncated."""
+        quote = self._quote
+        return quote if isinstance(quote, bytes) else quote.encode()
+
+    @property
+    def quoted(self) -> Optional["Packet"]:
+        """The invoking packet as held, when its bytes reach the wire whole;
+        None for a quote decoded off the wire or cut to the minimum MTU."""
+        quote = self._quote
+        if isinstance(quote, bytes):
+            return None
+        if _wire_length(quote) > 1280 - IPV6_HEADER_LEN - 8:
+            return None
+        return quote
 
     @property
     def is_error(self) -> bool:
@@ -122,6 +180,14 @@ class Icmpv6Message:
         # truncated so the whole IPv6 packet stays within 1280 bytes.
         room = 1280 - IPV6_HEADER_LEN - 8
         return b"\x00\x00\x00\x00" + self.invoking[:room]
+
+    def _body_length(self) -> int:
+        """``len(self.body())``, without encoding a held quote."""
+        if self.type in (Icmpv6Type.ECHO_REQUEST, Icmpv6Type.ECHO_REPLY):
+            return 4 + len(self.payload)
+        quote = self._quote
+        length = len(quote) if isinstance(quote, bytes) else _wire_length(quote)
+        return 4 + min(length, 1280 - IPV6_HEADER_LEN - 8)
 
     def encode(self, src: IPv6Addr, dst: IPv6Addr) -> bytes:
         body = self.body()
@@ -322,6 +388,20 @@ class Packet:
         )
 
 
+def _wire_length(packet: Packet) -> int:
+    """``len(packet.encode())``, without encoding anything."""
+    payload = packet.payload
+    if isinstance(payload, bytes):
+        body = len(payload)
+    elif isinstance(payload, Icmpv6Message):
+        body = 4 + payload._body_length()
+    elif isinstance(payload, UdpDatagram):
+        body = 8 + len(payload.payload)
+    else:
+        body = 20 + len(payload.payload)
+    return IPV6_HEADER_LEN + body
+
+
 def echo_request(
     src: IPv6Addr,
     dst: IPv6Addr,
@@ -350,7 +430,8 @@ def icmpv6_error(
     Errors originate with a full 255 hop limit, which is what lets the
     source-spoofing variant of the routing-loop attack double its traffic:
     a Time Exceeded aimed at a spoofed address inside looping space gets a
-    whole hop-limit budget of its own (§VI-A).
+    whole hop-limit budget of its own (§VI-A).  The message holds
+    ``invoking`` by reference; its bytes are encoded if anything asks.
     """
-    message = Icmpv6Message(int(error_type), code, invoking=invoking.encode())
+    message = Icmpv6Message(int(error_type), code, invoking=invoking)
     return Packet(src=src, dst=dst, payload=message, hop_limit=hop_limit)

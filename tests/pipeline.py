@@ -17,7 +17,9 @@ from repro.core.scanner import ScanConfig, Scanner
 from repro.core.target import ScanRange
 from repro.engine import ProbeSpec
 from repro.net import columnar
-from tests.topo import build_mini
+from repro.net.addr import IPv6Prefix
+from repro.net.device import CpeRouter
+from tests.topo import MiniTopology, build_mini
 
 SPEC = "2001:db8:1::/56-64"  # 256 sub-prefixes over both CPEs' LAN space
 #: The vulnerable CPE's delegation: 15 of its 16 /64s loop (the probe module
@@ -46,11 +48,84 @@ def engine(
         scanner_module.BLOCK_SIZE, columnar.VECTOR_MIN_PROBES = saved
 
 
+#: The WAN and delegation of the CPE that replies come home through in the
+#: ``home-via-cpe`` world.
+HOME_WAN = IPv6Prefix.from_string("2001:4860:1::/64")
+HOME_LAN = IPv6Prefix.from_string("2001:4860:2::/60")
+
+
+def _bounce_limited(topo: MiniTopology) -> None:
+    """The vulnerable CPE stops a loop after ten bounces (its forwarding
+    keeps a counter, so the fast paths hand it to ``_forward``)."""
+    old = topo.cpe_vuln
+    topo.network.unregister(old)
+    topo.cpe_vuln = CpeRouter(
+        old.name, old.wan_address, old.wan_prefix, old.lan_prefix,
+        subnet_prefix=old.subnet_prefix, isp_address=old.isp_address,
+        vulnerable_wan=True, vulnerable_lan=True, loop_forward_limit=10,
+    )
+    topo.network.register(topo.cpe_vuln)
+
+
+def _home_via_cpe(topo: MiniTopology) -> None:
+    """Replies reach the vantage through a bounce-limited CPE: every error
+    the ISP side raises takes it on its way home."""
+    home = CpeRouter(
+        "cpe-home", HOME_WAN.address(1), HOME_WAN, HOME_LAN,
+        isp_address=topo.core.primary_address, loop_forward_limit=10,
+    )
+    topo.network.register(home)
+    vantage = topo.vantage.primary_address.prefix(128)
+    topo.core.table.add_next_hop(vantage, home.wan_address)
+    home.table.add_connected(vantage, "v")
+
+
+def _drop_external(topo: MiniTopology) -> None:
+    topo.isp.drop_external_errors = True
+
+
+#: The mini testbed and the variants of it that change what an error meets
+#: on its way home, by name.
+WORLDS: Dict[str, Callable[[MiniTopology], None]] = {
+    "mini": lambda topo: None,
+    "bounce-limited": _bounce_limited,
+    "drop-external": _drop_external,
+    "home-via-cpe": _home_via_cpe,
+}
+
+
+def build_world(name: str = "mini", **network_kwargs) -> MiniTopology:
+    """``build_mini(**network_kwargs)`` turned into the world ``name``."""
+    topo = build_mini(**network_kwargs)
+    WORLDS[name](topo)
+    return topo
+
+
+def device_state(network) -> list:
+    """What the stateful half of forwarding left on every device: the
+    neighbour cache (entries, hits, misses, solicitations), the ICMPv6
+    error limiter and the loop-bounce counter."""
+    state = []
+    for device in network.devices.values():
+        cache = device.neighbor_cache
+        limiter = device.error_limiter
+        state.append((
+            device.name,
+            sorted((value, entry.reachable, entry.lladdr, entry.expires_at)
+                   for value, entry in cache._entries.items()),
+            cache.hits, cache.misses, cache.solicitations,
+            limiter._tokens, limiter._last, device.errors_suppressed,
+            getattr(device, "_loop_bounces", None),
+        ))
+    return state
+
+
 def observables(scanner: Scanner, result) -> Dict[str, object]:
     """Everything a scan run promises to keep identical across engines."""
     stats = result.stats.to_dict()
     stats.pop("wall_seconds")  # the only legitimately nondeterministic field
     return {
+        "devices": device_state(scanner.network),
         "digest": result.dedup_digest(),
         "rows": [r.to_dict() for r in result.results],
         "stats": stats,
@@ -93,6 +168,7 @@ def observe(
     spec: str = SPEC,
     topo=None,
     hook: Optional[Callable] = None,
+    world: str = "mini",
     **config,
 ) -> Dict[str, object]:
     """One full scan on a fresh mini topology; returns its observables.
@@ -101,12 +177,13 @@ def observe(
     the slow path, no vector phase) fed one target at a time.  A fresh
     network per run matters: the virtual clock advances during a scan, so
     reusing one would shift ``virtual_start`` between identical runs.
-    ``hook(topo)`` makes the scan's ``on_progress``.
+    ``hook(topo)`` makes the scan's ``on_progress``; ``world`` names the
+    topology built when ``topo`` is not given (:data:`WORLDS`).
     """
     if reference:
         block_size = 1
     if topo is None:
-        topo = build_mini(flow_cache=not reference)
+        topo = build_world(world, flow_cache=not reference)
     config.setdefault("seed", 5)
     flow_cache = topo.network.flow_cache
     scanner = Scanner(

@@ -27,14 +27,20 @@ from repro.core.target import ScanRange
 from repro.engine import Campaign, ProbeSpec
 from repro.faults import ROUTE_SET, FaultEvent, FaultSchedule
 from repro.net import columnar
-from repro.net.addr import IPv6Addr
-from repro.net.device import Host
+from repro.net.addr import IPv6Addr, IPv6Prefix
+from repro.net.device import Host, Router
+from repro.net.network import Network, NetworkError
+from repro.net.packet import echo_request
+from repro.net.routing import RouteKind
 from repro.net.spec import TopologySpec
 from repro.net.testbed import MiniTopology
 from tests.pipeline import (
     ALWAYS,
     LOOP_SPEC,
     NEVER,
+    WORLDS,
+    build_world,
+    device_state,
     engine,
     observables,
     observe,
@@ -56,6 +62,18 @@ def _config(spec: str = SPEC, **kwargs) -> ScanConfig:
 def _vector(**kwargs):
     """Every chunk through the vector phase (where it is usable)."""
     return observe(vector_min=ALWAYS, **kwargs)
+
+
+#: A host behind the healthy CPE, and a prefix the core routes through it.
+LAN_HOST = MiniTopology.SUBNET_OK.address(0x99)
+THROUGH_HOST = IPv6Prefix.from_string("2001:db9:1::/48")
+
+
+def _with_hosts(topo):
+    """Give the way home a host to end at and a host to die in."""
+    topo.network.attach_host(Host("lan-host", LAN_HOST), topo.cpe_ok)
+    topo.core.table.add_next_hop(THROUGH_HOST, LAN_HOST)
+    return topo
 
 
 def _outcome_key(outcomes):
@@ -165,6 +183,7 @@ class TestInjectBlockEquivalence:
                 MiniTopology.WAN_OK.address(0x5),  # on-link, nobody's
                 MiniTopology.UE_PREFIX.address(0x77),  # unreachable route
                 IPv6Addr.from_string("2001:db9::1"),  # the default route
+                IPv6Addr.from_string("2001:db8:ffff::1"),  # blackholed
                 isp.primary_address,  # itself
             ]
             packets = [
@@ -182,6 +201,70 @@ class TestInjectBlockEquivalence:
         drops = [key[2] for key in fast[0]]
         assert 0 in drops and 1 in drops  # some left, some never did
 
+    @pytest.mark.parametrize("hop_limit", [2, 4])
+    def test_an_error_originated_into_a_blackhole_is_discarded(
+        self, hop_limit
+    ):
+        """§VI-A's spoofed source inside the ISP's blackholed unassigned
+        space: the Time Exceeded the ISP router originates for a looping
+        probe is discarded in silence on every engine (it used to trip an
+        assertion in ``Network._originate``)."""
+        spoofed = IPv6Addr.from_string("2001:db8:ffff::1")
+        looping = IPv6Addr.from_string("2001:db8:1:61::5")
+        seen = []
+        for flow_cache, lanes in ((False, False), (True, False), (True, True)):
+            topo = build_mini(flow_cache=flow_cache)
+            packet = echo_request(spoofed, looping, 1, 2, hop_limit=hop_limit)
+            with engine(vector_min=ALWAYS):
+                if lanes:
+                    outcomes = columnar.inject_block(
+                        topo.network, [packet], topo.vantage
+                    )
+                else:
+                    outcomes = [topo.network.inject(packet, topo.vantage)]
+            seen.append((_outcome_key(outcomes), topo.network.total_hops,
+                         device_state(topo.network)))
+        assert seen[0] == seen[1] == seen[2]
+        ((inbox, hops, drops, delivered, errors, _),) = seen[0][0]
+        assert (inbox, hops, drops, delivered, errors) == (
+            [], hop_limit, 0, 0, 1
+        )
+
+    @pytest.mark.parametrize("max_hops", [200, 4096])
+    def test_a_loop_on_the_way_home_and_an_overrun_there(self, max_hops):
+        """The ISP routes the vantage back into the healthy CPE, so every
+        error it raises loops home until its own hop limit runs out — 255
+        hops past ``max_hops`` = 200, where the walk raises."""
+
+        def run(fast: bool):
+            topo = build_mini(max_hops=max_hops)
+            topo.isp.delegate(topo.vantage.primary_address.prefix(128),
+                              MiniTopology.WAN_OK.address(0xDEADBEEF))
+            probe = ProbeSpec.for_seed(5).build()
+            source = topo.vantage.primary_address
+            packets = [  # Time Exceeded at the ISP router, then the loop
+                probe.build(source, dst).with_hop_limit(2)
+                for dst in (MiniTopology.SUBNET_OK.address(0x1),
+                            MiniTopology.UE_PREFIX.address(0x77))
+            ]
+            call = columnar.inject_block if fast else columnar._sequential
+            try:
+                with engine(vector_min=ALWAYS):
+                    outcomes = _outcome_key(
+                        call(topo.network, packets, topo.vantage, None)
+                    )
+            except NetworkError as error:
+                return str(error)
+            return (outcomes, topo.network.total_hops,
+                    device_state(topo.network))
+
+        walked = run(False)
+        assert run(True) == walked
+        if max_hops == 200:
+            assert "exceeded 200 hops" in walked
+        else:
+            assert [key[1] for key in walked[0]] == [2 + 255] * 2
+
     ADDRESSES = [
         MiniTopology.WAN_OK.address(0xDEADBEEF),
         MiniTopology.WAN_VULN.address(0x1234),
@@ -195,31 +278,82 @@ class TestInjectBlockEquivalence:
         IPv6Addr.from_string("2001:4860::1"),  # its gateway
     ]
 
-    @settings(max_examples=120, deadline=None)
+    #: Probe sources, hence where the errors go home to: None is the
+    #: vantage; the others are spoofed (§VI-A).
+    SOURCES = [
+        None,
+        IPv6Addr.from_string("2001:db8:ffff::1"),  # the ISP's blackhole
+        IPv6Addr.from_string("2001:db8:1:6a::1"),  # loops until spent
+        LAN_HOST,  # ends at a host that owns it
+        THROUGH_HOST.address(0x5),  # dies in a host on the way
+        MiniTopology.SUBNET_OK.address(0x5),  # on-link, NDP fails
+    ]
+
+    @pytest.mark.parametrize("world", sorted(WORLDS))
+    def test_every_way_home_in_every_world(self, world):
+        """Every source for a few of the targets, lanes 7.5 virtual seconds
+        apart: the generated property below, pinned."""
+        probe = ProbeSpec.for_seed(5).build()
+        targets = [
+            MiniTopology.SUBNET_OK.address(0x1),
+            IPv6Addr.from_string("2001:db8:1:61::5"),
+            IPv6Addr.from_string("2001:db9::1"),
+        ]
+
+        def run(fast: bool):
+            topo = _with_hosts(build_world(world))
+            vantage = topo.vantage.primary_address
+            packets = [
+                probe.build(source or vantage, dst).with_hop_limit(hop_limit)
+                for source in self.SOURCES for dst in targets
+                for hop_limit in (2, 255)
+            ]
+            clocks = [i * 7.5 for i in range(len(packets))]
+            call = columnar.inject_block if fast else columnar._sequential
+            with engine(vector_min=ALWAYS):
+                outcomes = call(topo.network, packets, topo.vantage, clocks)
+            return (_outcome_key(outcomes), topo.network.total_hops,
+                    device_state(topo.network))
+
+        walked = run(False)
+        assert run(True) == walked
+        assert any(inbox for inbox, *_ in walked[0])
+
+    @settings(max_examples=150, deadline=None)
     @given(
         probes=st.lists(
             st.tuples(st.sampled_from(ADDRESSES),
-                      st.sampled_from([1, 2, 3, 4, 5, 63, 64, 255])),
+                      st.sampled_from([1, 2, 3, 4, 5, 63, 64, 255]),
+                      st.sampled_from(SOURCES)),
             min_size=1, max_size=90,
         ),
         clocked=st.booleans(),
+        # 7.5 s apart, the core's neighbour entry for the vantage (30 s)
+        # expires between two lanes of one chunk.
+        step=st.sampled_from([0.0004, 7.5]),
         lazy=st.booleans(),
+        world=st.sampled_from(sorted(WORLDS)),
     )
     def test_lazy_result_equals_the_sequential_list(
-        self, probes, clocked, lazy
+        self, probes, clocked, step, lazy, world
     ):
         """The result iterates as ``_sequential``'s list — inbox packets,
         hops, drops, delivered, errors — whether the chunk came as built
-        packets or as lanes whose packets are built on demand."""
+        packets or as lanes whose packets are built on demand, and every
+        device is left in the same state: neighbour caches and error
+        limiters are what the walk home would have left."""
         probe = ProbeSpec.for_seed(5).build()
 
         def packets_for(topo):
-            source = topo.vantage.primary_address
-            return [probe.build(source, dst).with_hop_limit(hop_limit)
-                    for dst, hop_limit in probes]
+            vantage = topo.vantage.primary_address
+            return [
+                probe.build(source or vantage, dst).with_hop_limit(hop_limit)
+                for dst, hop_limit, source in probes
+            ]
 
-        clocks = [i * 0.0004 for i in range(len(probes))] if clocked else None
-        slow_topo, fast_topo = build_mini(), build_mini()
+        clocks = [i * step for i in range(len(probes))] if clocked else None
+        slow_topo = _with_hosts(build_world(world))
+        fast_topo = _with_hosts(build_world(world))
         slow = columnar._sequential(
             slow_topo.network, packets_for(slow_topo), slow_topo.vantage,
             clocks,
@@ -231,8 +365,8 @@ class TestInjectBlockEquivalence:
             if lazy:
                 lanes = columnar.Lanes(
                     fast_topo.network, fast_topo.vantage,
-                    [dst.value for dst, _ in probes],
-                    [hop_limit for _, hop_limit in probes],
+                    [dst.value for dst, _, _ in probes],
+                    [hop_limit for _, hop_limit, _ in probes],
                 )
 
                 def packet(i):
@@ -254,6 +388,9 @@ class TestInjectBlockEquivalence:
         assert fast_topo.network.total_hops == slow_topo.network.total_hops
         assert (fast_topo.network.total_injected
                 == slow_topo.network.total_injected)
+        assert fast_topo.network.clock == slow_topo.network.clock
+        assert (device_state(fast_topo.network)
+                == device_state(slow_topo.network))
         # A probe whose reply (or error) came back was finished by the
         # scalar engine, from a packet built exactly once.
         answered = [i for i, (inbox, _) in enumerate(slow) if inbox]
@@ -481,3 +618,164 @@ class TestScalarFallbacks:
         assert not columnar._usable(net)
         net.record_links = False
         assert columnar._usable(net)
+
+
+#: Four addresses whose prefixes nest and part at every generated length:
+#: the first two share their /96, the third their /60 but not their /64,
+#: the fourth only their /32.
+_POOL = [
+    IPv6Addr.from_string("2001:db8:1:2:3:4:5:6").value,
+    IPv6Addr.from_string("2001:db8:1:2:3:4:5:7").value,
+    IPv6Addr.from_string("2001:db8:1:3::1").value,
+    IPv6Addr.from_string("2001:db8:2::1").value,
+]
+_LENGTHS = [0, 28, 32, 48, 56, 60, 64, 96, 128]
+_QUERIES = _POOL + [
+    IPv6Addr.from_string("2001:db9::1").value,
+    IPv6Addr.from_string("::1").value,
+]
+_ACTIONS = {
+    RouteKind.UNREACHABLE: columnar.A_UNREACHABLE,
+    RouteKind.BLACKHOLE: columnar.A_BLACKHOLE,
+    RouteKind.CONNECTED: columnar.A_CONNECTED,
+}
+
+
+def _prefix(pool: int, length: int) -> IPv6Prefix:
+    mask = ((1 << length) - 1) << (128 - length) if length else 0
+    return IPv6Prefix(_POOL[pool] & mask, length)
+
+
+def _routed(routes):
+    """Four routers with ``routes`` (device, length, pool, kind, via) and a
+    fifth, unregistered once the routes through it are in."""
+    network = Network()
+    routers = [
+        network.register(
+            Router(f"r{i}", IPv6Addr.from_string(f"2001:db8:ff::{i}"))
+        )
+        for i in range(5)
+    ]
+    for device, length, pool, kind, via in routes:
+        table = routers[device].table
+        prefix = _prefix(pool, length)
+        if kind == "next-hop":
+            table.add_next_hop(prefix, routers[via].primary_address)
+        elif kind == "unbound":
+            table.add_next_hop(prefix, routers[4].primary_address)
+        elif kind == "connected":
+            table.add_connected(prefix, "lan")
+        elif kind == "unreachable":
+            table.add_unreachable(prefix)
+        else:
+            table.add_blackhole(prefix)
+    network.unregister(routers[4])
+    return network, routers[:4]
+
+
+def _expected(network, fib, device, value):
+    """``device.table.lookup`` as the FIB's (action, next device index)."""
+    route = device.table.lookup(value)
+    if route is None:
+        return columnar.A_MISS, -1
+    if route.kind is RouteKind.NEXT_HOP:
+        owner = network.device_at(route.next_hop)
+        if owner is None:
+            return columnar.A_UNRESOLVED, -1
+        return columnar.A_NEXT_HOP, fib.index[id(owner)]
+    return _ACTIONS[route.kind], -1
+
+
+def _lookup(fib, lanes):
+    """``fib.lookup`` of (device index, address value) lanes, as a list."""
+    np = columnar._np
+    action, nxt = fib.lookup(
+        np.array([dev for dev, _ in lanes], dtype=np.int64),
+        np.array([value >> 64 for _, value in lanes], dtype=np.uint64),
+        np.array([value & columnar._M64 for _, value in lanes],
+                 dtype=np.uint64),
+    )
+    return list(zip(action.tolist(), nxt.tolist()))
+
+
+@needs_numpy
+class TestFibLookupOracle:
+    """``ColumnarFib.lookup`` is each device's ``table.lookup``, in one
+    batch of mixed devices, over generated route sets."""
+
+    def _check(self, network, routers):
+        fib = columnar.ColumnarFib(network)
+        assert fib.ok
+        lanes = [(fib.index[id(router)], value)
+                 for router in routers for value in _QUERIES]
+        want = [_expected(network, fib, router, value)
+                for router in routers for value in _QUERIES]
+        assert _lookup(fib, lanes) == want
+        return fib, want
+
+    @settings(max_examples=150, deadline=None)
+    @given(routes=st.lists(
+        st.tuples(
+            st.integers(0, 3), st.sampled_from(_LENGTHS), st.integers(0, 3),
+            st.sampled_from(["next-hop", "unbound", "connected",
+                             "unreachable", "blackhole"]),
+            st.integers(0, 3),
+        ),
+        max_size=24,
+    ))
+    def test_lookup_is_every_table_lookup(self, routes):
+        self._check(*_routed(routes))
+
+    def test_every_kind_and_length_is_met(self):
+        routes = [
+            (device, length, pool, kind, (device + 1) % 4)
+            for device, kind in enumerate(
+                ["next-hop", "unbound", "connected", "unreachable"])
+            for pool, length in enumerate([28, 48, 64, 128])
+        ] + [(0, 0, 0, "next-hop", 1), (0, 128, 1, "blackhole", 0),
+             (1, 96, 1, "next-hop", 2), (2, 60, 2, "next-hop", 3),
+             (3, 56, 2, "blackhole", 0), (0, 32, 3, "connected", 0)]
+        _, want = self._check(*_routed(routes))
+        assert {action for action, _ in want} == set(range(6))
+
+    def test_a_stored_collision_is_retried_with_the_next_seed(
+        self, monkeypatch
+    ):
+        # K = 0 hashes the prefix alone: one /48 on two devices collides.
+        seeds = ((0, 0),) + columnar._SEEDS
+        monkeypatch.setattr(columnar, "_SEEDS", seeds)
+        fib, _ = self._check(*_routed([
+            (0, 48, 0, "next-hop", 2), (1, 48, 0, "blackhole", 0),
+        ]))
+        (table,) = fib._tables
+        assert table.seed == seeds[1]
+
+    def test_a_query_collision_is_a_miss_at_that_length(self, monkeypatch):
+        monkeypatch.setattr(columnar, "_SEEDS", ((0, 0),))
+        network, routers = _routed([
+            (0, 48, 0, "next-hop", 2),  # r0's /48 ...
+            (1, 48, 3, "blackhole", 0),  # ... and r1's other one
+            (1, 0, 0, "next-hop", 3),  # r1's default
+        ])
+        fib, _ = self._check(network, routers)
+        table = fib._tables[0]
+        np = columnar._np
+        hi = np.array([_POOL[0] >> 64], dtype=np.uint64) & table.mask_hi
+
+        def key(device):
+            return table.key(np.array([device], dtype=np.uint64), hi, None)
+
+        # r1 asking for r0's /48 lands on r0's row — and misses there.
+        assert table.length == 48 and key(1).tolist() == key(0).tolist()
+        assert _lookup(fib, [(1, _POOL[0])]) == [
+            (columnar.A_NEXT_HOP, fib.index[id(routers[3])])
+        ]
+
+    def test_collisions_on_every_seed_leave_the_compile_unusable(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(columnar, "_SEEDS", ((0, 0),) * 8)
+        network, _ = _routed([
+            (0, 48, 0, "next-hop", 2), (1, 48, 0, "blackhole", 0),
+        ])
+        assert not columnar.ColumnarFib(network).ok

@@ -1,5 +1,8 @@
 """Wire formats: checksums, encode/decode inverses, error semantics."""
 
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -128,6 +131,70 @@ class TestIcmpv6:
     def test_short_message_rejected(self):
         with pytest.raises(PacketError):
             Icmpv6Message.decode(b"\x80\x00\x00", SRC, DST)
+
+
+class TestQuoteByReference:
+    """An error holds the invoking packet and makes its bytes on demand;
+    it is indistinguishable from the message holding those bytes."""
+
+    @staticmethod
+    def _pair(invoking, error_type=Icmpv6Type.DEST_UNREACHABLE, code=3):
+        held = icmpv6_error(DST, SRC, error_type, code, invoking)
+        message = Icmpv6Message(int(error_type), code,
+                                invoking=invoking.encode())
+        return held, Packet(src=DST, dst=SRC, payload=message,
+                            hop_limit=held.hop_limit)
+
+    @staticmethod
+    def _same(held, wired):
+        assert held.payload.invoking == wired.payload.invoking
+        assert held.payload.body() == wired.payload.body()
+        assert held.encode() == wired.encode()
+        assert held == wired and held.payload == wired.payload
+        assert hash(held) == hash(wired)
+        assert hash(held.payload) == hash(wired.payload)
+        assert repr(held) == repr(wired)
+
+    @given(payloads, st.integers(0, 0xFFFF), st.integers(0, 0xFFFF),
+           st.integers(1, 255))
+    def test_identical_to_the_bytes_form(self, payload, ident, seq, hops):
+        probe = echo_request(SRC, DST, ident, seq, payload, hop_limit=hops)
+        held, wired = self._pair(probe)
+        self._same(held, wired)
+        assert held.payload.quoted is probe
+        assert Packet.decode(held.encode()) == wired
+
+    def test_every_payload_kind_and_an_error_quoting_an_error(self):
+        for inner in (UdpDatagram(1, 2, b"abc"), TcpSegment(3, 4, seq=5),
+                      b"opaque"):
+            self._same(*self._pair(Packet(src=SRC, dst=DST, payload=inner)))
+        error, _ = self._pair(echo_request(SRC, DST, 1, 2, b"x"))
+        held, wired = self._pair(error, Icmpv6Type.TIME_EXCEEDED, 0)
+        self._same(held, wired)
+        assert held.payload.quoted is error
+
+    @pytest.mark.parametrize("extra,whole", [(0, True), (1, False),
+                                             (800, False)])
+    def test_a_quote_past_the_minimum_mtu_is_cut_and_not_held(
+        self, extra, whole
+    ):
+        # 40 + 8 + 1184 = 1232 bytes: exactly the room an error has.
+        big = Packet(src=SRC, dst=DST,
+                     payload=UdpDatagram(1, 2, b"\x00" * (1184 + extra)))
+        held, wired = self._pair(big)
+        self._same(held, wired)
+        assert len(held.encode()) == 1280
+        assert len(held.payload.invoking) == 1232 + extra  # uncut, as held
+        assert (held.payload.quoted is big) is whole
+
+    def test_frozen_and_pickled_by_value(self):
+        held, wired = self._pair(echo_request(SRC, DST, 1, 2, b"x"))
+        with pytest.raises(FrozenInstanceError):
+            held.payload.code = 1  # type: ignore[misc]
+        with pytest.raises(FrozenInstanceError):
+            del held.payload.type
+        back = pickle.loads(pickle.dumps(held))
+        assert back == wired and back.payload.quoted is not None
 
 
 class TestUdp:

@@ -45,6 +45,7 @@ from tests.pipeline import (
     LOOP_SPEC,
     NEVER,
     SPEC,
+    WORLDS,
     editing_hook,
     engine,
     observe,
@@ -70,6 +71,9 @@ MODES = {
     "trace": {"trace": "sample:4"},
     "retransmit": {"retransmit": 2, "retransmit_backoff": 0.0002},
     "adaptive": {"adaptive_rate": True, "adaptive_window": 4},
+    # 6 probes a second: the core's neighbour entry for the vantage (30
+    # virtual seconds) expires mid-scan, between two lanes of a block.
+    "ndp-expiry": {"rate_pps": 6.0, "timeseries_interval": 4.0},
 }
 FAULTS = {
     "none": {},
@@ -113,16 +117,20 @@ class TestInvariance:
         sampled=st.booleans(),
         mode=st.sampled_from(sorted(MODES)),
         faults=st.sampled_from(sorted(FAULTS)),
+        world=st.sampled_from(sorted(WORLDS)),
     )
     def test_matches_the_reference_engine(
-        self, block_size, threshold, copies, window, sampled, mode, faults
+        self, block_size, threshold, copies, window, sampled, mode, faults,
+        world,
     ):
         config = {
             "probes_per_target": copies,
             "timeseries_interval": 0.002 if sampled else 0.0,
             **WINDOWS[window], **MODES[mode], **FAULTS[faults],
+            "world": world,
         }
-        want = _reference((copies, window, sampled, mode, faults), config)
+        want = _reference((copies, window, sampled, mode, faults, world),
+                          config)
         got = observe(block_size=block_size,
                       vector_min=THRESHOLDS[threshold], **config)
         assert got == want
@@ -188,6 +196,11 @@ EDITS = {
     "rotation": _swap,
     # An address the scan has yet to probe starts answering.
     "bind": lambda topo: topo.network.bind(LATE_TARGET, topo.cpe_ok),
+    # The way home changes: the ISP sends the vantage's replies into the
+    # healthy CPE, whose default route sends them straight back.
+    "home-loop": lambda topo: topo.isp.delegate(
+        topo.vantage.primary_address.prefix(128), WAN_OK
+    ),
 }
 
 

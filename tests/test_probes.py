@@ -184,6 +184,66 @@ class TestUdpProbe:
         assert probe.classify(error).kind is ReplyKind.PORT_UNREACHABLE
 
 
+class TestQuotedProbe:
+    """Classify reads a held quote as it is and decodes only what the wire
+    would carry."""
+
+    def test_a_quote_cut_to_the_minimum_mtu_is_discarded(self, validator):
+        def verdict(size):
+            probe = UdpProbe(validator, 53, payload=b"q" * size)
+            error = icmpv6_error(ROUTER, SRC, Icmpv6Type.DEST_UNREACHABLE, 4,
+                                 probe.build(SRC, DST))
+            return probe.classify(error), probe.classify(
+                Packet.decode(error.encode())
+            )
+
+        # 40 + 8 + 1184 bytes fill an error's room exactly; one more is cut.
+        held, wired = verdict(1184)
+        assert held is not None and held == wired
+        assert held.kind is ReplyKind.PORT_UNREACHABLE
+        assert verdict(1185) == (None, None)
+
+    @pytest.mark.parametrize("wire_mode", [True, False])
+    def test_one_flipped_quote_byte_fails_validation_on_the_wire(
+        self, monkeypatch, wire_mode
+    ):
+        from repro.core.scanner import ScanConfig, Scanner
+        from repro.core.target import ScanRange
+        from repro.engine import ProbeSpec
+        from tests.topo import build_mini
+
+        def scan():
+            topo = build_mini()
+            scanner = Scanner(
+                topo.network, topo.vantage, ProbeSpec.for_seed(5).build(),
+                ScanConfig(scan_range=ScanRange.parse("2001:db8:1::/56-64"),
+                           seed=5, wire_mode=wire_mode),
+            )
+            stats = scanner.run().stats
+            return stats.received, stats.validated, stats.discarded
+
+        received, validated, discarded = scan()
+        assert validated and not discarded
+        encode = Icmpv6Message.encode
+
+        def flipped(message, src, dst):
+            # An error goes out with the last byte of its quote (the quoted
+            # probe's echo payload) flipped, under a good outer checksum.
+            if message.is_error:
+                quote = message.invoking
+                message = Icmpv6Message(
+                    message.type, message.code,
+                    invoking=quote[:-1] + bytes([quote[-1] ^ 0x01]),
+                )
+            return encode(message, src, dst)
+
+        monkeypatch.setattr(Icmpv6Message, "encode", flipped)
+        if wire_mode:  # the quote's own checksum catches it
+            assert scan() == (received, 0, received)
+        else:  # in process, the held probe is read as it is
+            assert scan() == (received, validated, discarded)
+
+
 class TestDeclaredShape:
     """The scanner forwards a probe as a lane — from the target and the
     module's declared hop limit — and builds the packet later, and only if

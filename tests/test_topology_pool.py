@@ -53,12 +53,12 @@ from repro.faults import (
     FaultSchedule,
 )
 from repro.net.addr import IPv6Prefix
-from repro.net.device import CpeRouter, Device
+from repro.net.device import Device
 from repro.net.network import Network, NetworkError
 from repro.net.spec import BuiltTopology, TopologySpec, register_topology
 from repro.net.testbed import MiniTopology
 from repro.service import CampaignSpec
-from tests.pipeline import ALWAYS, SPEC, observables, observe
+from tests.pipeline import ALWAYS, SPEC, build_world, observables, observe
 from tests.test_pipeline import MODES, WINDOWS
 from tests.topo import build_mini
 
@@ -111,15 +111,7 @@ def _bounce_limited_mini() -> BuiltTopology:
     No ``TopologySpec`` kind builds such a CPE (only the Table XII bench
     does), and it is the only device whose forwarding keeps a counter.
     """
-    topo = build_mini()
-    old = topo.cpe_vuln
-    topo.network.unregister(old)
-    topo.cpe_vuln = CpeRouter(
-        old.name, old.wan_address, old.wan_prefix, old.lan_prefix,
-        subnet_prefix=old.subnet_prefix, isp_address=old.isp_address,
-        vulnerable_wan=True, vulnerable_lan=True, loop_forward_limit=10,
-    )
-    topo.network.register(topo.cpe_vuln)
+    topo = build_world("bounce-limited")
     return BuiltTopology(topo.network, topo.vantage, topo)
 
 
