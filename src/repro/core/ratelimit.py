@@ -108,8 +108,10 @@ class VirtualPacer:
 
         The same float operations in the same order as :meth:`pace` over
         :meth:`TokenBucket.consume`, so clocks, bucket state, the stall
-        counter and the wait histogram come out bit-identical.  An attached
-        sampler cuts its buckets in :meth:`pace`, one send at a time.
+        counter and the wait histogram come out bit-identical — the waits
+        go to the histogram once per block, the stalls as one increment.
+        An attached sampler cuts its buckets in :meth:`pace`, one send at a
+        time.
         """
         if self.sampler is not None:
             return [self.pace() for _ in range(n)]
@@ -117,7 +119,8 @@ class VirtualPacer:
         rate, burst = bucket.rate, bucket.burst
         tokens, last = bucket._tokens, bucket._last
         now = self.network.clock
-        stall, wait = self._stalls.inc, self._waits.observe
+        waits: List[float] = []
+        wait = waits.append
         sends = []
         for _ in range(n):
             refilled = tokens + (now - last) * rate
@@ -131,12 +134,14 @@ class VirtualPacer:
                 tokens = (burst if tokens > burst else tokens) - 1.0
                 last = send_at
                 if send_at > now:
-                    stall()
                     wait(send_at - now)
                     now = send_at
             sends.append(now)
         bucket._tokens, bucket._last = tokens, last
         self.network.clock = now
+        if waits:
+            self._stalls.inc(len(waits))
+            self._waits.observe_many(waits)
         return sends
 
     def set_rate(self, rate_pps: float) -> None:

@@ -19,21 +19,30 @@ The design splits every injection into two phases:
   hop limit alone, before any packet exists;
 * a **scalar replay phase**, per chunk (:func:`inject_block`), that finishes
   each lane *in probe order*.  A silent lane is two counters; one that
-  ejected gets its :class:`Packet` built and re-enters the real engine
-  (:meth:`Network._drain`) at its ejection point.  Everything stateful —
-  NDP resolution, ICMPv6 error synthesis and its token-bucket limiter,
-  subclass forwarding hooks (loop mitigation counters), TCP ISN draws from
-  the topology RNG — runs through the exact scalar code, under the exact
-  virtual clock the scalar engine would have used.
+  ejected gets its :class:`Packet` built and its stateful step run at its
+  ejection point.  Everything stateful — NDP resolution, ICMPv6 error
+  synthesis and its token-bucket limiter, subclass forwarding hooks (loop
+  mitigation counters), TCP ISN draws from the topology RNG — runs through
+  the exact scalar code, under the exact virtual clock the scalar engine
+  would have used.
 
 A lane **ejects** from the vector phase whenever the next step *could*
-observe or mutate state: delivery to the destination's owner, a device with
-an overridden ``_forward``, a route miss / unreachable route (ICMPv6
-no-route), hop-limit exhaustion (ICMPv6 time-exceeded), or an on-link
-``CONNECTED`` match (NDP).  The replay does not trust the vector phase's
-classification — it re-executes the scalar engine from the ejection device
-with the ejection hop limit — so equivalence reduces to the pure hops being
-pure, not to this module re-implementing error semantics correctly.
+observe or mutate state, and leaves with the reason as its status: delivery
+to the destination's owner or a device with an overridden ``_forward``
+(``_EJECT``: the replay re-enters the real engine, :meth:`Network._drain`,
+at the ejection device with the ejection hop limit), or one of the three
+ICMPv6 error steps — a route miss / unreachable route (``_NO_ROUTE``),
+hop-limit exhaustion (``_SPENT``), an on-link ``CONNECTED`` match
+(``_ON_LINK``).  An error lane is settled from that verdict: NDP
+``resolve`` for an on-link one (a success goes on into ``_drain`` at the
+owner), then :meth:`Network._error` — ``_make_error``, with its RFC 4443
+§2.4(e) check, the limiter draw under the lane's clock and any device
+filter, and the return plan below — the same helper ``_drain``'s fast path
+ends its errors in, with no flow-cache lookup, no queue and no drain.
+What the replay trusts is the ejection hop's route verdict: it was read
+off the FIB the lanes were forwarded under, which is re-checked against the
+network at every chunk (a FIB that is no longer the network's is never
+replayed, below) — the argument the return plans rest on too.
 
 Nor does the replay re-implement the way home; it skips walking it.  The
 ICMPv6 error the stateful step raises is finished by a **return plan**
@@ -52,8 +61,10 @@ Routing state is compiled once per topology **generation** into a
 (longest first), keyed by one hash of (device index, masked prefix) and
 masked by the devices that have a route of that length, with verification
 columns so hash collisions degrade to a miss check instead of a wrong
-answer, exactly mirroring the per-device flow-cache invalidation protocol
-(``Network.generation`` + per-table ``version`` stamps).
+answer.  Its stamp is the network-wide form of the per-device flow-cache
+invalidation protocol: ``Network.generation`` and ``Network.table_edits``,
+which every ``add`` / ``remove`` on a registered device's table bumps — one
+comparison each, however many devices there are.
 
 Which engine a block takes is decided here and nowhere else, from what
 the code can observe.  At the pull: a block shorter than
@@ -72,10 +83,17 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.net.device import Device, IspRouter
 from repro.net.ndp import resolve
+from repro.net.network import (
+    ADDR_UNREACHABLE,
+    NO_ROUTE,
+    TIME_EXCEEDED,
+    DeliveryTrace,
+    NetworkError,
+)
 from repro.net.routing import RouteKind
 
 try:  # optional acceleration; sequential scalar fallback otherwise
@@ -84,7 +102,7 @@ except ImportError:  # pragma: no cover - numpy is present in CI images
     _np = None  # type: ignore[assignment]
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.network import DeliveryTrace, Network
+    from repro.net.network import Network
     from repro.net.packet import Packet
 
 __all__ = ["ColumnarFib", "Lanes", "Probes", "inject_block"]
@@ -128,6 +146,14 @@ _SILENT = 1  # terminated with no observable left to produce
 _EJECT = 2  # finish via scalar replay from (cur device, current hop limit)
 _ORIGIN = 3  # replay the whole injection (the lane was not forwarded)
 _OVERRUN = 4  # took more than ``max_hops`` hops: the replay raises
+# An ejection whose verdict is an ICMPv6 error step at ``cur``, settled by
+# the replay from the verdict itself (:func:`inject_block`):
+_NO_ROUTE = 5  # no route or an unreachable one: Destination Unreachable
+_SPENT = 6  # a route, but the hop limit is spent: Time Exceeded
+_ON_LINK = 7  # on-link match: NDP decides, address-unreachable if it fails
+#: The error each verdict raises; ``_ON_LINK``'s only when NDP fails.
+_ERRORS = {_NO_ROUTE: NO_ROUTE, _SPENT: TIME_EXCEEDED,
+           _ON_LINK: ADDR_UNREACHABLE}
 
 #: Hash-seed attempts for each per-length table before giving up on the
 #: whole compile (``ok=False`` → scalar fallback).  A seed is the pair of
@@ -221,10 +247,10 @@ class _LengthTable:
 class ColumnarFib:
     """Every device routing table, compiled to struct-of-arrays columns.
 
-    Carries the (generation, per-table version) stamp it was compiled
-    under; :meth:`valid` re-checks the stamp so route churn, prefix
-    rotation, and fault-injected route swaps invalidate the compile the
-    same way they flush the per-device flow caches.
+    Carries the (generation, table edits) stamp it was compiled under;
+    :meth:`valid` re-checks the stamp so route churn, prefix rotation, and
+    fault-injected route swaps invalidate the compile as they flush the
+    per-device flow caches.
     """
 
     def __init__(self, network: "Network") -> None:
@@ -233,7 +259,7 @@ class ColumnarFib:
             id(d): i for i, d in enumerate(self.devices)
         }
         self.generation = network.generation
-        self.versions = [d.table.version for d in self.devices]
+        self.table_edits = network.table_edits
         #: Return plans by (origin device, error destination value), each
         #: one of the interned ``_plans`` — or False: walk that one home.
         self._homes: Dict[Tuple["Device", int], object] = {}
@@ -315,13 +341,13 @@ class ColumnarFib:
         return cls(network)
 
     def valid(self, network: "Network") -> bool:
-        """Stamp check: still compiled for the network's current tables?"""
-        if network.generation != self.generation:
-            return False
-        for device, version in zip(self.devices, self.versions):
-            if device.table.version != version:
-                return False
-        return True
+        """Stamp check: still compiled for the network's current tables?
+
+        O(1): any register/unregister/bind moves ``generation``, and any
+        ``add``/``remove`` on a registered device's table — even one later
+        reverted — moves ``table_edits``."""
+        return (network.generation == self.generation
+                and network.table_edits == self.table_edits)
 
     def lookup(self, dev, dst_hi, dst_lo):
         """Vectorised longest-prefix match for a batch of lanes.
@@ -659,7 +685,7 @@ def _vector_phase(network, fib, vantage, values, hop_limits):
         # (D) no route / unreachable: ICMPv6 no-route synthesis — eject.
         mask = (action == A_MISS) | (action == A_UNREACHABLE)
         if mask.any():
-            settle(idx[mask], _EJECT)
+            settle(idx[mask], _NO_ROUTE)
         # (E) blackhole route: silent discard, nothing recorded.
         mask = action == A_BLACKHOLE
         if mask.any():
@@ -674,12 +700,12 @@ def _vector_phase(network, fib, vantage, values, hop_limits):
         # (F) hop limit exhausted: ICMPv6 time-exceeded synthesis — eject.
         mask = remaining & (hl[idx] <= 1)
         if mask.any():
-            settle(idx[mask], _EJECT)
+            settle(idx[mask], _SPENT)
         remaining &= ~mask
         # (G) on-link delivery: NDP resolution is stateful — eject.
         mask = remaining & (action == A_CONNECTED)
         if mask.any():
-            settle(idx[mask], _EJECT)
+            settle(idx[mask], _ON_LINK)
         # (H) churn blackhole: counted drop, then silence.
         mask = remaining & (action == A_UNRESOLVED)
         if mask.any():
@@ -745,8 +771,6 @@ class Outcomes:
         return len(self.hops)
 
     def __iter__(self):
-        from repro.net.network import DeliveryTrace
-
         for i, hops in enumerate(self.hops):
             yield self.ejected.get(i) or (
                 [], DeliveryTrace(hops=hops, drops=self.drops[i])
@@ -766,11 +790,10 @@ def inject_block(
     sequential loop in :func:`_sequential` (which is also the fallback
     whenever the network is not :func:`_usable`): the lanes are finished in
     probe order, each under its own clock, and only one that ejected is
-    built and handed to the scalar engine.  The network's clock is restored
-    to its entry value before returning.
+    built — a delivery or hook lane handed to :meth:`Network._drain`, an
+    error lane settled from its verdict by its stateful step alone.  The
+    network's clock is restored to its entry value before returning.
     """
-    from repro.net.network import DeliveryTrace, NetworkError
-
     if clocks is not None and len(clocks) != len(block):
         raise ValueError("clocks must match packets one-to-one")
     if isinstance(block, list):
@@ -791,7 +814,9 @@ def inject_block(
     all_hops: List[int] = []
     all_drops: List[int] = []
     ejected: Dict[int, Tuple[List["Packet"], DeliveryTrace]] = {}
-    drain = network._drain
+    drain, error, owners = network._drain, network._error, network._addr_owner
+    # What an ejected lane leaves in flight; every drain empties it.
+    queue: Deque[Tuple["Device", "Packet"]] = deque()
     fib = checked = None
     lane_probes = lane_hops = 0  # the lanes' share of the network's totals
     for i, (lanes, lane) in enumerate(block.lanes):
@@ -823,9 +848,20 @@ def inject_block(
                 continue
             inbox: List["Packet"] = []
             trace = DeliveryTrace(hops=hops, drops=drops_of[lane])
+            at = lanes.fib.devices[lanes.cur[lane]]
             resumed = packet(i).with_hop_limit(lanes.hl[lane])
-            queue = deque([(lanes.fib.devices[lanes.cur[lane]], resumed)])
-            drain(queue, vantage, inbox, trace, lanes.fib)
+            if status == _EJECT:  # delivery or a forwarding hook
+                queue.append((at, resumed))
+            elif status == _ON_LINK and resolve(at, resumed.dst, network):
+                trace.hops += 1
+                network.total_hops += 1
+                queue.append((owners[resumed.dst.value],
+                              resumed.with_hop_limit(resumed.hop_limit - 1)))
+            else:
+                error(at, resumed, _ERRORS[status], queue, vantage, inbox,
+                      trace, lanes.fib)
+            if queue:
+                drain(queue, vantage, inbox, trace, lanes.fib)
             result = inbox, trace
         ejected[i] = result
         all_hops.append(result[1].hops)

@@ -40,6 +40,7 @@ puts the scan state back, which is what lets one build serve many scans
 from __future__ import annotations
 
 import random
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
@@ -95,6 +96,13 @@ class DeliveryTrace:
         return self.link_counts.get(Link(a, b), 0) + self.link_counts.get(
             Link(b, a), 0
         )
+
+
+#: The three ICMPv6 errors the fast path raises, as ``(type, code)``.
+TIME_EXCEEDED = (Icmpv6Type.TIME_EXCEEDED, int(TimeExceededCode.HOP_LIMIT))
+ADDR_UNREACHABLE = (Icmpv6Type.DEST_UNREACHABLE,
+                    int(UnreachableCode.ADDR_UNREACHABLE))
+NO_ROUTE = (Icmpv6Type.DEST_UNREACHABLE, int(UnreachableCode.NO_ROUTE))
 
 
 class NetworkError(RuntimeError):
@@ -162,11 +170,17 @@ class Network:
         #: Topology generation: bumped by every register/unregister/bind so
         #: per-device flow caches can detect staleness with one comparison.
         self.generation = 0
+        #: Edits to the routing table of any registered device, counted by
+        #: the table (``BaseRoutingTable.networks``): with ``generation``
+        #: this tells a compiled FIB in one comparison whether any table
+        #: moved.  A plain int of this network's — only the scan holding a
+        #: network edits it — never a count shared between networks.
+        self.table_edits = 0
         #: Flow-cache effectiveness counters (read by benches and tests).
         self.flow_hits = 0
         self.flow_misses = 0
         #: Cached :class:`~repro.net.columnar.ColumnarFib`; rebuilt whenever
-        #: ``generation`` or any table version moves (see ``columnar_fib``).
+        #: ``generation`` or ``table_edits`` moves (see ``columnar_fib``).
         self._columnar_fib = None
         #: The probe-lifecycle span currently being recorded, if any.  The
         #: scanner sets this around :meth:`inject` for sampled probes; every
@@ -191,6 +205,7 @@ class Network:
             raise NetworkError(f"duplicate device name {device.name!r}")
         self.devices[device.name] = device
         self.generation += 1
+        device.table.networks.append(weakref.ref(self))
         for addr in device.addresses:
             self.bind(addr, device)
         return device
@@ -204,6 +219,7 @@ class Network:
             raise NetworkError(f"device {device.name!r} is not registered")
         del self.devices[device.name]
         self.generation += 1
+        device.table.networks.remove(weakref.ref(self))
         for addr in list(device.addresses):
             owner = self._addr_owner.get(addr.value)
             if owner is device:
@@ -366,16 +382,9 @@ class Network:
         # The previous pure hop of this drain: ``hop_from`` forwarded
         # ``hop_dst`` to ``hop_to``.
         hop_from = hop_to = hop_dst = None
-        if plain and home is not None:
-            def originate(device: Device, packet: Packet,
-                          queue: Deque[Tuple[Device, Packet]],
-                          trace: DeliveryTrace) -> None:
-                if queue or not home.send_home(
-                    self, device, packet, vantage, inbox, trace
-                ):
-                    self._originate(device, packet, queue, trace)
-        else:
-            originate = self._originate
+        if not plain:
+            home = None
+        error = self._error
 
         while queue:
             if trace.hops > max_hops:
@@ -409,15 +418,8 @@ class Network:
                     # comes before any next-hop resolution outcome.
                     hop_limit = current.hop_limit
                     if hop_limit <= 1:
-                        error = device._make_error(
-                            current,
-                            Icmpv6Type.TIME_EXCEEDED,
-                            int(TimeExceededCode.HOP_LIMIT),
-                            self,
-                        )
-                        if error is not None:
-                            trace.errors_generated += 1
-                            originate(device, error, queue, trace)
+                        error(device, current, TIME_EXCEEDED, queue,
+                              vantage, inbox, trace, home)
                         continue
                     if action == FLOW_FORWARD:
                         if plain:
@@ -474,32 +476,52 @@ class Network:
                                     trace,
                                 )
                             continue
-                        error = device._make_error(
-                            current,
-                            Icmpv6Type.DEST_UNREACHABLE,
-                            int(UnreachableCode.ADDR_UNREACHABLE),
-                            self,
-                        )
-                        if error is not None:
-                            trace.errors_generated += 1
-                            originate(device, error, queue, trace)
+                        error(device, current, ADDR_UNREACHABLE, queue,
+                              vantage, inbox, trace, home)
                         continue
                     trace.drops += 1  # FLOW_UNRESOLVED: churn blackhole
                     continue
                 if action == FLOW_UNREACHABLE:
-                    error = device._make_error(
-                        current,
-                        Icmpv6Type.DEST_UNREACHABLE,
-                        int(UnreachableCode.NO_ROUTE),
-                        self,
-                    )
-                    if error is not None:
-                        trace.errors_generated += 1
-                        originate(device, error, queue, trace)
+                    error(device, current, NO_ROUTE, queue, vantage, inbox,
+                          trace, home)
                     continue
                 continue  # FLOW_BLACKHOLE: silent discard
             result = device.receive(current, self)
             self._apply(device, result, queue, trace)
+
+    def _error(
+        self,
+        device: Device,
+        invoking: Packet,
+        kind: Tuple[Icmpv6Type, int],
+        queue: Deque[Tuple[Device, Packet]],
+        vantage: Device,
+        inbox: List[Packet],
+        trace: DeliveryTrace,
+        home: Optional["ColumnarFib"],
+    ) -> None:
+        """The fast path's ICMPv6 error step: ``device`` answers
+        ``invoking`` with the error ``kind`` (:data:`TIME_EXCEEDED`,
+        :data:`ADDR_UNREACHABLE` or :data:`NO_ROUTE`) and sends it on.
+
+        ``_make_error`` decides whether there is an error at all — never
+        one about an error (RFC 4443 §2.4(e)), the device's limiter drawn
+        under the current clock, a device's own filter
+        (``IspRouter.drop_external_errors``).  One that is raised is
+        finished by ``home``'s return plan when a FIB is given and nothing
+        else is in flight, else routed out of ``device`` onto ``queue``
+        for the walk.  :meth:`_drain` and the columnar replay, which
+        settles an ejected lane from its vector-phase verdict, both end an
+        error here.
+        """
+        error = device._make_error(invoking, kind[0], kind[1], self)
+        if error is None:
+            return
+        trace.errors_generated += 1
+        if queue or home is None or not home.send_home(
+            self, device, error, vantage, inbox, trace
+        ):
+            self._originate(device, error, queue, trace)
 
     def inject_block(self, block, vantage: Device,
                      clocks: Optional[List[float]] = None):
@@ -528,9 +550,9 @@ class Network:
     def columnar_fib(self):
         """The cached columnar FIB for the current topology generation.
 
-        Recompiled lazily whenever the generation counter or any device
-        routing-table version moved — the same invalidation protocol the
-        per-device flow caches use.
+        Recompiled lazily whenever the generation counter moved or any
+        registered device's routing table was edited (``table_edits``) —
+        the network-wide form of the per-device flow caches' stamp.
         """
         from repro.net import columnar
 

@@ -19,6 +19,7 @@ routing-loop attack exploits.
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
@@ -67,6 +68,19 @@ class BaseRoutingTable(ABC):
     #: resolution caches (the forwarding flow cache) can detect staleness
     #: with one integer comparison instead of subscribing to changes.
     version: int = 0
+    #: The networks the table's device is registered in
+    #: (``Network.register`` adds one), each of which counts every
+    #: ``add``/``remove`` in its ``table_edits``.  Weak references: a
+    #: network holds its devices, and the edge back must not keep a
+    #: dropped world alive until the cycle collector runs.
+    networks: List[weakref.ReferenceType]
+
+    def _edited(self) -> None:
+        self.version += 1
+        for ref in self.networks:
+            network = ref()
+            if network is not None:
+                network.table_edits += 1
 
     @abstractmethod
     def add(self, route: Route) -> None: ...
@@ -129,17 +143,18 @@ class RoutingTable(BaseRoutingTable):
     def __init__(self) -> None:
         self._trie: PrefixTrie[Route] = PrefixTrie()
         self.version = 0
+        self.networks = []
 
     def add(self, route: Route) -> None:
         """Insert a route, replacing any existing route for the same prefix."""
-        self.version += 1
         self._trie.set(route.prefix, route)
+        self._edited()
 
     def remove(self, prefix: IPv6Prefix) -> bool:
         """Remove the route for an exact prefix.  Returns True if removed."""
         if not self._trie.delete(prefix):
             return False
-        self.version += 1
+        self._edited()
         return True
 
     def lookup(self, addr: IPv6Addr | int) -> Optional[Route]:
@@ -175,6 +190,7 @@ class HashRoutingTable(BaseRoutingTable):
         self._by_length: Dict[int, Dict[int, Route]] = {}
         self._lengths_desc: List[int] = []
         self.version = 0
+        self.networks = []
 
     def add(self, route: Route) -> None:
         length = route.prefix.length
@@ -183,7 +199,7 @@ class HashRoutingTable(BaseRoutingTable):
             bucket = self._by_length[length] = {}
             self._lengths_desc = sorted(self._by_length, reverse=True)
         bucket[route.prefix.network] = route
-        self.version += 1
+        self._edited()
 
     def remove(self, prefix: IPv6Prefix) -> bool:
         bucket = self._by_length.get(prefix.length)
@@ -193,7 +209,7 @@ class HashRoutingTable(BaseRoutingTable):
         if not bucket:
             del self._by_length[prefix.length]
             self._lengths_desc = sorted(self._by_length, reverse=True)
-        self.version += 1
+        self._edited()
         return True
 
     def lookup(self, addr: IPv6Addr | int) -> Optional[Route]:

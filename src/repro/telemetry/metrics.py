@@ -99,6 +99,23 @@ class Histogram:
         self.count += 1
         self.sum += value
 
+    def observe_many(self, values: Sequence[float]) -> None:
+        """``for value in values: observe(value)`` in one call: the same
+        buckets, and the same float additions to ``sum`` in the same order,
+        so the histogram comes out bit-identical."""
+        bounds, counts = self.bounds, self.counts
+        last_value, index = self._last
+        total = self.sum
+        for value in values:
+            if value != last_value:
+                index = bisect_left(bounds, value)
+                last_value = value
+            counts[index] += 1
+            total += value
+        self.count += len(values)
+        self.sum = total
+        self._last = (last_value, index)
+
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -150,6 +167,9 @@ class _NullHistogram:
     __slots__ = ()
 
     def observe(self, value: float) -> None:
+        pass
+
+    def observe_many(self, values: Sequence[float]) -> None:
         pass
 
     def quantile(self, q: float) -> float:

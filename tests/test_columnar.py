@@ -399,6 +399,136 @@ class TestInjectBlockEquivalence:
             assert sorted(built) == sorted(fast.ejected)
 
 
+#: Lane verdicts the replay settles, by name.
+VERDICTS = {
+    "delivery-or-hook": columnar._EJECT,
+    "no-route": columnar._NO_ROUTE,
+    "hop-limit": columnar._SPENT,
+    "on-link": columnar._ON_LINK,
+}
+
+
+class TestVerdictReplay:
+    """An error lane is finished from its vector-phase verdict — NDP where
+    on-link, then ``_make_error`` and the return plan — without the drain.
+    Each verdict and each thing its stateful step can meet is hit, counted,
+    and compared with the sequential oracle."""
+
+    #: One target per verdict (and per way NDP can go) in the mini world.
+    TARGETS = [
+        LAN_HOST,  # on-link at cpe-ok, NDP resolves: the host answers
+        MiniTopology.SUBNET_OK.address(0x1),  # on-link, NDP fails
+        MiniTopology.UE_PREFIX.address(0x77),  # on-link at the UE, fails
+        IPv6Addr.from_string("2001:db8:1:51::1"),  # cpe-ok's unreachable
+        IPv6Addr.from_string("2001:db9::1"),  # the core has no route
+        IPv6Addr.from_string("2001:db8:1:61::5"),  # loops until spent
+        MiniTopology.WAN_OK.address(0xDEADBEEF),  # delivered
+    ]
+
+    def _probes(self):
+        """A burst of every target at every hop limit at one instant —
+        cpe-ok's error bucket (100) runs dry — then one failing on-link
+        target a second apart, so its negative neighbour entry (3 s) is
+        hit twice and expires between two lanes, over and over."""
+        burst = [(dst, hop_limit) for _ in range(30)
+                 for dst in self.TARGETS for hop_limit in (255, 64, 2, 1)]
+        paced = [(MiniTopology.SUBNET_OK.address(0x1), 64)] * 12
+        clocks = [0.0] * len(burst) + [1.0 + k for k in range(len(paced))]
+        return burst + paced, clocks
+
+    def _run(self, world: str, fast: bool):
+        topo = _with_hosts(build_world(world))
+        probe = ProbeSpec.for_seed(5).build()
+        source = topo.vantage.primary_address
+        probes, clocks = self._probes()
+        packets = [probe.build(source, dst).with_hop_limit(hop_limit)
+                   for dst, hop_limit in probes]
+        verdicts = {}
+        with engine(vector_min=ALWAYS):
+            if fast:
+                lanes = columnar.Lanes(
+                    topo.network, topo.vantage,
+                    [dst.value for dst, _ in probes],
+                    [hop_limit for _, hop_limit in probes],
+                )
+                verdicts = {name: lanes.status.count(code)
+                            for name, code in VERDICTS.items()}
+                block = columnar.Probes(
+                    [(lanes, i) for i in range(len(probes))],
+                    packets.__getitem__,
+                )
+                outcomes = columnar.inject_block(
+                    topo.network, block, topo.vantage, clocks
+                )
+            else:
+                outcomes = columnar._sequential(
+                    topo.network, packets, topo.vantage, clocks
+                )
+        key = (_outcome_key(outcomes), topo.network.total_hops,
+               device_state(topo.network))
+        return key, verdicts, topo
+
+    @needs_numpy
+    @pytest.mark.parametrize("world", ["mini", "drop-external"])
+    def test_every_verdict_matches_sequential(self, world):
+        walked, _, _ = self._run(world, fast=False)
+        settled, verdicts, fast = self._run(world, fast=True)
+        assert settled == walked
+        # Coverage, asserted: every verdict was replayed...
+        assert all(verdicts.values()), verdicts
+        inboxes, *_ = zip(*walked[0])
+        sources = {IPv6Addr.from_bytes(packet[8:24])
+                   for inbox in inboxes for packet in inbox}
+        # ...an on-link NDP succeeded (the host's echo reply came home)...
+        assert LAN_HOST in sources
+        # ...an error bucket ran dry...
+        assert fast.cpe_ok.errors_suppressed > 0
+        # ...a negative neighbour entry was hit, then expired and re-asked.
+        cache = fast.cpe_ok.neighbor_cache
+        assert cache.hits and cache.solicitations > 2
+        # ...and the ISP's filter held back every error it raised.
+        isp = fast.isp.primary_address
+        assert (isp in sources) == (world == "mini")
+
+    @needs_numpy
+    def test_a_route_edit_between_pull_and_chunk_at_the_block_size(
+        self, monkeypatch
+    ):
+        """A window of one whole block, edited after 300 probes: the rest
+        of the block is re-forwarded and every error verdict is replayed
+        on both sides of the edit."""
+        import repro.core.scanner as scanner_module
+        from tests.pipeline import editing_hook
+
+        phases = []
+        vector_phase = columnar._vector_phase
+
+        def spy(network, fib, vantage, values, hop_limits):
+            columns = vector_phase(network, fib, vantage, values, hop_limits)
+            status = columns[0].tolist()
+            phases.append((len(values), {
+                name: status.count(code) for name, code in VERDICTS.items()
+            }))
+            return columns
+
+        def close_half_the_loops(topo):
+            topo.cpe_vuln.table.add_unreachable(
+                IPv6Prefix.from_string("2001:db8:1:68::/61"))
+
+        window = "2001:db8:1::/54-64"  # 1,024 targets
+        points = [(300, close_half_the_loops)]
+        want = observe(reference=True, spec=window,
+                       hook=editing_hook(points, stride=1))
+        monkeypatch.setattr(columnar, "_vector_phase", spy)
+        got = observe(spec=window, hook=editing_hook(points, stride=64))
+        assert got == want
+        block = min(scanner_module.BLOCK_SIZE, 1024)
+        assert [n for n, _ in phases] == [block, block - 300]
+        for _, verdicts in phases:
+            assert all(verdicts[name] for name in
+                       ("no-route", "hop-limit", "on-link")), verdicts
+
+
 class TestScanEquivalence:
     """Columnar scans reproduce scalar scans bit-for-bit on the mini net."""
 
@@ -568,6 +698,78 @@ class TestStampInvalidation:
         net.register(Host("late", IPv6Addr.from_string("2001:db8:2:7::99")))
         assert not fib.valid(net)
         assert net.columnar_fib() is not fib
+
+    EXTRA = IPv6Prefix.from_string("2001:dead::/48")
+
+    def test_an_edit_on_any_device_table_invalidates(self):
+        net = build_mini().network
+        for device in list(net.devices.values()):
+            fib = net.columnar_fib()
+            device.table.add_blackhole(self.EXTRA)
+            assert not fib.valid(net), device.name
+            assert net.columnar_fib() is not fib
+
+    def test_an_edit_then_reverted_still_invalidates(self):
+        topo = build_mini()
+        net = topo.network
+        fib = net.columnar_fib()
+        topo.cpe_ok.table.add_blackhole(self.EXTRA)
+        topo.cpe_ok.table.remove(self.EXTRA)
+        assert not fib.valid(net)
+        fib = net.columnar_fib()
+        assert not topo.cpe_ok.table.remove(self.EXTRA)  # nothing to remove
+        assert fib.valid(net)
+
+    def test_only_registered_devices_count(self):
+        topo = build_mini()
+        net = topo.network
+        net.unregister(topo.ue)
+        fib = net.columnar_fib()
+        topo.ue.table.add_blackhole(self.EXTRA)  # no longer this network's
+        assert fib.valid(net)
+        net.register(topo.ue)
+        fib = net.columnar_fib()
+        topo.ue.table.remove(self.EXTRA)
+        assert not fib.valid(net)
+
+    def test_a_dropped_network_needs_no_cycle_collector(self):
+        """Tables point back at their networks weakly: a world nothing
+        holds is freed at once, not when the collector next runs."""
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            topo = build_mini()
+            topo.network.columnar_fib()
+            network = weakref.ref(topo.network)
+            del topo
+            assert network() is None
+        finally:
+            gc.enable()
+
+    def test_edits_in_two_pooled_networks_invalidate_only_their_own(self):
+        """Each network counts its own edits: two leases of one spec hold
+        two networks, and an edit in either invalidates that one's FIB
+        alone, whatever the other has done."""
+        from repro.net.spec import _POOL
+
+        _POOL.drop()
+        spec = TopologySpec.mini()
+        try:
+            with spec.checkout() as one, spec.checkout() as two:
+                nets = one.network, two.network
+                fibs = [net.columnar_fib() for net in nets]
+                for net in nets:
+                    assert net.table_edits == nets[0].table_edits
+                for edited in (1, 0, 1):
+                    nets[edited].devices["isp"].table.add_blackhole(self.EXTRA)
+                    assert not fibs[edited].valid(nets[edited])
+                    assert fibs[1 - edited].valid(nets[1 - edited])
+                    fibs[edited] = nets[edited].columnar_fib()
+                    assert fibs[edited].valid(nets[edited])
+        finally:
+            _POOL.drop()
 
     def test_scan_after_rotation_sees_new_world(self):
         """End-to-end: a mid-campaign delegation swap must reroute the

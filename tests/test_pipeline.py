@@ -20,6 +20,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.scanner as scanner_module
 from repro.core.blocklist import Blocklist
 from repro.core.scanner import ScanConfig, Scanner
 from repro.core.target import ScanRange
@@ -440,10 +441,21 @@ class TestCountedWork:
     """What a scan may do per probe, counted — not timed — on a Table II
     block cut the way the engine's ``checkpoint_every=64`` hook cuts it."""
 
-    PROBES = 2 * 256 + 40  # two full target blocks and a tail under 64
+    #: One block at ``BLOCK_SIZE`` 1024; at 256, two blocks and a tail
+    #: under the threshold — the expectations below follow the constants.
+    PROBES = 2 * 256 + 40
+
+    def _blocks(self):
+        """The target blocks ``Scanner._pull`` cuts the window into."""
+        blocks, left = [], self.PROBES
+        while left:
+            blocks.append(min(scanner_module.BLOCK_SIZE, left))
+            left -= blocks[-1]
+        return blocks
 
     def _census(self, monkeypatch):
         from repro.core.probes.icmp import IcmpEchoProbe
+        from repro.net.device import Device
 
         key = "in-jio-broadband"
         world = build_deployment([profile_by_key(key)], scale=16000.0, seed=7)
@@ -455,7 +467,8 @@ class TestCountedWork:
         # The worker's hook: control at every multiple of 64 probes.
         scanner.on_progress = lambda s: (s.result.stats.sent // 64 + 1) * 64
         seen = {"builds": 0, "injects": 0, "traces": 0, "phases": [],
-                "chunks": [], "ejected": 0}
+                "chunks": [], "ejected": 0, "flow_entries": 0, "drains": 0,
+                "replayed": 0}
 
         def counting(owner, name, key):
             original = getattr(owner, name)
@@ -468,13 +481,19 @@ class TestCountedWork:
 
         counting(IcmpEchoProbe, "build", "builds")
         counting(Network, "inject", "injects")
+        counting(Network, "_drain", "drains")
+        counting(Device, "flow_entry", "flow_entries")
         counting(DeliveryTrace, "__init__", "traces")
         vector_phase, inject_block = (columnar._vector_phase,
                                       columnar.inject_block)
 
         def phase_spy(network, fib, vantage, values, hop_limits):
             seen["phases"].append(len(values))
-            return vector_phase(network, fib, vantage, values, hop_limits)
+            columns = vector_phase(network, fib, vantage, values, hop_limits)
+            # Delivery and forwarding-hook ejections: the lanes whose
+            # replay re-enters the scalar engine's drain.
+            seen["replayed"] += int((columns[0] == columnar._EJECT).sum())
+            return columns
 
         def block_spy(network, block, vantage, clocks=None):
             outcomes = inject_block(network, block, vantage, clocks)
@@ -504,11 +523,22 @@ class TestCountedWork:
             assert seen["injects"] == seen["ejected"] == self.PROBES
             return
         # One vector phase per pulled block, not per chunk; whole
-        # injections only for the block under the threshold; four probes in
+        # injections only for a block under the threshold; four probes in
         # five on a periphery block die silently and cost no object.
-        assert seen["phases"] == [256, 256]
-        assert seen["injects"] == 40
+        blocks = self._blocks()
+        under = [n for n in blocks if n < columnar.VECTOR_MIN_PROBES]
+        assert seen["phases"] == [
+            n for n in blocks if n >= columnar.VECTOR_MIN_PROBES
+        ]
+        assert seen["injects"] == sum(under)
         assert seen["ejected"] < self.PROBES // 3
+        # An error lane is settled from its vector-phase verdict: no flow
+        # cache lookup, and the drain only for delivery and hook lanes (and
+        # inside whole injections).
+        assert seen["drains"] == seen["replayed"] + seen["injects"]
+        assert seen["drains"] < seen["ejected"]
+        if not under:
+            assert seen["flow_entries"] == 0
 
 
 class _Stop(Exception):

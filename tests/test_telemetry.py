@@ -9,6 +9,7 @@ bit-for-bit — on every executor backend.
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.blocklist import Blocklist
 from repro.core.scanner import ScanConfig, Scanner
@@ -23,6 +24,8 @@ from repro.telemetry import (
     TraceSpecError,
     WorkerEventBuffer,
 )
+
+from repro.telemetry.metrics import HOP_BUCKETS, WAIT_BUCKETS
 
 from tests.topo import build_mini
 
@@ -126,6 +129,42 @@ class TestMetricsPrimitives:
         assert list(NULL_REGISTRY.ndjson_lines()) == []
         assert not NULL_REGISTRY.enabled
         assert NULL_REGISTRY.histogram("z").quantile(0.5) == 0.0
+
+
+#: Observations for the bulk-vs-loop property: floats anywhere (the
+#: overflow bucket included), hop counts, and values equal to a bound.
+OBSERVATIONS = st.lists(st.one_of(
+    st.floats(min_value=-10.0, max_value=1e6),
+    st.integers(min_value=0, max_value=300),
+    st.sampled_from(HOP_BUCKETS + WAIT_BUCKETS),
+), max_size=60)
+
+
+class TestObserveMany:
+    """``observe_many(xs)`` is ``for x in xs: observe(x)``, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bounds=st.sampled_from([HOP_BUCKETS, WAIT_BUCKETS]),
+           before=OBSERVATIONS, values=OBSERVATIONS, after=OBSERVATIONS)
+    def test_equals_observe_in_a_loop(self, bounds, before, values, after):
+        bulk, loop = MetricsRegistry(), MetricsRegistry()
+        many = bulk.histogram("h", bounds=bounds)
+        one = loop.histogram("h", bounds=bounds)
+        for value in before:  # a histogram that has seen values already
+            many.observe(value)
+            one.observe(value)
+        many.observe_many(values)
+        for value in values:
+            one.observe(value)
+        assert bulk.to_dict() == loop.to_dict()
+        for value in after:  # and goes on alike, one value at a time
+            many.observe(value)
+            one.observe(value)
+        assert bulk.to_dict() == loop.to_dict()
+
+    def test_null_histogram_takes_a_block_too(self):
+        NULL_REGISTRY.histogram("z").observe_many([1, 2.5, 300])
+        assert len(NULL_REGISTRY) == 0
 
 
 class TestHistogramQuantile:
