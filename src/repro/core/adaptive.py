@@ -19,9 +19,11 @@ are the proactive defence, retransmits the reactive one.
 Both knobs are **off by default** and add zero work to the scan hot loop
 when disabled (guarded by ``is not None`` checks); the equivalence tests
 assert bit-identical results, stats, and metrics against the undecorated
-scanner.  Decisions fire per *target*: while either knob is on the scan
-loop cuts its chunks at one target, so it sees a target's replies before
-pacing the next.
+scanner.  Rate decisions fire per *window*: the scan loop ends a chunk
+where the controller's window fills (:meth:`window_left`), so the new
+rate paces exactly the targets after it.  Retransmits are per *target*:
+while they are on the loop cuts its chunks at one target, so it sees a
+target's replies before pacing the next.
 """
 
 from __future__ import annotations
@@ -70,8 +72,13 @@ class AdaptiveRateController:
         pacer.set_rate(self.rate)
         self._g_rate.set(self.rate)
 
+    def window_left(self) -> int:
+        """Probes still to send before this window's decision."""
+        return self.window - self._window_sent
+
     def record(self, sent: int, validated: int) -> None:
-        """Account one target's outcome; adjusts at window boundaries."""
+        """Account a run of targets' outcomes; adjusts at window ends.  A
+        run ends no later than the target that fills the window."""
         self._window_sent += sent
         self._window_validated += validated
         if self._window_sent < self.window:

@@ -633,8 +633,10 @@ class Scanner:
           a target whose sends could reach it, so a bucket only ever closes
           at a chunk's first send, with every earlier probe accounted;
         * the ``sent`` count at which the progress hook next needs control;
+        * the end of the adaptive-rate controller's window, so a rate
+          decision paces exactly the targets after it;
         * one target, when the scan must see a target's replies before
-          pacing the next (probe tracing, retransmission, adaptive rate).
+          pacing the next (probe tracing, retransmission).
         """
         config = self.config
         network = self.network
@@ -655,7 +657,7 @@ class Scanner:
         observe_hops = metrics.histogram("probe_hops",
                                          bounds=HOP_BUCKETS).observe_many
         controller, policy = self._hardening()
-        single = tracing or controller is not None or policy is not None
+        single = tracing or policy is not None
 
         # Hot-loop hoists: bound methods looked up once per scan.
         copies = max(1, config.probes_per_target)
@@ -691,10 +693,13 @@ class Scanner:
             pacer.sampler = sampler
         try:
             while True:
-                # Targets up to the hook's sync point: one at least, a
-                # block at most.
+                # Targets up to the hook's sync point and the controller's
+                # window end: one at least, a block at most.
+                left = sync - stats.sent
+                if controller is not None:
+                    left = min(left, controller.window_left())
                 want = 1 if single else max(1, math.ceil(
-                    min(BLOCK_SIZE, (sync - stats.sent) / copies)
+                    min(BLOCK_SIZE, left / copies)
                 ))
                 chunk: List[Tuple[IPv6Addr, Tuple[Lanes, int]]] = []
                 clocks: List[float] = []
@@ -764,10 +769,10 @@ class Scanner:
                         stats.sent += resent
                         c_sent.inc(resent)
                         sent += resent
-                    if controller is not None:
-                        controller.record(sent, validated)
                     if span is not None:
                         tracer.finish(span)
+                if controller is not None:
+                    controller.record(sent, validated)
                 if self.on_progress is not None:
                     snapshot()
                     sync = self.on_progress(self) or 0.0

@@ -18,8 +18,8 @@ parallel code paths:
   :meth:`Network.register`, so the topology **generation stamp** bump
   invalidates every flow-cache entry that resolved through the dark device
   — exactly the churn path prefix rotation already exercises;
-* route flaps and blackhole windows mutate the device's routing table
-  (bumping ``table.version``, the flow cache's other stamp half);
+* route flaps and blackhole windows mutate the device's routing table,
+  which bumps the same ``Network.generation``;
 * rate-limit tightening swaps the device's
   :class:`~repro.net.device.ErrorRateLimiter` for the window and restores
   the original object — suppressed-error accounting keeps accumulating.

@@ -61,27 +61,28 @@ Routing state is compiled once per topology **generation** into a
 (longest first), keyed by one hash of (device index, masked prefix) and
 masked by the devices that have a route of that length, with verification
 columns so hash collisions degrade to a miss check instead of a wrong
-answer.  Its stamp is the network-wide form of the per-device flow-cache
-invalidation protocol: ``Network.generation`` and ``Network.table_edits``,
-which every ``add`` / ``remove`` on a registered device's table bumps — one
-comparison each, however many devices there are.
+answer.  Its stamp is the one the per-device flow caches compare too:
+``Network.generation``, which every register / unregister / bind and every
+``add`` / ``remove`` on a registered device's table bumps — one comparison,
+however many devices there are.
 
 Which engine a block takes is decided here and nowhere else, from what
 the code can observe.  At the pull: a block shorter than
-:data:`VECTOR_MIN_PROBES`, no numpy, the reference-engine override
-(``network.flow_cache = False``), a loss model, a pending fault transition
-or an uncompilable table leave it unforwarded, and its probes go down
-per-probe :meth:`Network.inject`.  At each chunk, again: a network that is
-not usable *now* (the above, or an active trace span) takes the sequential
-scalar loop whatever lanes exist, and lanes whose FIB is no longer the
-network's (a route edit, a rotation, a fault swap since the pull) are
-dropped and what is left of their block forwarded afresh — nothing stale is
-ever replayed.  Identical observables on every path.
+:data:`VECTOR_MIN_PROBES`, no numpy, anything
+:meth:`Network.hops_unobserved` lists (the reference engine, a trace span,
+a loss model, link recording) or an uncompilable table leave it
+unforwarded, and its probes go down per-probe :meth:`Network.inject`.  At
+each chunk, again: a network that is not usable *now* (the above, or a
+fault transition due by the chunk's last send, which must fire inside
+``inject`` at its clock) takes the sequential scalar loop whatever lanes
+exist, and lanes whose FIB is no longer the network's (a route edit, a
+rotation, a fault swap since the pull) are dropped and what is left of
+their block forwarded afresh — nothing stale is ever replayed.  Identical
+observables on every path.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
@@ -247,10 +248,9 @@ class _LengthTable:
 class ColumnarFib:
     """Every device routing table, compiled to struct-of-arrays columns.
 
-    Carries the (generation, table edits) stamp it was compiled under;
-    :meth:`valid` re-checks the stamp so route churn, prefix rotation, and
-    fault-injected route swaps invalidate the compile as they flush the
-    per-device flow caches.
+    Carries the ``generation`` it was compiled under; :meth:`valid`
+    re-checks it so route churn, prefix rotation, and fault-injected route
+    swaps invalidate the compile as they flush the per-device flow caches.
     """
 
     def __init__(self, network: "Network") -> None:
@@ -259,7 +259,6 @@ class ColumnarFib:
             id(d): i for i, d in enumerate(self.devices)
         }
         self.generation = network.generation
-        self.table_edits = network.table_edits
         #: Return plans by (origin device, error destination value), each
         #: one of the interned ``_plans`` — or False: walk that one home.
         self._homes: Dict[Tuple["Device", int], object] = {}
@@ -341,13 +340,10 @@ class ColumnarFib:
         return cls(network)
 
     def valid(self, network: "Network") -> bool:
-        """Stamp check: still compiled for the network's current tables?
-
-        O(1): any register/unregister/bind moves ``generation``, and any
-        ``add``/``remove`` on a registered device's table — even one later
-        reverted — moves ``table_edits``."""
-        return (network.generation == self.generation
-                and network.table_edits == self.table_edits)
+        """Still compiled for the network's current tables?  O(1): any
+        register/unregister/bind and any ``add``/``remove`` on a registered
+        device's table — even one later reverted — moves ``generation``."""
+        return network.generation == self.generation
 
     def lookup(self, dev, dst_hi, dst_lo):
         """Vectorised longest-prefix match for a batch of lanes.
@@ -507,22 +503,18 @@ def _plan_home(network: "Network", device: "Device", dst, hop_limit: int):
             limit, sum(hops))
 
 
-def _usable(network: "Network") -> bool:
-    """Can the vector phase run without observing or perturbing state?"""
-    if _np is None:
+def _usable(network: "Network", until: Optional[float] = None) -> bool:
+    """Can the vector phase run without observing or perturbing state?
+
+    ``until`` is the last send clock of the chunk about to be replayed: a
+    fault transition due by then must fire inside ``inject`` at its clock,
+    so such a chunk takes :func:`_sequential`.  The pull passes none — its
+    lanes are re-checked against the FIB, and the chunk against its
+    clocks, before anything is replayed."""
+    if _np is None or not network.hops_unobserved():
         return False
-    if not network.flow_cache:
-        return False  # the reference engine: every hop down the slow path
-    if network.active_trace is not None:
-        return False  # spans must see every scalar forwarding decision
-    if network.loss_rate or network.link_loss:
-        return False  # per-hop RNG draws must happen in scalar hop order
-    if network.record_links:
-        return False  # per-hop recording is exactly what we elide
     faults = network.faults
-    if faults is not None and faults.next_transition != math.inf:
-        return False  # a pending transition must fire at the right clock
-    return True
+    return until is None or faults is None or faults.next_transition > until
 
 
 def _sequential(
@@ -802,7 +794,7 @@ def inject_block(
         block = Probes([(lanes, i) for i in range(len(block))],
                        block.__getitem__)
     packet = block.packet
-    if not _usable(network):
+    if not _usable(network, clocks[-1] if clocks else network.clock):
         pairs = _sequential(
             network, [packet(i) for i in range(len(block))], vantage, clocks
         )

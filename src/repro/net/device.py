@@ -153,9 +153,9 @@ class Device:
 
         self.neighbor_cache = NeighborCache()
         #: Route-resolution flow cache (see module docs above) plus the
-        #: (network generation, table version) stamp it was filled under.
+        #: network ``generation`` it was filled under.
         self._flow_cache: Dict[int, FlowEntry] = {}
-        self._flow_stamp: Tuple[int, int] = (-1, -1)
+        self._flow_stamp = -1
         #: The engine may bypass :meth:`receive`/:meth:`_forward` only when
         #: this device's forwarding is exactly the base implementation;
         #: subclasses with behavioural overrides must clear the flag.
@@ -189,7 +189,7 @@ class Device:
         neighbors.flush()
         neighbors.hits = neighbors.misses = neighbors.solicitations = 0
         self._flow_cache.clear()
-        self._flow_stamp = (-1, -1)
+        self._flow_stamp = -1
 
     # -- packet handling ---------------------------------------------------
 
@@ -288,17 +288,16 @@ class Device:
         entry is inserted only when one decision provably serves the whole
         /64: the LPM-matched prefix must be /64 or shorter and no more-
         specific (>64-bit) route may exist inside that /64.  Staleness is
-        detected by stamp comparison: the network bumps its ``generation``
-        on any register/unregister/bind and the routing table bumps
-        ``version`` on any add/remove, so prefix rotation and churn
-        invalidate every affected cache in O(1).
+        detected by one integer comparison: the network bumps its
+        ``generation`` on any register/unregister/bind and on any add/remove
+        in a registered device's routing table, so prefix rotation, churn
+        and route edits invalidate every cache in O(1).
         """
         table = self.table
-        stamp = (network.generation, table.version)
         cache = self._flow_cache
-        if self._flow_stamp != stamp:
+        if self._flow_stamp != network.generation:
             cache.clear()
-            self._flow_stamp = stamp
+            self._flow_stamp = network.generation
         key = value >> 64
         entry = cache.get(key)
         if entry is not None:

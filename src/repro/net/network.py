@@ -16,9 +16,9 @@ The engine has two forwarding paths with identical observable behaviour:
   forwarding semantics.  It resolves each destination through the device's
   :meth:`~repro.net.device.Device.flow_entry` route flow cache — one dict
   probe per hop instead of an LPM walk plus result-object allocation.
-  Cache entries are invalidated by a **topology generation counter**
-  (bumped on register/unregister/bind) paired with each routing table's
-  mutation version, so prefix rotation and churn modelling stay correct.
+  Cache entries are invalidated by the **topology generation counter**
+  (bumped on register/unregister/bind and on every route add/remove of a
+  registered device), so prefix rotation and churn modelling stay correct.
 
 The engine can track per-link traversal counts, which is how the
 routing-loop benchmarks measure amplification: the paper's >200x factor is
@@ -167,20 +167,17 @@ class Network:
         self._addr_owner: Dict[int, Device] = {}
         self.total_hops = 0
         self.total_injected = 0
-        #: Topology generation: bumped by every register/unregister/bind so
-        #: per-device flow caches can detect staleness with one comparison.
+        #: Topology generation, the one stamp every cache built from the
+        #: topology compares: bumped by every register/unregister/bind and
+        #: by every add/remove on a registered device's routing table
+        #: (``BaseRoutingTable.networks``).  A plain int of this network's
+        #: — only the scan holding a network edits it.
         self.generation = 0
-        #: Edits to the routing table of any registered device, counted by
-        #: the table (``BaseRoutingTable.networks``): with ``generation``
-        #: this tells a compiled FIB in one comparison whether any table
-        #: moved.  A plain int of this network's — only the scan holding a
-        #: network edits it — never a count shared between networks.
-        self.table_edits = 0
         #: Flow-cache effectiveness counters (read by benches and tests).
         self.flow_hits = 0
         self.flow_misses = 0
         #: Cached :class:`~repro.net.columnar.ColumnarFib`; rebuilt whenever
-        #: ``generation`` or ``table_edits`` moves (see ``columnar_fib``).
+        #: ``generation`` moves (see ``columnar_fib``).
         self._columnar_fib = None
         #: The probe-lifecycle span currently being recorded, if any.  The
         #: scanner sets this around :meth:`inject` for sampled probes; every
@@ -189,9 +186,9 @@ class Network:
         #: active the flow-cache fast path stands down, so the span sees
         #: every route-lookup decision exactly as the slow path takes it.
         self.active_trace: Optional["ProbeTrace"] = None
-        #: The baseline :meth:`seal` recorded, by value: (topology stamp,
+        #: The baseline :meth:`seal` recorded, by value: (``generation``,
         #: ``rng`` state, ``clock``).  None until sealed.
-        self._sealed: Optional[Tuple[object, object, float]] = None
+        self._sealed: Optional[Tuple[int, object, float]] = None
 
     def trace_event(self, name: str, **fields: object) -> None:
         """Record a forwarding-decision event on the active span, if any."""
@@ -248,13 +245,6 @@ class Network:
 
     # -- artifact / scan-state boundary --------------------------------------
 
-    def _stamp(self) -> Tuple[int, Tuple[int, ...]]:
-        """``generation`` x every table's ``version``: what the flow caches
-        and :meth:`ColumnarFib.valid` compare, taken whole."""
-        return self.generation, tuple(
-            device.table.version for device in self.devices.values()
-        )
-
     def seal(self) -> None:
         """Declare this network a finished artifact; see :meth:`restore`.
 
@@ -262,7 +252,7 @@ class Network:
         ownership, bound services, the compiled FIB once a block asks for
         it — is from now on the part scans only read.  What they write is
         *scan state*, and its baseline is recorded here by value: the
-        topology stamp, the RNG state and the clock.  Counters and
+        topology ``generation``, the RNG state and the clock.  Counters and
         per-device state go back to their constructed values, so the
         network must not have carried traffic yet.
         """
@@ -271,7 +261,7 @@ class Network:
                 "seal() a network before it carries traffic: device scan "
                 "state restores to its constructed values"
             )
-        self._sealed = (self._stamp(), self.rng.getstate(), self.clock)
+        self._sealed = (self.generation, self.rng.getstate(), self.clock)
 
     def restore(self) -> bool:
         """Put every piece of scan state back to the sealed baseline.
@@ -280,14 +270,14 @@ class Network:
         walk of its attributes — from a fresh build of the same recipe.
         Returns False, having touched nothing, when that cannot be
         promised: the network was never sealed, a fault injector is still
-        attached, or the topology stamp moved (a device, binding or route
+        attached, or ``generation`` moved (a device, binding or route
         changed — even if it changed back).
         """
         sealed = self._sealed
         if sealed is None or self.faults is not None:
             return False
-        stamp, rng_state, clock = sealed
-        if stamp != self._stamp():
+        generation, rng_state, clock = sealed
+        if generation != self.generation:
             return False
         self.clock = clock
         self.rng.setstate(rng_state)
@@ -302,6 +292,17 @@ class Network:
         return True
 
     # -- forwarding engine -----------------------------------------------------
+
+    def hops_unobserved(self) -> bool:
+        """Does nothing watch single hops?  The one list of what forces a
+        hop-by-hop walk: the reference engine (``flow_cache=False``), an
+        active trace span, a loss model (``loss_rate`` or a ``link_loss``
+        window — each hop draws from an RNG) and ``record_links`` (each hop
+        is recorded).  :meth:`_drain`'s ``plain`` branch and the columnar
+        vector phase both run only while this holds."""
+        return self.flow_cache and self.active_trace is None and not (
+            self.loss_rate or self.link_loss or self.record_links
+        )
 
     def inject(
         self, packet: Packet, vantage: Device
@@ -341,23 +342,21 @@ class Network:
         limiting, subclass hooks) with bit-identical semantics.
 
         A routing loop costs O(1) here too.  When nothing observes single
-        hops (``plain`` below) and a flow entry forwards the only packet in
-        flight back to the device whose flow entry has just forwarded it
-        here, the packet is in the 2-cycle of :func:`loop_exit` — nothing
-        inside a drain moves the stamp both entries were resolved under —
-        and is queued once, at the holder, with hop limit 1 and all the hops
-        counted; the ``hop_limit <= 1`` branch then raises Time Exceeded
-        through ``_make_error``, the limiter and the clock as after a walk.
-        Four things keep the walk, hop by hop, exactly as it was: the
-        reference engine (``flow_cache=False``) and an active trace span
-        (``fast`` is false); a loss model, a ``link_loss`` window or
-        ``record_links`` (``plain`` is false — each hop draws from an RNG
-        or is recorded); a device with ``flow_forward_safe = False`` (a
-        loop-limited CPE counts forwards, and never reaches the fast
-        path); and a second packet in flight,
-        whose turns the walk would interleave.  A loop that would carry
-        ``trace.hops`` past ``max_hops`` is walked as well, so the
-        ``NetworkError`` is raised at the dequeue it always was.
+        hops (``plain``: :meth:`hops_unobserved`) and a flow entry forwards
+        the only packet in flight back to the device whose flow entry has
+        just forwarded it here, the packet is in the 2-cycle of
+        :func:`loop_exit` — nothing inside a drain moves the ``generation``
+        both entries were resolved under — and is queued once, at the
+        holder, with hop limit 1 and all the hops counted; the
+        ``hop_limit <= 1`` branch then raises Time Exceeded through
+        ``_make_error``, the limiter and the clock as after a walk.  Three
+        things keep the walk, hop by hop, exactly as it was: what
+        :meth:`hops_unobserved` lists; a device with ``flow_forward_safe =
+        False`` (a loop-limited CPE counts forwards, and never reaches the
+        fast path); and a second packet in flight, whose turns the walk
+        would interleave.  A loop that would carry ``trace.hops`` past
+        ``max_hops`` is walked as well, so the ``NetworkError`` is raised
+        at the dequeue it always was.
 
         ``home`` is the :class:`~repro.net.columnar.ColumnarFib` the
         columnar replay forwarded the packet under.  When it is given and
@@ -367,14 +366,13 @@ class Network:
         counters and NDP state as the walk home, without the walk.
         """
         # Hot-loop hoists: every per-hop attribute/constant below is looked
-        # up once per injection instead of once per hop.
+        # up once per injection instead of once per hop.  The flow cache
+        # resolves hops unless the reference engine or a trace span runs;
+        # when nothing observes individual hops either, the fast path
+        # appends to the queue directly instead of paying a _enqueue call
+        # per hop.
         fast = self.flow_cache and self.active_trace is None
-        # When nothing observes individual hops (no loss model, no link
-        # recording), the fast path appends to the queue directly instead of
-        # paying a _enqueue call per hop.
-        plain = fast and not (
-            self.loss_rate or self.link_loss or self.record_links
-        )
+        plain = self.hops_unobserved()
         max_hops = self.max_hops
         popleft = queue.popleft
         append = queue.append
@@ -535,11 +533,11 @@ class Network:
         ``clocks`` entry first (the entry clock is restored afterwards).
         Probes of a block long enough to repay the vector phase
         (:data:`repro.net.columnar.VECTOR_MIN_PROBES`), on a network where
-        it is usable (numpy present, fast engine, no tracing/loss/fault
-        window active), advanced through their pure forwarding hops as
-        struct-of-arrays vector ops when the block was pulled and only eject
-        to the scalar engine for stateful work; otherwise this is literally
-        the sequential loop.  A routing loop is O(1) either way: lanes leave
+        it is usable (numpy present, :meth:`hops_unobserved`, no fault
+        transition due by the chunk's last send), advanced through their
+        pure forwarding hops as struct-of-arrays vector ops when the block
+        was pulled and only eject to the scalar engine for stateful work;
+        otherwise this is literally the sequential loop.  A routing loop is O(1) either way: lanes leave
         one by the vector phase's fast-forward, a scalar ``inject`` by
         :meth:`_drain`'s exit (:func:`loop_exit`).
         """
@@ -550,9 +548,9 @@ class Network:
     def columnar_fib(self):
         """The cached columnar FIB for the current topology generation.
 
-        Recompiled lazily whenever the generation counter moved or any
-        registered device's routing table was edited (``table_edits``) —
-        the network-wide form of the per-device flow caches' stamp.
+        Recompiled lazily whenever ``generation`` moved — a device, a
+        binding or any registered device's route changed — the stamp the
+        per-device flow caches compare too.
         """
         from repro.net import columnar
 

@@ -64,23 +64,19 @@ class Route:
 class BaseRoutingTable(ABC):
     """Interface shared by the trie and hash LPM implementations."""
 
-    #: Mutation counter: bumped by every ``add``/``remove`` so route-
-    #: resolution caches (the forwarding flow cache) can detect staleness
-    #: with one integer comparison instead of subscribing to changes.
-    version: int = 0
     #: The networks the table's device is registered in
-    #: (``Network.register`` adds one), each of which counts every
-    #: ``add``/``remove`` in its ``table_edits``.  Weak references: a
+    #: (``Network.register`` adds one), each of whose ``generation`` every
+    #: ``add``/``remove`` bumps, so every cache built from the topology
+    #: detects staleness with one integer comparison.  Weak references: a
     #: network holds its devices, and the edge back must not keep a
     #: dropped world alive until the cycle collector runs.
     networks: List[weakref.ReferenceType]
 
     def _edited(self) -> None:
-        self.version += 1
         for ref in self.networks:
             network = ref()
             if network is not None:
-                network.table_edits += 1
+                network.generation += 1
 
     @abstractmethod
     def add(self, route: Route) -> None: ...
@@ -137,12 +133,11 @@ class RoutingTable(BaseRoutingTable):
 
     The trie walk itself lives in :class:`repro.net.lpm.PrefixTrie`, shared
     with the blocklist and BGP-attribution tables; this class adds the
-    route semantics (replacement, version stamping) on top.
+    route semantics (replacement, generation bumps) on top.
     """
 
     def __init__(self) -> None:
         self._trie: PrefixTrie[Route] = PrefixTrie()
-        self.version = 0
         self.networks = []
 
     def add(self, route: Route) -> None:
@@ -189,7 +184,6 @@ class HashRoutingTable(BaseRoutingTable):
     def __init__(self) -> None:
         self._by_length: Dict[int, Dict[int, Route]] = {}
         self._lengths_desc: List[int] = []
-        self.version = 0
         self.networks = []
 
     def add(self, route: Route) -> None:

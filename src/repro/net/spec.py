@@ -21,11 +21,7 @@ pool bounded by :data:`POOL_DEVICE_BUDGET`.
 
 The ``deployment`` kind builds on :func:`repro.isp.builder.build_deployment`;
 the import happens lazily inside :meth:`TopologySpec.build` so this module
-does not invert the net ← isp layering at import time.  Additional kinds can
-be registered with :func:`register_topology`.  A registration lives in the
-process that made it: the process executor's workers start from a fresh
-import of :mod:`repro.engine.worker` (forkserver), so a kind they are to
-build must be registered at import time of a module they import.
+does not invert the net ← isp layering at import time.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ import threading
 from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.net.device import Device
 from repro.net.network import Network
@@ -50,19 +46,6 @@ class BuiltTopology:
     #: The builder's native object (``MiniTopology``, ``Deployment``, …) for
     #: callers that need more than network + vantage.
     handle: object = None
-
-
-_REGISTRY: Dict[str, Callable[..., BuiltTopology]] = {}
-
-
-def register_topology(kind: str, builder: Callable[..., BuiltTopology]) -> None:
-    """Register a custom topology builder under ``kind``.
-
-    Idle artifacts an earlier builder of that name made are dropped: the
-    next :meth:`TopologySpec.checkout` builds with this one.
-    """
-    _REGISTRY[kind] = builder
-    _POOL.drop(kind)
 
 
 #: Devices the pool's idle artifacts may hold between them.  Devices, not
@@ -111,12 +94,11 @@ class _ArtifactPool:
                 if not shelf:
                     del self._idle[oldest]
 
-    def drop(self, kind: Optional[str] = None) -> None:
-        """Forget the idle artifacts of ``kind`` (None: all of them)."""
+    def drop(self) -> None:
+        """Forget every idle artifact."""
         with self._lock:
-            for spec in [s for s in self._idle if kind in (None, s.kind)]:
-                for built in self._idle.pop(spec):
-                    self.devices -= len(built.network.devices)
+            self._idle.clear()
+            self.devices = 0
 
 
 _POOL = _ArtifactPool()
@@ -272,10 +254,7 @@ class TopologySpec:
 
             world = build_leak_demo(**params)  # type: ignore[arg-type]
             return BuiltTopology(world.network, world.vantage, world)
-        builder = _REGISTRY.get(self.kind)
-        if builder is None:
-            raise ValueError(f"unknown topology kind {self.kind!r}")
-        return builder(**params)
+        raise ValueError(f"unknown topology kind {self.kind!r}")
 
     def __str__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in self.params)

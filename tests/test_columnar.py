@@ -9,9 +9,8 @@ vector phase on every chunk (``vector_min=ALWAYS``) and pin the contract
 at three levels (raw ``inject_block`` vs sequential ``inject``, single
 scans, campaigns across executors), on three worlds (the mini testbed, the
 Table-IX-style BGP internet, the route-leak demo), plus the safety
-properties the fast path depends on: generation/version stamp
-invalidation, fault-schedule fallback to scalar, and the no-numpy
-degradation path.
+properties the fast path depends on: generation stamp invalidation,
+fault-schedule fallback to scalar, and the no-numpy degradation path.
 """
 
 from __future__ import annotations
@@ -660,19 +659,27 @@ class TestFaultFallback:
 
     @needs_numpy
     def test_exhausted_schedule_revectorises(self):
-        # While a transition is pending the vector phase must stand down;
-        # once every window has fired and reverted, _usable flips back on
-        # and the remaining blocks go through the vector phase again.
+        # A chunk whose last send reaches a pending transition must stand
+        # the vector phase down, so the transition fires inside ``inject``
+        # at its clock; a chunk that ends before it, a pull (no clock) and,
+        # once every window has fired and reverted, any chunk go through
+        # the vector phase.
         from repro.faults.injector import FaultInjector
 
         topo = build_mini()
-        injector = FaultInjector(topo.network, self.SCHEDULE,
+        network = topo.network
+        injector = FaultInjector(network, self.SCHEDULE,
                                  protected=(topo.vantage.name,))
         injector.arm()
-        assert not columnar._usable(topo.network)
+        due = injector.next_transition
+        assert due == 0.002
+        assert columnar._usable(network)
+        assert columnar._usable(network, due / 2)
+        assert not columnar._usable(network, due)
+        assert not columnar._usable(network, 1.0)
         injector.sync(1.0)  # virtual time far past the last window edge
         assert injector.next_transition == math.inf
-        assert columnar._usable(topo.network)
+        assert columnar._usable(network, 1.0)
 
 
 class TestStampInvalidation:
@@ -749,8 +756,8 @@ class TestStampInvalidation:
             gc.enable()
 
     def test_edits_in_two_pooled_networks_invalidate_only_their_own(self):
-        """Each network counts its own edits: two leases of one spec hold
-        two networks, and an edit in either invalidates that one's FIB
+        """Each network counts its own generation: two leases of one spec
+        hold two networks, and an edit in either invalidates that one's FIB
         alone, whatever the other has done."""
         from repro.net.spec import _POOL
 
@@ -761,7 +768,7 @@ class TestStampInvalidation:
                 nets = one.network, two.network
                 fibs = [net.columnar_fib() for net in nets]
                 for net in nets:
-                    assert net.table_edits == nets[0].table_edits
+                    assert net.generation == nets[0].generation
                 for edited in (1, 0, 1):
                     nets[edited].devices["isp"].table.add_blackhole(self.EXTRA)
                     assert not fibs[edited].valid(nets[edited])

@@ -23,7 +23,7 @@ from repro.engine import (
 )
 from repro.engine.checkpoint import DONE, PARTIAL
 from repro.net.addr import IPv6Addr
-from repro.net.spec import BuiltTopology, TopologySpec, register_topology
+from repro.net.spec import TopologySpec
 from repro.store.oslayer import document_checksum as _checksum
 from repro.store.segment import pack_row
 
@@ -184,15 +184,6 @@ class TestTopologySpec:
         assert [t.last_hop for t in solo_isp.truths] == [
             t.last_hop for t in duo_isp.truths
         ]
-
-    def test_custom_registration(self):
-        def _builder(**params):
-            topo = build_mini(**params)
-            return BuiltTopology(topo.network, topo.vantage, topo)
-
-        register_topology("test-mini", _builder)
-        built = TopologySpec("test-mini", (("seed", 3),)).build()
-        assert built.network.rng is not None
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ stats, telemetry counters — must be bit-identical to the reference engine
 (``Network(flow_cache=False)``) fed one target at a time.  The generated
 matrix in ``tests/test_pipeline.py`` covers the cross product; the named
 cases here pin the scalar fast path (vector phase held off), plus the
-cache-correctness properties it depends on: generation/version
+cache-correctness properties it depends on: generation
 invalidation under prefix rotation and churn, the more-specific-route
 guard, and the vectorised building blocks (block SipHash, block address
 derivation, validator priming, block target iteration).
@@ -166,6 +166,23 @@ class TestFlowCacheInvalidation:
         # The delegation is gone; the ISP's unassigned-space blackhole for
         # its whole /32 block now covers the target.
         assert isp.flow_entry(target.value, net).action == FLOW_BLACKHOLE
+
+    def test_a_route_edit_anywhere_flushes_every_cache(self):
+        """One generation per network: an add or remove on any registered
+        device's table empties every device's flow cache, not only the
+        edited device's."""
+        topo = build_mini()
+        net, isp = topo.network, topo.isp
+        target = self._first_lan_target(topo)
+        isp.flow_entry(target.value, net)
+        misses = net.flow_misses
+        isp.flow_entry(target.value, net)
+        assert net.flow_misses == misses  # served from the cache
+        topo.cpe_vuln.table.add_blackhole(
+            IPv6Prefix.from_string("2001:dead::/48")
+        )
+        assert isp.flow_entry(target.value, net).action == FLOW_FORWARD
+        assert net.flow_misses == misses + 1
 
     def test_scan_after_rotation_sees_new_world(self):
         """End-to-end: scans before and after rotation differ, and the

@@ -10,7 +10,9 @@ import random
 
 from repro.core.blocklist import PrefixSet
 from repro.net.addr import IPv6Addr, IPv6Prefix
+from repro.net.device import Router
 from repro.net.lpm import PrefixTrie
+from repro.net.network import Network
 from repro.net.routing import HashRoutingTable, Route, RouteKind, RoutingTable
 
 
@@ -99,17 +101,28 @@ class TestSharedBackends:
             assert trie_table.lookup(addr) == hash_table.lookup(addr)
         assert len(trie_table) == len(hash_table)
 
-    def test_routing_table_version_bumps(self):
-        table = RoutingTable()
-        v0 = table.version
-        table.add_unreachable(P("2001:db8::/32"))
-        assert table.version > v0
-        v1 = table.version
-        assert table.remove(P("2001:db8::/32"))
-        assert table.version > v1
-        v2 = table.version
-        assert not table.remove(P("2001:db8::/32"))  # miss: no bump
-        assert table.version == v2
+    def test_route_edits_bump_the_network_generation(self):
+        nets = Network(), Network()
+        routers = Router("r", A("2001:db8::1")), Router("s", A("2001:db8::2"))
+        routers[0].table = RoutingTable()  # the other keeps the hash table
+        for net, router in zip(nets, routers):
+            net.register(router)
+        loose = Router("loose", A("2001:db8::3"))  # registered nowhere
+        block = P("2001:db8::/32")
+        for net, router, bystander in zip(nets, routers, reversed(nets)):
+            untouched = bystander.generation
+            g0 = net.generation
+            router.table.add_unreachable(block)
+            assert net.generation > g0
+            g1 = net.generation
+            assert router.table.remove(block)
+            assert net.generation > g1
+            g2 = net.generation
+            assert not router.table.remove(block)  # miss: no bump
+            loose.table.add_unreachable(block)
+            assert loose.table.remove(block)
+            assert net.generation == g2
+            assert bystander.generation == untouched  # edits are per network
 
     def test_prefix_set_covering(self):
         pset = PrefixSet(["2001:db8::/32", "2001:db8:1::/48"])

@@ -23,7 +23,6 @@ devices) rather than timing it.
 from __future__ import annotations
 
 import enum
-import functools
 import json
 import random
 import re
@@ -55,7 +54,7 @@ from repro.faults import (
 from repro.net.addr import IPv6Prefix
 from repro.net.device import Device
 from repro.net.network import Network, NetworkError
-from repro.net.spec import BuiltTopology, TopologySpec, register_topology
+from repro.net.spec import BuiltTopology, TopologySpec
 from repro.net.testbed import MiniTopology
 from repro.service import CampaignSpec
 from tests.pipeline import ALWAYS, SPEC, build_world, observables, observe
@@ -99,10 +98,10 @@ def scan(built: BuiltTopology, probe: ProbeSpec, window: str = SPEC,
 # -- (i) the census ------------------------------------------------------------
 
 
-def _mini_world(handle: object = None, **params) -> BuiltTopology:
-    """``build_mini`` as the engine consumes it (a registrable builder)."""
-    topo = build_mini(**params)
-    return BuiltTopology(topo.network, topo.vantage, handle or topo)
+def _mini_world() -> BuiltTopology:
+    """``build_mini`` as the engine consumes it."""
+    topo = build_mini()
+    return BuiltTopology(topo.network, topo.vantage, topo)
 
 
 def _bounce_limited_mini() -> BuiltTopology:
@@ -599,23 +598,6 @@ class TestPoolRules:
             pass
         assert list(pool._idle) == [minis[0]] and pool.devices == 6
 
-    def test_registering_a_kind_again_invalidates_its_artifacts(self):
-        plain = functools.partial(_mini_world, "plain")
-        other = functools.partial(_mini_world, "other")
-        spec = TopologySpec("pool-test-kind", {"seed": 3})
-        try:
-            register_topology("pool-test-kind", plain)
-            with spec.checkout() as built:
-                assert built.handle == "plain"
-            with TopologySpec.mini().checkout() as mini:
-                pass
-            register_topology("pool-test-kind", other)
-            assert _idle() == [mini]  # other kinds are left alone
-            with spec.checkout() as built:
-                assert built.handle == "other"
-        finally:
-            del spec_module._REGISTRY["pool-test-kind"]
-
     def test_restore_vouches_only_for_what_it_can(self):
         network = build_mini().network
         assert network.restore() is False  # never sealed
@@ -698,17 +680,11 @@ class TestSpecIdentity:
 
 
 class TestProcessWorkers:
-    def test_a_kind_registered_at_run_time_is_unknown_to_a_worker(self):
-        """Workers start from a fresh import (forkserver), as the
-        ``repro.net.spec`` docstring says: nothing the parent registered
-        at run time crosses over, and the shard fails with the builder's
-        own error rather than hanging or building something else."""
-        job = _job(TopologySpec("run-time-kind", {"seed": 1}))
-        try:
-            register_topology("run-time-kind", _mini_world)
-            assert execute_job(job).result.stats.sent == 256
-            ((_, failure),) = ProcessPoolBackend(workers=1).run_jobs([job])
-        finally:
-            del spec_module._REGISTRY["run-time-kind"]
+    def test_an_unknown_kind_fails_the_shard_in_the_worker(self):
+        """A spec no builder knows fails its shard in the worker with the
+        builder's own error, shipped back to the parent, rather than
+        hanging or building something else."""
+        job = _job(TopologySpec("no-such-kind", {"seed": 1}))
+        ((_, failure),) = ProcessPoolBackend(workers=1).run_jobs([job])
         assert isinstance(failure, ValueError)
-        assert "unknown topology kind 'run-time-kind'" in str(failure)
+        assert "unknown topology kind 'no-such-kind'" in str(failure)
