@@ -29,6 +29,7 @@ preserved).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -184,6 +185,11 @@ def populate_edge_as(
 
     # The paper probes the successive 16-bit sub-prefix space (/32-48);
     # scaled, each AS exposes a window_bits-wide child at /48 granularity.
+    # A population that does not fit gets a window of its own, two bits
+    # wider than it needs, as the ISP builder sizes one; every AS that fits
+    # keeps its window, its draws and its addresses.
+    if n_devices > 1 << window_bits:
+        window_bits = math.ceil(math.log2(n_devices)) + 2
     base = block.subprefix(1, 48 - window_bits)
     scan_spec = f"{base}-48"
     indices = rng.sample(range(1 << window_bits), n_devices)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.core.validate import Validator
 from repro.net.addr import IPv6Addr
@@ -102,15 +102,8 @@ class ProbeModule(ABC):
                 return None
         if not self._validates_invoking(invoking):
             return None
-        if message.type == Icmpv6Type.DEST_UNREACHABLE:
-            kind = (
-                ReplyKind.PORT_UNREACHABLE
-                if message.code == 4
-                else ReplyKind.DEST_UNREACHABLE
-            )
-        elif message.type == Icmpv6Type.TIME_EXCEEDED:
-            kind = ReplyKind.TIME_EXCEEDED
-        else:
+        kind = error_kind(message.type, message.code)
+        if kind is None:
             return None
         return ProbeReply(
             responder=packet.src,
@@ -123,3 +116,23 @@ class ProbeModule(ABC):
     @abstractmethod
     def _validates_invoking(self, invoking: Packet) -> bool:
         """Is the quoted invoking packet one of this module's probes?"""
+
+    #: The row form of :meth:`_validates_invoking`, for a module whose
+    #: probes are never ICMPv6 errors: ``validates_row(target)`` — would
+    #: the probe :meth:`build` writes for ``target`` (an int), quoted back
+    #: whole by an ICMPv6 error, pass it?  The scanner then takes such
+    #: errors as rows (:class:`repro.net.columnar.Outcomes`) and validates
+    #: them with it; None, as here: only ever from packets.
+    validates_row: Optional[Callable[[int], bool]] = None
+
+
+def error_kind(icmp_type: int, code: int) -> Optional[ReplyKind]:
+    """The reply kind of an ICMPv6 error of ``icmp_type`` / ``code`` that
+    quotes one of the scan's probes; None for an error no probe module
+    attributes (only Destination Unreachable and Time Exceeded are)."""
+    if icmp_type == Icmpv6Type.DEST_UNREACHABLE:
+        return (ReplyKind.PORT_UNREACHABLE if code == 4
+                else ReplyKind.DEST_UNREACHABLE)
+    if icmp_type == Icmpv6Type.TIME_EXCEEDED:
+        return ReplyKind.TIME_EXCEEDED
+    return None

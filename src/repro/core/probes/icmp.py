@@ -12,7 +12,7 @@ Exceeded messages from looping links.
 from __future__ import annotations
 
 import struct
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.core.probes.base import ProbeModule, ProbeReply, ReplyKind
 from repro.net.addr import IPv6Addr
@@ -33,14 +33,24 @@ class IcmpEchoProbe(ProbeModule):
         self.hop_limit = hop_limit
 
     def build(self, src: IPv6Addr, dst: IPv6Addr) -> Packet:
-        # One tag derivation serves ident, seq, and the payload; deriving
-        # the slices inline skips a ProbeFields allocation per probe.
-        tag = self.validator.tag(dst)
-        payload = struct.pack("!Q", tag)
+        ident, seq, tag = self._echo(dst)
         return echo_request(
-            src, dst, tag & 0xFFFF, (tag >> 16) & 0xFFFF, payload,
+            src, dst, ident, seq, struct.pack("!Q", tag),
             hop_limit=self.hop_limit,
         )
+
+    def _echo(self, dst: IPv6Addr | int) -> Tuple[int, int, int]:
+        """``(ident, seq, tag)`` of the probe for ``dst``: one tag
+        derivation serves ident, seq and the payload (deriving the slices
+        inline skips a ProbeFields allocation per probe)."""
+        tag = self.validator.tag(dst)
+        return tag & 0xFFFF, (tag >> 16) & 0xFFFF, tag
+
+    def validates_row(self, target: int) -> bool:
+        """:meth:`_validates_invoking` of the probe :meth:`build` writes for
+        ``target``: an Echo Request whose ident and seq are ``_echo``'s."""
+        ident, seq, _tag = self._echo(target)
+        return self.validator.check_echo(target, ident, seq)
 
     def classify(self, packet: Packet) -> Optional[ProbeReply]:
         message = packet.payload

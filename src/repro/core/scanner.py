@@ -33,13 +33,21 @@ from typing import (
 
 from repro.core.blocklist import Blocklist
 from repro.core.permutation import make_permutation
-from repro.core.probes.base import ProbeModule, ReplyKind
+from repro.core.probes.base import ProbeModule, ReplyKind, error_kind
 from repro.core.ratelimit import VirtualPacer
+from repro.core.rows import (
+    KEY_SIZE,
+    KIND_CODE,
+    KINDS,
+    ROW,
+    ProbeResult,
+    Rows,
+)
 from repro.core.stats import ScanStats
 from repro.core.target import IidStrategy, ScanRange, TargetGenerator
 from repro.core.validate import Validator
 from repro.net.addr import IPv6Addr, IPv6Prefix, format_ipv6_packed
-from repro.net.columnar import Lanes, Probes
+from repro.net.columnar import Lanes, Outcomes, Probes
 from repro.net.device import Device
 from repro.net.network import Network
 from repro.net.packet import Packet
@@ -76,79 +84,35 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 BLOCK_SIZE = 1024
 
 
-def row_dict(
-    target: bytes, responder: bytes, kind: str, icmp_type: int, icmp_code: int
-) -> Dict[str, object]:
-    """The JSON form of one result row, from its stored fields (the two
-    addresses as their 16 packed bytes).
-
-    The one row→dict function: :meth:`ProbeResult.to_dict` and the store's
-    dict projection (rows decoded from packed bytes without building a
-    :class:`ProbeResult`) both call it, so the two cannot drift apart.
-    """
-    return {
-        "target": format_ipv6_packed(target),
-        "responder": format_ipv6_packed(responder),
-        "kind": kind,
-        "icmp_type": icmp_type,
-        "icmp_code": icmp_code,
-    }
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """One validated reply, annotated with the probe that elicited it."""
-
-    target: IPv6Addr
-    responder: IPv6Addr
-    kind: ReplyKind
-    icmp_type: int
-    icmp_code: int
-
-    @property
-    def same_slash64(self) -> bool:
-        return self.responder.slash64 == self.target.slash64
-
-    @property
-    def dedup_key(self) -> tuple:
-        """The identity used for reply dedup, in-scan and cross-shard."""
-        return (self.responder.value, self.target.value, self.kind)
-
-    def to_dict(self) -> Dict[str, object]:
-        return row_dict(
-            self.target.to_bytes(), self.responder.to_bytes(),
-            self.kind.value, self.icmp_type, self.icmp_code,
-        )
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ProbeResult":
-        return cls(
-            target=IPv6Addr.from_string(str(data["target"])),
-            responder=IPv6Addr.from_string(str(data["responder"])),
-            kind=ReplyKind(data["kind"]),
-            icmp_type=int(data["icmp_type"]),  # type: ignore[arg-type]
-            icmp_code=int(data["icmp_code"]),  # type: ignore[arg-type]
-        )
-
-
 @dataclass
 class ScanResult:
-    """All validated replies from one scan plus engine statistics."""
+    """All validated replies from one scan plus engine statistics.
+
+    ``results`` keeps the replies as packed rows (:class:`Rows`): the
+    scanner appends them, :meth:`merge`, :meth:`dedup_digest`, the
+    checkpoint log and the segment writer read the bytes, and a reader that
+    iterates or indexes it gets :class:`ProbeResult` objects.  Any sequence
+    of results passed in is packed.
+    """
 
     range: ScanRange
-    results: List[ProbeResult] = field(default_factory=list)
+    results: Rows = field(default_factory=Rows)
     stats: ScanStats = field(default_factory=ScanStats)
-    #: Dedup-key cache for :meth:`merge`: the key set plus the results
-    #: length it was built against.  Rebuilding the set per merge call made
-    #: an N-shard campaign merge O(N²) in total results; the cache makes
-    #: the whole merge loop single-pass.  Out-of-band appends to
-    #: ``results`` are detected by the length stamp and trigger a rebuild.
-    _dedup_cache: Optional[Set[tuple]] = field(
+    #: Dedup-key cache for :meth:`merge`: the key set plus the row count it
+    #: was built against.  Rebuilding the set per merge call made an
+    #: N-shard campaign merge O(N²) in total results; the cache makes the
+    #: whole merge loop single-pass.  Out-of-band appends to ``results``
+    #: are detected by the count stamp and trigger a rebuild.
+    _dedup_cache: Optional[Set[bytes]] = field(
         default=None, init=False, repr=False, compare=False
     )
     _dedup_stamp: int = field(
         default=-1, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.results, Rows):
+            self.results = Rows(self.results)
 
     def unique_responders(self) -> Set[IPv6Addr]:
         return {r.responder for r in self.results}
@@ -182,9 +146,10 @@ class ScanResult:
     def merge(self, other: "ScanResult") -> "ScanResult":
         """Fold another shard's results into this one (in place).
 
-        Replies deduplicate on ``(responder, target, kind)`` — the same key
-        the in-scan dedup uses — so merging the shards of one logical scan
-        yields exactly the unsharded reply set; stats merge per
+        Replies deduplicate on their packed key (responder, target, kind:
+        :data:`~repro.core.rows.KEY_SIZE` bytes) — the key the in-scan
+        dedup uses — so merging the shards of one logical scan yields
+        exactly the unsharded reply set; stats merge per
         :meth:`ScanStats.merge`.
         """
         if str(other.range) != str(self.range):
@@ -192,30 +157,36 @@ class ScanResult:
                 f"cannot merge scan of {other.range} into scan of {self.range}"
             )
         seen = self._dedup_keys()
-        for result in other.results:
-            if result.dedup_key in seen:
-                continue
-            seen.add(result.dedup_key)
-            self.results.append(result)
-        self._dedup_stamp = len(self.results)
+        rows = self.results.rows
+        for row in other.results.rows:
+            key = row[:KEY_SIZE]
+            if key not in seen:
+                seen.add(key)
+                rows.append(row)
+        self._dedup_stamp = len(rows)
         self.stats.merge(other.stats)
         return self
 
-    def _dedup_keys(self) -> Set[tuple]:
+    def _dedup_keys(self) -> Set[bytes]:
         """The cached dedup-key set, rebuilt only if ``results`` changed
         behind the cache's back (e.g. the scanner appending mid-scan)."""
         keys = self._dedup_cache
-        if keys is None or self._dedup_stamp != len(self.results):
-            keys = {result.dedup_key for result in self.results}
+        rows = self.results.rows
+        if keys is None or self._dedup_stamp != len(rows):
+            keys = {row[:KEY_SIZE] for row in rows}
             self._dedup_cache = keys
-            self._dedup_stamp = len(self.results)
+            self._dedup_stamp = len(rows)
         return keys
 
     def dedup_digest(self) -> str:
-        """Order-independent SHA-256 over the deduplicated reply set."""
+        """Order-independent SHA-256 over the deduplicated reply set: of
+        the sorted ``responder|target|kind|type|code`` lines."""
+        names = [kind.value for kind in KINDS]
         lines = sorted(
-            f"{r.responder}|{r.target}|{r.kind.value}|{r.icmp_type}|{r.icmp_code}"
-            for r in self.results
+            f"{format_ipv6_packed(responder)}|{format_ipv6_packed(target)}"
+            f"|{names[code]}|{icmp_type}|{icmp_code}"
+            for target, responder, code, icmp_type, icmp_code
+            in map(ROW.unpack, self.results.rows)
         )
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -223,7 +194,7 @@ class ScanResult:
         """JSON-ready view, invertible via :meth:`from_dict` (checkpoints)."""
         return {
             "range": str(self.range),
-            "results": [result.to_dict() for result in self.results],
+            "results": self.results.dicts(),
             "stats": self.stats.to_dict(),
         }
 
@@ -231,10 +202,10 @@ class ScanResult:
     def from_dict(cls, data: Dict[str, object]) -> "ScanResult":
         return cls(
             range=ScanRange.parse(str(data["range"])),
-            results=[
+            results=Rows(
                 ProbeResult.from_dict(item)  # type: ignore[arg-type]
                 for item in data.get("results", [])  # type: ignore[union-attr]
-            ],
+            ),
             stats=ScanStats.from_dict(data.get("stats", {})),  # type: ignore[arg-type]
         )
 
@@ -520,23 +491,33 @@ class Scanner:
 
     # -- the scan loop -----------------------------------------------------------
 
-    def _accounting(
-        self, result: ScanResult
-    ) -> Callable[[List[Packet], Optional["ProbeTrace"]], int]:
-        """The reply-accounting routine for one scan: classify → dedup →
+    def _accounting(self, result: ScanResult) -> Tuple[
+        Callable[[List[Packet], Optional["ProbeTrace"]], int],
+        Callable[[Outcomes, Optional["ProbeTrace"]], int],
+    ]:
+        """The reply-accounting routines for one scan: classify → dedup →
         count → emit, for first sends and retransmits alike.
 
-        The returned ``account(replies, span)`` takes one target's replies
-        and returns how many validated.  Stateless validation
+        ``account(replies, span)`` takes one target's reply packets and
+        returns how many validated; stateless validation
         (``probe.classify``) comes before anything is counted as a result.
+        ``settle(outcomes, span)`` accounts a whole chunk, its ejected
+        lanes' replies and its rows in probe order — a row (an ICMPv6 error
+        settled without packets) is validated by ``probe.validates_row``
+        from its fields.  Either way a validated reply is packed once, its
+        first :data:`~repro.core.rows.KEY_SIZE` bytes are the dedup key,
+        and the row is what is emitted.
         """
         stats = result.stats
         metrics = self.metrics
         network = self.network
         classify = self.probe.classify
+        validates_row = self.probe.validates_row
         wire = self.config.wire_mode
-        emit = self.sink.emit if self.sink is not None else result.results.append
-        seen: Set[tuple] = set()
+        sink = self.sink
+        emit = sink.emit_row if sink is not None else result.results.rows.append
+        pack = ROW.pack
+        seen: Set[bytes] = set()
         # Hoisted so the per-reply cost is one bound-method call each; the
         # per-(kind,type,code) counters are cached because label lookups
         # build a dict key, too slow per reply.
@@ -547,6 +528,16 @@ class Scanner:
         c_duplicate = metrics.counter("scanner_replies_discarded",
                                       reason="duplicate")
         reply_counters: Dict[tuple, object] = {}
+
+        def count(kind: ReplyKind, icmp_type: int, icmp_code: int) -> None:
+            reply_key = (kind.value, icmp_type, icmp_code)
+            counter = reply_counters.get(reply_key)
+            if counter is None:
+                counter = reply_counters[reply_key] = metrics.counter(
+                    "scanner_replies", kind=kind.value,
+                    icmp_type=icmp_type, icmp_code=icmp_code,
+                )
+            counter.inc()  # type: ignore[union-attr]
 
         def account(replies: List[Packet],
                     span: Optional["ProbeTrace"]) -> int:
@@ -564,11 +555,15 @@ class Scanner:
                         span.add("verdict", network.clock,
                                  outcome="validation-failed")
                     continue
-                key = (
-                    classified.responder.value,
-                    classified.target.value,
-                    classified.kind,
+                kind = classified.kind
+                row = pack(
+                    classified.target.to_bytes(),
+                    classified.responder.to_bytes(),
+                    KIND_CODE[kind],
+                    classified.icmp_type & 0xFF,
+                    classified.icmp_code & 0xFF,
                 )
+                key = row[:KEY_SIZE]
                 if key in seen:
                     stats.discarded += 1
                     c_duplicate.inc()
@@ -580,38 +575,59 @@ class Scanner:
                 validated += 1
                 stats.validated += 1
                 c_validated.inc()
-                reply_key = (
-                    classified.kind.value,
-                    classified.icmp_type,
-                    classified.icmp_code,
-                )
-                counter = reply_counters.get(reply_key)
-                if counter is None:
-                    counter = reply_counters[reply_key] = metrics.counter(
-                        "scanner_replies",
-                        kind=classified.kind.value,
-                        icmp_type=classified.icmp_type,
-                        icmp_code=classified.icmp_code,
-                    )
-                counter.inc()  # type: ignore[union-attr]
+                count(kind, classified.icmp_type, classified.icmp_code)
                 if span is not None:
                     span.add(
                         "verdict", network.clock, outcome="validated",
-                        kind=classified.kind.value,
+                        kind=kind.value,
                         responder=str(classified.responder),
                     )
-                emit(
-                    ProbeResult(
-                        target=classified.target,
-                        responder=classified.responder,
-                        kind=classified.kind,
-                        icmp_type=classified.icmp_type,
-                        icmp_code=classified.icmp_code,
-                    )
-                )
+                emit(row)
             return validated
 
-        return account
+        def account_rows(rows) -> int:
+            validated = discarded = 0
+            for _i, responder, target, icmp_type, code, _quoted, _limit in rows:
+                kind = error_kind(icmp_type, code)
+                if kind is None or not validates_row(target):
+                    c_invalid.inc()
+                    discarded += 1
+                    continue
+                row = pack(target.to_bytes(16, "big"), responder.to_bytes(),
+                           KIND_CODE[kind], icmp_type, code)
+                key = row[:KEY_SIZE]
+                if key in seen:
+                    c_duplicate.inc()
+                    discarded += 1
+                    continue
+                seen.add(key)
+                validated += 1
+                count(kind, icmp_type, code)
+                emit(row)
+            stats.received += len(rows)
+            c_received.inc(len(rows))
+            stats.discarded += discarded
+            stats.validated += validated
+            c_validated.inc(validated)
+            return validated
+
+        def settle(outcomes: Outcomes, span: Optional["ProbeTrace"]) -> int:
+            rows = outcomes.rows
+            answered = [(i, inbox) for i, (inbox, _trace)
+                        in outcomes.ejected.items() if inbox]
+            if not rows:
+                return sum(account(inbox, span) for _i, inbox in answered)
+            validated = start = 0
+            for i, inbox in answered:  # interleaved in probe order
+                stop = start
+                while stop < len(rows) and rows[stop][0] < i:
+                    stop += 1
+                validated += account_rows(rows[start:stop])
+                validated += account(inbox, span)
+                start = stop
+            return validated + account_rows(rows[start:])
+
+        return account, settle
 
     def run(self) -> ScanResult:
         """Scan the window: permute → forward → pace → send → validate.
@@ -653,7 +669,7 @@ class Scanner:
         sampler = self.sampler
         pacer = self.pacer
         c_sent = metrics.counter("scanner_probes_sent")
-        account = self._accounting(result)
+        account, settle = self._accounting(result)
         observe_hops = metrics.histogram("probe_hops",
                                          bounds=HOP_BUCKETS).observe_many
         controller, policy = self._hardening()
@@ -667,12 +683,15 @@ class Scanner:
         build = self.probe.build
         inject_block = network.inject_block
         pull = self._pull()
-        probes: List[Tuple[IPv6Addr, Tuple[Lanes, int]]] = []
+        # Errors come back as rows where the probe module can validate one
+        # from its fields; ``wire_mode`` decodes every reply's bytes.
+        rows_from = (source if self.probe.validates_row is not None
+                     and not wire else None)
 
-        def build_probe(i: int) -> Packet:
+        def materialiser(probes) -> Callable[[int], Packet]:
             # Asked for by ``inject_block`` when something stateful has to
-            # look at the current chunk's probe ``i``; most die silently.
-            return build(source, probes[i][0])
+            # look at the chunk's probe ``i``; most die silently.
+            return lambda i: build(source, probes[i][0])
 
         def snapshot() -> None:
             # Keep the trailing counters coherent so progress hooks (and
@@ -749,7 +768,8 @@ class Scanner:
                 network.active_trace = span
                 outcomes = inject_block(
                     Probes([ride for _, ride in probes],
-                           packets.__getitem__ if wire else build_probe),
+                           packets.__getitem__ if wire
+                           else materialiser(probes), rows_from),
                     vantage, clocks,
                 )
                 network.active_trace = None
@@ -757,10 +777,7 @@ class Scanner:
                 stats.sent += sent
                 c_sent.inc(sent)
                 observe_hops(outcomes.hops)
-                validated = sum(
-                    account(inbox, span)
-                    for inbox, _ in outcomes.ejected.values() if inbox
-                )
+                validated = settle(outcomes, span)
                 if single:  # the chunk is one target
                     if policy is not None and not validated:
                         resent, validated = self._retransmit(

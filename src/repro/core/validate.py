@@ -111,7 +111,7 @@ class Validator:
             sport=0x8000 | ((tag >> 48) & 0x7FFF),
         )
 
-    def check_echo(self, dst: IPv6Addr, ident: int, seq: int) -> bool:
+    def check_echo(self, dst: IPv6Addr | int, ident: int, seq: int) -> bool:
         fields = self.fields(dst)
         return fields.ident == ident and fields.seq == seq
 

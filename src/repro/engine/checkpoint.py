@@ -21,7 +21,7 @@ previous one, not what the shard has produced in total::
 The first record's payload is the shard's identity (JSON: job id, shard
 coordinates, range); every later one is a checkpoint — position and
 cumulative stats in fixed binary form followed by the rows validated since
-the previous record, packed with :func:`repro.store.segment.pack_row`.
+the previous record, in their packed :data:`repro.core.rows.ROW` form.
 ``chain`` starts as SHA-256 of the file header and advances to each record's
 digest, so a record's digest vouches for the whole prefix before it:
 verifying a load is one pass over the file, and writing never re-reads it.
@@ -80,9 +80,10 @@ import os
 import pathlib
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
-from repro.core.scanner import ProbeResult, ScanResult
+from repro.core.rows import Rows
+from repro.core.scanner import ScanResult
 from repro.core.stats import ScanStats
 from repro.core.target import ScanRange
 from repro.store.framing import (
@@ -98,7 +99,6 @@ from repro.store.oslayer import (
     read_document,
     write_document,
 )
-from repro.store.segment import ROW_SIZE, SegmentCorrupt, pack_row, unpack_rows
 
 STATE_VERSION = 2
 
@@ -150,17 +150,10 @@ def _filename(job_id: str) -> str:
     return f"shard-{safe}.json"
 
 
-def _pack_rows(rows: Sequence[ProbeResult]) -> bytes:
-    return b"".join([pack_row(row) for row in rows])
-
-
-def _unpack_rows(packed: bytes) -> List[ProbeResult]:
-    count, odd = divmod(len(packed), ROW_SIZE)
-    if odd:
-        raise _Corrupt("malformed-state")
+def _unpack_rows(packed: bytes) -> Rows:
     try:
-        return unpack_rows(packed, count)
-    except SegmentCorrupt:
+        return Rows.unpack(packed)
+    except ValueError:
         raise _Corrupt("malformed-state") from None
 
 
@@ -300,7 +293,7 @@ class CheckpointStore:
             state.position, stats.sent, stats.blocked, stats.received,
             stats.validated, stats.discarded, stats.virtual_start,
             stats.virtual_end, stats.wall_seconds,
-        ) + _pack_rows(state.result.results)
+        ) + state.result.results.packed()
         attempt = self._attempt(state)
         try:
             attempt.append(payload)
@@ -360,7 +353,7 @@ class CheckpointStore:
                     "stats": state.result.stats.to_dict(),
                 },
                 "digest": (state.whole or state.result).dedup_digest(),
-                "tail": _pack_rows(state.result.results).hex(),
+                "tail": state.result.results.packed().hex(),
                 "log_length": log_length,
                 "log_chain": log_chain,
             }
@@ -463,14 +456,14 @@ class CheckpointStore:
                     shards=cleared)
 
 
-def _checkpoint_rows(payloads: Sequence[bytes]) -> List[ProbeResult]:
+def _checkpoint_rows(payloads: Sequence[bytes]) -> Rows:
     """The rows of a log's checkpoint records (everything after the
     identity record), in the order they were validated."""
-    rows: List[ProbeResult] = []
+    rows = Rows()
     for payload in payloads[1:]:
         if len(payload) < _PROGRESS.size:
             raise _Corrupt("malformed-state")
-        rows.extend(_unpack_rows(payload[_PROGRESS.size:]))
+        rows.rows += _unpack_rows(payload[_PROGRESS.size:]).rows
     return rows
 
 
@@ -512,7 +505,7 @@ def _done_state(head: Dict[str, object], log: Optional[bytes]) -> ShardState:
         if head["status"] != DONE:
             raise _Corrupt("malformed-state")
         log_length = int(head["log_length"])
-        rows: List[ProbeResult] = []
+        rows = Rows()
         if log_length:
             payloads, good, chain = replay(
                 (log or b"")[:log_length], _LOG_HEADER
@@ -520,7 +513,7 @@ def _done_state(head: Dict[str, object], log: Optional[bytes]) -> ShardState:
             if good != log_length or chain.hex() != head["log_chain"]:
                 raise _Corrupt("checksum-mismatch")
             rows = _checkpoint_rows(payloads)
-        rows.extend(_unpack_rows(bytes.fromhex(str(head["tail"]))))
+        rows.rows += _unpack_rows(bytes.fromhex(str(head["tail"]))).rows
         result: Dict[str, object] = head["result"]
         state = ShardState(
             job_id=str(head["job_id"]),

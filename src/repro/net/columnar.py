@@ -72,13 +72,25 @@ the code can observe.  At the pull: a block shorter than
 :meth:`Network.hops_unobserved` lists (the reference engine, a trace span,
 a loss model, link recording) or an uncompilable table leave it
 unforwarded, and its probes go down per-probe :meth:`Network.inject`.  At
-each chunk, again: a network that is not usable *now* (the above, or a
-fault transition due by the chunk's last send, which must fire inside
-``inject`` at its clock) takes the sequential scalar loop whatever lanes
-exist, and lanes whose FIB is no longer the network's (a route edit, a
-rotation, a fault swap since the pull) are dropped and what is left of
-their block forwarded afresh — nothing stale is ever replayed.  Identical
-observables on every path.
+each chunk, again: a network that is not usable *now* takes the sequential
+scalar loop whatever lanes exist; a fault transition due by the chunk's
+last send, which must fire inside ``inject`` at its clock, sends the
+probes from the first one it is due at on down that loop, after the lanes
+before it are replayed; and lanes whose FIB is no longer the network's (a
+route edit, a rotation, a fault swap since the pull) are dropped and what
+is left of their block forwarded afresh — nothing stale is ever replayed.
+Identical observables on every path.
+
+**Rows.**  Everything the paper harvests is an ICMPv6 error, so an error
+lane of a chunk whose caller takes errors as rows (:class:`Probes`
+``source``: the scanner, for a probe module with a row check) is settled
+without a packet at all when its error would go home by a return plan:
+the limiter draw and the NDP ``resolve``s run on the lane's fields, in
+probe order, under its clock, and what arrives is a row on
+:class:`Outcomes` — the responder, the quoted target, the type, the code
+and the hop limits.  Delivery and hook lanes, a refused plan, a device
+with its own error code, and every chunk of a caller without ``source``
+keep their packets.
 """
 
 from __future__ import annotations
@@ -86,6 +98,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
+from repro.net.addr import IPv6Addr
 from repro.net.device import Device, IspRouter
 from repro.net.ndp import resolve
 from repro.net.network import (
@@ -95,6 +108,7 @@ from repro.net.network import (
     DeliveryTrace,
     NetworkError,
 )
+from repro.net.packet import MAX_HOP_LIMIT, icmpv6_error
 from repro.net.routing import RouteKind
 
 try:  # optional acceleration; sequential scalar fallback otherwise
@@ -106,7 +120,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.network import Network
     from repro.net.packet import Packet
 
-__all__ = ["ColumnarFib", "Lanes", "Probes", "inject_block"]
+__all__ = ["ColumnarFib", "Lanes", "Outcomes", "Probes", "inject_block"]
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 
@@ -155,6 +169,9 @@ _ON_LINK = 7  # on-link match: NDP decides, address-unreachable if it fails
 #: The error each verdict raises; ``_ON_LINK``'s only when NDP fails.
 _ERRORS = {_NO_ROUTE: NO_ROUTE, _SPENT: TIME_EXCEEDED,
            _ON_LINK: ADDR_UNREACHABLE}
+#: The same, as the plain ``(type, code)`` ints of a row.
+_ROW_ERRORS = {status: (int(error_type), code)
+               for status, (error_type, code) in _ERRORS.items()}
 
 #: Hash-seed attempts for each per-length table before giving up on the
 #: whole compile (``ok=False`` → scalar fallback).  A seed is the pair of
@@ -396,23 +413,10 @@ class ColumnarFib:
         state; those run here, in path order, under the lane's clock, and
         a failed one ends the path where the walk's would end it."""
         dst = error.dst
-        key = (device, dst.value)
-        plan = self._homes.get(key)
+        plan = self.home(network, device, dst, error.hop_limit, trace.hops)
         if plan is None:
-            plan = _plan_home(network, device, dst, error.hop_limit)
-            if plan:
-                plan = self._plans.setdefault(plan, plan)
-            self._homes[key] = plan
-        if not plan:
             return False
-        start, hops, resolves, owner, drops, hop_limit, longest = plan
-        if error.hop_limit != start or trace.hops + longest > network.max_hops:
-            return False  # the walk raises where it always did
-        for router, further in resolves:
-            if not resolve(router, dst, network):
-                owner, drops = None, 0
-                break
-            hops += further
+        hops, owner, drops, hop_limit = _travel(plan, network, dst)
         trace.hops += hops
         network.total_hops += hops
         trace.drops += drops
@@ -420,6 +424,38 @@ class ColumnarFib:
             inbox.append(error.with_hop_limit(hop_limit))
             trace.delivered += 1
         return True
+
+    def home(self, network: "Network", device: "Device", dst: "IPv6Addr",
+             hop_limit: int, hops: int):
+        """The return plan of an error ``device`` originates towards ``dst``
+        with ``hop_limit``, for a packet that has taken ``hops`` hops so
+        far; None where the walk has to run — no plan, or one that could
+        carry the packet past ``max_hops`` (the walk raises where it always
+        did).  Pure: the plan is read off the tables once and memoised."""
+        key = (device, dst.value)
+        plan = self._homes.get(key)
+        if plan is None:
+            plan = _plan_home(network, device, dst, hop_limit)
+            if plan:
+                plan = self._plans.setdefault(plan, plan)
+            self._homes[key] = plan
+        if not plan or plan[0] != hop_limit or (
+            hops + plan[6] > network.max_hops
+        ):
+            return None
+        return plan
+
+
+def _travel(plan, network: "Network", dst: "IPv6Addr"):
+    """Run a return plan's NDP ``resolve``s, in path order, under the
+    current clock: ``(hops, owner, drops, final hop limit)`` of the error
+    — ``owner`` None where a failed resolve ended the path."""
+    _start, hops, resolves, owner, drops, hop_limit, _longest = plan
+    for router, further in resolves:
+        if not resolve(router, dst, network):
+            return hops, None, 0, hop_limit
+        hops += further
+    return hops, owner, drops, hop_limit
 
 
 def _plain(device: "Device") -> bool:
@@ -506,11 +542,12 @@ def _plan_home(network: "Network", device: "Device", dst, hop_limit: int):
 def _usable(network: "Network", until: Optional[float] = None) -> bool:
     """Can the vector phase run without observing or perturbing state?
 
-    ``until`` is the last send clock of the chunk about to be replayed: a
-    fault transition due by then must fire inside ``inject`` at its clock,
-    so such a chunk takes :func:`_sequential`.  The pull passes none — its
-    lanes are re-checked against the FIB, and the chunk against its
-    clocks, before anything is replayed."""
+    ``until`` is the last send clock of the probes about to be replayed:
+    a fault transition due by then must fire inside ``inject`` at its
+    clock, so such a chunk is cut before the probe that reaches it
+    (:func:`_cut`).  The pull passes none — its lanes are re-checked
+    against the FIB, and the chunk against its clocks, before anything is
+    replayed."""
     if _np is None or not network.hops_unobserved():
         return False
     faults = network.faults
@@ -734,39 +771,107 @@ class Probes:
     """A chunk for :func:`inject_block` whose packets need not exist yet:
     probe ``i`` rides ``lanes[i] = (Lanes, lane index)`` and ``packet(i)``
     is its :class:`Packet`, asked for only when something stateful has to
-    look at it."""
+    look at it.
 
-    __slots__ = ("lanes", "packet")
+    ``source``, when given, is the source address every probe of the chunk
+    carries, and says the caller takes an error lane's ICMPv6 error as a
+    row (:class:`Outcomes`): a caller whose probes are never ICMPv6 errors
+    themselves, and who classifies what comes back from the fields of a
+    row.  None: every result as packets."""
 
-    def __init__(self, lanes, packet) -> None:
+    __slots__ = ("lanes", "packet", "source")
+
+    def __init__(self, lanes, packet, source: Optional["IPv6Addr"] = None
+                 ) -> None:
         self.lanes = lanes
         self.packet = packet
+        self.source = source
 
     def __len__(self) -> int:
         return len(self.lanes)
 
 
 class Outcomes:
-    """What a chunk did, per probe in send order: ``hops`` and ``drops`` of
-    every probe, and ``ejected[i] = (inbox, DeliveryTrace)`` of those the
-    scalar engine finished — a silent lane has no more to say.  Iterates as
-    the ``inject`` result of every probe, a silent lane's built on demand."""
+    """What a chunk did, per probe in send order.
 
-    __slots__ = ("hops", "drops", "ejected")
+    ``hops`` and ``drops`` of every probe; ``ejected[i] = (inbox,
+    DeliveryTrace)`` of those the scalar engine finished; and, for a chunk
+    whose errors come back as rows (:class:`Probes` ``source``), ``rows``:
+    one ``(i, responder, target, icmp type, icmp code, quoted hop limit,
+    hop limit)`` per ICMPv6 error that reached the vantage from a lane
+    settled without packets — the error's source address, the quoted
+    probe's destination (an int) and hop limit, the error's hop limit on
+    arrival — in probe order, and ``strays``, the lanes whose error was
+    raised but never arrived.  A silent lane has no more to say.
 
-    def __init__(self, hops, drops, ejected) -> None:
+    Iterates as the ``inject`` result of every probe, a silent or row
+    lane's built on demand; a row's inbox makes its error packet (from
+    ``packet``) only when it is read."""
+
+    __slots__ = ("hops", "drops", "ejected", "rows", "strays", "packet")
+
+    def __init__(self, hops, drops, ejected, rows, strays, packet) -> None:
         self.hops = hops
         self.drops = drops
         self.ejected = ejected
+        self.rows = rows
+        self.strays = strays
+        self.packet = packet
 
     def __len__(self) -> int:
         return len(self.hops)
 
     def __iter__(self):
+        rows = {row[0]: row for row in self.rows}
+        strays = set(self.strays)
         for i, hops in enumerate(self.hops):
-            yield self.ejected.get(i) or (
-                [], DeliveryTrace(hops=hops, drops=self.drops[i])
-            )
+            pair = self.ejected.get(i)
+            if pair is None:
+                inbox: List["Packet"] = []
+                trace = DeliveryTrace(hops=hops, drops=self.drops[i])
+                row = rows.get(i)
+                if row is not None:
+                    inbox = _Arrived(self.packet, row)
+                    trace.errors_generated = trace.delivered = 1
+                elif i in strays:
+                    trace.errors_generated = 1
+                pair = inbox, trace
+            yield pair
+
+
+class _Arrived:
+    """The inbox of a lane settled as a row: a sequence of the one error
+    packet that arrived, built from the row and the probe's materialiser
+    the first time it is read — ``len()`` and truthiness build nothing."""
+
+    __slots__ = ("packet", "row", "_packets")
+
+    def __init__(self, packet, row) -> None:
+        self.packet = packet
+        self.row = row
+        self._packets: Optional[List["Packet"]] = None
+
+    def _built(self) -> List["Packet"]:
+        if self._packets is None:
+            i, responder, _target, icmp_type, code, quoted, limit = self.row
+            probe = self.packet(i).with_hop_limit(quoted)
+            self._packets = [icmpv6_error(responder, probe.src, icmp_type,
+                                          code, probe, limit)]
+        return self._packets
+
+    def __len__(self) -> int:
+        return 1
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __eq__(self, other: object) -> bool:
+        return self._built() == other
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 def inject_block(
@@ -783,8 +888,14 @@ def inject_block(
     whenever the network is not :func:`_usable`): the lanes are finished in
     probe order, each under its own clock, and only one that ejected is
     built — a delivery or hook lane handed to :meth:`Network._drain`, an
-    error lane settled from its verdict by its stateful step alone.  The
-    network's clock is restored to its entry value before returning.
+    error lane settled from its verdict by its stateful step alone.
+
+    In a chunk with a ``source`` an error lane is not built at all where
+    its error would go home by a return plan (:meth:`ColumnarFib.home`)
+    from a device with the library's own ``_make_error``: the device filter
+    and limiter draw run on the lane's fields, the plan's NDP ``resolve``s
+    run, and the error that arrives is a row of the result.  The network's
+    clock is restored to its entry value before returning.
     """
     if clocks is not None and len(clocks) != len(block):
         raise ValueError("clocks must match packets one-to-one")
@@ -793,25 +904,55 @@ def inject_block(
                       [p.hop_limit for p in block])
         block = Probes([(lanes, i) for i in range(len(block))],
                        block.__getitem__)
-    packet = block.packet
-    if not _usable(network, clocks[-1] if clocks else network.clock):
-        pairs = _sequential(
-            network, [packet(i) for i in range(len(block))], vantage, clocks
-        )
-        return Outcomes([trace.hops for _, trace in pairs],
-                        [trace.drops for _, trace in pairs],
-                        dict(enumerate(pairs)))
+    cut = _cut(network, clocks, len(block))
+    outcomes = _replay(network, block, vantage, clocks, cut)
+    if cut < len(block):
+        pairs = _sequential(network, [block.packet(i)
+                                      for i in range(cut, len(block))],
+                            vantage, clocks[cut:] if clocks else None)
+        for i, pair in enumerate(pairs, cut):
+            outcomes.ejected[i] = pair
+            outcomes.hops.append(pair[1].hops)
+            outcomes.drops.append(pair[1].drops)
+    return outcomes
 
+
+def _cut(network: "Network", clocks: Optional[List[float]], n: int) -> int:
+    """How many of a chunk's ``n`` probes the replay finishes; the rest go
+    down :func:`_sequential`.  All of them on a network :func:`_usable`
+    through the chunk's last send, none on one unusable now — and where
+    only a fault transition due by the last send stands in the way, the
+    probes before the first one sent at or after it: the transition fires
+    inside that probe's ``inject``, at its clock, as in the oracle."""
+    if not _usable(network):
+        return 0
+    if _usable(network, clocks[-1] if clocks else network.clock):
+        return n
+    if clocks is None:
+        return 0
+    due = network.faults.next_transition
+    return next(k for k, clock in enumerate(clocks) if clock >= due)
+
+
+def _replay(network: "Network", block: Probes, vantage: "Device",
+            clocks: Optional[List[float]], stop: int) -> Outcomes:
+    """:func:`inject_block` over the chunk's first ``stop`` probes, on a
+    network the vector phase is usable on until the last of them."""
+    packet = block.packet
     entry_clock = network.clock
     all_hops: List[int] = []
     all_drops: List[int] = []
     ejected: Dict[int, Tuple[List["Packet"], DeliveryTrace]] = {}
+    rows: List[tuple] = []
+    strays: List[int] = []
+    source = block.source
     drain, error, owners = network._drain, network._error, network._addr_owner
     # What an ejected lane leaves in flight; every drain empties it.
     queue: Deque[Tuple["Device", "Packet"]] = deque()
     fib = checked = None
     lane_probes = lane_hops = 0  # the lanes' share of the network's totals
-    for i, (lanes, lane) in enumerate(block.lanes):
+    rides = block.lanes if stop == len(block) else block.lanes[:stop]
+    for i, (lanes, lane) in enumerate(rides):
         if clocks is not None:
             network.clock = clocks[i]
         if lanes is not checked:  # once per block this chunk draws on
@@ -838,13 +979,54 @@ def inject_block(
                 all_hops.append(hops)
                 all_drops.append(drops_of[lane])
                 continue
+            at = lanes.fib.devices[lanes.cur[lane]]
+            kind = _ROW_ERRORS.get(status)
+            if kind is not None and source is not None:
+                if status == _ON_LINK:
+                    dst = IPv6Addr(lanes.values[lane])
+                    if resolve(at, dst, network):
+                        kind = None  # delivered on-link: the drain below
+                # The library's own error synthesis — it never answers an
+                # error, draws the limiter and (a router's) filters errors
+                # to outsiders — is what runs here on the lane's fields.
+                make_error = type(at)._make_error
+                plan = kind is not None and make_error in (
+                    Device._make_error, IspRouter._make_error
+                ) and lanes.fib.home(network, at, source, MAX_HOP_LIMIT, hops)
+                if plan:
+                    drops = drops_of[lane]
+                    if make_error is IspRouter._make_error and (
+                        at.drop_external_errors
+                        and not at.block.contains(source)
+                    ):
+                        pass  # the router filters its errors to outsiders
+                    elif not at.error_limiter.allow(network.clock):
+                        at.errors_suppressed += 1
+                    else:
+                        further, owner, lost, limit = _travel(
+                            plan, network, source
+                        )
+                        hops += further
+                        network.total_hops += further
+                        drops += lost
+                        if owner is vantage:
+                            rows.append((i, at.primary_address,
+                                         lanes.values[lane], kind[0], kind[1],
+                                         lanes.hl[lane], limit))
+                        else:
+                            strays.append(i)
+                    all_hops.append(hops)
+                    all_drops.append(drops)
+                    continue
             inbox: List["Packet"] = []
             trace = DeliveryTrace(hops=hops, drops=drops_of[lane])
-            at = lanes.fib.devices[lanes.cur[lane]]
             resumed = packet(i).with_hop_limit(lanes.hl[lane])
             if status == _EJECT:  # delivery or a forwarding hook
                 queue.append((at, resumed))
-            elif status == _ON_LINK and resolve(at, resumed.dst, network):
+            elif status == _ON_LINK and (
+                kind is None or (source is None
+                                 and resolve(at, resumed.dst, network))
+            ):
                 trace.hops += 1
                 network.total_hops += 1
                 queue.append((owners[resumed.dst.value],
@@ -861,4 +1043,4 @@ def inject_block(
     network.clock = entry_clock
     network.total_injected += lane_probes
     network.total_hops += lane_hops
-    return Outcomes(all_hops, all_drops, ejected)
+    return Outcomes(all_hops, all_drops, ejected, rows, strays, packet)

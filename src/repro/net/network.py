@@ -533,8 +533,8 @@ class Network:
         ``clocks`` entry first (the entry clock is restored afterwards).
         Probes of a block long enough to repay the vector phase
         (:data:`repro.net.columnar.VECTOR_MIN_PROBES`), on a network where
-        it is usable (numpy present, :meth:`hops_unobserved`, no fault
-        transition due by the chunk's last send), advanced through their
+        it is usable (numpy present, :meth:`hops_unobserved`, up to the
+        first send a fault transition is due at), advanced through their
         pure forwarding hops as struct-of-arrays vector ops when the block
         was pulled and only eject to the scalar engine for stateful work;
         otherwise this is literally the sequential loop.  A routing loop is O(1) either way: lanes leave

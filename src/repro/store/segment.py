@@ -39,7 +39,15 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.probes.base import ReplyKind
-from repro.core.scanner import ProbeResult, row_dict
+from repro.core.rows import (
+    KINDS,
+    ROW,
+    ROW_SIZE,
+    ProbeResult,
+    Rows,
+    pack_row,
+    row_dict,
+)
 from repro.net.addr import IPv6Addr
 from repro.store.index import SegmentIndex, SegmentIndexBuilder
 from repro.store.oslayer import OsLayer, get_default_os, writer_tmp
@@ -48,15 +56,10 @@ MAGIC = b"RPS1"
 SEGMENT_VERSION = 1
 HEADER = MAGIC + bytes([SEGMENT_VERSION, 0, 0, 0])
 
-ROW = struct.Struct(">16s16sBBB")
-ROW_SIZE = ROW.size  # 35
 _U32 = struct.Struct(">I")
 
 #: Canonical kind-code table for newly written segments (code = position).
-KIND_TABLE: Tuple[str, ...] = tuple(kind.value for kind in ReplyKind)
-_KIND_CODE: Dict[ReplyKind, int] = {
-    kind: code for code, kind in enumerate(ReplyKind)
-}
+KIND_TABLE: Tuple[str, ...] = tuple(kind.value for kind in KINDS)
 
 #: Default rows per block — the writer's peak resident row count.
 DEFAULT_BLOCK_ROWS = 512
@@ -64,16 +67,6 @@ DEFAULT_BLOCK_ROWS = 512
 
 class SegmentCorrupt(RuntimeError):
     """A segment failed structural or CRC validation while being read."""
-
-
-def pack_row(result: ProbeResult) -> bytes:
-    return ROW.pack(
-        result.target.value.to_bytes(16, "big"),
-        result.responder.value.to_bytes(16, "big"),
-        _KIND_CODE[result.kind],
-        result.icmp_type & 0xFF,
-        result.icmp_code & 0xFF,
-    )
 
 
 def unpack_rows(
@@ -87,7 +80,7 @@ def unpack_rows(
     ``kinds`` is the kind-code table the rows were packed against (the
     current one by default).  Raises :class:`SegmentCorrupt` on a kind code
     outside it.  ``as_dicts`` projects each row straight to its JSON form —
-    :func:`~repro.core.scanner.row_dict`, i.e. exactly
+    :func:`~repro.core.rows.row_dict`, i.e. exactly
     ``ProbeResult.to_dict()`` of the row — without building the
     :class:`ProbeResult` and its two addresses in between.
     """
@@ -159,16 +152,26 @@ class SegmentWriter:
         return len(self._buffer)
 
     def append(self, result: ProbeResult) -> None:
-        self._buffer.append(pack_row(result))
-        self._index.add(self.blocks, result.target.value,
-                        result.responder.value)
+        self.append_row(pack_row(result))
+
+    def append_row(self, row: bytes) -> None:
+        """Append one row already in its packed :data:`ROW` form."""
+        self._buffer.append(row)
+        self._index.add(self.blocks, int.from_bytes(row[:16], "big"),
+                        int.from_bytes(row[16:32], "big"))
         self.rows += 1
         if len(self._buffer) >= self.block_rows:
             self._flush_block()
 
-    def append_many(self, results: Sequence[ProbeResult]) -> None:
-        for result in results:
-            self.append(result)
+    def append_many(self, results: "Rows | Sequence[ProbeResult]") -> None:
+        """Append every result in order; a :class:`Rows` is written from
+        its packed bytes, as they are."""
+        if isinstance(results, Rows):
+            for row in results.rows:
+                self.append_row(row)
+        else:
+            for result in results:
+                self.append(result)
 
     def _write(self, data: bytes) -> None:
         self.os.write(self._fh, data)

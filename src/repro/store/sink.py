@@ -5,8 +5,9 @@ whole :class:`~repro.core.scanner.ScanResult` in memory and then wrote it
 out in one shot — fine for a mini-topology demo, fatal for a campaign-scale
 result set.  A :class:`ResultSink` inverts that: the scanner (and anything
 else producing :class:`~repro.core.scanner.ProbeResult` rows) calls
-``emit`` per validated reply, and the sink streams it wherever it goes —
-a binary segment, a CSV/JSONL stream, or a plain list.
+``emit`` — or, with the row packed, ``emit_row`` — per validated reply,
+and the sink streams it wherever it goes — a binary segment, a CSV/JSONL
+stream, or a plain list.
 
 ``Scanner`` accepts a sink and, when one is set, emits rows to it *instead
 of* appending to ``result.results`` — which is what bounds a campaign's
@@ -24,7 +25,7 @@ import csv
 import json
 from typing import IO, Iterable, List
 
-from repro.core.scanner import ProbeResult
+from repro.core.rows import ProbeResult, Rows
 
 #: Column order shared by the CSV/JSONL row forms (and the legacy writers).
 SCAN_FIELDS = ("target", "responder", "kind", "icmp_type", "icmp_code",
@@ -44,6 +45,12 @@ class ResultSink:
 
     def emit(self, result: ProbeResult) -> None:
         self.rows += 1
+
+    def emit_row(self, row: bytes) -> None:
+        """Emit one result in its packed :data:`~repro.core.rows.ROW` form
+        (what the scanner produces); made an object only for sinks that
+        write objects."""
+        self.emit(Rows.of([row])[0])
 
     def emit_many(self, results: Iterable[ProbeResult]) -> None:
         for result in results:
@@ -106,6 +113,10 @@ class SegmentSink(ResultSink):
     def emit(self, result: ProbeResult) -> None:
         self.rows += 1
         self.writer.append(result)
+
+    def emit_row(self, row: bytes) -> None:
+        self.rows += 1
+        self.writer.append_row(row)
 
     def close(self) -> None:
         if self.meta is None and not self.writer.sealed:

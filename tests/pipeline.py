@@ -124,8 +124,11 @@ def observables(scanner: Scanner, result) -> Dict[str, object]:
     """Everything a scan run promises to keep identical across engines."""
     stats = result.stats.to_dict()
     stats.pop("wall_seconds")  # the only legitimately nondeterministic field
+    network = scanner.network
     return {
-        "devices": device_state(scanner.network),
+        "devices": device_state(network),
+        "network": (network.total_hops, network.total_injected,
+                    network.clock),
         "digest": result.dedup_digest(),
         "rows": [r.to_dict() for r in result.results],
         "stats": stats,

@@ -82,3 +82,23 @@ class TestGlobalInternet:
             info = table.lookup(record.last_hop)
             assert info is not None
             assert info.asn == as_truth.asn
+
+
+class TestCrowdedEdgeAs:
+    """An edge AS holding more devices than the default 8-bit window has
+    /48s (the paper at 1/1000 has such ASes) gets a window wide enough for
+    them; the ASes that fit keep theirs."""
+
+    def test_a_300_device_as_builds_with_distinct_48s(self):
+        world = build_internet(
+            seed=3, n_tail_ases=2,
+            edge_plan=[(0, "CN", 300, 20), (1, "US", 8, 0)],
+        )
+        crowded, small = world.edges
+        window = IPv6Prefix.from_string(crowded.scan_spec.rsplit("-", 1)[0])
+        assert len(crowded.delegations) == 300
+        assert len(set(crowded.delegations)) == 300
+        assert all(d.length == 48 and window.contains(d.network)
+                   for d in crowded.delegations)
+        assert window.length == 48 - 11  # ceil(log2 300) + 2 bits
+        assert small.scan_spec.endswith("/40-48")  # the default 8 bits

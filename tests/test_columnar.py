@@ -435,7 +435,7 @@ class TestVerdictReplay:
         clocks = [0.0] * len(burst) + [1.0 + k for k in range(len(paced))]
         return burst + paced, clocks
 
-    def _run(self, world: str, fast: bool):
+    def _run(self, world: str, fast: bool, rows: bool = False):
         topo = _with_hosts(build_world(world))
         probe = ProbeSpec.for_seed(5).build()
         source = topo.vantage.primary_address
@@ -454,7 +454,7 @@ class TestVerdictReplay:
                             for name, code in VERDICTS.items()}
                 block = columnar.Probes(
                     [(lanes, i) for i in range(len(probes))],
-                    packets.__getitem__,
+                    packets.__getitem__, source if rows else None,
                 )
                 outcomes = columnar.inject_block(
                     topo.network, block, topo.vantage, clocks
@@ -464,14 +464,15 @@ class TestVerdictReplay:
                     topo.network, packets, topo.vantage, clocks
                 )
         key = (_outcome_key(outcomes), topo.network.total_hops,
+               topo.network.total_injected, topo.network.clock,
                device_state(topo.network))
-        return key, verdicts, topo
+        return key, verdicts, topo, outcomes
 
     @needs_numpy
     @pytest.mark.parametrize("world", ["mini", "drop-external"])
     def test_every_verdict_matches_sequential(self, world):
-        walked, _, _ = self._run(world, fast=False)
-        settled, verdicts, fast = self._run(world, fast=True)
+        walked, *_ = self._run(world, fast=False)
+        settled, verdicts, fast, _ = self._run(world, fast=True)
         assert settled == walked
         # Coverage, asserted: every verdict was replayed...
         assert all(verdicts.values()), verdicts
@@ -488,6 +489,33 @@ class TestVerdictReplay:
         # ...and the ISP's filter held back every error it raised.
         isp = fast.isp.primary_address
         assert (isp in sources) == (world == "mini")
+
+    @needs_numpy
+    @pytest.mark.parametrize("world", sorted(WORLDS))
+    def test_errors_as_rows_match_sequential(self, world):
+        """The same chunk with its errors taken as rows: every limiter
+        draw, NDP entry, hop and clock as the walk left them, and each row
+        iterates as the error packet the walk delivered."""
+        walked, *_ = self._run(world, fast=False)
+        settled, _, fast, outcomes = self._run(world, fast=True, rows=True)
+        assert settled == walked
+        assert [row[0] for row in outcomes.rows] == sorted(
+            row[0] for row in outcomes.rows)
+        assert not set(outcomes.ejected) & {row[0] for row in outcomes.rows}
+        # An error bucket ran dry, a negative neighbour entry was hit,
+        # expired and re-asked, with lanes settled as rows around them.
+        assert fast.cpe_ok.errors_suppressed > 0
+        cache = fast.cpe_ok.neighbor_cache
+        assert cache.hits and cache.solicitations > 2
+        if world == "home-via-cpe":
+            # Every way home crosses a forwarding hook: no return plan,
+            # so every error is walked — from a packet.
+            assert not outcomes.rows
+        else:
+            assert outcomes.rows
+        if world == "drop-external":  # the ISP's errors never leave it
+            isp = fast.isp.primary_address
+            assert all(row[1] != isp for row in outcomes.rows)
 
     @needs_numpy
     def test_a_route_edit_between_pull_and_chunk_at_the_block_size(
@@ -680,6 +708,25 @@ class TestFaultFallback:
         injector.sync(1.0)  # virtual time far past the last window edge
         assert injector.next_transition == math.inf
         assert columnar._usable(network, 1.0)
+
+    @needs_numpy
+    def test_a_chunk_is_cut_at_the_transition(self, monkeypatch):
+        """Only the probes sent at or after a due transition go down the
+        sequential loop; the lanes before it are replayed."""
+        sequential, cuts = columnar._sequential, []
+
+        def spy(network, packets, vantage, clocks):
+            cuts.append((clocks[0], len(packets)))
+            return sequential(network, packets, vantage, clocks)
+
+        monkeypatch.setattr(columnar, "_sequential", spy)
+        fast = self._faulted(ALWAYS, self.SCHEDULE)
+        monkeypatch.setattr(columnar, "_sequential", sequential)
+        assert fast == self._faulted(NEVER, self.SCHEDULE)
+        # The scan is one chunk: the lanes before the window opens are
+        # replayed, the probes from its first send on are not.
+        ((first, sent),) = cuts
+        assert first == pytest.approx(0.002) and 0 < sent < 256
 
 
 class TestStampInvalidation:

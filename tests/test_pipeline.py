@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.scanner as scanner_module
 from repro.core.blocklist import Blocklist
-from repro.core.scanner import ScanConfig, Scanner
+from repro.core.scanner import ProbeResult, ScanConfig, Scanner
 from repro.core.target import ScanRange
 from repro.engine import Campaign, ProbeSpec
 from repro.faults import (
@@ -38,6 +38,7 @@ from repro.isp.rotation import rotate_delegations
 from repro.net import columnar
 from repro.net.addr import IPv6Prefix
 from repro.net.network import DeliveryTrace, Network, NetworkError
+from repro.net.packet import Packet
 from repro.net.spec import TopologySpec
 from repro.net.testbed import MiniTopology
 from repro.telemetry.metrics import HOP_BUCKETS
@@ -473,8 +474,9 @@ class TestCountedWork:
         # The worker's hook: control at every multiple of 64 probes.
         scanner.on_progress = lambda s: (s.result.stats.sent // 64 + 1) * 64
         seen = {"builds": 0, "injects": 0, "traces": 0, "phases": [],
-                "chunks": [], "ejected": 0, "flow_entries": 0, "drains": 0,
-                "replayed": 0}
+                "chunks": [], "ejected": 0, "rows": 0, "flow_entries": 0,
+                "drains": 0, "replayed": 0, "classify": 0, "make_error": 0,
+                "with_hop_limit": 0, "results": 0}
 
         def counting(owner, name, key):
             original = getattr(owner, name)
@@ -486,6 +488,10 @@ class TestCountedWork:
             monkeypatch.setattr(owner, name, counted)
 
         counting(IcmpEchoProbe, "build", "builds")
+        counting(IcmpEchoProbe, "classify", "classify")
+        counting(Device, "_make_error", "make_error")
+        counting(Packet, "with_hop_limit", "with_hop_limit")
+        counting(ProbeResult, "__init__", "results")
         counting(Network, "inject", "injects")
         counting(Network, "_drain", "drains")
         counting(Device, "flow_entry", "flow_entries")
@@ -505,6 +511,7 @@ class TestCountedWork:
             outcomes = inject_block(network, block, vantage, clocks)
             seen["chunks"].append(len(block))
             seen["ejected"] += len(outcomes.ejected)
+            seen["rows"] += len(outcomes.rows)
             return outcomes
 
         monkeypatch.setattr(columnar, "_vector_phase", phase_spy)
@@ -523,9 +530,9 @@ class TestCountedWork:
         # An ``inject`` result — packet, DeliveryTrace — exists per probe
         # the scalar engine finished, and for no other.
         assert seen["builds"] == seen["traces"] == seen["ejected"]
-        assert result.stats.received <= seen["ejected"]
+        assert result.stats.received <= seen["ejected"] + seen["rows"]
         if columnar._np is None:
-            assert seen["phases"] == []
+            assert seen["phases"] == [] and seen["rows"] == 0
             assert seen["injects"] == seen["ejected"] == self.PROBES
             return
         # One vector phase per pulled block, not per chunk; whole
@@ -537,14 +544,27 @@ class TestCountedWork:
             n for n in blocks if n >= columnar.VECTOR_MIN_PROBES
         ]
         assert seen["injects"] == sum(under)
-        assert seen["ejected"] < self.PROBES // 3
+        assert seen["ejected"] + seen["rows"] < self.PROBES // 3
         # An error lane is settled from its vector-phase verdict: no flow
         # cache lookup, and the drain only for delivery and hook lanes (and
         # inside whole injections).
         assert seen["drains"] == seen["replayed"] + seen["injects"]
-        assert seen["drains"] < seen["ejected"]
+        assert seen["rows"] > seen["ejected"]
         if not under:
             assert seen["flow_entries"] == 0
+
+    def test_error_lanes_settled_home_make_no_objects(self, monkeypatch):
+        """An error lane whose error goes home by a return plan is a row
+        from the replay to the result: no probe built or classified, no
+        error made or copied, no ``ProbeResult``."""
+        seen, result = self._census(monkeypatch)
+        if columnar._np is None:
+            pytest.skip("without numpy no block is forwarded as lanes")
+        assert seen["ejected"] == seen["injects"] == 0  # no delivery lane
+        assert seen["rows"] == result.stats.received > 0
+        for call in ("builds", "classify", "make_error", "with_hop_limit",
+                     "results", "traces"):
+            assert seen[call] == 0, call
 
 
 class _Stop(Exception):
