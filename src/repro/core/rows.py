@@ -11,13 +11,24 @@ This is the form a reply keeps from the scanner's accounting on: a
 (:class:`Rows`), and the checkpoint log and the store's segments write the
 same bytes.  :class:`ProbeResult` is the object form, made from a row only
 when a reader asks for one.
+
+A reader names the form it wants with a *projection*: a function from a
+buffer of whole packed rows and the kind-code table they were packed
+against to a list with one item per row.  :func:`as_results` makes
+:class:`ProbeResult` objects, :func:`as_dicts` their JSON dicts,
+:func:`as_fields` the raw fields with both addresses as ints, and
+:func:`as_packed` the rows themselves, re-coded against :data:`KINDS`.
+The store's segment walk takes one, so a reader that filters on ints or
+serves bytes never builds an object it does not return.  :func:`row_json`
+is the JSON text of one row, what ``/results`` writes.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.core.probes.base import ReplyKind
 from repro.net.addr import IPv6Addr, format_ipv6_packed
@@ -49,6 +60,25 @@ def row_dict(
         "icmp_type": icmp_type,
         "icmp_code": icmp_code,
     }
+
+
+#: ``json.dumps(row_dict(...))`` with the values left as holes: its key
+#: order, its ``", "`` and ``": "`` separators.  Addresses need no escaping.
+_ROW_JSON = ('{"target": "%s", "responder": "%s", "kind": %s, '
+             '"icmp_type": %d, "icmp_code": %d}')
+#: Each kind's value as a JSON string, encoded once.
+_KIND_JSON = {kind.value: json.dumps(kind.value) for kind in KINDS}
+
+
+def row_json(
+    target: bytes, responder: bytes, kind: str, icmp_type: int, icmp_code: int
+) -> str:
+    """``json.dumps(row_dict(...))`` of the same arguments, byte for byte,
+    without the dict (``kind`` is a :class:`ReplyKind` value)."""
+    return _ROW_JSON % (
+        format_ipv6_packed(target), format_ipv6_packed(responder),
+        _KIND_JSON[kind], icmp_type, icmp_code,
+    )
 
 
 @dataclass(frozen=True)
@@ -97,15 +127,61 @@ def pack_row(result: ProbeResult) -> bytes:
     )
 
 
-def _result(row: bytes) -> ProbeResult:
-    target, responder, code, icmp_type, icmp_code = ROW.unpack(row)
-    return ProbeResult(
-        target=IPv6Addr(int.from_bytes(target, "big")),
-        responder=IPv6Addr(int.from_bytes(responder, "big")),
-        kind=KINDS[code],
-        icmp_type=icmp_type,
-        icmp_code=icmp_code,
-    )
+#: A row projection: (buffer of whole packed rows, their kind table) → one
+#: item per row.
+Projection = Callable[[bytes, Sequence[ReplyKind]], list]
+#: One row's raw fields: target, responder, kind, ICMPv6 type and code.
+Fields = Tuple[int, int, ReplyKind, int, int]
+
+
+def as_results(rows, kinds: Sequence[ReplyKind]) -> List[ProbeResult]:
+    """Each row as a :class:`ProbeResult`."""
+    from_bytes = int.from_bytes
+    return [
+        ProbeResult(
+            target=IPv6Addr(from_bytes(target, "big")),
+            responder=IPv6Addr(from_bytes(responder, "big")),
+            kind=kinds[code],
+            icmp_type=icmp_type,
+            icmp_code=icmp_code,
+        )
+        for target, responder, code, icmp_type, icmp_code
+        in ROW.iter_unpack(rows)
+    ]
+
+
+def as_dicts(rows, kinds: Sequence[ReplyKind]) -> List[Dict[str, object]]:
+    """Each row's :func:`row_dict` — ``to_dict()`` of its
+    :class:`ProbeResult`, without building one."""
+    names = [kind.value for kind in kinds]
+    return [
+        row_dict(target, responder, names[code], icmp_type, icmp_code)
+        for target, responder, code, icmp_type, icmp_code
+        in ROW.iter_unpack(rows)
+    ]
+
+
+def as_fields(rows, kinds: Sequence[ReplyKind]) -> List[Fields]:
+    """Each row's :data:`Fields`, for readers that test addresses as ints."""
+    from_bytes = int.from_bytes
+    return [
+        (from_bytes(target, "big"), from_bytes(responder, "big"),
+         kinds[code], icmp_type, icmp_code)
+        for target, responder, code, icmp_type, icmp_code
+        in ROW.iter_unpack(rows)
+    ]
+
+
+def as_packed(rows, kinds: Sequence[ReplyKind]) -> List[bytes]:
+    """Each row's :data:`ROW` bytes, its kind code re-coded against
+    :data:`KINDS` when ``kinds`` is another table."""
+    data = bytes(rows)
+    if tuple(kinds) != KINDS:
+        recoded = bytearray(data)
+        for at in range(KEY_SIZE - 1, len(recoded), ROW_SIZE):
+            recoded[at] = KIND_CODE[kinds[recoded[at]]]
+        data = bytes(recoded)
+    return [data[at:at + ROW_SIZE] for at in range(0, len(data), ROW_SIZE)]
 
 
 class Rows:
@@ -149,17 +225,24 @@ class Rows:
 
     def dicts(self) -> List[Dict[str, object]]:
         """``[r.to_dict() for r in self]``, straight from the rows."""
+        return as_dicts(self.packed(), KINDS)
+
+    def json(self) -> List[str]:
+        """``[json.dumps(r.to_dict()) for r in self]``, straight from the
+        rows (:func:`row_json`)."""
         names = [kind.value for kind in KINDS]
         return [
-            row_dict(target, responder, names[code], icmp_type, icmp_code)
+            row_json(target, responder, names[code], icmp_type, icmp_code)
             for target, responder, code, icmp_type, icmp_code
-            in map(ROW.unpack, self.rows)
+            in ROW.iter_unpack(self.packed())
         ]
 
     def _materialised(self) -> List[ProbeResult]:
         objects = self._objects
         if len(objects) < len(self.rows):
-            objects.extend(map(_result, self.rows[len(objects):]))
+            objects.extend(
+                as_results(b"".join(self.rows[len(objects):]), KINDS)
+            )
         return objects
 
     def append(self, result: ProbeResult) -> None:

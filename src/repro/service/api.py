@@ -1,4 +1,4 @@
-"""The service's status/query API: stdlib HTTP server + urllib client.
+"""The service's status/query API: stdlib HTTP/1.1 server + client.
 
 The surface is deliberately small and JSON-everywhere::
 
@@ -20,26 +20,46 @@ changed, so the client may retry — every body is a JSON object with an
 not a non-negative integer is 400 (``limit=0`` is an empty list), a round
 retention has since dropped is 410, and a store fault met while reading
 is 500 carrying the quarantine message — the request after it is served
-from what survived.
+from what survived.  Its body is written from the packed rows
+(:meth:`~repro.core.rows.Rows.json`), byte for byte what ``json.dumps``
+of the rows' dicts would be.
 
-:class:`ServiceClient` is the matching urllib client the CLI's
-``submit``/``status``/``cancel`` subcommands wrap.
+The server speaks HTTP/1.1: a connection stays open across requests (one
+handler thread per connection) until the client closes it, it sits idle
+or stalls mid-request for :data:`HANDLER_TIMEOUT_S`, or the server stops
+— :meth:`ServiceServer.stop` shuts down every connection it still holds.
+A request body is read whole before the request is routed, so an
+answered error never leaves the connection out of step; a body declared
+larger than :data:`MAX_BODY_BYTES` is refused with 413 and the connection
+closed.
+
+:class:`ServiceClient` is the matching client the CLI's
+``submit``/``status``/``cancel`` subcommands wrap.  It keeps one
+persistent connection per calling thread.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
+import socket
 import threading
-import urllib.error
 import urllib.parse
-import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.rows import Rows
 from repro.service.daemon import ResultsGone, ScanService, ServiceDraining
 from repro.service.queue import AdmissionError, QueueError
 from repro.service.spec import SpecError
 from repro.store.store import StoreCorruption
+
+#: Largest request body the server reads; a larger one is a 413.
+MAX_BODY_BYTES = 1 << 20
+#: Seconds a handler waits on its socket (an idle keep-alive connection,
+#: a body that stops short of its ``Content-Length``) before closing it.
+HANDLER_TIMEOUT_S = 10.0
 
 
 class ApiError(RuntimeError):
@@ -50,8 +70,19 @@ class ApiError(RuntimeError):
         self.status = status
 
 
+def _rows_body(rows: Rows) -> bytes:
+    """``json.dumps({"rows": rows.dicts()}).encode()``, from the rows."""
+    return ('{"rows": [%s]}' % ", ".join(rows.json())).encode()
+
+
 def _make_handler(service: ScanService):
     class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        #: Headers and body go out as two writes; with Nagle's algorithm
+        #: the second waits out the client's delayed ACK.
+        disable_nagle_algorithm = True
+        timeout = HANDLER_TIMEOUT_S
+
         #: Quiet by default; the daemon's event log is the journal.
         def log_message(self, fmt: str, *args: object) -> None:
             pass
@@ -59,24 +90,54 @@ def _make_handler(service: ScanService):
         # -- plumbing ------------------------------------------------------
 
         def _send(self, status: int, payload: object) -> None:
-            body = json.dumps(payload).encode()
+            """Answer with ``payload`` as JSON (``bytes`` go as they are)."""
+            body = (payload if isinstance(payload, bytes)
+                    else json.dumps(payload).encode())
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
         def _error(self, status: int, message: str) -> None:
             self._send(status, {"error": message})
 
-        def _read_body(self) -> Dict[str, object]:
-            length = int(self.headers.get("Content-Length", 0))
-            if length <= 0:
-                return {}
-            data = json.loads(self.rfile.read(length))
-            if not isinstance(data, dict):
-                raise ValueError("body must be a JSON object")
+        def _read_body(self) -> Optional[bytes]:
+            """The whole request body, read before routing so the next
+            request on the connection starts where this one ends.  None
+            when there is nothing to route: the request was refused here
+            (bad or oversized ``Content-Length``) or the client hung up
+            mid-body.  A body that stalls raises ``TimeoutError``, which
+            closes the connection."""
+            declared = self.headers.get("Content-Length", "0")
+            try:
+                length = int(declared)
+            except ValueError:
+                length = -1
+            if length < 0 or length > MAX_BODY_BYTES:
+                self.close_connection = True
+                if length < 0:
+                    self._error(400, f"bad Content-Length {declared!r}")
+                else:
+                    self._error(413, f"body of {length} bytes is over the "
+                                     f"{MAX_BODY_BYTES}-byte limit")
+                return None
+            data = self.rfile.read(length) if length else b""
+            if len(data) < length:
+                self.close_connection = True
+                return None
             return data
+
+        @staticmethod
+        def _parse(data: bytes) -> Dict[str, object]:
+            if not data:
+                return {}
+            parsed = json.loads(data)
+            if not isinstance(parsed, dict):
+                raise ValueError("body must be a JSON object")
+            return parsed
 
         def _route(self) -> Tuple[str, Dict[str, str]]:
             parsed = urllib.parse.urlsplit(self.path)
@@ -89,6 +150,8 @@ def _make_handler(service: ScanService):
         # -- verbs ---------------------------------------------------------
 
         def do_GET(self) -> None:  # noqa: N802 - http.server API
+            if self._read_body() is None:
+                return
             path, query = self._route()
             try:
                 if path == "/v1/status":
@@ -109,7 +172,7 @@ def _make_handler(service: ScanService):
                         )
                         self._send(
                             200,
-                            {"rows": service.results(campaign_id, limit)},
+                            _rows_body(service.results(campaign_id, limit)),
                         )
                     else:
                         self._send(200, service.status(rest))
@@ -125,10 +188,13 @@ def _make_handler(service: ScanService):
                 self._error(500, str(exc))
 
         def do_POST(self) -> None:  # noqa: N802 - http.server API
+            body = self._read_body()
+            if body is None:
+                return
             path, _ = self._route()
             try:
                 if path == "/v1/campaigns":
-                    record = service.submit(self._read_body())
+                    record = service.submit(self._parse(body))
                     self._send(201, record)
                 elif path.startswith("/v1/campaigns/") and path.endswith(
                     "/cancel"
@@ -153,6 +219,38 @@ def _make_handler(service: ScanService):
     return Handler
 
 
+class _Server(ThreadingHTTPServer):
+    """A threading server that knows the connections it holds open, so
+    stopping it can close them (a keep-alive handler thread would
+    otherwise sit in ``readline`` until its timeout)."""
+
+    daemon_threads = True
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._open: set = set()
+        self._open_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        with self._open_lock:
+            held = list(self._open)
+        for request in held:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already gone
+
+
 class ServiceServer:
     """The HTTP front end, runnable in-process (tests) or foreground."""
 
@@ -160,10 +258,7 @@ class ServiceServer:
         self, service: ScanService, host: str = "127.0.0.1", port: int = 0
     ) -> None:
         self.service = service
-        self.httpd = ThreadingHTTPServer(
-            (host, port), _make_handler(service)
-        )
-        self.httpd.daemon_threads = True
+        self.httpd = _Server((host, port), _make_handler(service))
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -183,18 +278,92 @@ class ServiceServer:
         return self
 
     def stop(self) -> None:
+        """Stop accepting, close the listening socket, then cut every
+        connection still open (idle keep-alive ones included)."""
         self.httpd.shutdown()
         self.httpd.server_close()
+        self.httpd.close_connections()
         if self._thread is not None:
             self._thread.join(timeout=5)
 
 
+class _Connection(http.client.HTTPConnection):
+    """A kept connection, closed once neither its thread nor its client
+    holds it (the server speaks plain HTTP only)."""
+
+    def __del__(self) -> None:
+        self.close()
+
+
+def _dropped(sock: socket.socket) -> bool:
+    """Whether an idle pooled socket has become readable — the peer closed
+    it (or sent bytes nobody asked for) — by a zero-timeout poll."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
 class ServiceClient:
-    """Minimal urllib client for the v1 API (what the CLI wraps)."""
+    """Minimal client for the v1 API (what the CLI wraps).
+
+    Each calling thread gets one persistent HTTP/1.1 connection.  Before a
+    kept connection is reused it is polled, and dropped if the server has
+    closed it; a GET whose reused connection still turns out dead is sent
+    once more on a fresh one, a POST never is once its bytes went out."""
 
     def __init__(self, base_url: str, timeout: float = 10.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        parts = urllib.parse.urlsplit(self.base_url)
+        self._netloc, self._prefix = parts.netloc, parts.path
+        self._local = threading.local()
+
+    def _connection(self) -> Tuple[_Connection, bool]:
+        """This thread's connection, and whether it has been used before."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None and (
+            connection.sock is None or _dropped(connection.sock)
+        ):
+            connection.close()
+            connection = None
+        if connection is None:
+            connection = self._local.connection = _Connection(
+                self._netloc, timeout=self.timeout
+            )
+            return connection, False
+        return connection, True
+
+    def _forget(self, connection: _Connection) -> None:
+        connection.close()
+        self._local.connection = None
+
+    def _exchange(
+        self, method: str, path: str, data: Optional[bytes]
+    ) -> Tuple[int, str, bytes]:
+        """(status, reason, body) of one request on this thread's
+        connection."""
+        while True:
+            connection, reused = self._connection()
+            try:
+                connection.request(
+                    method, self._prefix + path, body=data,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                body = response.read()
+            except ConnectionError:
+                self._forget(connection)
+                if reused and method == "GET":
+                    continue  # the kept connection died under us: once more
+                raise
+            except BaseException:
+                self._forget(connection)
+                raise
+            if response.will_close:
+                self._forget(connection)
+            return response.status, response.reason, body
 
     def _request(
         self,
@@ -203,23 +372,16 @@ class ServiceClient:
         body: Optional[Dict[str, object]] = None,
     ) -> Dict[str, object]:
         data = None if body is None else json.dumps(body).encode()
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=data,
-            method=method,
-            headers={"Content-Type": "application/json"},
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                return json.loads(response.read())
-        except urllib.error.HTTPError as exc:
+        status, reason, payload = self._exchange(method, path, data)
+        if not 200 <= status < 300:
             try:
-                message = json.loads(exc.read()).get("error", str(exc))
+                message = json.loads(payload).get(
+                    "error", f"HTTP Error {status}: {reason}"
+                )
             except Exception:
-                message = str(exc)
-            raise ApiError(exc.code, str(message)) from exc
+                message = f"HTTP Error {status}: {reason}"
+            raise ApiError(status, str(message))
+        return json.loads(payload)
 
     def submit(self, spec: Dict[str, object]) -> Dict[str, object]:
         return self._request("POST", "/v1/campaigns", spec)

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ContextManager, Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.core.rows import Rows, as_packed
 from repro.engine.campaign import Campaign, CampaignAborted
 from repro.engine.supervisor import sigterm_drain_scope
 from repro.service.queue import (
@@ -180,9 +181,10 @@ class ScanService:
 
     def results(
         self, campaign_id: str, limit: Optional[int] = None
-    ) -> List[Dict[str, object]]:
+    ) -> Rows:
         """Committed rows of one finished campaign's store round — the
-        first ``limit`` of them (0 is none; negative is a ValueError)."""
+        first ``limit`` of them (0 is none; negative is a ValueError) —
+        packed, as the segments hold them."""
         if limit is not None and limit < 0:
             raise ValueError(f"limit must be >= 0, got {limit}")
         record = self.queue.get(campaign_id)
@@ -195,14 +197,16 @@ class ScanService:
 
     def _snapshot_rows(
         self, record: CampaignRecord, limit: Optional[int]
-    ) -> List[Dict[str, object]]:
+    ) -> Rows:
         while True:
             try:
                 store = self.stores.open(record.tenant)
                 snap = store.snapshots.get(record.snapshot)
                 if snap is None:
                     raise self._gone(record)
-                return list(store.iter_dicts(snap.segments, limit=limit))
+                return Rows.of(list(store.iter_rows(
+                    snap.segments, limit=limit, project=as_packed
+                )))
             except StoreStale:
                 # Retention dropped or compacted segments under this read;
                 # nothing is corrupt, the handle is just out of date.  The

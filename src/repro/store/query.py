@@ -3,7 +3,9 @@
 Everything is iterator-based — rows decode lazily, block by block, and
 only the blocks the per-segment prefix index nominates are touched — so a
 prefix query over a month of campaign rounds costs I/O proportional to the
-matching slice, not the store.
+matching slice, not the store.  The nominated rows are read as raw fields
+(:func:`~repro.core.rows.as_fields`) and filtered as ints; only a row that
+matches becomes a :class:`~repro.core.scanner.ProbeResult`.
 
 :func:`diff` is the longitudinal primitive: given two snapshots (two scan
 rounds of the same space), it reports the periphery churn — which
@@ -18,8 +20,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.probes.base import ReplyKind
+from repro.core.rows import as_fields
 from repro.core.scanner import ProbeResult
-from repro.net.addr import IPv6Prefix, is_eui64_iid
+from repro.net.addr import IPv6Addr, IPv6Prefix, is_eui64_iid
 from repro.store.store import ResultStore
 
 
@@ -54,6 +57,10 @@ def query(
     if isinstance(kind, str):
         kind = ReplyKind(kind)
 
+    if prefix is not None:
+        mask, network = prefix.mask, prefix.network
+    if responder64 is not None:
+        slash64 = responder64.network >> 64
     for name in _segment_names(store, snapshot):
         reader = store.reader(name)
         blocks: Optional[Sequence[int]] = None
@@ -73,17 +80,25 @@ def query(
             )
             if not blocks:
                 continue
-        for row in store.iter_rows([name], blocks_for={name: blocks}
-                                   if blocks is not None else None):
+        for target, responder, row_kind, icmp_type, icmp_code in (
+            store.iter_rows(
+                [name],
+                blocks_for={name: blocks} if blocks is not None else None,
+                project=as_fields,
+            )
+        ):
             # The index nominates blocks; rows still prove membership, so a
             # lossy index can cost time but never widen the answer.
-            if prefix is not None and not prefix.contains(row.target):
+            if prefix is not None and target & mask != network:
                 continue
-            if responder64 is not None and row.responder.slash64 != responder64:
+            if responder64 is not None and responder >> 64 != slash64:
                 continue
-            if kind is not None and row.kind != kind:
+            if kind is not None and row_kind is not kind:
                 continue
-            yield row
+            yield ProbeResult(
+                IPv6Addr(target), IPv6Addr(responder), row_kind, icmp_type,
+                icmp_code,
+            )
 
 
 @dataclass
@@ -166,12 +181,13 @@ def _round_profile(
 ) -> Tuple[Set[int], Set[int], int, float]:
     """(responders, responder /64s, rows, EUI-64 share) for one round."""
     responders: Set[int] = set()
-    slash64s: Set[int] = set()
     rows = 0
-    for row in query(store, snapshot=snapshot):
+    for _target, responder, *_ in store.iter_rows(
+        store.snapshot(snapshot).segments, project=as_fields
+    ):
         rows += 1
-        responders.add(row.responder.value)
-        slash64s.add(row.responder.value >> 64)
+        responders.add(responder)
+    slash64s = {responder >> 64 for responder in responders}
     eui64 = sum(
         1 for value in responders
         if is_eui64_iid(value & ((1 << 64) - 1))

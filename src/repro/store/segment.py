@@ -41,14 +41,14 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.core.probes.base import ReplyKind
 from repro.core.rows import (
     KINDS,
-    ROW,
     ROW_SIZE,
     ProbeResult,
+    Projection,
     Rows,
+    as_dicts,
+    as_results,
     pack_row,
-    row_dict,
 )
-from repro.net.addr import IPv6Addr
 from repro.store.index import SegmentIndex, SegmentIndexBuilder
 from repro.store.oslayer import OsLayer, get_default_os, writer_tmp
 
@@ -73,45 +73,26 @@ def unpack_rows(
     payload,
     count: int,
     kinds: Sequence[ReplyKind] = tuple(ReplyKind),
-    as_dicts: bool = False,
+    project: Projection = as_results,
 ) -> list:
-    """The inverse of :func:`pack_row` over the first ``count`` rows.
+    """The first ``count`` rows of ``payload``, through ``project`` (one of
+    :mod:`repro.core.rows`' projections; :class:`ProbeResult` objects by
+    default — the inverse of :func:`pack_row`).
 
     ``kinds`` is the kind-code table the rows were packed against (the
     current one by default).  Raises :class:`SegmentCorrupt` on a kind code
-    outside it.  ``as_dicts`` projects each row straight to its JSON form —
-    :func:`~repro.core.rows.row_dict`, i.e. exactly
-    ``ProbeResult.to_dict()`` of the row — without building the
-    :class:`ProbeResult` and its two addresses in between.
+    outside it.
     """
-    from_bytes = int.from_bytes
     with memoryview(payload) as view, view[:count * ROW_SIZE] as rows:
         # Bounds-check every kind code up front (byte 32 of each row), so
-        # neither projection below has an error path that could leave a
-        # live buffer export in a traceback.
+        # no projection has an error path that could leave a live buffer
+        # export in a traceback.
         if count and max(rows[32::ROW_SIZE]) >= len(kinds):
             raise SegmentCorrupt(
                 f"kind code {max(rows[32::ROW_SIZE])} outside the recorded "
                 f"kind table"
             )
-        if as_dicts:
-            names = [kind.value for kind in kinds]
-            return [
-                row_dict(target, responder, names[code], icmp_type, icmp_code)
-                for target, responder, code, icmp_type, icmp_code
-                in ROW.iter_unpack(rows)
-            ]
-        return [
-            ProbeResult(
-                target=IPv6Addr(from_bytes(target, "big")),
-                responder=IPv6Addr(from_bytes(responder, "big")),
-                kind=kinds[code],
-                icmp_type=icmp_type,
-                icmp_code=icmp_code,
-            )
-            for target, responder, code, icmp_type, icmp_code
-            in ROW.iter_unpack(rows)
-        ]
+        return project(rows, kinds)
 
 
 class SegmentWriter:
@@ -273,15 +254,16 @@ class SegmentReader:
                     f"{self.path.name}: file CRC {crc:#x} != recorded "
                     f"{int(recorded):#x}"
                 )
-            for _ in self._iter_blocks(buffer, None, None, False):
+            for _ in self._iter_blocks(buffer, None, None, as_results):
                 pass
         finally:
             close()
 
-    def _decode_rows(self, payload, count: int, as_dicts: bool = False) -> list:
+    def _decode_rows(self, payload, count: int,
+                     project: Projection = as_results) -> list:
         """The first ``count`` rows of one CRC-verified block payload."""
         try:
-            return unpack_rows(payload, count, self._kinds, as_dicts)
+            return unpack_rows(payload, count, self._kinds, project)
         except SegmentCorrupt as exc:
             raise SegmentCorrupt(f"{self.path.name}: {exc}") from None
 
@@ -290,7 +272,7 @@ class SegmentReader:
         buffer,
         wanted: Optional[Sequence[int]],
         limit: Optional[int],
-        as_dicts: bool,
+        project: Projection,
     ) -> Iterator[Tuple[int, list]]:
         """(block id, decoded rows) for the wanted blocks, at most ``limit``
         rows in all.
@@ -341,7 +323,7 @@ class SegmentReader:
                             count = min(count, limit)
                             limit -= count
                         yield block_id, self._decode_rows(
-                            payload, count, as_dicts
+                            payload, count, project
                         )
                     finally:
                         payload.release()
@@ -350,27 +332,23 @@ class SegmentReader:
         finally:
             view.release()
 
-    def _iter_decoded(
-        self, blocks: Optional[Sequence[int]], limit: Optional[int],
-        as_dicts: bool,
-    ) -> Iterator:
-        buffer, close = self._buffer()
-        try:
-            for _block_id, rows in self._iter_blocks(
-                buffer, blocks, limit, as_dicts
-            ):
-                yield from rows
-        finally:
-            close()
-
     def iter_rows(
         self,
         blocks: Optional[Sequence[int]] = None,
         limit: Optional[int] = None,
-    ) -> Iterator[ProbeResult]:
+        project: Projection = as_results,
+    ) -> Iterator:
         """Rows in file order, optionally restricted to the given blocks
-        and to the first ``limit`` rows of them."""
-        return self._iter_decoded(blocks, limit, False)
+        and to the first ``limit`` rows of them, each through ``project``
+        (:class:`ProbeResult` objects by default)."""
+        buffer, close = self._buffer()
+        try:
+            for _block_id, rows in self._iter_blocks(
+                buffer, blocks, limit, project
+            ):
+                yield from rows
+        finally:
+            close()
 
     def iter_dicts(
         self,
@@ -380,4 +358,4 @@ class SegmentReader:
         """:meth:`iter_rows` projected to JSON dicts — row for row
         ``[r.to_dict() for r in iter_rows(...)]`` — straight from the
         packed bytes."""
-        return self._iter_decoded(blocks, limit, True)
+        return self.iter_rows(blocks, limit, as_dicts)

@@ -39,11 +39,12 @@ one manifest rewrite, bound to a named :class:`~repro.store.snapshot.
 Snapshot` for the round.
 
 **Compaction** merges segments that share the same snapshot membership
-into one, de-duplicating rows on ``ProbeResult.dedup_key`` (first
-occurrence in commit order wins — the same key and the same policy as the
-in-scan and cross-shard dedup), then atomically swaps the manifest and
-deletes the old files.  Queries before, during (readers hold the old
-manifest), and after compaction see the same logical row set.
+into one, de-duplicating rows on their packed key (target, responder,
+kind: ``repro.core.rows.KEY_SIZE`` bytes; first occurrence in commit order
+wins — the same key and the same policy as the in-scan and cross-shard
+dedup), then atomically swaps the manifest and deletes the old files.
+Queries before, during (readers hold the old manifest), and after
+compaction see the same logical row set.
 """
 
 from __future__ import annotations
@@ -61,7 +62,13 @@ try:  # POSIX: cross-process manifest lock for multi-writer stores
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-from repro.core.scanner import ProbeResult
+from repro.core.rows import (
+    KEY_SIZE,
+    Projection,
+    as_dicts,
+    as_packed,
+    as_results,
+)
 from repro.store.oslayer import (
     DocumentCorrupt,
     OsLayer,
@@ -615,12 +622,13 @@ class ResultStore:
         segments: Optional[Sequence[str]],
         blocks_for: Optional[Dict[str, Sequence[int]]],
         limit: Optional[int],
-        as_dicts: bool,
+        project: Projection,
     ) -> Iterator:
         """The one segment walk behind :meth:`iter_rows`/:meth:`iter_dicts`.
 
-        ``limit`` is a row budget handed down to each segment's decoder;
-        segments past it are never opened.  Each segment's file is checked
+        ``project`` is the row projection each segment's decoder applies
+        (:mod:`repro.core.rows`).  ``limit`` is a row budget handed down to
+        each segment's decoder; segments past it are never opened.  Each segment's file is checked
         against its recorded size as the walk reaches it — the open-time
         check, repeated where a long-lived handle needs it — and any fault
         (missing, resized, truncated, bad CRC, bad kind code) quarantines
@@ -638,10 +646,7 @@ class ResultStore:
                 fault = self._segment_fault(name)
                 if fault is not None:
                     raise SegmentCorrupt(fault)  # a cold open's wording
-                for row in (
-                    reader.iter_dicts(wanted, remaining) if as_dicts
-                    else reader.iter_rows(wanted, remaining)
-                ):
+                for row in reader.iter_rows(wanted, remaining, project):
                     produced += 1
                     yield row
             except SegmentCorrupt as exc:
@@ -660,10 +665,12 @@ class ResultStore:
         segments: Optional[Sequence[str]] = None,
         blocks_for: Optional[Dict[str, Sequence[int]]] = None,
         limit: Optional[int] = None,
-    ) -> Iterator[ProbeResult]:
-        """Rows in commit order, at most ``limit`` of them; corrupt
+        project: Projection = as_results,
+    ) -> Iterator:
+        """Rows in commit order, at most ``limit`` of them, each through
+        ``project`` (:class:`ProbeResult` objects by default); corrupt
         segments quarantine and raise."""
-        return self._iter_segments(segments, blocks_for, limit, False)
+        return self._iter_segments(segments, blocks_for, limit, project)
 
     def iter_dicts(
         self,
@@ -673,7 +680,7 @@ class ResultStore:
     ) -> Iterator[Dict[str, object]]:
         """:meth:`iter_rows` as JSON dicts — ``row.to_dict()`` of each row,
         projected from the packed bytes without building the row."""
-        return self._iter_segments(segments, blocks_for, limit, True)
+        return self._iter_segments(segments, blocks_for, limit, as_dicts)
 
     def orphans(self) -> List[str]:
         """Sealed segment files on disk that no manifest entry references."""
@@ -731,7 +738,7 @@ class ResultStore:
 
         Foreground and incremental-free by design (there is no background
         thread to leak): each membership group's segments rewrite into one
-        new segment with ``dedup_key`` de-duplication, the manifest swaps
+        new segment with packed-key de-duplication, the manifest swaps
         atomically, and only then are the old files (and any orphans)
         deleted.  Snapshot row sets are preserved exactly — the groups are
         the finest partition that keeps every snapshot expressible.  Runs
@@ -779,13 +786,13 @@ class ResultStore:
             )
             seen: set = set()
             for name in names:
-                for row in self.iter_rows([name]):
-                    key = row.dedup_key
+                for row in self.iter_rows([name], project=as_packed):
+                    key = row[:KEY_SIZE]
                     if key in seen:
                         duplicates += 1
                         continue
                     seen.add(key)
-                    writer.append(row)
+                    writer.append_row(row)
             meta = writer.seal()
             new_name = str(meta["name"])
             new_segments[new_name] = meta

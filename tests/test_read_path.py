@@ -13,7 +13,11 @@ generated here rather than picked:
 * **Concurrency** — reader threads against a daemon that commits and
   drops rounds: every answer is one complete round, never a mixture.
 * **Projection** — dicts decoded straight from the packed bytes equal
-  ``to_dict()`` of the decoded rows, for every ``limit`` and both buffers.
+  ``to_dict()`` of the decoded rows, for every ``limit`` and both buffers;
+  the ``/results`` body written from packed rows equals ``json.dumps`` of
+  those dicts byte for byte; a query filtering raw fields as ints answers
+  as the object filters do; ``diff`` from fields reports what it did from
+  objects.
 * **Work bound** — a ``limit=k`` read materialises at most k rows and
   opens no segment it does not need; a warm request reads no manifest.
 """
@@ -30,10 +34,19 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.churn import ROUND_A, ROUND_B, run_churn_experiment
 from repro.core.probes.base import ReplyKind
+from repro.core.rows import Rows, as_packed, as_results, pack_row
 from repro.core.scanner import ProbeResult
-from repro.net.addr import IPv6Addr, MAX_ADDR, format_ipv6
+from repro.net.addr import (
+    MAX_ADDR,
+    IPv6Addr,
+    IPv6Prefix,
+    format_ipv6,
+    is_eui64_iid,
+)
 from repro.service import CampaignSpec, QueueError, ScanService, TenantPolicy
+from repro.service.api import _rows_body
 from repro.service.daemon import ResultsGone
 from repro.service.tenants import TenantStores
 from repro.store import (
@@ -46,6 +59,7 @@ from repro.store import (
 )
 from repro.store import oslayer as oslayer_module
 from repro.store import store as store_module
+from repro.store.query import ChurnReport, diff, query
 
 ENV = {**os.environ, "PYTHONPATH": "src"}
 TENANT = "t"
@@ -423,6 +437,28 @@ def test_formatter_matches_the_reference_loop(value):
     assert str(IPv6Addr(value)) == _reference_format(value)
 
 
+#: Values of byte 9 (the last byte of ``::/80``'s prefix) and of the 48
+#: bits after it: ``::/80`` is where dotted-quad forms (``::ffff:1.2.3.4``,
+#: ``::1.2.3.4``) begin, so the cases straddle its edge.
+_BYTE9 = st.one_of(st.just(0), st.sampled_from([1 << bit for bit in range(8)]),
+                   st.integers(0, 255))
+_LOW48 = st.one_of(
+    st.sampled_from([0, 1, 0xFFFF_0102_0304, 0x0102_0304, 0xFFFF_0000_0000,
+                     0x0000_FFFF_0000, 0xFFFF_FFFF_FFFF]),
+    st.integers(0, (1 << 48) - 1),
+)
+
+
+@given(byte9=_BYTE9, low=_LOW48, high=st.sampled_from([0, 0, 1, 0x2001]))
+def test_formatter_at_the_edge_of_slash80(byte9, low, high):
+    """On both sides of ``::/80``'s edge — a nonzero bit in bytes 0-9, or
+    all of them zero — the form is the reference one, never a dotted
+    quad."""
+    value = (high << 112) | (byte9 << 48) | low
+    assert format_ipv6(value) == _reference_format(value)
+    assert "." not in format_ipv6(value)
+
+
 @settings(deadline=None, max_examples=60)
 @given(first=ROWS, second=ROWS, use_mmap=st.booleans())
 def test_projection_equals_to_dict_for_every_limit(first, second, use_mmap):
@@ -447,6 +483,121 @@ def test_projection_equals_to_dict_for_every_limit(first, second, use_mmap):
             assert list(
                 store.iter_dicts(blocks_for=blocks, limit=limit)
             ) == [row.to_dict() for row in picked][:limit]
+
+
+@settings(deadline=None, max_examples=60)
+@given(first=ROWS, second=ROWS, use_mmap=st.booleans())
+def test_results_body_is_json_dumps_of_the_dicts(first, second, use_mmap):
+    """For every limit across block and segment boundaries, the body
+    ``/results`` writes from packed rows is byte for byte the one
+    ``json.dumps`` writes from the rows' dicts."""
+    with tempfile.TemporaryDirectory() as directory:
+        store = ResultStore(directory, use_mmap=use_mmap)
+        _commit(store, "one", first, "r1", block_rows=BLOCK)
+        _commit(store, "two", second, "r2", block_rows=BLOCK)
+        rows = first + second
+        limits = {None, 0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                  len(first), len(first) + 1, len(rows) + 5}
+        for limit in limits:
+            packed = Rows.of(list(store.iter_rows(limit=limit,
+                                                  project=as_packed)))
+            assert packed == rows[:limit]
+            assert _rows_body(packed) == json.dumps(
+                {"rows": [r.to_dict() for r in rows[:limit]]}
+            ).encode()
+
+
+@given(rows=ROWS, order=st.permutations(list(ReplyKind)))
+def test_packed_rows_are_recoded_against_the_current_kind_table(rows, order):
+    """Rows stored against another kind table come out packed against
+    today's: the same rows the object projection reads."""
+    data = b"".join(pack_row(row) for row in rows)
+    assert as_packed(data, order) == [
+        pack_row(row) for row in as_results(data, order)
+    ]
+
+
+#: Prefixes around the generated addresses: every length a query can ask.
+_PREFIX_LENGTHS = st.sampled_from([0, 1, 16, 32, 48, 56, 63, 64, 65, 96, 128])
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    rows=ROWS, anchor=ADDRESSES, length=_PREFIX_LENGTHS,
+    responder=st.one_of(st.none(), ADDRESSES),
+    kind=st.one_of(st.none(), st.sampled_from(list(ReplyKind))),
+    pick=st.integers(0, 3 * BLOCK),
+)
+def test_query_on_fields_equals_the_object_filters(
+    rows, anchor, length, responder, kind, pick
+):
+    """``query`` tests prefix, responder /64 and kind on raw ints; it
+    answers exactly what the filters on :class:`ProbeResult` objects do,
+    for prefixes around a stored row's target as well as arbitrary ones."""
+    if rows and pick % 2:  # half the time, around a stored target
+        anchor = rows[pick % len(rows)].target.value
+    prefix = IPv6Prefix(anchor >> (128 - length) << (128 - length), length)
+    responder64 = (
+        None if responder is None else IPv6Addr(responder).slash64
+    )
+    with tempfile.TemporaryDirectory() as directory:
+        store = ResultStore(directory)
+        _commit(store, "one", rows, "r1", block_rows=BLOCK)
+        expected = [
+            row for row in rows
+            if prefix.contains(row.target)
+            and (responder64 is None or row.responder.slash64 == responder64)
+            and (kind is None or row.kind == kind)
+        ]
+        assert list(query(store, prefix=prefix, responder64=responder64,
+                          kind=kind)) == expected
+        assert list(query(store, snapshot="r1", kind=kind)) == [
+            row for row in rows if kind is None or row.kind == kind
+        ]
+
+
+def _object_diff(store, snapshot_a, snapshot_b):
+    """The churn report as it was computed from ProbeResult objects."""
+    profiles = []
+    for snapshot in (snapshot_a, snapshot_b):
+        rows = list(query(store, snapshot=snapshot))
+        responders = {row.responder.value for row in rows}
+        eui64 = sum(1 for value in responders
+                    if is_eui64_iid(value & ((1 << 64) - 1)))
+        profiles.append((
+            responders, {value >> 64 for value in responders}, len(rows),
+            eui64 / len(responders) if responders else 0.0,
+        ))
+    (resp_a, s64_a, rows_a, share_a), (resp_b, s64_b, rows_b, share_b) = (
+        profiles
+    )
+    return ChurnReport(
+        snapshot_a, snapshot_b, new=resp_b - resp_a, lost=resp_a - resp_b,
+        stable=resp_a & resp_b, new_slash64=s64_b - s64_a,
+        lost_slash64=s64_a - s64_b, stable_slash64=s64_a & s64_b,
+        rows_a=rows_a, rows_b=rows_b, eui64_share_a=share_a,
+        eui64_share_b=share_b,
+    ).to_dict()
+
+
+def test_diff_from_fields_on_the_churn_example(tmp_path):
+    run_churn_experiment(str(tmp_path / "store"))
+    store = ResultStore(tmp_path / "store")
+    report = diff(store, ROUND_A, ROUND_B).to_dict()
+    assert report == _object_diff(store, ROUND_A, ROUND_B)
+    assert report["lost"] > 0 and report["stable"] > 0
+
+
+@settings(deadline=None, max_examples=40)
+@given(first=ROWS, second=ROWS)
+def test_diff_from_fields_on_generated_rounds(first, second):
+    with tempfile.TemporaryDirectory() as directory:
+        store = ResultStore(directory)
+        _commit(store, "one", first, "r1", block_rows=BLOCK)
+        _commit(store, "two", second, "r2", block_rows=BLOCK)
+        assert diff(store, "r1", "r2").to_dict() == _object_diff(
+            store, "r1", "r2"
+        )
 
 
 @pytest.mark.parametrize("use_mmap", [True, False])

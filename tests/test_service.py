@@ -17,9 +17,11 @@ specs standalone, and a mid-run drain that requeues leases a restarted
 daemon finishes.
 """
 
+import http.client
 import json
 import os
 import random
+import socket
 import threading
 import time
 
@@ -37,6 +39,7 @@ from repro.service import (
     SpecError,
     TenantPolicy,
 )
+from repro.service import api as api_module
 from repro.service.api import ApiError
 from repro.store import ResultStore
 from repro.telemetry.events import CampaignIdAllocator, EventLog
@@ -751,6 +754,192 @@ class TestHttpApi:
             # serve_forever's stdlib default poll is 0.5 s; ours is 50 ms.
             assert time.perf_counter() - started < 0.25
             server = None
+
+
+    # -- keep-alive and hostile bodies ---------------------------------------
+
+    @staticmethod
+    def _raw(server):
+        """A raw socket to the server, for requests the client won't send."""
+        host, port = server.httpd.server_address[:2]
+        return socket.create_connection((host, port), timeout=10)
+
+    @staticmethod
+    def _response(sock):
+        """(status, headers, body) of one response read off ``sock``."""
+        reader = sock.makefile("rb")
+        status = int(reader.readline().split()[1])
+        headers = {}
+        while (line := reader.readline().strip()):
+            name, _, value = line.decode().partition(":")
+            headers[name.lower()] = value.strip()
+        body = reader.read(int(headers["content-length"]))
+        reader.close()
+        return status, headers, body
+
+    def test_stop_cuts_idle_keepalive_connections_promptly(self, tmp_path):
+        service = ScanService(str(tmp_path / "svc"), scope="idle")
+        server = ServiceServer(service).start()
+        client = ServiceClient(server.address)
+        assert client.service_status()["states"] == {}  # a connection held
+        stopper = threading.Thread(target=server.stop)
+        started = time.perf_counter()
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+        assert time.perf_counter() - started < 2
+        # A stopped server answers nothing: the kept connection is seen to
+        # be closed, and a fresh one is refused.
+        with pytest.raises(OSError):
+            client.service_status()
+
+    def test_a_body_is_consumed_before_routing(self, tmp_path):
+        service = ScanService(str(tmp_path / "svc"), scope="sync")
+        cid = service.submit(spec("alice", "a0"))["campaign_id"]
+        server = ServiceServer(service).start()
+        try:
+            connection = http.client.HTTPConnection(
+                *server.httpd.server_address[:2], timeout=10
+            )
+            body = json.dumps({"padding": "x" * 5000}).encode()
+            for method, path, status in (
+                ("POST", "/v1/nowhere", 404),
+                ("POST", f"/v1/campaigns/{cid}/cancel", 200),
+                ("POST", "/v1/campaigns", 400),
+            ):
+                connection.request(method, path, body=body)
+                response = connection.getresponse()
+                assert response.status == status
+                response.read()
+                sock = connection.sock
+                connection.request("GET", f"/v1/campaigns/{cid}")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["campaign_id"] == cid
+                assert connection.sock is sock  # one connection throughout
+            connection.close()
+        finally:
+            server.stop()
+
+    def test_client_reconnects_when_the_server_closed_its_connection(
+        self, tmp_path, monkeypatch
+    ):
+        service = ScanService(str(tmp_path / "svc"), scope="poll")
+        server = ServiceServer(service).start()
+        server.httpd.RequestHandlerClass.timeout = 0.2
+        accepted = []
+        process = server.httpd.process_request
+        monkeypatch.setattr(
+            server.httpd, "process_request",
+            lambda request, address: (accepted.append(address),
+                                      process(request, address)),
+        )
+        try:
+            client = ServiceClient(server.address)
+            assert client.service_status()["states"] == {}
+            time.sleep(0.6)  # the server times the idle connection out
+            # The poll sees it closed: both verbs go out on a fresh one.
+            assert client.service_status()["states"] == {}
+            time.sleep(0.6)
+            assert client.submit(spec("alice", "a0").to_dict())["state"] == (
+                "queued"
+            )
+            assert len(accepted) == 3
+            # Blind the poll: a GET on the dead connection is retried once
+            # on a fresh one ...
+            monkeypatch.setattr(api_module, "_dropped", lambda sock: False)
+            time.sleep(0.6)
+            assert client.status("poll-0000")["state"] == "queued"
+            assert len(accepted) == 4
+            # ... a POST whose bytes went out is not sent again.
+            time.sleep(0.6)
+            with pytest.raises(ConnectionError):
+                client.submit(spec("alice", "a1").to_dict())
+            assert len(accepted) == 4
+            assert service.queue.depth == 1
+        finally:
+            server.stop()
+
+    def test_threads_share_a_client_with_a_connection_each(self, tmp_path):
+        service = ScanService(str(tmp_path / "svc"), scope="par")
+        server = ServiceServer(service).start()
+        accepted = []
+        process = server.httpd.process_request
+        server.httpd.process_request = (
+            lambda request, address: (accepted.append(address),
+                                      process(request, address))
+        )
+        try:
+            client = ServiceClient(server.address)
+            ids = []
+
+            def submit(k):
+                for i in range(3):
+                    ids.append(client.submit(
+                        spec(f"t{k}", f"c{i}").to_dict()
+                    )["campaign_id"])
+
+            threads = [threading.Thread(target=submit, args=(k,))
+                       for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert len(ids) == len(set(ids)) == 12
+            assert len(accepted) == 4
+        finally:
+            server.stop()
+
+    def test_an_oversized_body_is_a_413_and_the_connection_closes(
+        self, tmp_path
+    ):
+        service = ScanService(str(tmp_path / "svc"), scope="big")
+        server = ServiceServer(service).start()
+        try:
+            with self._raw(server) as sock:
+                sock.sendall(
+                    b"POST /v1/campaigns HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: %d\r\n\r\n{" % (2 << 20)
+                )
+                status, headers, body = self._response(sock)
+                assert status == 413
+                assert headers["connection"] == "close"
+                assert "limit" in json.loads(body)["error"]
+                assert sock.recv(1) == b""
+            client = ServiceClient(server.address)
+            assert client.submit(spec("alice", "a0").to_dict())["state"] == (
+                "queued"
+            )
+            assert service.queue.depth == 1
+        finally:
+            server.stop()
+
+    def test_stalled_and_idle_connections_time_out_without_blocking(
+        self, tmp_path
+    ):
+        service = ScanService(str(tmp_path / "svc"), scope="slow")
+        server = ServiceServer(service).start()
+        handler = server.httpd.RequestHandlerClass
+        assert handler.timeout == api_module.HANDLER_TIMEOUT_S
+        handler.timeout = 0.5  # the constant's behaviour, without the wait
+        try:
+            with self._raw(server) as stalled, self._raw(server) as idle:
+                stalled.sendall(
+                    b"POST /v1/campaigns HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: 100\r\n\r\n{\"tenant\""
+                )
+                # Both pin a handler thread; other clients are served.
+                client = ServiceClient(server.address)
+                assert client.submit(spec("alice", "a0").to_dict())[
+                    "state"] == "queued"
+                assert client.service_status()["states"] == {"queued": 1}
+                started = time.perf_counter()
+                assert stalled.recv(1) == b""  # closed, nothing answered
+                assert idle.recv(1) == b""
+                assert time.perf_counter() - started < 5
+            assert service.queue.depth == 1  # the stalled submit never ran
+        finally:
+            server.stop()
 
 
 class TestServiceKillAnywhere:
