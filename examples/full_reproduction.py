@@ -6,8 +6,10 @@ attack) and writes the consolidated paper-vs-measured report to
 ``reproduction_report.txt``.
 
 Run:  python examples/full_reproduction.py [scale]
-      (default scale 50000 keeps this example fast; 20000 matches the
-      benchmark suite, 1000 gives counts at 1/1000 of the paper's)
+      (default scale 100000 keeps this example fast, and is the run the
+      committed ``reproduction_report.txt`` holds — tests/test_reproduce.py
+      regenerates it byte for byte; 20000 matches the benchmark suite,
+      1000 gives counts at 1/1000 of the paper's)
 """
 
 import sys
@@ -17,7 +19,7 @@ from repro.analysis.reproduce import reproduce_all
 
 
 def main() -> None:
-    scale = float(sys.argv[1]) if len(sys.argv) > 1 else 50_000.0
+    scale = float(sys.argv[1]) if len(sys.argv) > 1 else 100_000.0
     started = time.time()
 
     def progress(message: str) -> None:

@@ -359,10 +359,11 @@ class Scanner:
 
     def targets(self) -> Iterator[IPv6Addr]:
         """Probe addresses in permuted order (after blocklist filtering)."""
-        return (address for address, _ride in self._pull())
+        return (IPv6Addr(value) for value, _ride in self._pull())
 
-    def _pull(self) -> Iterator[Tuple[IPv6Addr, Tuple[Lanes, int]]]:
-        """The target stream: each address with the lane it rides.
+    def _pull(self) -> Iterator[Tuple[int, Tuple[Lanes, int]]]:
+        """The target stream: each address, as an int, with the lane it
+        rides.
 
         The one owner of ``skip`` / ``max_probes`` / blocklist vetoes.
         ``config.skip`` fast-forwards past already-scanned positions of this
@@ -371,11 +372,16 @@ class Scanner:
         up to :data:`BLOCK_SIZE` at a time so IID hashing, validation-tag
         priming and forwarding run through their vectorised block paths —
         the block's probes are forwarded here, as :class:`Lanes`, from the
-        addresses and the probe module's declared hop limit — but
-        ``position``, ``blocked_count`` and the veto counters advance one
-        yielded target at a time: whenever the consumer stops pulling — a
-        chunk end, a checkpoint — they describe exactly the targets handed
-        out so far.  Indices past a ``max_probes`` stop are never consumed.
+        addresses and the probe module's declared hop limit.  The block is
+        a :class:`~repro.core.target.TargetBlock`: its addresses stay ints
+        (and, with numpy, uint64 word columns) from derivation to the
+        lanes (the blocklist walks its prefix trie on the int), and an
+        :class:`IPv6Addr` is made only where something reads one:
+        :meth:`targets`, a packet, a trace span.  ``position``,
+        ``blocked_count`` and the veto counters advance one yielded target
+        at a time: whenever the consumer stops pulling — a chunk end, a
+        checkpoint — they describe exactly the targets handed out so far.
+        Indices past a ``max_probes`` stop are never consumed.
         """
         config = self.config
         permutation = make_permutation(config.scan_range.count,
@@ -398,16 +404,15 @@ class Scanner:
             if not indices:
                 return
             block = addresses_block(indices)
-            values = [address.value for address in block]
             if prime is not None:
-                prime(values)
-            lanes = Lanes(self.network, self.vantage, values,
-                          [self.probe.hop_limit] * len(values),
+                prime(block)
+            lanes = Lanes(self.network, self.vantage, block,
+                          [self.probe.hop_limit] * len(block),
                           max(1, config.probes_per_target))
-            for lane, address in enumerate(block):
+            for lane, value in enumerate(block.values):
                 self.position += 1
                 if blocklist is not None:
-                    decision = blocklist.check(address)
+                    decision = blocklist.check(value)
                     if not decision.allowed:
                         self.blocked_count += 1
                         key = (decision.reason, str(decision.rule))
@@ -421,7 +426,7 @@ class Scanner:
                         counter.inc()  # type: ignore[union-attr]
                         continue
                 produced += 1
-                yield address, (lanes, lane)
+                yield value, (lanes, lane)
 
     # -- resilience layer (all no-ops unless configured) -----------------------
 
@@ -691,7 +696,7 @@ class Scanner:
         def materialiser(probes) -> Callable[[int], Packet]:
             # Asked for by ``inject_block`` when something stateful has to
             # look at the chunk's probe ``i``; most die silently.
-            return lambda i: build(source, probes[i][0])
+            return lambda i: build(source, IPv6Addr(probes[i][0]))
 
         def snapshot() -> None:
             # Keep the trailing counters coherent so progress hooks (and
@@ -720,7 +725,7 @@ class Scanner:
                 want = 1 if single else max(1, math.ceil(
                     min(BLOCK_SIZE, left / copies)
                 ))
-                chunk: List[Tuple[IPv6Addr, Tuple[Lanes, int]]] = []
+                chunk: List[Tuple[int, Tuple[Lanes, int]]] = []
                 clocks: List[float] = []
                 span = None
                 while len(chunk) < want:
@@ -743,7 +748,7 @@ class Scanner:
                         break
                     chunk += pulled
                     if tracing:  # hence single: ``pulled`` is the chunk
-                        target = pulled[0][0]
+                        target = IPv6Addr(pulled[0][0])
                         span = tracer.begin(target)
                         if span is not None:
                             span.add("generated", network.clock,
@@ -763,8 +768,10 @@ class Scanner:
                     item for item in chunk for _copy in range(copies)
                 ]
                 if wire:  # every probe crosses the codec, silent or not
-                    packets = [Packet.decode(build(source, target).encode())
-                               for target, _ in probes]
+                    packets = [
+                        Packet.decode(build(source, IPv6Addr(value)).encode())
+                        for value, _ in probes
+                    ]
                 network.active_trace = span
                 outcomes = inject_block(
                     Probes([ride for _, ride in probes],
@@ -781,7 +788,7 @@ class Scanner:
                 if single:  # the chunk is one target
                     if policy is not None and not validated:
                         resent, validated = self._retransmit(
-                            policy, chunk[0][0], span, account
+                            policy, IPv6Addr(chunk[0][0]), span, account
                         )
                         stats.sent += resent
                         c_sent.inc(resent)

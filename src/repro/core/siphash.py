@@ -15,10 +15,16 @@ Two implementations share the reference test vectors:
   precomputes the key schedule once and runs fully inlined rounds on
   128-bit integers with no byte-string construction at all.  Its output is
   bit-identical to ``siphash24`` (asserted in the unit tests).
-  :meth:`SipKey.hash_uints_block` is the same hash over a block of values
-  at once, in numpy uint64 lanes — every target's IID and validation tag
-  comes from it, with :meth:`SipKey.hash_uints` as its oracle and its
-  fallback when numpy is absent.
+  :meth:`SipKey.hash_words_block` is the one block kernel: the same hash
+  over a block of messages at once, each lane's 128-bit value given as
+  two uint64 word columns (the upper one may be a scalar — a window
+  index's is 0), run in place in numpy uint64 lanes, returning a column.
+  A scan's target blocks are derived as word columns, so every target's
+  IID and validation tag comes from it without a value ever being split
+  again.  :meth:`SipKey.hash_uints_block` takes Python ints: it splits
+  them into words, calls the kernel and returns a list; below
+  :data:`_VECTOR_MIN` values, or without numpy, it is the scalar loop.
+  :meth:`SipKey.hash_uints` is the kernel's oracle.
 
 Reference test vectors from the SipHash paper are checked in the unit tests.
 """
@@ -34,8 +40,13 @@ except ImportError:  # pragma: no cover - numpy is present in CI images
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 
-#: Below this many values the numpy dispatch overhead beats the win.
-_VECTOR_MIN = 8
+#: Below this many values a block is hashed by the scalar loop: the
+#: kernel's cost is its ≈ 250 ufunc calls, not its lanes.  Measured on a
+#: 2-vCPU VM (Python 3.11, numpy 2.4; least of 15 interleaved runs of 20):
+#: the scalar loop costs 12.3 µs a value (149 µs at 12), the kernel
+#: 155-170 µs at any length up to 32 (167 µs at 12, 159 µs at 14), so the
+#: two break even at 13.
+_VECTOR_MIN = 13
 
 
 def _rotl(x: int, b: int) -> int:
@@ -160,69 +171,95 @@ class SipKey:
             v2 = ((v2 << 32) | (v2 >> 32)) & M
         return (v0 ^ v1 ^ v2 ^ v3) & M
 
-    def hash_uints_block(self, values, *suffix: int) -> list:
-        """``[self.hash_uints(v, *suffix) for v in values]``, vectorised.
+    def hash_words_block(self, lo, hi, *suffix: int):
+        """The block kernel: SipHash-2-4 of every lane's message.
 
-        A k-part message per lane: the lane's own value, then the constant
-        trailing ``suffix`` parts, each encoded as 16 LE bytes.  No suffix
-        is the one-part message of probe tagging and of IIDs that fit 64
-        bits; ``(values, 1)`` is the second half of a wider IID
-        (:meth:`TargetGenerator.iid`).  With numpy available the whole
-        block runs as uint64 lane arithmetic — wrapping adds and shifts are
-        exactly the mod-2^64 operations SipHash needs, and a constant part
-        is a scalar XORed into every lane — so the outputs are
-        bit-identical to the scalar path and to :func:`siphash24` (asserted
-        in the unit tests).  Without numpy, or for tiny blocks, this falls
-        back to the scalar loop.
+        Lane ``j``'s message is the 128-bit value ``(hi[j] << 64) | lo[j]``
+        followed by the constant trailing ``suffix`` parts, each encoded as
+        16 LE bytes — so lane ``j`` of the result is ``hash_uints((hi[j] <<
+        64) | lo[j], *suffix)``.  ``lo`` is a numpy uint64 column; ``hi`` is
+        one too, or a scalar every lane shares (0 for a window index, whose
+        upper word is empty).  A constant part is a scalar XORed into every
+        lane.  The rounds run in place — wrapping uint64 adds and shifts are
+        exactly the mod-2^64 operations SipHash needs, and every rotation
+        goes through one scratch column — and the result is a uint64 column.
+        Needs numpy; :meth:`hash_uints_block` is the entry point that
+        falls back without it.
         """
-        n = len(values)
-        if _np is None or n < _VECTOR_MIN:
-            return [self.hash_uints(v, *suffix) for v in values]
-        M64 = _MASK
+        n = len(lo)
         u64 = _np.uint64
+        add, xor, bor = _np.add, _np.bitwise_xor, _np.bitwise_or
+        shl, shr = _np.left_shift, _np.right_shift
         v0 = _np.full(n, self._v0, dtype=u64)
         v1 = _np.full(n, self._v1, dtype=u64)
         v2 = _np.full(n, self._v2, dtype=u64)
         v3 = _np.full(n, self._v3, dtype=u64)
+        t = _np.empty(n, dtype=u64)
+
+        def rotl(v, b) -> None:
+            shl(v, b, out=t)
+            shr(v, 64 - b, out=v)
+            bor(v, t, out=v)
 
         def rounds(count: int) -> None:
-            nonlocal v0, v1, v2, v3  # in-place array ops rebind the names
             for _ in range(count):
-                v0 += v1
-                v1[:] = (v1 << 13) | (v1 >> 51)
-                v1 ^= v0
-                v0[:] = (v0 << 32) | (v0 >> 32)
-                v2 += v3
-                v3[:] = (v3 << 16) | (v3 >> 48)
-                v3 ^= v2
-                v0 += v3
-                v3[:] = (v3 << 21) | (v3 >> 43)
-                v3 ^= v0
-                v2 += v1
-                v1[:] = (v1 << 17) | (v1 >> 47)
-                v1 ^= v2
-                v2[:] = (v2 << 32) | (v2 >> 32)
+                add(v0, v1, out=v0)
+                rotl(v1, 13)
+                xor(v1, v0, out=v1)
+                rotl(v0, 32)
+                add(v2, v3, out=v2)
+                rotl(v3, 16)
+                xor(v3, v2, out=v3)
+                add(v0, v3, out=v0)
+                rotl(v3, 21)
+                xor(v3, v0, out=v3)
+                add(v2, v1, out=v2)
+                rotl(v1, 17)
+                xor(v1, v2, out=v1)
+                rotl(v2, 32)
 
         def compress(m) -> None:
-            # One 8-byte message word: a lane array, or a scalar every lane
-            # shares (suffix parts, the tail block).
-            nonlocal v0, v3
-            v3 ^= m
+            # One 8-byte message word: a lane column, or a scalar every lane
+            # shares (a constant part, the tail block).
+            xor(v3, m, out=v3)
             rounds(2)
-            v0 ^= m
+            xor(v0, m, out=v0)
 
-        compress(_np.fromiter((v & M64 for v in values), dtype=u64, count=n))
-        compress(_np.fromiter(((v >> 64) & M64 for v in values), dtype=u64,
-                              count=n))
+        compress(lo)
+        compress(hi if isinstance(hi, _np.ndarray) else u64(hi & _MASK))
         for part in suffix:
-            compress(u64(part & M64))
-            compress(u64((part >> 64) & M64))
+            compress(u64(part & _MASK))
+            compress(u64((part >> 64) & _MASK))
         # Tail block: the message is whole 8-byte words, so it carries only
         # the length byte — 16 bytes per part, mod 256 — as ``hash_uints``.
         compress(u64((((1 + len(suffix)) << 4) & 0xFF) << 56))
-        v2 ^= u64(0xFF)
+        xor(v2, u64(0xFF), out=v2)
         rounds(4)
-        return (v0 ^ v1 ^ v2 ^ v3).tolist()
+        xor(v0, v1, out=v0)
+        xor(v2, v3, out=v2)
+        return xor(v0, v2, out=v0)
+
+    def hash_uints_block(self, values, *suffix: int) -> list:
+        """``[self.hash_uints(v, *suffix) for v in values]``, vectorised.
+
+        A k-part message per lane: the lane's own value, then the constant
+        trailing ``suffix`` parts.  No suffix is the one-part message of
+        probe tagging and of IIDs that fit 64 bits; ``(values, 1)`` is the
+        second half of a wider IID (:meth:`TargetGenerator.iid`).  With
+        numpy the values are split into their two words and hashed by
+        :meth:`hash_words_block`, so the outputs are bit-identical to the
+        scalar path and to :func:`siphash24` (asserted in the unit tests).
+        Without numpy, or below :data:`_VECTOR_MIN` values, this is the
+        scalar loop.
+        """
+        n = len(values)
+        if _np is None or n < _VECTOR_MIN:
+            return [self.hash_uints(v, *suffix) for v in values]
+        u64 = _np.uint64
+        lo = _np.fromiter((v & _MASK for v in values), dtype=u64, count=n)
+        hi = _np.fromiter(((v >> 64) & _MASK for v in values), dtype=u64,
+                          count=n)
+        return self.hash_words_block(lo, hi, *suffix).tolist()
 
 
 def siphash24(key: bytes, data: bytes) -> int:

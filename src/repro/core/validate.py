@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass
 
 from repro.core.siphash import SipKey
+from repro.core.target import TargetBlock
 from repro.net.addr import IPv6Addr
 
 
@@ -64,9 +65,12 @@ class Validator:
     def prime(self, values) -> None:
         """Precompute the tags for a block of destination values.
 
-        :meth:`Scanner.targets` primes each target block through the
-        vectorised SipHash path; subsequent :meth:`tag` calls for those
-        destinations (probe build, reply validation) become dict hits.
+        ``values`` is a :class:`~repro.core.target.TargetBlock` or a list of
+        ints.  :meth:`Scanner.targets` primes each target block through the
+        vectorised SipHash path — one kernel call over the block's words
+        (:meth:`SipKey.hash_words_block`) where it carries them — and
+        subsequent :meth:`tag` calls for those destinations (probe build,
+        reply validation) become dict hits.
 
         Two generations are kept — this block and the previous one — and
         older ones dropped, bounding memory.  One is not enough: a chunk of
@@ -86,6 +90,12 @@ class Validator:
         a few scalar hashes, the same tags.
         """
         self._primed_before = self._primed
+        if isinstance(values, TargetBlock):
+            if values.lo is not None:
+                tags = self._key.hash_words_block(values.lo, values.hi)
+                self._primed = dict(zip(values.values, tags.tolist()))
+                return
+            values = values.values
         self._primed = dict(zip(values, self._key.hash_uints_block(values)))
 
     def tag(self, dst: IPv6Addr | int) -> int:

@@ -578,22 +578,25 @@ class Lanes:
     ``status``, the device it stopped at (``cur``, an index into
     ``fib.devices``), the hop limit it has left (``hl``), and the ``hops``
     and ``drops`` it took — with ``fib``, the :class:`ColumnarFib` they were
-    computed under.  Forwarding is pure, so it happens once, when the block
-    is pulled, however its probes are later cut into chunks; the replay
-    re-forwards what is left of the block if ``fib`` is no longer the
-    network's.  A block that was not forwarded — fewer than
+    computed under.  ``targets`` is the block as it was given — a list of
+    destination ints, or a :class:`~repro.core.target.TargetBlock`, whose
+    word columns the vector phase reads as they are — and ``values`` its
+    destinations as ints.  Forwarding is pure, so it happens once, when
+    the block is pulled, however its probes are later cut into chunks; the
+    replay re-forwards what is left of the block if ``fib`` is no longer
+    the network's.  A block that was not forwarded — fewer than
     :data:`VECTOR_MIN_PROBES` probes (``copies`` ride each lane), a network
     not :func:`_usable`, an uncompilable table — has no ``fib`` and every
     lane ``_ORIGIN``.
     """
 
-    __slots__ = ("values", "hop_limits", "copies", "fib",
+    __slots__ = ("targets", "values", "hop_limits", "copies", "fib",
                  "status", "cur", "hl", "hops", "drops")
 
     def __init__(self, network: "Network", vantage: "Device",
-                 values: List[int], hop_limits: List[int],
-                 copies: int = 1) -> None:
-        self.values = values  # destination addresses, as ints
+                 values, hop_limits: List[int], copies: int = 1) -> None:
+        self.targets = values
+        self.values: List[int] = getattr(values, "values", values)
         self.hop_limits = hop_limits
         self.copies = copies
         self.forward(network, vantage)
@@ -614,17 +617,25 @@ class Lanes:
                 [_ORIGIN] * start + column.tolist()
                 for column in _vector_phase(
                     network, fib, vantage,
-                    self.values[start:], self.hop_limits[start:],
+                    self.targets[start:], self.hop_limits[start:],
                 )
             )
 
 
 def _vector_phase(network, fib, vantage, values, hop_limits):
     """``(status, cur, hl, hops, drops)`` columns for probes of ``values``
-    sent from ``vantage``: every lane advanced through its pure hops."""
+    sent from ``vantage``: every lane advanced through its pure hops.
+
+    ``values`` is a list of destination ints or a block that carries them
+    (``.values``) with their words as uint64 columns (``.hi`` / ``.lo``,
+    :class:`~repro.core.target.TargetBlock`), which are used as they are."""
     n = len(values)
-    dst_hi = _np.array([v >> 64 for v in values], dtype=_np.uint64)
-    dst_lo = _np.array([v & _M64 for v in values], dtype=_np.uint64)
+    dst_hi = getattr(values, "hi", None)
+    dst_lo = getattr(values, "lo", None)
+    values = getattr(values, "values", values)
+    if dst_lo is None:
+        dst_hi = _np.array([v >> 64 for v in values], dtype=_np.uint64)
+        dst_lo = _np.array([v & _M64 for v in values], dtype=_np.uint64)
     owner = _np.array([fib.owners.get(v, -1) for v in values],
                       dtype=_np.int64)
     status = _np.zeros(n, dtype=_np.int8)

@@ -21,8 +21,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.scanner as scanner_module
+from repro.core import siphash
 from repro.core.blocklist import Blocklist
 from repro.core.scanner import ProbeResult, ScanConfig, Scanner
+from repro.core.siphash import SipKey
 from repro.core.target import ScanRange
 from repro.engine import Campaign, ProbeSpec
 from repro.faults import (
@@ -36,7 +38,7 @@ from repro.isp.builder import build_deployment
 from repro.isp.profiles import profile_by_key
 from repro.isp.rotation import rotate_delegations
 from repro.net import columnar
-from repro.net.addr import IPv6Prefix
+from repro.net.addr import IPv6Addr, IPv6Prefix
 from repro.net.network import DeliveryTrace, Network, NetworkError
 from repro.net.packet import Packet
 from repro.net.spec import TopologySpec
@@ -565,6 +567,51 @@ class TestCountedWork:
         for call in ("builds", "classify", "make_error", "with_hop_limit",
                      "results", "traces"):
             assert seen[call] == 0, call
+
+    @pytest.mark.parametrize("window,passes", [
+        ("2001:db8:1::/54-64", 2),  # 64 host bits: one IID hash + the tag
+        ("2001:db8::/50-60", 3),  # 68 host bits: two IID hashes + the tag
+    ])
+    def test_a_sweep_pulls_its_targets_as_words(
+        self, monkeypatch, window, passes
+    ):
+        """A 1,024-target sweep's pull path — derive, tag, forward — makes
+        no :class:`IPv6Addr`, and hashes each block in one kernel call per
+        pass over its words."""
+        topo = build_mini()
+        scanner = Scanner(
+            topo.network, topo.vantage, ProbeSpec.for_seed(5).build(),
+            ScanConfig(scan_range=ScanRange.parse(window), seed=5),
+        )
+        blocks = -(-scanner.config.scan_range.count
+                   // scanner_module.BLOCK_SIZE)
+        topo.network.columnar_fib()  # compiled outside the count
+        made, kernel = [], []
+        post_init = IPv6Addr.__post_init__
+        words_block = SipKey.hash_words_block
+
+        def counted_addr(address):
+            made.append(address.value)
+            post_init(address)
+
+        def counted_kernel(key, lo, hi, *suffix):
+            kernel.append(len(lo))
+            return words_block(key, lo, hi, *suffix)
+
+        monkeypatch.setattr(IPv6Addr, "__post_init__", counted_addr)
+        monkeypatch.setattr(SipKey, "hash_words_block", counted_kernel)
+        pulled = list(scanner._pull())
+        assert len(pulled) == 1024 and made == []
+        if siphash._np is None:
+            assert kernel == []
+            return
+        assert len(kernel) == passes * blocks
+        assert sum(kernel) == passes * 1024
+        # The stream still reads as the scalar oracle's addresses.
+        monkeypatch.undo()
+        assert list(scanner.targets()) == [
+            IPv6Addr(value) for value, _ride in pulled
+        ]
 
 
 class _Stop(Exception):

@@ -77,6 +77,18 @@ def _report_under_hash_seed(hash_seed):
     return done.stdout
 
 
+class TestCommittedReport:
+    """The whole paper as one oracle: every table of the committed report
+    (``examples/full_reproduction.py`` at its default scale, 1/100000)
+    rests on how targets are derived, hashed and forwarded, so the report
+    a change regenerates must be the committed one, byte for byte."""
+
+    def test_report_regenerates_byte_for_byte(self):
+        root = Path(__file__).resolve().parents[1]
+        report = reproduce_all(scale=100000, seed=7).report() + "\n"
+        assert report == (root / "reproduction_report.txt").read_text()
+
+
 class TestDeterminism:
     def test_report_independent_of_hash_seed(self):
         assert _report_under_hash_seed(1) == _report_under_hash_seed(2)

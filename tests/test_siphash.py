@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import siphash
 from repro.core.siphash import _VECTOR_MIN, SipKey, keyed_uint, siphash24
 
 #: Key 000102...0f, messages of increasing length 0..7, from the reference
@@ -104,3 +105,45 @@ class TestLaneKernel:
         assert sip.hash_uints_block(values, *suffix) == [
             _reference(REFERENCE_KEY, v, *suffix) for v in values
         ]
+
+
+u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
+
+
+@pytest.mark.skipif(siphash._np is None, reason="the kernel runs on numpy")
+class TestWordsKernel:
+    """``hash_words_block``, the one block kernel, on word columns.
+
+    A target block reaches it as uint64 columns — the window index with a
+    scalar 0 upper word, an address with both words — so those are pinned
+    against both scalar implementations here, at lengths on both sides of
+    the crossover (the kernel itself runs at any length).
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.binary(min_size=16, max_size=16),
+        length=st.sampled_from(
+            [1, _VECTOR_MIN - 1, _VECTOR_MIN, _VECTOR_MIN + 1, 40]
+        ),
+        scalar_hi=st.one_of(st.none(), u64),
+        suffix=st.lists(u128, max_size=2),
+        data=st.data(),
+    )
+    def test_words_match_scalar_and_reference(
+        self, key, length, scalar_hi, suffix, data
+    ):
+        np = siphash._np
+        lows = data.draw(st.lists(u64, min_size=length, max_size=length))
+        if scalar_hi is None:  # an upper-word column
+            highs = data.draw(st.lists(u64, min_size=length, max_size=length))
+            hi = np.array(highs, dtype=np.uint64)
+        else:  # one upper word every lane shares
+            highs, hi = [scalar_hi] * length, scalar_hi
+        sip = SipKey(key)
+        column = sip.hash_words_block(np.array(lows, dtype=np.uint64), hi,
+                                      *suffix)
+        assert column.dtype == np.uint64
+        values = [(h << 64) | w for h, w in zip(highs, lows)]
+        assert column.tolist() == [sip.hash_uints(v, *suffix) for v in values]
+        assert column.tolist() == [_reference(key, v, *suffix) for v in values]

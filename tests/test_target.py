@@ -8,8 +8,14 @@ from hypothesis import given, settings, strategies as st
 from repro.core.blocklist import Blocklist
 from repro.core.permutation import make_permutation
 from repro.core.scanner import Scanner
+from repro.core import siphash
 from repro.core.siphash import _VECTOR_MIN
-from repro.core.target import IidStrategy, ScanRange, TargetGenerator
+from repro.core.target import (
+    IidStrategy,
+    ScanRange,
+    TargetBlock,
+    TargetGenerator,
+)
 from repro.net.addr import AddressError, IPv6Addr, IPv6Prefix
 
 from tests.topo import build_mini
@@ -146,17 +152,46 @@ class TestAddressesBlock:
             st.integers(min_value=0, max_value=scan_range.count - 1),
             min_size=length, max_size=length,
         ))
-        assert gen.addresses_block(indices) == [
-            gen.address(i) for i in indices
-        ]
+        expected = [gen.address(i) for i in indices]
+        block = gen.addresses_block(indices)
+        assert isinstance(block, TargetBlock)
+        assert block == expected
+        assert list(block) == expected
+        assert block.values == [address.value for address in expected]
+        # With numpy a block from the crossover up is derived on words.
+        assert (block.hi is not None) == (
+            siphash._np is not None and length >= _VECTOR_MIN
+        )
+        if block.hi is not None:
+            assert block.hi.dtype == block.lo.dtype == siphash._np.uint64
+            assert [(hi << 64) | lo for hi, lo in zip(
+                block.hi.tolist(), block.lo.tolist()
+            )] == block.values
 
     def test_indices_past_64_bits(self):
         # A /8-96 window has 88-bit indices: both words of the hashed part.
+        # They take the scalar formula, so the block carries no words.
         gen = TargetGenerator(ScanRange.parse("2000::/8-96"), seed=4)
         indices = [(1 << 88) - 1 - i * 0x9E3779B97F4A7C15 for i in range(20)]
-        assert gen.addresses_block(indices) == [
-            gen.address(i) for i in indices
-        ]
+        block = gen.addresses_block(indices)
+        assert block.hi is None and block.lo is None
+        assert block == [gen.address(i) for i in indices]
+        assert block.values == [gen.address(i).value for i in indices]
+
+    def test_block_reads_as_a_sequence_of_addresses(self):
+        gen = TargetGenerator(ScanRange.parse("2001:db8:1::/48-64"), seed=2)
+        indices = list(range(3, 3 + 2 * _VECTOR_MIN))
+        block = gen.addresses_block(indices)
+        expected = [gen.address(i) for i in indices]
+        assert len(block) == len(expected)
+        assert block[0] == expected[0] and block[-1] == expected[-1]
+        assert block == tuple(expected) and block != expected[1:]
+        tail = block[5:]
+        assert isinstance(tail, TargetBlock) and tail == expected[5:]
+        assert tail.values == block.values[5:]
+        if block.hi is not None:  # a slice's words are its own
+            assert tail.lo.tolist() == block.lo.tolist()[5:]
+        assert block == gen.addresses_block(indices)
 
     @pytest.mark.parametrize("strategy", list(IidStrategy))
     @pytest.mark.parametrize("bad", [16, -1])
