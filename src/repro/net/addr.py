@@ -11,6 +11,11 @@ The classes here are deliberately lighter than :mod:`ipaddress` — no
 host-mask/netmask niceties, just what the periphery-discovery pipeline needs —
 but the test suite cross-validates parsing and formatting against the standard
 library on randomly generated addresses.
+
+Two formatters share one RFC 5952 form.  :func:`format_ipv6_packed` formats
+one address and is the oracle; :func:`format_ipv6_block` formats a numpy
+column of them in a few array passes (table lookups, no per-address Python
+call), for readers that render thousands of rows at once.
 """
 
 from __future__ import annotations
@@ -19,6 +24,11 @@ import re
 import struct
 from dataclasses import dataclass
 from typing import Iterator
+
+try:  # the block formatter's tables; the scalar formatter needs none
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy is present in CI images
+    _np = None  # type: ignore[assignment]
 
 MAX_ADDR = (1 << 128) - 1
 
@@ -98,9 +108,9 @@ def format_ipv6_packed(packed: bytes) -> str:
 
     The longest run of two or more zero groups is compressed with ``::``
     (leftmost run wins ties) and hex digits are lower-case.  This is the
-    one formatter: :func:`format_ipv6` (and through it ``str(IPv6Addr)``)
-    and the result store's row projection, which has the packed form in
-    hand, both end here.
+    scalar formatter: :func:`format_ipv6` (and through it ``str(IPv6Addr)``)
+    and the result store's row projections, which have the packed form in
+    hand, end here, and it is the oracle of :func:`format_ipv6_block`.
     """
     if len(packed) != 16:
         raise AddressError(f"expected 16 bytes, got {len(packed)}")
@@ -113,6 +123,82 @@ def format_ipv6_packed(packed: bytes) -> str:
             if at >= 0:
                 return f"{text[1:at]}::{text[at + len(run):-1]}"
     return text[1:-1]
+
+
+#: Columns of one address in :func:`format_ipv6_block`'s grid: a lead
+#: column (the first colon of a leading ``::``), then for each group its
+#: four hex digits and the separator after it.
+TEXT_WIDTH = 41
+#: Hex-table row of a group that ``::`` drops: four NULs.
+_DROPPED = 1 << 16
+
+
+def _hex_table():
+    """Each 16-bit group's four lower-case hex digits, leading zeros as NUL
+    (a zero group keeps its ``0``), as one uint32 word per group; the word
+    at :data:`_DROPPED` is all NUL."""
+    digits = _np.frombuffer(b"0123456789abcdef", dtype=_np.uint8)
+    table = _np.zeros((_DROPPED + 1, 4), dtype=_np.uint8)
+    nibbles = table[:_DROPPED].reshape(16, 16, 16, 16, 4)
+    nibbles[..., 0] = digits[:, None, None, None]
+    nibbles[..., 1] = digits[None, :, None, None]
+    nibbles[..., 2] = digits[None, None, :, None]
+    nibbles[..., 3] = digits
+    nibbles[0, ..., 0] = 0
+    nibbles[0, 0, ..., 1] = 0
+    nibbles[0, 0, 0, ..., 2] = 0
+    return table.view(_np.uint32).ravel()
+
+
+def _layout_tables():
+    """Per zero-group bitmask (group 0 the most significant bit): the
+    address's text row with only its colons set, and each group's offset
+    into the hex table — :data:`_DROPPED` for the groups ``::`` replaces
+    (the longest run of two or more zero groups, the leftmost of equals)."""
+    colons = _np.zeros((256, TEXT_WIDTH), dtype=_np.uint8)
+    dropped = _np.zeros((256, 8), dtype=_np.uint32)
+    colon = ord(":")
+    for mask in range(256):
+        zeros = "".join("0" if mask >> (7 - g) & 1 else "1" for g in range(8))
+        after = [colon] * 7 + [0]  # the separator after each group
+        runs = [m.span() for m in re.finditer("0{2,}", zeros)]
+        if runs:
+            start, end = max(runs, key=lambda span: span[1] - span[0])
+            after[start:end] = [0] * (end - start - 1) + [colon]
+            if start == 0:
+                colons[mask, 0] = colon
+            dropped[mask, start:end] = _DROPPED
+        colons[mask, 5::5] = after
+    return colons, dropped
+
+
+if _np is not None:
+    _HEX_WORDS = _hex_table()
+    _COLONS, _GROUP_OFFSET = _layout_tables()
+
+
+def format_ipv6_block(packed):
+    """:func:`format_ipv6_packed` of every row of an (n, 16) uint8 array,
+    as an (n, :data:`TEXT_WIDTH`) uint8 grid padded with NUL bytes: row
+    ``i`` with its NULs deleted is the text of address ``i``.
+
+    Needs numpy.  Where groups are dropped and where the colons go depends
+    only on which groups are zero, so each row's layout is one lookup by
+    its zero-group bitmask and each group's digits one lookup by its value
+    — all ``ndarray.take``, which is far faster here than fancy indexing.
+    """
+    packed = _np.ascontiguousarray(packed, dtype=_np.uint8)
+    if packed.ndim != 2 or packed.shape[1] != 16:
+        raise AddressError(f"expected an (n, 16) array, got {packed.shape}")
+    n = len(packed)
+    groups = packed.view(">u2")
+    masks = _np.packbits(groups == 0, axis=1).ravel()
+    text = _COLONS.take(masks, axis=0)
+    index = _GROUP_OFFSET.take(masks, axis=0)
+    index += groups
+    digits = _HEX_WORDS.take(index).view(_np.uint8).reshape(n, 8, 4)
+    text[:, 1:].reshape(n, 8, 5)[:, :, :4] = digits
+    return text
 
 
 def format_ipv6(value: int) -> str:

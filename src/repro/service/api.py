@@ -17,12 +17,14 @@ malformed submissions 400, and a submit or cancel the queue could not
 make durable (disk full, I/O error) is 503 — nothing was queued or
 changed, so the client may retry — every body is a JSON object with an
 ``error`` field on failure.  ``/results`` adds three: a ``limit`` that is
-not a non-negative integer is 400 (``limit=0`` is an empty list), a round
+not a plain non-negative integer — anything but ASCII digits, an empty
+value included — is 400 (``limit=0`` is an empty list), a round
 retention has since dropped is 410, and a store fault met while reading
 is 500 carrying the quarantine message — the request after it is served
-from what survived.  Its body is written from the packed rows
-(:meth:`~repro.core.rows.Rows.json`), byte for byte what ``json.dumps``
-of the rows' dicts would be.
+from what survived.  Its body is written from the packed rows by
+:func:`~repro.core.rows.rows_json` — a few numpy passes over the whole
+buffer, or the per-row :func:`~repro.core.rows.row_json` join for short
+bodies — byte for byte what ``json.dumps`` of the rows' dicts would be.
 
 The server speaks HTTP/1.1: a connection stays open across requests (one
 handler thread per connection) until the client closes it, it sits idle
@@ -49,7 +51,7 @@ import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.rows import Rows
+from repro.core.rows import Rows, rows_json
 from repro.service.daemon import ResultsGone, ScanService, ServiceDraining
 from repro.service.queue import AdmissionError, QueueError
 from repro.service.spec import SpecError
@@ -72,7 +74,15 @@ class ApiError(RuntimeError):
 
 def _rows_body(rows: Rows) -> bytes:
     """``json.dumps({"rows": rows.dicts()}).encode()``, from the rows."""
-    return ('{"rows": [%s]}' % ", ".join(rows.json())).encode()
+    return b"".join((b'{"rows": [', rows_json(rows.packed()), b"]}"))
+
+
+def _limit(text: str) -> int:
+    """A ``?limit=`` value: ASCII digits and nothing else (``int()`` would
+    also take ``5_0``, a sign, surrounding spaces and non-ASCII digits)."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"limit must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _make_handler(service: ScanService):
@@ -143,7 +153,9 @@ def _make_handler(service: ScanService):
             parsed = urllib.parse.urlsplit(self.path)
             query = {
                 k: v[0]
-                for k, v in urllib.parse.parse_qs(parsed.query).items()
+                for k, v in urllib.parse.parse_qs(
+                    parsed.query, keep_blank_values=True
+                ).items()
             }
             return parsed.path.rstrip("/"), query
 
@@ -160,7 +172,7 @@ def _make_handler(service: ScanService):
                     self._send(
                         200,
                         {"campaigns": service.list_campaigns(
-                            tenant=query.get("tenant")
+                            tenant=query.get("tenant") or None
                         )},
                     )
                 elif path.startswith("/v1/campaigns/"):
@@ -168,7 +180,8 @@ def _make_handler(service: ScanService):
                     if rest.endswith("/results"):
                         campaign_id = rest[: -len("/results")]
                         limit = (
-                            int(query["limit"]) if "limit" in query else None
+                            _limit(query["limit"]) if "limit" in query
+                            else None
                         )
                         self._send(
                             200,

@@ -15,34 +15,52 @@ generated here rather than picked:
 * **Projection** — dicts decoded straight from the packed bytes equal
   ``to_dict()`` of the decoded rows, for every ``limit`` and both buffers;
   the ``/results`` body written from packed rows equals ``json.dumps`` of
-  those dicts byte for byte; a query filtering raw fields as ints answers
-  as the object filters do; ``diff`` from fields reports what it did from
-  objects.
+  those dicts byte for byte, on the numpy grid and on the per-row join,
+  and the grid equals the join exhaustively where the space is small
+  (every zero-group mask, kind code, ICMPv6 type and code); a query
+  filtering raw fields as ints answers as the object filters do; ``diff``
+  from fields reports what it did from objects.
 * **Work bound** — a ``limit=k`` read materialises at most k rows and
   opens no segment it does not need; a warm request reads no manifest.
 """
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 import tempfile
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.churn import ROUND_A, ROUND_B, run_churn_experiment
 from repro.core.probes.base import ReplyKind
-from repro.core.rows import Rows, as_packed, as_results, pack_row
+from repro.core import rows as rows_module
+from repro.core import siphash
+from repro.core.rows import (
+    JSON_CHUNK,
+    KINDS,
+    ROW_SIZE,
+    Rows,
+    as_packed,
+    as_results,
+    pack_row,
+    rows_json,
+)
 from repro.core.scanner import ProbeResult
 from repro.net.addr import (
     MAX_ADDR,
+    TEXT_WIDTH,
     IPv6Addr,
     IPv6Prefix,
     format_ipv6,
+    format_ipv6_block,
+    format_ipv6_packed,
     is_eui64_iid,
 )
 from repro.service import CampaignSpec, QueueError, ScanService, TenantPolicy
@@ -485,12 +503,7 @@ def test_projection_equals_to_dict_for_every_limit(first, second, use_mmap):
             ) == [row.to_dict() for row in picked][:limit]
 
 
-@settings(deadline=None, max_examples=60)
-@given(first=ROWS, second=ROWS, use_mmap=st.booleans())
-def test_results_body_is_json_dumps_of_the_dicts(first, second, use_mmap):
-    """For every limit across block and segment boundaries, the body
-    ``/results`` writes from packed rows is byte for byte the one
-    ``json.dumps`` writes from the rows' dicts."""
+def _check_results_body(first, second, use_mmap):
     with tempfile.TemporaryDirectory() as directory:
         store = ResultStore(directory, use_mmap=use_mmap)
         _commit(store, "one", first, "r1", block_rows=BLOCK)
@@ -505,6 +518,128 @@ def test_results_body_is_json_dumps_of_the_dicts(first, second, use_mmap):
             assert _rows_body(packed) == json.dumps(
                 {"rows": [r.to_dict() for r in rows[:limit]]}
             ).encode()
+
+
+@settings(deadline=None, max_examples=60)
+@given(first=ROWS, second=ROWS, use_mmap=st.booleans())
+def test_results_body_is_json_dumps_of_the_dicts(first, second, use_mmap):
+    """For every limit across block and segment boundaries, the body
+    ``/results`` writes from packed rows is byte for byte the one
+    ``json.dumps`` writes from the rows' dicts."""
+    _check_results_body(first, second, use_mmap)
+
+
+@settings(deadline=None, max_examples=60)
+@given(first=ROWS, second=ROWS, use_mmap=st.booleans())
+def test_results_body_is_json_dumps_of_the_dicts_on_the_grid(
+    first, second, use_mmap
+):
+    """The same with the crossover at 0, so every body is rendered on the
+    grid (without numpy, on the join): the bodies generated here hold at
+    most 26 rows, and most of them fewer than the real crossover."""
+    with mock.patch.object(rows_module, "_JSON_VECTOR_MIN", 0):
+        _check_results_body(first, second, use_mmap)
+
+
+_needs_numpy = pytest.mark.skipif(siphash._np is None,
+                                  reason="the grid runs on numpy")
+#: Group values a nonzero group takes in the exhaustive cases: one to four
+#: hex digits, each with a leading-zero case.
+_FILLS = (1, 0x10, 0xABCD, 0xFFFF)
+
+
+def _masked(mask: int, fill: int) -> int:
+    """The address whose group g is 0 where bit 7 - g of ``mask`` is set,
+    ``fill`` elsewhere."""
+    return int("".join("0000" if mask >> (7 - g) & 1 else f"{fill:04x}"
+                       for g in range(8)), 16)
+
+
+def _packed_rows(count: int, seed: int) -> bytes:
+    """``count`` packed rows of zero-biased addresses, every kind code and
+    random ICMPv6 type and code."""
+    rng = random.Random(seed)
+    groups = [0, 0, 0, 1, 0x10, 0xABCD, 0xFFFF]
+
+    def address() -> bytes:
+        return b"".join(
+            (rng.choice(groups) if rng.random() < 0.8
+             else rng.randrange(1 << 16)).to_bytes(2, "big")
+            for _ in range(8)
+        )
+    return b"".join(
+        address() + address()
+        + bytes([rng.randrange(len(KINDS)), rng.randrange(256),
+                 rng.randrange(256)])
+        for _ in range(count)
+    )
+
+
+def _joined(data: bytes) -> bytes:
+    """The oracle: ``", ".join`` of :meth:`Rows.json`, encoded."""
+    return ", ".join(Rows.unpack(data).json()).encode()
+
+
+@_needs_numpy
+def test_block_formatter_on_every_zero_group_mask():
+    """All 256 zero-group masks × four group fills, as one column: each row
+    is the scalar formatter's and the reference loop's text."""
+    values = [_masked(mask, fill) for mask in range(256) for fill in _FILLS]
+    column = siphash._np.frombuffer(
+        b"".join(value.to_bytes(16, "big") for value in values),
+        dtype=siphash._np.uint8,
+    ).reshape(-1, 16)
+    grid = format_ipv6_block(column)
+    assert grid.shape == (len(values), TEXT_WIDTH)
+    for value, row in zip(values, grid):
+        text = row.tobytes().replace(b"\0", b"").decode()
+        assert text == format_ipv6_packed(value.to_bytes(16, "big"))
+        assert text == _reference_format(value)
+
+
+@_needs_numpy
+def test_grid_on_every_kind_type_and_code(monkeypatch):
+    """Every kind code, and every ICMPv6 type and code 0-255, rendered on
+    the grid: byte for byte the :func:`row_json` join."""
+    monkeypatch.setattr(rows_module, "_JSON_VECTOR_MIN", 0)
+    target, responder = (_masked(0b00111000, 0xABCD).to_bytes(16, "big"),
+                         _masked(0b11000011, 0x10).to_bytes(16, "big"))
+    data = b"".join(
+        target + responder + bytes([code, value, 255 - value])
+        for code in range(len(KINDS)) for value in range(256)
+    )
+    assert rows_json(data) == _joined(data)
+
+
+@_needs_numpy
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_grid_across_its_chunk_edge(offset):
+    """Bodies of one chunk less, exactly one and one more: the chunks join
+    with the separator the scalar join puts between rows."""
+    data = _packed_rows(JSON_CHUNK + offset, seed=offset)
+    assert rows_json(data) == _joined(data)
+
+
+@_needs_numpy
+def test_a_body_past_the_crossover_calls_no_scalar_formatter(monkeypatch):
+    """Census: a body of the crossover's rows is rendered without one
+    :func:`format_ipv6_packed` call; one row fewer takes two a row."""
+    calls = []
+
+    def counting(packed):
+        calls.append(packed)
+        return format_ipv6_packed(packed)
+
+    monkeypatch.setattr(rows_module, "format_ipv6_packed", counting)
+    data = _packed_rows(rows_module._JSON_VECTOR_MIN, seed=7)
+    assert _rows_body(Rows.unpack(data)) == (
+        b'{"rows": [' + _joined(data) + b"]}"
+    )
+    calls.clear()
+    _rows_body(Rows.unpack(data))
+    assert calls == []
+    _rows_body(Rows.unpack(data[:-ROW_SIZE]))
+    assert len(calls) == 2 * (rows_module._JSON_VECTOR_MIN - 1)
 
 
 @given(rows=ROWS, order=st.permutations(list(ReplyKind)))

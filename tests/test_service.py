@@ -686,6 +686,37 @@ class TestHttpApi:
         finally:
             server.stop()
 
+    @pytest.fixture(scope="class")
+    def finished(self, tmp_path_factory):
+        """A server holding one finished campaign, ``fin-0000``."""
+        service = ScanService(str(tmp_path_factory.mktemp("svc")),
+                              max_workers=1, scope="fin")
+        service.submit(spec("alice", "a0", RESPONSIVE[2], seed=3))
+        service.run_until_idle()
+        server = ServiceServer(service).start()
+        yield server
+        server.stop()
+
+    @pytest.mark.parametrize("query", [
+        "limit=5_0",        # int() reads 50
+        "limit=+3",         # parse_qs reads " 3"
+        "limit=%2B3",       # a literal sign
+        "limit=%207%20",    # surrounding spaces
+        "limit=%EF%BC%91",  # a fullwidth 1
+        "limit=",           # empty
+    ])
+    def test_a_limit_that_is_not_plain_ascii_digits_is_400(
+        self, finished, query
+    ):
+        client = ServiceClient(finished.address)
+        status, _, body = client._exchange(
+            "GET", f"/v1/campaigns/fin-0000/results?{query}", None
+        )
+        assert status == 400
+        assert "limit" in json.loads(body)["error"]
+        assert client.results("fin-0000", limit=0) == []
+        assert len(client.results("fin-0000", limit=1)) == 1
+
     def test_dropped_round_is_410_and_the_daemon_keeps_serving(
         self, tmp_path
     ):
