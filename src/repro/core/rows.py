@@ -17,15 +17,21 @@ buffer of whole packed rows and the kind-code table they were packed
 against to a list with one item per row.  :func:`as_results` makes
 :class:`ProbeResult` objects, :func:`as_dicts` their JSON dicts,
 :func:`as_fields` the raw fields with both addresses as ints, and
-:func:`as_packed` the rows themselves, re-coded against :data:`KINDS`.
+:func:`as_packed` the rows themselves, re-coded against :data:`KINDS`
+(:func:`as_buffer`: the same bytes as one buffer, a block at a time).
 The store's segment walk takes one, so a reader that filters on ints or
-serves bytes never builds an object it does not return.  :func:`row_json`
-is the JSON text of one row and the oracle of :func:`rows_json`, which
-writes the text of a whole buffer of rows — what ``/results`` serves — in a
-few numpy passes over one byte grid (the addresses by
-:func:`~repro.net.addr.format_ipv6_block`, the rest by table lookups);
-below :data:`_JSON_VECTOR_MIN` rows, or without numpy, it joins
-:func:`row_json`.
+serves bytes never builds an object it does not return.
+
+:func:`row_json` is the JSON text of one row and the oracle of
+:func:`rows_text`, which renders the text of a run of rows — what
+``/results`` serves between the brackets — as :class:`RowsText`: chunks
+of :data:`JSON_CHUNK` rows, each a few numpy passes over one byte grid
+(the addresses by :func:`~repro.net.addr.format_ipv6_block`, the rest by
+table lookups; below :data:`_JSON_VECTOR_MIN` rows, or without numpy, the
+:func:`row_json` join), plus the offset where every row's object ends —
+from the grid, a cumsum of each row's bytes that are not NUL.  The first
+``k`` rows of a rendered body are therefore a prefix of its chunks, served
+without a copy.  :func:`rows_json` is those chunks joined.
 """
 
 from __future__ import annotations
@@ -34,7 +40,9 @@ import json
 import re
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.core import siphash
 from repro.core.probes.base import ReplyKind
@@ -93,10 +101,11 @@ def row_json(
     )
 
 
-#: Rows per pass of :func:`rows_json`'s grid, so its arrays stay bounded
-#: (≈ 0.2 MB of grid) whatever the body's length.
+#: Rows per pass of the renderer's grid, and per chunk of a rendered body
+#: (:class:`RowsText`), so its arrays stay bounded (≈ 0.2 MB of grid)
+#: whatever the body's length.
 JSON_CHUNK = 1024
-#: Below this many rows :func:`rows_json` joins :func:`row_json`: the
+#: A chunk of fewer rows than this is the :func:`row_json` join: the
 #: grid's ≈ 25 numpy calls cost more than the rows.  Measured on a 2-vCPU
 #: VM (Python 3.11, numpy 2.4) inside the HTTP server, bodies of 1-64 rows
 #: rendered both ways in alternation (median of 60 each, two passes): the
@@ -138,8 +147,9 @@ if siphash._np is not None:
     _JSON_ROW, _JSON_HOLES, _KIND_TEXT, _DECIMAL = _json_tables()
 
 
-def _json_grid(rows) -> bytes:
-    """:func:`rows_json` of an (n, :data:`ROW_SIZE`) uint8 array, n ≥ 1."""
+def _json_grid(rows, last: bool):
+    """:func:`_json_chunk` of an (n, :data:`ROW_SIZE`) uint8 array, n ≥ 1,
+    on one byte grid; the ends are a numpy column."""
     np = siphash._np
     n = len(rows)
     target, responder, kind, icmp_type, icmp_code = _JSON_HOLES
@@ -154,31 +164,133 @@ def _json_grid(rows) -> bytes:
     grid[:, kind] = _KIND_TEXT.take(rows[:, 32], axis=0)
     grid[:, icmp_type] = _DECIMAL.take(rows[:, 33], axis=0)
     grid[:, icmp_code] = _DECIMAL.take(rows[:, 34], axis=0)
-    grid[-1, -2:] = 0  # the last row has no ", " after it
+    if last:
+        grid[-1, -2:] = 0  # the body's last row has no ", " after it
+    # A row's text is its bytes that are not NUL, ", " included: its object
+    # ends 2 bytes before the running total, the body's last one at it.
+    ends = np.cumsum(np.count_nonzero(grid, axis=1), dtype=np.int64)
+    ends[:n - 1 if last else n] -= 2
     # No byte of the JSON text is NUL: deleting them is the whole layout.
-    return grid.tobytes().translate(None, b"\0")
+    return grid.tobytes().translate(None, b"\0"), ends
+
+
+def _json_chunk(rows, last: bool):
+    """(text, ends) of a buffer of at most :data:`JSON_CHUNK` whole packed
+    rows coded against :data:`KINDS`: the text is each row's
+    :func:`row_json`, each followed by ``", "`` unless it is the body's
+    ``last``; ``ends[i]`` is where row i's object ends in it."""
+    n = len(rows) // ROW_SIZE
+    np = siphash._np
+    if np is not None and n >= _JSON_VECTOR_MIN:
+        table = np.frombuffer(rows, dtype=np.uint8).reshape(n, ROW_SIZE)
+        return _json_grid(table, last)
+    names = [kind.value for kind in KINDS]
+    texts = [
+        row_json(target, responder, names[code], icmp_type, icmp_code)
+        for target, responder, code, icmp_type, icmp_code
+        in ROW.iter_unpack(rows)
+    ]
+    ends, at = [], 0
+    for text in texts:
+        at += len(text)
+        ends.append(at)
+        at += 2
+    body = ", ".join(texts)
+    return (body if last else body + ", ").encode(), ends
+
+
+class RowsText:
+    """The JSON text of a run of rows, as a ``/results`` body holds it
+    between its brackets: ``", ".join`` of each row's :func:`row_json`,
+    kept as the :data:`JSON_CHUNK`-row chunks it was rendered in.
+
+    ``ends[i]`` is the offset in the whole text where row i's object ends
+    (a numpy column, or a list without numpy), so the text of the first
+    ``k`` rows is a prefix of the chunks (:meth:`pieces`) and never a copy.
+    """
+
+    __slots__ = ("chunks", "ends", "size")
+
+    def __init__(self, chunks: List[bytes], ends) -> None:
+        self.chunks = chunks
+        self.ends = ends
+        #: Bytes of text.
+        self.size = sum(map(len, chunks))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the text and its row ends."""
+        return self.size + 8 * len(self.ends)
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def pieces(self, limit: Optional[int] = None) -> list:
+        """The text of the first ``limit`` rows (all of them by default):
+        the whole chunks before the one row ``limit`` ends in, then a
+        ``memoryview`` of that chunk up to the row's end."""
+        if limit is None or limit >= len(self.ends):
+            return list(self.chunks)
+        if limit <= 0:
+            return []
+        chunk = (limit - 1) // JSON_CHUNK
+        start = int(self.ends[chunk * JSON_CHUNK - 1]) + 2 if chunk else 0
+        end = int(self.ends[limit - 1])
+        return self.chunks[:chunk] + [
+            memoryview(self.chunks[chunk])[:end - start]
+        ]
+
+
+def rows_text(blocks: Iterable) -> RowsText:
+    """The :class:`RowsText` of every row of ``blocks`` (buffers of whole
+    packed rows coded against :data:`KINDS`, in order — a segment walk's
+    blocks, or one buffer).
+
+    Chunks are cut every :data:`JSON_CHUNK` rows wherever the blocks
+    break, and rendered as they fill, so a body's peak beyond its own
+    text is one chunk's rows and grid.  A chunk of at least
+    :data:`_JSON_VECTOR_MIN` rows, with numpy, is one grid; a smaller one
+    the :func:`row_json` join.  Byte for byte the join either way.
+    """
+    np = siphash._np
+    step = JSON_CHUNK * ROW_SIZE
+    chunks: List[bytes] = []
+    ends: list = []  # row ends; with numpy, one column per chunk
+    at = 0
+
+    def render(rows, last: bool) -> None:
+        nonlocal at
+        text, chunk_ends = _json_chunk(rows, last)
+        chunks.append(text)
+        if np is None:
+            ends.extend(end + at for end in chunk_ends)
+        else:
+            ends.append(np.add(chunk_ends, at, dtype=np.int64))
+        at += len(text)
+
+    pending = bytearray()
+    for block in blocks:
+        pending += block
+        # Render the chunks some row is known to follow; keep the rest.
+        whole = (len(pending) // ROW_SIZE - 1) // JSON_CHUNK
+        if whole > 0:
+            for offset in range(0, whole * step, step):
+                render(pending[offset:offset + step], False)
+            del pending[:whole * step]
+    if pending:
+        render(pending, True)
+    if np is None:
+        return RowsText(chunks, ends)
+    return RowsText(chunks, np.concatenate(ends) if ends
+                    else np.zeros(0, dtype=np.int64))
 
 
 def rows_json(rows) -> bytes:
     """``", ".join(row_json(...))`` of every row of ``rows`` (a buffer of
     whole packed rows coded against :data:`KINDS`), encoded — the text
-    between the brackets of a ``/results`` body.
-
-    From :data:`_JSON_VECTOR_MIN` rows, with numpy, it is one grid per
-    :data:`JSON_CHUNK` rows (:func:`_json_grid`), byte for byte the join.
-    """
-    n = len(rows) // ROW_SIZE
-    np = siphash._np
-    if np is None or n < _JSON_VECTOR_MIN:
-        names = [kind.value for kind in KINDS]
-        return ", ".join([
-            row_json(target, responder, names[code], icmp_type, icmp_code)
-            for target, responder, code, icmp_type, icmp_code
-            in ROW.iter_unpack(rows)
-        ]).encode()
-    table = np.frombuffer(rows, dtype=np.uint8).reshape(n, ROW_SIZE)
-    return b", ".join([_json_grid(table[at:at + JSON_CHUNK])
-                       for at in range(0, n, JSON_CHUNK)])
+    between the brackets of a ``/results`` body: :func:`rows_text`'s
+    chunks, joined."""
+    return b"".join(rows_text([rows]).chunks)
 
 
 @dataclass(frozen=True)
@@ -228,8 +340,8 @@ def pack_row(result: ProbeResult) -> bytes:
 
 
 #: A row projection: (buffer of whole packed rows, their kind table) → one
-#: item per row.
-Projection = Callable[[bytes, Sequence[ReplyKind]], list]
+#: item per row (:func:`as_buffer`: the rows as one buffer).
+Projection = Callable[[bytes, Sequence[ReplyKind]], Sequence]
 #: One row's raw fields: target, responder, kind, ICMPv6 type and code.
 Fields = Tuple[int, int, ReplyKind, int, int]
 
@@ -272,15 +384,23 @@ def as_fields(rows, kinds: Sequence[ReplyKind]) -> List[Fields]:
     ]
 
 
-def as_packed(rows, kinds: Sequence[ReplyKind]) -> List[bytes]:
-    """Each row's :data:`ROW` bytes, its kind code re-coded against
-    :data:`KINDS` when ``kinds`` is another table."""
+def as_buffer(rows, kinds: Sequence[ReplyKind]) -> bytes:
+    """The rows as one buffer of :data:`ROW` bytes, each kind code
+    re-coded against :data:`KINDS` when ``kinds`` is another table — the
+    block form of :func:`as_packed`, which :func:`rows_text` renders."""
     data = bytes(rows)
     if tuple(kinds) != KINDS:
         recoded = bytearray(data)
         for at in range(KEY_SIZE - 1, len(recoded), ROW_SIZE):
             recoded[at] = KIND_CODE[kinds[recoded[at]]]
         data = bytes(recoded)
+    return data
+
+
+def as_packed(rows, kinds: Sequence[ReplyKind]) -> List[bytes]:
+    """Each row's :data:`ROW` bytes, its kind code re-coded against
+    :data:`KINDS` when ``kinds`` is another table."""
+    data = as_buffer(rows, kinds)
     return [data[at:at + ROW_SIZE] for at in range(0, len(data), ROW_SIZE)]
 
 

@@ -16,24 +16,32 @@ codes: admission rejections are 429, draining is 503, unknown ids 404,
 malformed submissions 400, and a submit or cancel the queue could not
 make durable (disk full, I/O error) is 503 — nothing was queued or
 changed, so the client may retry — every body is a JSON object with an
-``error`` field on failure.  ``/results`` adds three: a ``limit`` that is
+``error`` field on failure, those the stdlib answers itself included (an
+unknown verb is 501, a malformed request line 400, an over-long one 414;
+each closes the connection).  ``/results`` adds three: a ``limit`` that is
 not a plain non-negative integer — anything but ASCII digits, an empty
 value included — is 400 (``limit=0`` is an empty list), a round
 retention has since dropped is 410, and a store fault met while reading
 is 500 carrying the quarantine message — the request after it is served
-from what survived.  Its body is written from the packed rows by
-:func:`~repro.core.rows.rows_json` — a few numpy passes over the whole
-buffer, or the per-row :func:`~repro.core.rows.row_json` join for short
-bodies — byte for byte what ``json.dumps`` of the rows' dicts would be.
+from what survived.  Its body is the round's text as
+:meth:`~repro.service.daemon.ScanService.results_text` returns it — a
+round read in full is rendered once and kept beside the tenant's read
+handle, and every later read of it, ``?limit=`` included, is a prefix of
+that text (:mod:`repro.service.tenants`) — written as its pieces between
+``{"rows": [`` and ``]}``, never joined: byte for byte what ``json.dumps``
+of the rows' dicts would be (:func:`_rows_body` is that oracle).
 
 The server speaks HTTP/1.1: a connection stays open across requests (one
 handler thread per connection) until the client closes it, it sits idle
 or stalls mid-request for :data:`HANDLER_TIMEOUT_S`, or the server stops
 — :meth:`ServiceServer.stop` shuts down every connection it still holds.
 A request body is read whole before the request is routed, so an
-answered error never leaves the connection out of step; a body declared
-larger than :data:`MAX_BODY_BYTES` is refused with 413 and the connection
-closed.
+answered error never leaves the connection out of step.  Its framing is
+``Content-Length`` of ASCII digits and nothing else: a request carrying
+``Transfer-Encoding`` is refused with 501 and a ``Content-Length`` that is
+not ASCII digits (a sign, ``_``, spaces) with 400, before routing, and a
+body declared larger than :data:`MAX_BODY_BYTES` with 413; each refusal
+closes the connection, so what follows on it is never read as a request.
 
 :class:`ServiceClient` is the matching client the CLI's
 ``submit``/``status``/``cancel`` subcommands wrap.  It keeps one
@@ -48,6 +56,7 @@ import select
 import socket
 import threading
 import urllib.parse
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
@@ -73,8 +82,26 @@ class ApiError(RuntimeError):
 
 
 def _rows_body(rows: Rows) -> bytes:
-    """``json.dumps({"rows": rows.dicts()}).encode()``, from the rows."""
+    """``json.dumps({"rows": rows.dicts()}).encode()``, from the rows: the
+    ``/results`` body of ``rows``, rendered afresh (the oracle of what the
+    handler writes)."""
     return b"".join((b'{"rows": [', rows_json(rows.packed()), b"]}"))
+
+
+#: Most buffers one ``sendmsg`` is handed (Linux's ``IOV_MAX`` is 1,024).
+_SENDMSG_BUFFERS = 512
+
+
+def _write_all(sock: socket.socket, buffers: List) -> None:
+    """Send every buffer, in order, with as few ``sendmsg`` calls as the
+    socket takes: a body's pieces leave without being joined."""
+    views = [memoryview(buffer) for buffer in buffers if len(buffer)]
+    while views:
+        sent = sock.sendmsg(views[:_SENDMSG_BUFFERS])
+        while views and sent >= len(views[0]):
+            sent -= len(views.pop(0))
+        if sent:
+            views[0] = views[0][sent:]
 
 
 def _limit(text: str) -> int:
@@ -100,39 +127,57 @@ def _make_handler(service: ScanService):
         # -- plumbing ------------------------------------------------------
 
         def _send(self, status: int, payload: object) -> None:
-            """Answer with ``payload`` as JSON (``bytes`` go as they are)."""
-            body = (payload if isinstance(payload, bytes)
-                    else json.dumps(payload).encode())
+            """Answer with ``payload`` as JSON; a list is a body already
+            rendered, as buffers, written without joining them."""
+            body = (payload if isinstance(payload, list)
+                    else [json.dumps(payload).encode()])
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
+            self.send_header("Content-Length",
+                             str(sum(map(len, body))))
             if self.close_connection:
                 self.send_header("Connection", "close")
             self.end_headers()
-            self.wfile.write(body)
+            _write_all(self.connection, body)
 
         def _error(self, status: int, message: str) -> None:
             self._send(status, {"error": message})
+
+        def send_error(self, code: int, message: Optional[str] = None,
+                       explain: Optional[str] = None) -> None:
+            """The errors the stdlib answers itself (an unknown verb, a
+            malformed or over-long request line, bad headers), as the
+            API's JSON ``error`` — with a status line even for a request
+            line too garbled to name a version — and the connection
+            closed: what the request left unread cannot be skipped."""
+            self.close_connection = True
+            if self.request_version == "HTTP/0.9":
+                self.request_version = self.protocol_version
+            self._error(code, message or HTTPStatus(code).phrase)
 
         def _read_body(self) -> Optional[bytes]:
             """The whole request body, read before routing so the next
             request on the connection starts where this one ends.  None
             when there is nothing to route: the request was refused here
-            (bad or oversized ``Content-Length``) or the client hung up
-            mid-body.  A body that stalls raises ``TimeoutError``, which
-            closes the connection."""
-            declared = self.headers.get("Content-Length", "0")
-            try:
-                length = int(declared)
-            except ValueError:
-                length = -1
-            if length < 0 or length > MAX_BODY_BYTES:
+            (any ``Transfer-Encoding``, a ``Content-Length`` that is not
+            ASCII digits or is over the limit) or the client hung up
+            mid-body; a refusal closes the connection.  A body that stalls
+            raises ``TimeoutError``, which closes the connection."""
+            if "Transfer-Encoding" in self.headers:
                 self.close_connection = True
-                if length < 0:
-                    self._error(400, f"bad Content-Length {declared!r}")
-                else:
-                    self._error(413, f"body of {length} bytes is over the "
-                                     f"{MAX_BODY_BYTES}-byte limit")
+                self._error(501, "Transfer-Encoding is not supported; "
+                                 "send the body with a Content-Length")
+                return None
+            declared = self.headers.get("Content-Length", "0")
+            if not (declared.isascii() and declared.isdigit()):
+                self.close_connection = True
+                self._error(400, f"bad Content-Length {declared!r}")
+                return None
+            length = int(declared)
+            if length > MAX_BODY_BYTES:
+                self.close_connection = True
+                self._error(413, f"body of {length} bytes is over the "
+                                 f"{MAX_BODY_BYTES}-byte limit")
                 return None
             data = self.rfile.read(length) if length else b""
             if len(data) < length:
@@ -183,10 +228,11 @@ def _make_handler(service: ScanService):
                             _limit(query["limit"]) if "limit" in query
                             else None
                         )
-                        self._send(
-                            200,
-                            _rows_body(service.results(campaign_id, limit)),
-                        )
+                        self._send(200, [
+                            b'{"rows": [',
+                            *service.results_text(campaign_id, limit),
+                            b"]}",
+                        ])
                     else:
                         self._send(200, service.status(rest))
                 else:

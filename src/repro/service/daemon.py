@@ -185,6 +185,32 @@ class ScanService:
         """Committed rows of one finished campaign's store round — the
         first ``limit`` of them (0 is none; negative is a ValueError) —
         packed, as the segments hold them."""
+        return self._read_round(
+            self._finished(campaign_id, limit),
+            lambda store, snap: Rows.of(list(store.iter_rows(
+                snap.segments, limit=limit, project=as_packed
+            ))),
+        )
+
+    def results_text(
+        self, campaign_id: str, limit: Optional[int] = None
+    ) -> list:
+        """What ``/results`` serves between the brackets for the same
+        arguments as :meth:`results` — ``", ".join`` of each row's JSON
+        text, byte for byte — as buffers, from the round's rendered text
+        when the tenant has it (:meth:`TenantStores.render`)."""
+        record = self._finished(campaign_id, limit)
+        return self._read_round(
+            record,
+            lambda store, snap: self.stores.render(
+                record.tenant, store, snap, limit
+            ),
+        )
+
+    def _finished(
+        self, campaign_id: str, limit: Optional[int]
+    ) -> CampaignRecord:
+        """The record of a campaign whose results may be read."""
         if limit is not None and limit < 0:
             raise ValueError(f"limit must be >= 0, got {limit}")
         record = self.queue.get(campaign_id)
@@ -193,20 +219,18 @@ class ScanService:
                 f"campaign {campaign_id} is {record.state}; "
                 "results exist only once done"
             )
-        return self._snapshot_rows(record, limit)
+        return record
 
-    def _snapshot_rows(
-        self, record: CampaignRecord, limit: Optional[int]
-    ) -> Rows:
+    def _read_round(self, record: CampaignRecord, read):
+        """``read(store, snapshot)`` of the record's round through the
+        tenant's shared handle; ResultsGone once retention dropped it."""
         while True:
             try:
                 store = self.stores.open(record.tenant)
                 snap = store.snapshots.get(record.snapshot)
                 if snap is None:
                     raise self._gone(record)
-                return Rows.of(list(store.iter_rows(
-                    snap.segments, limit=limit, project=as_packed
-                )))
+                return read(store, snap)
             except StoreStale:
                 # Retention dropped or compacted segments under this read;
                 # nothing is corrupt, the handle is just out of date.  The

@@ -272,10 +272,12 @@ class SegmentReader:
         buffer,
         wanted: Optional[Sequence[int]],
         limit: Optional[int],
-        project: Projection,
-    ) -> Iterator[Tuple[int, list]]:
-        """(block id, decoded rows) for the wanted blocks, at most ``limit``
-        rows in all.
+        project: Optional[Projection],
+    ) -> Iterator[Tuple[int, int, Optional[Sequence]]]:
+        """(CRC trailer, rows owed, decoded rows) of each wanted block, at
+        most ``limit`` rows in all — the one block walk, which reading and
+        verifying share.  With ``project`` None a block is verified and
+        not decoded (its rows are None).
 
         The walk stops once the budget is spent, and the block it stops in
         materialises only the rows still owed — but that block's CRC is
@@ -322,8 +324,9 @@ class SegmentReader:
                         if limit is not None:
                             count = min(count, limit)
                             limit -= count
-                        yield block_id, self._decode_rows(
-                            payload, count, project
+                        yield recorded, count, (
+                            None if project is None
+                            else self._decode_rows(payload, count, project)
                         )
                     finally:
                         payload.release()
@@ -331,6 +334,22 @@ class SegmentReader:
                 block_id += 1
         finally:
             view.release()
+
+    def iter_blocks(
+        self,
+        blocks: Optional[Sequence[int]] = None,
+        limit: Optional[int] = None,
+        project: Optional[Projection] = as_results,
+    ) -> Iterator[Tuple[int, int, Optional[Sequence]]]:
+        """(CRC trailer, rows owed, rows through ``project``) of each block
+        :meth:`iter_rows` would decode with these arguments, in file order;
+        ``project=None`` verifies them (magic, framing, CRC) without
+        decoding a row."""
+        buffer, close = self._buffer()
+        try:
+            yield from self._iter_blocks(buffer, blocks, limit, project)
+        finally:
+            close()
 
     def iter_rows(
         self,
@@ -341,14 +360,8 @@ class SegmentReader:
         """Rows in file order, optionally restricted to the given blocks
         and to the first ``limit`` rows of them, each through ``project``
         (:class:`ProbeResult` objects by default)."""
-        buffer, close = self._buffer()
-        try:
-            for _block_id, rows in self._iter_blocks(
-                buffer, blocks, limit, project
-            ):
-                yield from rows
-        finally:
-            close()
+        for _crc, _count, rows in self.iter_blocks(blocks, limit, project):
+            yield from rows
 
     def iter_dicts(
         self,

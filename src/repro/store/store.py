@@ -408,12 +408,15 @@ class ResultStore:
                          reason=reason)
         return True
 
-    def _segment_fault(self, name: str) -> Optional[str]:
-        """Why a committed segment's file cannot be the one recorded (it
-        is missing, or not the recorded size), or None."""
+    def _segment_fault(
+        self, name: str, path: Optional[Path] = None
+    ) -> Optional[str]:
+        """Why a committed segment's file (at ``path``, when the caller
+        has it) cannot be the one recorded (it is missing, or not the
+        recorded size), or None."""
         meta = self.segments[name]
         try:
-            actual = self.segment_path(name).stat().st_size
+            actual = (path or self.segment_path(name)).stat().st_size
         except FileNotFoundError:
             return "missing-file"
         if actual != int(meta.get("bytes", actual)):
@@ -617,6 +620,31 @@ class ResultStore:
     def total_rows(self) -> int:
         return sum(self._rows_of(name) for name in self.segments)
 
+    @contextlib.contextmanager
+    def _checked(self, reader: SegmentReader) -> Iterator[None]:
+        """Read ``reader``'s segment inside the block: its file is checked
+        against its recorded size first — the open-time check, repeated
+        where a long-lived handle needs it — and any fault met in the block
+        (missing, resized, truncated, bad magic or CRC, bad kind code)
+        quarantines the segment and raises :class:`StoreCorruption`, or
+        :class:`StoreStale` when the current manifest no longer lists it."""
+        name = reader.path.name
+        try:
+            fault = self._segment_fault(name, reader.path)
+            if fault is not None:
+                raise SegmentCorrupt(fault)  # a cold open's wording
+            yield
+        except SegmentCorrupt as exc:
+            if not self._quarantine_segment(name, str(exc)):
+                raise StoreStale(
+                    f"segment {name} left the store while this handle "
+                    f"was reading it ({exc}) — re-open and read again"
+                ) from exc
+            raise StoreCorruption(
+                f"segment {name} is corrupt and was quarantined mid-"
+                f"read: {exc} — re-open the store to continue without it"
+            ) from exc
+
     def _iter_segments(
         self,
         segments: Optional[Sequence[str]],
@@ -628,11 +656,8 @@ class ResultStore:
 
         ``project`` is the row projection each segment's decoder applies
         (:mod:`repro.core.rows`).  ``limit`` is a row budget handed down to
-        each segment's decoder; segments past it are never opened.  Each segment's file is checked
-        against its recorded size as the walk reaches it — the open-time
-        check, repeated where a long-lived handle needs it — and any fault
-        (missing, resized, truncated, bad CRC, bad kind code) quarantines
-        the segment and raises.
+        each segment's decoder; segments past it are never opened.  Each
+        segment is read :meth:`_checked`.
         """
         names = list(segments) if segments is not None else list(self.segments)
         produced = 0
@@ -642,23 +667,33 @@ class ResultStore:
             reader = self.reader(name)
             wanted = blocks_for.get(name) if blocks_for else None
             remaining = None if limit is None else limit - produced
-            try:
-                fault = self._segment_fault(name)
-                if fault is not None:
-                    raise SegmentCorrupt(fault)  # a cold open's wording
+            with self._checked(reader):
                 for row in reader.iter_rows(wanted, remaining, project):
                     produced += 1
                     yield row
-            except SegmentCorrupt as exc:
-                if not self._quarantine_segment(name, str(exc)):
-                    raise StoreStale(
-                        f"segment {name} left the store while this handle "
-                        f"was reading it ({exc}) — re-open and read again"
-                    ) from exc
-                raise StoreCorruption(
-                    f"segment {name} is corrupt and was quarantined mid-"
-                    f"read: {exc} — re-open the store to continue without it"
-                ) from exc
+
+    def iter_blocks(
+        self,
+        segments: Sequence[str],
+        limit: Optional[int] = None,
+        project: Optional[Projection] = as_results,
+    ) -> Iterator[Tuple[int, int, Optional[Sequence]]]:
+        """(CRC trailer, rows owed, rows through ``project``) of each block
+        that :meth:`iter_rows` of ``segments`` with this ``limit`` decodes,
+        in the same order, with the same checks (:meth:`_checked`).  With
+        ``project`` None every one of those blocks is verified — size,
+        magic, CRC — and none decoded: what a read that serves text it
+        rendered before owes the segments it would have decoded."""
+        for name in segments:
+            if limit is not None and limit <= 0:
+                return
+            reader = self.reader(name)
+            with self._checked(reader):
+                for crc, count, rows in reader.iter_blocks(None, limit,
+                                                           project):
+                    if limit is not None:
+                        limit -= count
+                    yield crc, count, rows
 
     def iter_rows(
         self,

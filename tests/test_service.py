@@ -945,6 +945,88 @@ class TestHttpApi:
         finally:
             server.stop()
 
+    @staticmethod
+    def _refused_once(server, request):
+        """Send ``request`` with a submit pipelined behind it; the server
+        must answer exactly once, with a JSON error, then close — and the
+        pipelined submit must never run."""
+        submit = json.dumps(spec("alice", "late").to_dict()).encode()
+        pipelined = (
+            b"POST /v1/campaigns HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(submit), submit)
+        )
+        with TestHttpApi._raw(server) as sock:
+            sock.sendall(request + pipelined)
+            reader = sock.makefile("rb")
+            status = int(reader.readline().split()[1])
+            headers = {}
+            while (line := reader.readline().strip()):
+                name, _, value = line.decode().partition(":")
+                headers[name.lower()] = value.strip()
+            body = reader.read(int(headers["content-length"]))
+            rest = reader.read()  # to EOF: the server closed
+            reader.close()
+        assert headers["content-type"] == "application/json"
+        assert headers["connection"] == "close"
+        assert rest == b""  # one response, nothing after it
+        return status, json.loads(body)["error"]
+
+    @pytest.mark.parametrize("declared", [b"1_0", b"+10", b" 10 ", b"0x10"])
+    def test_a_content_length_of_anything_but_digits_is_400(
+        self, tmp_path, declared
+    ):
+        service = ScanService(str(tmp_path / "svc"), scope="clen")
+        server = ServiceServer(service).start()
+        try:
+            status, error = self._refused_once(server, (
+                b"POST /v1/campaigns HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length:%s\r\n\r\n{\"tenant\": 1}" % declared
+            ))
+            assert status == 400
+            assert "Content-Length" in error
+            assert service.queue.depth == 0
+        finally:
+            server.stop()
+
+    def test_a_chunked_body_is_501_before_routing(self, tmp_path):
+        service = ScanService(str(tmp_path / "svc"), scope="chunk")
+        server = ServiceServer(service).start()
+        try:
+            body = json.dumps(spec("alice", "a0").to_dict()).encode()
+            status, error = self._refused_once(server, (
+                b"POST /v1/campaigns HTTP/1.1\r\nHost: x\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+            ))
+            assert status == 501
+            assert "Transfer-Encoding" in error
+            assert service.queue.depth == 0
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize("request_line,status", [
+        (b"PUT /v1/campaigns HTTP/1.1", 501),
+        (b"DELETE /v1/campaigns/x-0000 HTTP/1.1", 501),
+        (b"garbage", 400),
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1", 414),
+    ])
+    def test_errors_the_stdlib_raises_are_json_too(
+        self, tmp_path, request_line, status
+    ):
+        service = ScanService(str(tmp_path / "svc"), scope="std")
+        server = ServiceServer(service).start()
+        try:
+            got, error = self._refused_once(
+                server,
+                request_line + b"\r\nHost: x\r\nContent-Length: 2\r\n"
+                b"\r\n{}",
+            )
+            assert got == status
+            assert error
+            assert service.queue.depth == 0
+        finally:
+            server.stop()
+
     def test_stalled_and_idle_connections_time_out_without_blocking(
         self, tmp_path
     ):
