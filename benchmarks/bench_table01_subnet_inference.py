@@ -5,24 +5,16 @@ checks it recovers every profile's configured delegation length (the paper's
 /64, /60, /56 mix), using orders of magnitude fewer probes than exhaustion.
 """
 
+from repro.analysis.reproduce import infer_delegations
 from repro.analysis.tables import table1_subnet_inference
-from repro.discovery.subnet import infer_subprefix_length
 
 from benchmarks.conftest import SEED, write_result
 
 
 def test_table1_subnet_inference(benchmark, deployment):
-    inferences = {}
-
-    def infer_all():
-        for key, isp in deployment.isps.items():
-            inferences[key] = infer_subprefix_length(
-                deployment.network, deployment.vantage, isp.scan_base,
-                seed=SEED,
-            )
-        return inferences
-
-    benchmark.pedantic(infer_all, iterations=1, rounds=1)
+    inferences = benchmark.pedantic(
+        lambda: infer_delegations(deployment, SEED), iterations=1, rounds=1
+    )
 
     table = table1_subnet_inference(inferences)
     write_result("table01_subnet_inference", table)

@@ -20,12 +20,9 @@ import platform
 
 import pytest
 
+from repro.analysis import reproduce as stages
 from repro.bgp import AsRole, build_internet
-from repro.discovery.periphery import discover
-from repro.discovery.vendor_id import VendorIdentifier
 from repro.isp.builder import build_deployment
-from repro.loop.detector import find_loops
-from repro.services.zgrab import AppScanner
 
 SCALE = float(os.environ.get("REPRO_SCALE", "20000"))
 AS_SCALE = 10.0  # the BGP survey scales AS counts by 10, devices by SCALE
@@ -73,42 +70,30 @@ def deployment():
 @pytest.fixture(scope="session")
 def censuses(deployment):
     """One discovery scan per sample block (the Table II experiment)."""
-    out = {}
-    for key, isp in deployment.isps.items():
-        out[key] = discover(
-            deployment.network, deployment.vantage, isp.scan_spec, seed=SEED
-        )
-    return out
+    return stages.periphery_censuses(deployment, SEED, SCALE)
 
 
 @pytest.fixture(scope="session")
-def app_results(deployment, censuses):
-    """The §V application-layer sweep over every discovered periphery."""
-    scanner = AppScanner(deployment.network, deployment.vantage)
-    return {
-        key: scanner.scan(census.last_hop_addresses())
-        for key, census in censuses.items()
-    }
+def audit(deployment, censuses):
+    """The §V application-layer sweep over every discovered periphery,
+    and the vendors it identifies."""
+    return stages.service_audit(deployment, censuses)
 
 
 @pytest.fixture(scope="session")
-def identified(deployment, censuses, app_results):
-    vid = VendorIdentifier(deployment.catalog)
-    out = {}
-    for key, census in censuses.items():
-        out[key] = vid.identify(census.records, app_results[key].observations)
-    return out
+def app_results(audit):
+    return audit[0]
+
+
+@pytest.fixture(scope="session")
+def identified(audit):
+    return audit[1]
 
 
 @pytest.fixture(scope="session")
 def loop_surveys(deployment):
     """The §VI loop scans of the fifteen sample blocks (Table XI)."""
-    out = {}
-    for key, isp in deployment.isps.items():
-        out[key] = find_loops(
-            deployment.network, deployment.vantage, isp.scan_spec, seed=SEED
-        )
-    return out
+    return stages.loop_surveys(deployment, SEED)
 
 
 @pytest.fixture(scope="session")
@@ -124,10 +109,11 @@ def world_table(world):
 
 
 @pytest.fixture(scope="session")
-def world_loops(world):
-    surveys = {}
-    for as_truth in world.edges:
-        surveys[as_truth.asn] = find_loops(
-            world.network, world.vantage, as_truth.scan_spec, seed=SEED
-        )
-    return surveys
+def world_survey(world):
+    """Every edge AS's discovery census and loop survey, keyed by ASN."""
+    return stages.bgp_survey(world, SEED)
+
+
+@pytest.fixture(scope="session")
+def world_loops(world_survey):
+    return world_survey[1]

@@ -1,35 +1,38 @@
 """One-call reproduction of the paper's entire evaluation.
 
-:func:`reproduce_all` runs every pipeline — subnet inference, the fifteen
-discovery scans, the application-layer sweep, vendor identification, the
-loop surveys, the BGP-wide survey, the amplification attack, and the router
-case study — and renders every table and figure into a single report.
-
-This is what ``repro-xmap reproduce`` and ``examples/full_reproduction.py``
-call; the per-table benchmarks under ``benchmarks/`` do the same work with
-assertions and timings attached.
+Each paper stage has one driver here, which :func:`reproduce_all`, the
+``census`` / ``services`` / ``loops`` / ``disclose`` subcommands and the
+table benchmarks all call: :func:`infer_delegations` (Table I),
+:func:`periphery_censuses` (Tables II-III), :func:`service_audit` (Tables
+IV-VIII), :func:`loop_surveys` (Table XI), and :func:`bgp_survey` with
+:func:`attribute` (Tables IX-X).  :func:`reproduce_all` is those calls, the
+amplification attack and the router case study, rendered into a single
+report; ``repro-xmap reproduce`` and ``examples/full_reproduction.py`` call
+it.  ``discover()`` and ``find_loops()`` stay the one-window library API.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis import figures, tables
 from repro.analysis.report import ComparisonTable
 from repro.bgp import AsRole, InternetWorld, build_internet
+from repro.bgp.table import BgpTable
 from repro.core.scanner import ScanConfig
 from repro.core.target import ScanRange
 from repro.discovery.periphery import PeripheryCensus, census_from_scan, discover
 from repro.engine import Campaign, ProbeSpec
 from repro.net.spec import BuiltTopology, TopologySpec
-from repro.discovery.subnet import infer_subprefix_length
+from repro.discovery.subnet import SubnetInference, infer_subprefix_length
 from repro.discovery.vendor_id import IdentifiedDevice, VendorIdentifier
 from repro.isp.builder import Deployment, build_deployment
 from repro.loop.attack import run_loop_attack
 from repro.loop.casestudy import run_case_study
 from repro.loop.detector import LoopSurvey, find_loops
+from repro.net.addr import IPv6Addr
 from repro.net.packet import MAX_HOP_LIMIT
 from repro.services.zgrab import AppScanner, AppScanResult
 from repro.telemetry.metrics import MetricsRegistry
@@ -63,6 +66,101 @@ class ReproductionRun:
                 handle.write(line + "\n")
 
 
+def infer_delegations(
+    deployment: Deployment, seed: int
+) -> Dict[str, SubnetInference]:
+    """Table I: the inferred delegation length of every ISP block."""
+    return {
+        key: infer_subprefix_length(
+            deployment.network, deployment.vantage, isp.scan_base, seed=seed
+        )
+        for key, isp in deployment.isps.items()
+    }
+
+
+def periphery_censuses(
+    deployment: Deployment, seed: int, scale: float,
+    rate_pps: float = 25_000.0, metrics: Optional[MetricsRegistry] = None,
+) -> Dict[str, PeripheryCensus]:
+    """Tables II-III: one engine campaign over every ISP's window.
+
+    The serial executor scans the live deployment (same network, same
+    virtual clock) with ``discover()``'s seed-derived validator, so each
+    census is the one a single-shot scan of its block gives.  The
+    campaign's scanner metrics merge into ``metrics`` when one is given.
+    """
+    result = Campaign(
+        TopologySpec.deployment(
+            profiles=tuple(deployment.isps), scale=scale, seed=seed
+        ),
+        {
+            key: ScanConfig(scan_range=ScanRange.parse(isp.scan_spec),
+                            rate_pps=rate_pps, seed=seed)
+            for key, isp in deployment.isps.items()
+        },
+        probe=ProbeSpec.for_seed(seed),
+        executor="serial",
+        prebuilt=BuiltTopology(deployment.network, deployment.vantage, deployment),
+    ).run()
+    if metrics is not None:
+        metrics.merge(result.metrics)
+    return {key: census_from_scan(scan) for key, scan in result.results.items()}
+
+
+def service_audit(
+    deployment: Deployment, censuses: Dict[str, PeripheryCensus]
+) -> Tuple[Dict[str, AppScanResult], Dict[str, List[IdentifiedDevice]]]:
+    """Tables IV-VIII: the application sweep of every census's last hops,
+    and the devices it lets the vendor identifier name."""
+    scanner = AppScanner(deployment.network, deployment.vantage)
+    vid = VendorIdentifier(deployment.catalog)
+    app_results, identified = {}, {}
+    for key, census in censuses.items():
+        app_results[key] = scanner.scan(census.last_hop_addresses())
+        identified[key] = vid.identify(
+            census.records, app_results[key].observations
+        )
+    return app_results, identified
+
+
+def loop_surveys(deployment: Deployment, seed: int) -> Dict[str, LoopSurvey]:
+    """Table XI: the loop scan of every ISP block."""
+    return {
+        key: find_loops(
+            deployment.network, deployment.vantage, isp.scan_spec, seed=seed
+        )
+        for key, isp in deployment.isps.items()
+    }
+
+
+def bgp_survey(
+    world: InternetWorld, seed: int
+) -> Tuple[Dict[int, PeripheryCensus], Dict[int, LoopSurvey]]:
+    """Tables IX-X: the discovery and loop scans of every edge AS's
+    window, each keyed by ASN."""
+    censuses, surveys = {}, {}
+    for as_truth in world.edges:
+        censuses[as_truth.asn] = discover(
+            world.network, world.vantage, as_truth.scan_spec, seed=seed
+        )
+        surveys[as_truth.asn] = find_loops(
+            world.network, world.vantage, as_truth.scan_spec, seed=seed
+        )
+    return censuses, surveys
+
+
+def attribute(
+    addresses: Iterable[IPv6Addr], bgp_table: BgpTable
+) -> Tuple[Set[int], Set[str]]:
+    """The ASes and the countries ``addresses`` fall in (Table IX)."""
+    asns, countries = set(), set()
+    for addr in addresses:
+        info = bgp_table.lookup(addr)
+        asns.add(info.asn)
+        countries.add(info.country)
+    return asns, countries
+
+
 def reproduce_all(
     scale: float = 20_000.0,
     seed: int = 7,
@@ -91,40 +189,17 @@ def reproduce_all(
 
     # -- Table I ----------------------------------------------------------------
     say("inferring delegation lengths (Table I)")
-    inferences = {}
-    for key, isp in deployment.isps.items():
-        inferences[key] = infer_subprefix_length(
-            deployment.network, deployment.vantage, isp.scan_base, seed=seed
-        )
+    inferences = infer_delegations(deployment, seed)
     run.sections.append(tables.table1_subnet_inference(inferences).render())
     metrics.counter("reproduce_inferences").inc(len(inferences))
     stage_done("table1_subnet_inference")
 
     # -- Table II / III ------------------------------------------------------------
-    # The multi-ISP sweep runs through the orchestration engine: one
-    # campaign over all fifteen delegated windows, merged per range.  The
-    # serial executor reuses the live deployment (same network, same virtual
-    # clock) and the probe spec matches ``discover()``'s seed-derived
-    # validator, so the censuses are identical to fifteen single-shot scans.
     say("running the fifteen discovery scans (Table II)")
-    campaign = Campaign(
-        TopologySpec.deployment(
-            profiles=tuple(deployment.isps), scale=scale, seed=seed
-        ),
-        {
-            key: ScanConfig(scan_range=ScanRange.parse(isp.scan_spec), seed=seed)
-            for key, isp in deployment.isps.items()
-        },
-        probe=ProbeSpec.for_seed(seed),
-        executor="serial",
-        prebuilt=BuiltTopology(deployment.network, deployment.vantage, deployment),
-    )
-    campaign_result = campaign.run()
-    metrics.merge(campaign_result.metrics)
-    for key, scan_result in campaign_result.results.items():
-        run.censuses[key] = census_from_scan(scan_result)
+    run.censuses = periphery_censuses(deployment, seed, scale, metrics=metrics)
+    for key, census in run.censuses.items():
         metrics.counter("reproduce_census_records", isp=key).inc(
-            len(run.censuses[key].records)
+            len(census.records)
         )
     run.sections.append(
         tables.table2_periphery(run.censuses, scale).render()
@@ -139,13 +214,7 @@ def reproduce_all(
 
     # -- Tables IV/V/VII/VIII + Figures 2/3 ---------------------------------------
     say("sweeping application services (Tables V, VII, VIII)")
-    scanner = AppScanner(deployment.network, deployment.vantage)
-    vid = VendorIdentifier(deployment.catalog)
-    for key, census in run.censuses.items():
-        run.app_results[key] = scanner.scan(census.last_hop_addresses())
-        run.identified[key] = vid.identify(
-            census.records, run.app_results[key].observations
-        )
+    run.app_results, run.identified = service_audit(deployment, run.censuses)
     all_identified = [d for ds in run.identified.values() for d in ds]
     all_observations = [
         o for r in run.app_results.values() for o in r.observations
@@ -171,10 +240,7 @@ def reproduce_all(
 
     # -- Tables XI + Figure 6 -----------------------------------------------------
     say("locating routing loops (Table XI)")
-    for key, isp in deployment.isps.items():
-        run.loop_surveys[key] = find_loops(
-            deployment.network, deployment.vantage, isp.scan_spec, seed=seed
-        )
+    run.loop_surveys = loop_surveys(deployment, seed)
     run.sections.append(
         tables.table11_loops(run.loop_surveys, scale).render()
     )
@@ -232,32 +298,18 @@ def reproduce_all(
         # Attribution sees what Routeviews would show for the periphery:
         # one entry per edge AS.
         bgp_table = run.world.fabric.bgp_table(roles=(AsRole.EDGE,))
-        world_records = []
-        loop_addrs = []
-        for as_truth in run.world.edges:
-            census = discover(
-                run.world.network, run.world.vantage, as_truth.scan_spec,
-                seed=seed,
-            )
-            world_records.extend(census.records)
-            survey = find_loops(
-                run.world.network, run.world.vantage, as_truth.scan_spec,
-                seed=seed,
-            )
-            loop_addrs.extend(r.last_hop for r in survey.records)
-        asns, countries = set(), set()
-        loop_asns, loop_countries = set(), set()
-        for record in world_records:
-            info = bgp_table.lookup(record.last_hop)
-            asns.add(info.asn)
-            countries.add(info.country)
-        for addr in loop_addrs:
-            info = bgp_table.lookup(addr)
-            loop_asns.add(info.asn)
-            loop_countries.add(info.country)
+        world_censuses, world_loops = bgp_survey(run.world, seed)
+        last_hops = [
+            r.last_hop for c in world_censuses.values() for r in c.records
+        ]
+        loop_addrs = [
+            r.last_hop for s in world_loops.values() for r in s.records
+        ]
+        asns, countries = attribute(last_hops, bgp_table)
+        loop_asns, loop_countries = attribute(loop_addrs, bgp_table)
         run.sections.append(
             tables.table9_bgp(
-                len(world_records), len(asns), len(countries),
+                len(last_hops), len(asns), len(countries),
                 len(loop_addrs), len(loop_asns), len(loop_countries),
                 scale / 10, 10.0,
             ).render()
@@ -268,7 +320,7 @@ def reproduce_all(
         )
         run.sections.append(asn_table.render())
         run.sections.append(country_table.render())
-        metrics.counter("reproduce_bgp_records").inc(len(world_records))
+        metrics.counter("reproduce_bgp_records").inc(len(last_hops))
         metrics.counter("reproduce_bgp_loop_addrs").inc(len(loop_addrs))
         stage_done("table9_bgp")
 

@@ -45,19 +45,21 @@ from typing import List, Optional
 
 from repro.analysis import tables
 from repro.analysis.report import ComparisonTable
+from repro.analysis.reproduce import (
+    infer_delegations,
+    loop_surveys,
+    periphery_censuses,
+    service_audit,
+)
 from repro.core.output import (
     write_census_csv,
     write_loops_csv,
     write_services_csv,
 )
 from repro.core.stats import FeasibilityRow
-from repro.discovery.periphery import discover
-from repro.discovery.subnet import infer_subprefix_length
 from repro.isp.builder import build_deployment
 from repro.isp.profiles import PAPER_PROFILES, profile_by_key
-from repro.loop.detector import find_loops
 from repro.net.packet import MAX_HOP_LIMIT
-from repro.services.zgrab import AppScanner
 
 
 def _write_metrics(registry, path: str, extra_lines=()) -> None:
@@ -101,16 +103,8 @@ def _build(args):
 
 def cmd_census(args) -> int:
     deployment = _build(args)
-    inferences, censuses = {}, {}
-    for key, isp in deployment.isps.items():
-        inferences[key] = infer_subprefix_length(
-            deployment.network, deployment.vantage, isp.scan_base,
-            seed=args.seed,
-        )
-        censuses[key] = discover(
-            deployment.network, deployment.vantage, isp.scan_spec,
-            seed=args.seed, rate_pps=args.rate,
-        )
+    inferences = infer_delegations(deployment, args.seed)
+    censuses = periphery_censuses(deployment, args.seed, args.scale, args.rate)
     print(tables.table1_subnet_inference(inferences).render())
     print()
     print(tables.table2_periphery(censuses, args.scale).render())
@@ -176,29 +170,21 @@ def cmd_scan(args) -> int:
         print("error: --retry-budget must be >= 0", file=sys.stderr)
         return 2
     fault_schedule = None
-    if args.fault_schedule or args.host_faults:
+    if args.fault_schedule:
         from repro.faults import FaultSchedule, ScheduleError
 
-        def load_schedule(flag: str, path: str):
-            try:
-                return FaultSchedule.from_file(path)
-            except OSError as exc:
-                print(f"error: cannot read {flag} {path!r}: {exc}",
-                      file=sys.stderr)
-            except ScheduleError as exc:
-                print(f"error: invalid {flag} {path!r}: {exc}",
-                      file=sys.stderr)
-            return None
-
         parts = []
-        for flag, path in (("--fault-schedule", args.fault_schedule),
-                           ("--host-faults", args.host_faults)):
-            if not path:
-                continue
-            schedule = load_schedule(flag, path)
-            if schedule is None:
+        for path in args.fault_schedule:
+            try:
+                parts.append(FaultSchedule.from_file(path))
+            except OSError as exc:
+                print(f"error: cannot read --fault-schedule {path!r}: {exc}",
+                      file=sys.stderr)
                 return 2
-            parts.append(schedule)
+            except ScheduleError as exc:
+                print(f"error: invalid --fault-schedule {path!r}: {exc}",
+                      file=sys.stderr)
+                return 2
         try:
             # One merged schedule: the worker splits the domains itself
             # (network events arm the topology injector, host events the
@@ -208,8 +194,8 @@ def cmd_scan(args) -> int:
                 seed=parts[0].seed,
             )
         except ScheduleError as exc:
-            print(f"error: --fault-schedule and --host-faults conflict: "
-                  f"{exc}", file=sys.stderr)
+            print(f"error: --fault-schedule files conflict: {exc}",
+                  file=sys.stderr)
             return 2
         hosts = len(fault_schedule.host_events())
         print(f"fault schedule armed: {len(fault_schedule)} event(s) "
@@ -451,14 +437,8 @@ def cmd_health(args) -> int:
 
 def cmd_services(args) -> int:
     deployment = _build(args)
-    scanner = AppScanner(deployment.network, deployment.vantage)
-    censuses, app_results = {}, {}
-    for key, isp in deployment.isps.items():
-        censuses[key] = discover(
-            deployment.network, deployment.vantage, isp.scan_spec,
-            seed=args.seed,
-        )
-        app_results[key] = scanner.scan(censuses[key].last_hop_addresses())
+    censuses = periphery_censuses(deployment, args.seed, args.scale)
+    app_results, _ = service_audit(deployment, censuses)
     sizes = {key: censuses[key].n_unique for key in censuses}
     print(tables.table7_services(app_results, sizes, args.scale).render())
     print()
@@ -472,12 +452,7 @@ def cmd_services(args) -> int:
 
 def cmd_loops(args) -> int:
     deployment = _build(args)
-    surveys = {}
-    for key, isp in deployment.isps.items():
-        surveys[key] = find_loops(
-            deployment.network, deployment.vantage, isp.scan_spec,
-            seed=args.seed,
-        )
+    surveys = loop_surveys(deployment, args.seed)
     print(tables.table11_loops(surveys, args.scale).render())
     if args.csv:
         with open(args.csv, "w") as handle:
@@ -634,24 +609,13 @@ def cmd_casestudy(args) -> int:
 
 def cmd_disclose(args) -> int:
     from repro.analysis.disclosure import build_disclosure_report
-    from repro.discovery.vendor_id import VendorIdentifier
 
     deployment = _build(args)
-    scanner = AppScanner(deployment.network, deployment.vantage)
-    vid = VendorIdentifier(deployment.catalog)
-    identified, surveys, observations = [], {}, []
-    for key, isp in deployment.isps.items():
-        census = discover(
-            deployment.network, deployment.vantage, isp.scan_spec,
-            seed=args.seed,
-        )
-        app = scanner.scan(census.last_hop_addresses())
-        identified.extend(vid.identify(census.records, app.observations))
-        observations.extend(app.observations)
-        surveys[key] = find_loops(
-            deployment.network, deployment.vantage, isp.scan_spec,
-            seed=args.seed,
-        )
+    censuses = periphery_censuses(deployment, args.seed, args.scale)
+    app_results, by_isp = service_audit(deployment, censuses)
+    surveys = loop_surveys(deployment, args.seed)
+    identified = [d for devices in by_isp.values() for d in devices]
+    observations = [o for r in app_results.values() for o in r.observations]
     report = build_disclosure_report(identified, surveys, observations)
     print(report.render_summary())
     if args.vendor:
@@ -992,15 +956,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "telemetry bundle to DIR on watchdog kill, "
                         "checkpoint/store quarantine, SIGTERM, or campaign "
                         "failure")
-    p.add_argument("--fault-schedule", default=None, metavar="FILE",
-                   help="JSON fault schedule (repro.faults) injected into "
-                        "every shard's simulated network — deterministic "
-                        "chaos testing")
-    p.add_argument("--host-faults", default=None, metavar="FILE",
-                   help="JSON fault schedule of host-domain events "
-                        "(fs-error/fs-torn-write/fs-crash) injected into "
-                        "every shard's checkpoint/store I/O; merges with "
-                        "--fault-schedule")
+    p.add_argument("--fault-schedule", action="append", default=None,
+                   metavar="FILE",
+                   help="JSON fault schedule (repro.faults), repeatable and "
+                        "merged: network events are injected into every "
+                        "shard's simulated network, host events "
+                        "(fs-error/fs-torn-write/fs-crash) into its "
+                        "checkpoint/store I/O — deterministic chaos testing")
     p.add_argument("--supervise", action="store_true",
                    help="enable the campaign supervisor: park shards that "
                         "keep failing (circuit breaker) and commit partial "

@@ -17,7 +17,8 @@ malformed submissions 400, and a submit or cancel the queue could not
 make durable (disk full, I/O error) is 503 — nothing was queued or
 changed, so the client may retry — every body is a JSON object with an
 ``error`` field on failure, those the stdlib answers itself included (an
-unknown verb is 501, a malformed request line 400, an over-long one 414;
+unknown verb is 501, a malformed request line 400, an over-long one 414,
+and a two-word HTTP/0.9 request line is refused with 505 before routing;
 each closes the connection).  ``/results`` adds three: a ``limit`` that is
 not a plain non-negative integer — anything but ASCII digits, an empty
 value included — is 400 (``limit=0`` is an empty list), a round
@@ -159,10 +160,18 @@ def _make_handler(service: ScanService):
             """The whole request body, read before routing so the next
             request on the connection starts where this one ends.  None
             when there is nothing to route: the request was refused here
-            (any ``Transfer-Encoding``, a ``Content-Length`` that is not
-            ASCII digits or is over the limit) or the client hung up
-            mid-body; a refusal closes the connection.  A body that stalls
-            raises ``TimeoutError``, which closes the connection."""
+            (an HTTP/0.9 request line, any ``Transfer-Encoding``, a
+            ``Content-Length`` that is not ASCII digits or is over the
+            limit) or the client hung up mid-body; a refusal closes the
+            connection.  A body that stalls raises ``TimeoutError``, which
+            closes the connection."""
+            if self.request_version == "HTTP/0.9":
+                # The stdlib writes no status line or headers for 0.9, so
+                # a routed answer would be a bare body, 404s and 500s
+                # included.
+                self.send_error(505, "HTTP/0.9 is not supported; send "
+                                     "an HTTP/1.x request line")
+                return None
             if "Transfer-Encoding" in self.headers:
                 self.close_connection = True
                 self._error(501, "Transfer-Encoding is not supported; "

@@ -31,6 +31,7 @@ scalar fallback for platforms or filesystems where mmap is unavailable.
 
 from __future__ import annotations
 
+import functools
 import mmap
 import os
 import struct
@@ -218,8 +219,12 @@ class SegmentReader:
         self.use_mmap = use_mmap
         kinds = meta.get("kinds") or list(KIND_TABLE)
         self._kinds: List[ReplyKind] = [ReplyKind(value) for value in kinds]
-        self.index = SegmentIndex.from_dict(meta.get("index") or {})
         self.rows = int(meta.get("rows", 0))
+
+    @functools.cached_property
+    def index(self) -> SegmentIndex:
+        """The prefix index, parsed on first use: only queries read it."""
+        return SegmentIndex.from_dict(self.meta.get("index") or {})
 
     def _buffer(self):
         """(buffer, closer): an mmap over the file, or its bytes."""

@@ -491,10 +491,10 @@ class ResultStore:
                              os_layer=self.os)
 
     def reader(self, name: str) -> SegmentReader:
-        """The segment's reader, parsed (kind table, prefix index) once per
-        meta dict: a sealed segment is immutable, so the reader stays good
-        for as long as this handle holds that dict.  Readers keep no open
-        file — each iteration maps the file afresh."""
+        """The segment's reader, parsed (kind table; prefix index on first
+        query) once per meta dict: a sealed segment is immutable, so the
+        reader stays good for as long as this handle holds that dict.
+        Readers keep no open file — each iteration maps the file afresh."""
         meta = self.segments.get(name)
         if meta is None:
             raise StoreError(f"unknown segment {name!r}")

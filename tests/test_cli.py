@@ -1,5 +1,7 @@
 """The repro-xmap command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -73,3 +75,22 @@ class TestCommands:
     def test_bad_isp_key(self):
         with pytest.raises(KeyError):
             main(["census", "--isp", "not-a-key"])
+
+
+class TestStagesMatchTheReport:
+    """``census``, ``services`` and ``loops`` drive the same stage
+    functions as ``reproduce_all``, so at the committed report's scale
+    and seed every table they print is a block of that report."""
+
+    BLOCKS = set((
+        Path(__file__).resolve().parent.parent / "reproduction_report.txt"
+    ).read_text().strip("\n").split("\n\n"))
+
+    @pytest.mark.parametrize("command", ["census", "services", "loops"])
+    def test_printed_tables_are_report_sections(self, capsys, command):
+        assert main([command, "--scale", "100000", "--seed", "7"]) == 0
+        blocks = capsys.readouterr().out.strip("\n").split("\n\n")
+        assert len(blocks) == {"census": 3, "services": 2, "loops": 1}[
+            command]
+        for block in blocks:
+            assert block in self.BLOCKS, block

@@ -31,7 +31,7 @@ from repro.core import rows as rows_module
 from repro.core import siphash
 from repro.core.probes.base import ReplyKind
 from repro.core.rows import JSON_CHUNK, ProbeResult
-from repro.net.addr import IPv6Addr
+from repro.net.addr import IPv6Addr, IPv6Prefix
 from repro.service import (
     CampaignSpec,
     ScanService,
@@ -43,6 +43,7 @@ from repro.service import api as api_module
 from repro.service import tenants as tenants_module
 from repro.service.api import _rows_body
 from repro.store import ResultStore, SegmentWriter
+from repro.store.query import query
 
 TENANT = "alice"
 
@@ -172,6 +173,30 @@ def test_the_round_as_the_campaign_stored_it(round_):
     _assert_every_read_is_the_oracle(
         round_, len(round_.service.results(round_.cid))
     )
+
+
+def test_a_full_read_parses_no_prefix_index(round_):
+    """Only a query reads a segment's prefix index: cold and warm full
+    reads and a ``?limit=`` leave every reader's index unparsed, and a
+    query that then parses it answers as brute force does."""
+    full = round_.oracle()
+    assert round_.body() == (200, full)
+    assert round_.body() == (200, full)
+    assert round_.body(1) == (200, round_.oracle(1))
+    store = round_.stores.open(TENANT)
+    readers = [store.reader(name) for name in store.segments]
+    assert readers
+    assert not any("index" in vars(reader) for reader in readers)
+    everything = list(store.iter_rows())
+    prefix = IPv6Prefix.from_string("2001:db8:1:60::/60")
+    slash64 = everything[0].responder.slash64
+    under = [r for r in everything if prefix.contains(r.target)]
+    assert 0 < len(under) < len(everything)
+    assert list(query(store, prefix=prefix)) == under
+    assert list(query(store, responder64=slash64)) == [
+        r for r in everything if r.responder.slash64 == slash64
+    ]
+    assert all("index" in vars(reader) for reader in readers)
 
 
 _ROW = st.builds(

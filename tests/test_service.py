@@ -1004,6 +1004,22 @@ class TestHttpApi:
         finally:
             server.stop()
 
+    @pytest.mark.parametrize("path", [b"/v1/status", b"/v1/nowhere"])
+    def test_an_http09_request_is_a_505_with_a_status_line(
+        self, tmp_path, path
+    ):
+        service = ScanService(str(tmp_path / "svc"), scope="h09")
+        server = ServiceServer(service).start()
+        try:
+            status, error = self._refused_once(
+                server, b"GET " + path + b"\r\n\r\n"
+            )
+            assert status == 505
+            assert "HTTP/0.9" in error
+            assert service.queue.depth == 0
+        finally:
+            server.stop()
+
     @pytest.mark.parametrize("request_line,status", [
         (b"PUT /v1/campaigns HTTP/1.1", 501),
         (b"DELETE /v1/campaigns/x-0000 HTTP/1.1", 501),

@@ -234,7 +234,7 @@ class TestSignalScopes:
 
 
 class TestCliSupervision:
-    """`repro-xmap scan --supervise/--retry-budget/--host-faults`:
+    """`repro-xmap scan --supervise/--retry-budget/--fault-schedule`:
     supervised partial results exit 0 with the parked shards named on
     stderr."""
 
@@ -254,8 +254,8 @@ class TestCliSupervision:
 
         assert main(["scan", "--retry-budget", "-1"]) == 2
         assert "--retry-budget" in capsys.readouterr().err
-        assert main(["scan", "--host-faults", "/nonexistent.json"]) == 2
-        assert "--host-faults" in capsys.readouterr().err
+        assert main(["scan", "--fault-schedule", "/nonexistent.json"]) == 2
+        assert "--fault-schedule" in capsys.readouterr().err
 
     def test_host_faults_park_shards_but_exit_zero(self, tmp_path, capsys):
         from repro.cli import main
@@ -263,7 +263,7 @@ class TestCliSupervision:
         assert main([
             "scan", "--range", SPEC, "--shards", "2",
             "--checkpoint-dir", str(tmp_path / "ckpt"),
-            "--host-faults", self._host_schedule(tmp_path),
+            "--fault-schedule", self._host_schedule(tmp_path),
             "--supervise",
         ]) == 0
         err = capsys.readouterr().err
@@ -278,7 +278,7 @@ class TestCliSupervision:
         assert main([
             "scan", "--range", SPEC, "--shards", "2",
             "--checkpoint-dir", str(tmp_path / "ckpt"),
-            "--host-faults", self._host_schedule(tmp_path),
+            "--fault-schedule", self._host_schedule(tmp_path),
         ]) == 1
         assert "campaign failed" in capsys.readouterr().err
 
@@ -288,7 +288,7 @@ class TestCliSupervision:
         assert main([
             "scan", "--range", SPEC, "--shards", "2",
             "--checkpoint-dir", str(tmp_path / "ckpt"),
-            "--host-faults", self._host_schedule(tmp_path),
+            "--fault-schedule", self._host_schedule(tmp_path),
             "--retry-budget", "0",
         ]) == 0
         err = capsys.readouterr().err
@@ -308,9 +308,22 @@ class TestCliSupervision:
         assert main([
             "scan", "--range", SPEC, "--shards", "2",
             "--fault-schedule", str(network),
-            "--host-faults", self._host_schedule(
+            "--fault-schedule", self._host_schedule(
                 tmp_path, path_filter="no-such-file"),
             "--supervise",
         ]) == 0
         err = capsys.readouterr().err
         assert "2 event(s) (1 host, 1 network)" in err
+
+    def test_overlapping_windows_across_files_exit_two(self, tmp_path,
+                                                       capsys):
+        from repro.cli import main
+
+        schedule = self._host_schedule(tmp_path)
+        assert main([
+            "scan", "--range", SPEC,
+            "--fault-schedule", schedule, "--fault-schedule", schedule,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "--fault-schedule files conflict" in err
+        assert "overlapping" in err
