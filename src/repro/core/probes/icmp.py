@@ -48,9 +48,12 @@ class IcmpEchoProbe(ProbeModule):
 
     def validates_row(self, target: int) -> bool:
         """:meth:`_validates_invoking` of the probe :meth:`build` writes for
-        ``target``: an Echo Request whose ident and seq are ``_echo``'s."""
-        ident, seq, _tag = self._echo(target)
-        return self.validator.check_echo(target, ident, seq)
+        ``target``: an Echo Request whose ident and seq are ``_echo``'s,
+        checked against one validator tag lookup — ident and seq read as
+        its slices, as :meth:`Validator.check_echo` reads them."""
+        ident, seq, _written = self._echo(target)
+        tag = self.validator.tag(target)
+        return ident == tag & 0xFFFF and seq == (tag >> 16) & 0xFFFF
 
     def classify(self, packet: Packet) -> Optional[ProbeReply]:
         message = packet.payload

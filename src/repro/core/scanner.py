@@ -27,6 +27,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -42,15 +43,17 @@ from repro.core.rows import (
     ROW,
     ProbeResult,
     Rows,
+    digest_text,
 )
 from repro.core.stats import ScanStats
 from repro.core.target import IidStrategy, ScanRange, TargetGenerator
 from repro.core.validate import Validator
-from repro.net.addr import IPv6Addr, IPv6Prefix, format_ipv6_packed
-from repro.net.columnar import Lanes, Outcomes, Probes
+from repro.net import columnar
+from repro.net.addr import IPv6Addr, IPv6Prefix
+from repro.net.columnar import Lanes, Outcomes, Probes, destinations
 from repro.net.device import Device
 from repro.net.network import Network
-from repro.net.packet import Packet
+from repro.net.packet import Icmpv6Type, Packet
 from repro.telemetry.metrics import (
     HOP_BUCKETS,
     NULL_REGISTRY,
@@ -180,15 +183,9 @@ class ScanResult:
 
     def dedup_digest(self) -> str:
         """Order-independent SHA-256 over the deduplicated reply set: of
-        the sorted ``responder|target|kind|type|code`` lines."""
-        names = [kind.value for kind in KINDS]
-        lines = sorted(
-            f"{format_ipv6_packed(responder)}|{format_ipv6_packed(target)}"
-            f"|{names[code]}|{icmp_type}|{icmp_code}"
-            for target, responder, code, icmp_type, icmp_code
-            in map(ROW.unpack, self.results.rows)
-        )
-        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        the sorted ``responder|target|kind|type|code`` lines
+        (:func:`~repro.core.rows.digest_text`)."""
+        return hashlib.sha256(digest_text(self.results.rows)).hexdigest()
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready view, invertible via :meth:`from_dict` (checkpoints)."""
@@ -260,6 +257,168 @@ class ScanConfig:
     #: :attr:`Scanner.sampler`; shard workers export the series and the
     #: campaign merges them bit-identically (see telemetry/timeseries.py).
     timeseries_interval: float = 0.0
+
+
+#: The kind code (:data:`~repro.core.rows.KIND_CODE`) of an arrived ICMPv6
+#: error by its ``(type, code)``: :func:`~repro.core.probes.base.error_kind`
+#: of every code of the two types it attributes; any other pair is not a
+#: reply to a probe.  Ints all through — an enum member hashes in Python.
+_ROW_KIND_CODES: Dict[Tuple[int, int], int] = {
+    (int(icmp_type), code): KIND_CODE[error_kind(icmp_type, code)]
+    for icmp_type in (Icmpv6Type.DEST_UNREACHABLE, Icmpv6Type.TIME_EXCEEDED)
+    for code in range(256)
+}
+
+#: Run of one pulled block's lanes: a ``range`` of them, or an index
+#: column (a list without numpy) where the blocklist vetoed some.
+Run = Tuple[Lanes, Sequence[int]]
+
+
+class _Pull:
+    """A scan's target stream (:meth:`Scanner._pull`), handed out as runs.
+
+    The one owner of ``skip`` / ``max_probes`` / blocklist vetoes.
+    ``config.skip`` fast-forwards past already-scanned positions of this
+    shard's stream (checkpoint resume) without evaluating the blocklist or
+    generating addresses for them.  Permutation indices are pulled up to
+    :data:`BLOCK_SIZE` at a time so IID hashing, validation-tag priming
+    and forwarding run through their vectorised block paths — the block's
+    probes are forwarded as they are pulled, as :class:`Lanes`, from the
+    addresses and the probe module's declared hop limit.  The block is a
+    :class:`~repro.core.target.TargetBlock`: its addresses stay ints (and,
+    with numpy, uint64 word columns) from derivation to the lanes (the
+    blocklist walks its prefix trie on the int), and an :class:`IPv6Addr`
+    is made only where something reads one: :meth:`Scanner.targets`, a
+    packet, a trace span.
+
+    :meth:`take` hands out the next targets as runs of one block's lanes
+    (:data:`Run`).  ``position``, ``blocked_count`` and the veto counters
+    advance with what is handed out: after each :meth:`take` — a chunk
+    end, a checkpoint — they describe exactly the targets handed out so
+    far, the vetoes among them and none after the last one.  The next
+    block is pulled only when a target past this one's is asked for, and
+    indices past a ``max_probes`` stop are never consumed.
+    """
+
+    def __init__(self, scanner: "Scanner") -> None:
+        config = scanner.config
+        self.scanner = scanner
+        self.blocklist = config.blocklist
+        self.veto_counters: Dict[tuple, object] = {}  # (reason, rule) -> Counter
+        self.produced = 0
+        self.indices = make_permutation(
+            config.scan_range.count, seed=config.seed,
+        ).indices(config.shard, config.shards)
+        scanner.blocked_count = 0
+        scanner.position = sum(1 for _index in islice(self.indices,
+                                                      config.skip))
+        self.lanes: Optional[Lanes] = None
+        self.allowed: Sequence[int] = ()  # the block's unvetoed lanes
+        self.cursor = 0  # of them, handed out
+        self.base = scanner.position  # stream position of lane 0
+        self.vetoes: List[tuple] = []  # (lane, reason, rule), in order
+        self.vetoes_counted = 0
+
+    def take(self, n: int) -> List[Run]:
+        """The next runs, of ``n`` targets in all; fewer only where the
+        stream ends."""
+        runs: List[Run] = []
+        while n > 0:
+            if self.cursor == len(self.allowed):
+                if not self._next_block():
+                    break
+                continue  # a block may be vetoed whole
+            stop = min(self.cursor + n, len(self.allowed))
+            run = self.allowed[self.cursor:stop]
+            self._hand_out(int(run[-1]) + 1)
+            n -= stop - self.cursor
+            self.produced += stop - self.cursor
+            self.cursor = stop
+            runs.append((self.lanes, run))
+        return runs
+
+    def _hand_out(self, upto: int) -> None:
+        """Lanes before ``upto`` of the block are handed out or vetoed."""
+        scanner = self.scanner
+        scanner.position = self.base + upto
+        vetoes = self.vetoes
+        while (self.vetoes_counted < len(vetoes)
+               and vetoes[self.vetoes_counted][0] < upto):
+            _lane, reason, rule = vetoes[self.vetoes_counted]
+            self.vetoes_counted += 1
+            scanner.blocked_count += 1
+            counter = self.veto_counters.get((reason, rule))
+            if counter is None:
+                counter = self.veto_counters[reason, rule] = (
+                    scanner.metrics.counter("scanner_blocklist_vetoes",
+                                            reason=reason, rule=rule)
+                )
+            counter.inc()  # type: ignore[union-attr]
+
+    def _next_block(self) -> bool:
+        """Finish this block (the vetoes after its last target), then pull
+        the next; False at the end of the stream."""
+        if self.indices is None:  # the stream has ended
+            return False
+        scanner = self.scanner
+        if self.lanes is not None:
+            self._hand_out(len(self.lanes.values))
+        max_probes = scanner.config.max_probes
+        want = BLOCK_SIZE
+        if max_probes is not None:
+            want = min(want, max_probes - self.produced)
+        indices = list(islice(self.indices, max(0, want)))
+        if not indices:
+            self.lanes = self.indices = None
+            return False
+        block = scanner.generator.addresses_block(indices)
+        prime = getattr(getattr(scanner.probe, "validator", None), "prime",
+                        None)
+        if prime is not None:
+            prime(block)
+        self.lanes = Lanes(scanner.network, scanner.vantage, block,
+                           scanner.probe.hop_limit,
+                           max(1, scanner.config.probes_per_target))
+        self.base = scanner.position
+        self.cursor = self.vetoes_counted = 0
+        self.vetoes = []
+        self.allowed = range(len(block))
+        if self.blocklist is not None:
+            allowed = []
+            for lane, value in enumerate(block.values):
+                decision = self.blocklist.check(value)
+                if decision.allowed:
+                    allowed.append(lane)
+                else:
+                    self.vetoes.append((lane, decision.reason,
+                                        str(decision.rule)))
+            if self.vetoes:
+                self.allowed = (
+                    allowed if columnar._np is None
+                    else columnar._np.array(allowed, dtype=columnar._np.int64)
+                )
+        return True
+
+
+def _joined(runs: List[Run]) -> List[Run]:
+    """``runs`` with each stretch of consecutive runs of one block joined
+    into one run (a chunk pulled a target at a time is such a stretch)."""
+    groups: List[Tuple[Lanes, List[Sequence[int]]]] = []
+    for lanes, run in runs:
+        if groups and groups[-1][0] is lanes:
+            groups[-1][1].append(run)
+        else:
+            groups.append((lanes, [run]))
+    return [(lanes, pieces[0] if len(pieces) == 1 else _concatenated(pieces))
+            for lanes, pieces in groups]
+
+
+def _concatenated(pieces: List[Sequence[int]]) -> Sequence[int]:
+    if isinstance(pieces[0], range):  # a block's ranges follow each other
+        return range(pieces[0].start, pieces[-1].stop)
+    if columnar._np is None:
+        return [lane for piece in pieces for lane in piece]
+    return columnar._np.concatenate(pieces)
 
 
 class Scanner:
@@ -358,75 +517,20 @@ class Scanner:
     # -- target iteration ------------------------------------------------------
 
     def targets(self) -> Iterator[IPv6Addr]:
-        """Probe addresses in permuted order (after blocklist filtering)."""
-        return (IPv6Addr(value) for value, _ride in self._pull())
-
-    def _pull(self) -> Iterator[Tuple[int, Tuple[Lanes, int]]]:
-        """The target stream: each address, as an int, with the lane it
-        rides.
-
-        The one owner of ``skip`` / ``max_probes`` / blocklist vetoes.
-        ``config.skip`` fast-forwards past already-scanned positions of this
-        shard's stream (checkpoint resume) without evaluating the blocklist
-        or generating addresses for them.  Permutation indices are pulled
-        up to :data:`BLOCK_SIZE` at a time so IID hashing, validation-tag
-        priming and forwarding run through their vectorised block paths —
-        the block's probes are forwarded here, as :class:`Lanes`, from the
-        addresses and the probe module's declared hop limit.  The block is
-        a :class:`~repro.core.target.TargetBlock`: its addresses stay ints
-        (and, with numpy, uint64 word columns) from derivation to the
-        lanes (the blocklist walks its prefix trie on the int), and an
-        :class:`IPv6Addr` is made only where something reads one:
-        :meth:`targets`, a packet, a trace span.  ``position``,
-        ``blocked_count`` and the veto counters advance one yielded target
-        at a time: whenever the consumer stops pulling — a chunk end, a
-        checkpoint — they describe exactly the targets handed out so far.
-        Indices past a ``max_probes`` stop are never consumed.
-        """
-        config = self.config
-        permutation = make_permutation(config.scan_range.count,
-                                       seed=config.seed)
-        blocklist = config.blocklist
-        metrics = self.metrics
-        veto_counters: Dict[tuple, object] = {}  # (reason, rule) -> Counter
-        max_probes = config.max_probes
-        addresses_block = self.generator.addresses_block
-        prime = getattr(getattr(self.probe, "validator", None), "prime", None)
-        produced = 0
-        self.blocked_count = 0
-        index_iter = permutation.indices(config.shard, config.shards)
-        self.position = sum(1 for _index in islice(index_iter, config.skip))
+        """Probe addresses in permuted order (after blocklist filtering),
+        pulled one at a time: while one is out, ``position`` and the veto
+        counts describe the stream up to it."""
+        take = self._pull().take
         while True:
-            want = BLOCK_SIZE
-            if max_probes is not None:
-                want = min(want, max_probes - produced)
-            indices = list(islice(index_iter, max(0, want)))
-            if not indices:
+            runs = take(1)
+            if not runs:
                 return
-            block = addresses_block(indices)
-            if prime is not None:
-                prime(block)
-            lanes = Lanes(self.network, self.vantage, block,
-                          [self.probe.hop_limit] * len(block),
-                          max(1, config.probes_per_target))
-            for lane, value in enumerate(block.values):
-                self.position += 1
-                if blocklist is not None:
-                    decision = blocklist.check(value)
-                    if not decision.allowed:
-                        self.blocked_count += 1
-                        key = (decision.reason, str(decision.rule))
-                        counter = veto_counters.get(key)
-                        if counter is None:
-                            counter = veto_counters[key] = metrics.counter(
-                                "scanner_blocklist_vetoes",
-                                reason=decision.reason,
-                                rule=str(decision.rule),
-                            )
-                        counter.inc()  # type: ignore[union-attr]
-                        continue
-                produced += 1
-                yield value, (lanes, lane)
+            ((lanes, run),) = runs
+            yield IPv6Addr(lanes.values[run[0]])
+
+    def _pull(self) -> "_Pull":
+        """The target stream, handed out as runs of lanes (:class:`_Pull`)."""
+        return _Pull(self)
 
     # -- resilience layer (all no-ops unless configured) -----------------------
 
@@ -534,7 +638,8 @@ class Scanner:
                                       reason="duplicate")
         reply_counters: Dict[tuple, object] = {}
 
-        def count(kind: ReplyKind, icmp_type: int, icmp_code: int) -> None:
+        def count(kind: ReplyKind, icmp_type: int, icmp_code: int,
+                  n: int = 1) -> None:
             reply_key = (kind.value, icmp_type, icmp_code)
             counter = reply_counters.get(reply_key)
             if counter is None:
@@ -542,7 +647,7 @@ class Scanner:
                     "scanner_replies", kind=kind.value,
                     icmp_type=icmp_type, icmp_code=icmp_code,
                 )
-            counter.inc()  # type: ignore[union-attr]
+            counter.inc(n)  # type: ignore[union-attr]
 
         def account(replies: List[Packet],
                     span: Optional["ProbeTrace"]) -> int:
@@ -590,28 +695,34 @@ class Scanner:
                 emit(row)
             return validated
 
+        kind_codes = _ROW_KIND_CODES
+
         def account_rows(rows) -> int:
-            validated = discarded = 0
+            invalid = duplicates = 0
+            tally: Dict[tuple, int] = {}  # (kind code, type, code) -> rows
             for _i, responder, target, icmp_type, code, _quoted, _limit in rows:
-                kind = error_kind(icmp_type, code)
-                if kind is None or not validates_row(target):
-                    c_invalid.inc()
-                    discarded += 1
+                kind_code = kind_codes.get((icmp_type, code))
+                if kind_code is None or not validates_row(target):
+                    invalid += 1
                     continue
                 row = pack(target.to_bytes(16, "big"), responder.to_bytes(),
-                           KIND_CODE[kind], icmp_type, code)
+                           kind_code, icmp_type, code)
                 key = row[:KEY_SIZE]
                 if key in seen:
-                    c_duplicate.inc()
-                    discarded += 1
+                    duplicates += 1
                     continue
                 seen.add(key)
-                validated += 1
-                count(kind, icmp_type, code)
+                reply_key = (kind_code, icmp_type, code)
+                tally[reply_key] = tally.get(reply_key, 0) + 1
                 emit(row)
+            validated = len(rows) - invalid - duplicates
+            for (kind_code, icmp_type, code), n in tally.items():
+                count(KINDS[kind_code], icmp_type, code, n)
             stats.received += len(rows)
             c_received.inc(len(rows))
-            stats.discarded += discarded
+            stats.discarded += invalid + duplicates
+            c_invalid.inc(invalid)
+            c_duplicate.inc(duplicates)
             stats.validated += validated
             c_validated.inc(validated)
             return validated
@@ -687,16 +798,25 @@ class Scanner:
         next_send_time = pacer.bucket.next_send_time
         build = self.probe.build
         inject_block = network.inject_block
-        pull = self._pull()
+        take = self._pull().take
         # Errors come back as rows where the probe module can validate one
         # from its fields; ``wire_mode`` decodes every reply's bytes.
         rows_from = (source if self.probe.validates_row is not None
                      and not wire else None)
 
-        def materialiser(probes) -> Callable[[int], Packet]:
+        def materialiser(runs: List[Run]) -> Callable[[int], Packet]:
             # Asked for by ``inject_block`` when something stateful has to
-            # look at the chunk's probe ``i``; most die silently.
-            return lambda i: build(source, IPv6Addr(probes[i][0]))
+            # look at the chunk's probe ``i``; most die silently.  Holds the
+            # runs, not the chunk's ``Probes``, which holds it: a cycle per
+            # chunk would be left to the garbage collector.
+            targets: List[int] = []
+
+            def packet(i: int) -> Packet:
+                if not targets:
+                    targets.extend(destinations(runs))
+                return build(source, IPv6Addr(targets[i]))
+
+            return packet
 
         def snapshot() -> None:
             # Keep the trailing counters coherent so progress hooks (and
@@ -725,13 +845,14 @@ class Scanner:
                 want = 1 if single else max(1, math.ceil(
                     min(BLOCK_SIZE, left / copies)
                 ))
-                chunk: List[Tuple[int, Tuple[Lanes, int]]] = []
+                runs: List[Run] = []
+                taken = 0
                 clocks: List[float] = []
                 span = None
-                while len(chunk) < want:
+                while taken < want:
                     if (
                         sampler is not None
-                        and chunk
+                        and taken
                         # Worst-case last send of the next target's copies:
                         # the bucket's next send plus one saturated
                         # inter-send gap per copy (bursts only come sooner).
@@ -741,14 +862,15 @@ class Scanner:
                         break
                     # That rule reads the clock between targets; without a
                     # sampler the chunk is pulled, then paced, in one go.
-                    pulled = list(islice(
-                        pull, 1 if sampler is not None else want - len(chunk)
-                    ))
+                    pulled = take(1 if sampler is not None else want - taken)
                     if not pulled:
                         break
-                    chunk += pulled
+                    count = sum(len(run) for _lanes, run in pulled)
+                    runs += pulled
+                    taken += count
                     if tracing:  # hence single: ``pulled`` is the chunk
-                        target = IPv6Addr(pulled[0][0])
+                        lanes, run = pulled[0]
+                        target = IPv6Addr(lanes.values[run[0]])
                         span = tracer.begin(target)
                         if span is not None:
                             span.add("generated", network.clock,
@@ -757,28 +879,24 @@ class Scanner:
                             if config.blocklist is not None:
                                 span.add("blocklist_check", network.clock,
                                          verdict="allowed")
-                    sends = pace_block(len(pulled) * copies)
+                    sends = pace_block(count * copies)
                     if span is not None:
                         for copy, send_at in enumerate(sends):
                             span.add("paced_send", send_at, copy=copy)
                     clocks += sends
-                if not chunk:
+                if not runs:
                     break  # the stream is exhausted
-                probes = chunk if copies == 1 else [
-                    item for item in chunk for _copy in range(copies)
-                ]
+                runs = _joined(runs)
                 if wire:  # every probe crosses the codec, silent or not
-                    packets = [
+                    packet = [
                         Packet.decode(build(source, IPv6Addr(value)).encode())
-                        for value, _ in probes
-                    ]
+                        for value in destinations(runs)
+                    ].__getitem__
+                else:
+                    packet = materialiser(runs)
+                probes = Probes(runs, packet, rows_from)
                 network.active_trace = span
-                outcomes = inject_block(
-                    Probes([ride for _, ride in probes],
-                           packets.__getitem__ if wire
-                           else materialiser(probes), rows_from),
-                    vantage, clocks,
-                )
+                outcomes = inject_block(probes, vantage, clocks)
                 network.active_trace = None
                 sent = len(probes)
                 stats.sent += sent
@@ -788,7 +906,8 @@ class Scanner:
                 if single:  # the chunk is one target
                     if policy is not None and not validated:
                         resent, validated = self._retransmit(
-                            policy, IPv6Addr(chunk[0][0]), span, account
+                            policy, IPv6Addr(next(destinations(runs))), span,
+                            account
                         )
                         stats.sent += resent
                         c_sent.inc(resent)

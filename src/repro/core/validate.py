@@ -122,8 +122,8 @@ class Validator:
         )
 
     def check_echo(self, dst: IPv6Addr | int, ident: int, seq: int) -> bool:
-        fields = self.fields(dst)
-        return fields.ident == ident and fields.seq == seq
+        tag = self.tag(dst)  # :meth:`fields`' ident and seq, as slices
+        return tag & 0xFFFF == ident and (tag >> 16) & 0xFFFF == seq
 
     def check_tcp(self, dst: IPv6Addr, sport: int, ack: int) -> bool:
         """Validate a SYN-ACK/RST: their ack must be our seq + 1."""

@@ -18,9 +18,11 @@ The design splits every injection into two phases:
   (:class:`Lanes`), from the destinations and the probe module's declared
   hop limit alone, before any packet exists;
 * a **scalar replay phase**, per chunk (:func:`inject_block`), that finishes
-  each lane *in probe order*.  A silent lane is two counters; one that
-  ejected gets its :class:`Packet` built and its stateful step run at its
-  ejection point.  Everything stateful — NDP resolution, ICMPv6 error
+  each lane *in probe order*.  A chunk is runs of a block's lanes
+  (:class:`Probes`): a silent lane's hops and drops are taken with the
+  run's columns and cost no Python; one that ejected gets its
+  :class:`Packet` built and its stateful step run at its ejection point.
+  Everything stateful — NDP resolution, ICMPv6 error
   synthesis and its token-bucket limiter, subclass forwarding hooks (loop
   mitigation counters), TCP ISN draws from the topology RNG — runs through
   the exact scalar code, under the exact virtual clock the scalar engine
@@ -96,7 +98,7 @@ keep their packets.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.net.addr import IPv6Addr
 from repro.net.device import Device, IspRouter
@@ -120,7 +122,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.network import Network
     from repro.net.packet import Packet
 
-__all__ = ["ColumnarFib", "Lanes", "Outcomes", "Probes", "inject_block"]
+__all__ = ["ColumnarFib", "Lanes", "Outcomes", "Probes", "destinations",
+           "inject_block"]
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 
@@ -183,6 +186,9 @@ _SEEDS = tuple(
      (0xC2B2AE3D27D4EB4F + k * 0x165667B19E3779F9) & _M64 | 1)
     for k in range(8)
 )
+#: The owner table's seeds (:meth:`ColumnarFib.owner_of`): the same pairs,
+#: its own, since it keys whole addresses and not (device, prefix).
+_OWNER_SEEDS = _SEEDS
 
 
 def _finalize(z):  # splitmix64 finalizer on uint64 arrays (wrapping)
@@ -212,7 +218,8 @@ class _LengthTable:
         "has", "keys", "dev", "hi", "lo", "action", "nxt",
     )
 
-    def __init__(self, length: int, entries, n_devices: int) -> None:
+    def __init__(self, length: int, entries, n_devices: int,
+                 seeds=None) -> None:
         # entries: list of (dev_idx, masked_hi, masked_lo, action, nxt)
         self.length = length
         self.wide = length > 64
@@ -231,7 +238,7 @@ class _LengthTable:
         self.has = _np.zeros(n_devices, dtype=bool)
         self.has[dev.astype(_np.int64)] = True
         self.seed = None
-        for seed in _SEEDS:
+        for seed in _SEEDS if seeds is None else seeds:
             self.k_dev, self.k_lo = _np.uint64(seed[0]), _np.uint64(seed[1])
             keys = self.key(dev, hi, lo)
             order = _np.argsort(keys)
@@ -300,13 +307,20 @@ class ColumnarFib:
                 if owner_map.get(addr.value) is not device:
                     self.ok = False
                     return
-        #: Address value -> index of the device that owns it.
-        self.owners: Dict[int, int] = {}
+        # Who owns an address, as one exact vector lookup: every owned
+        # address is a /128 route of one table (device column 0) whose
+        # ``nxt`` is the index of the device that owns it.
+        owned = []
         for value, device in owner_map.items():
-            if id(device) not in self.index:  # bound but never registered
+            owner = self.index.get(id(device))
+            if owner is None:  # bound but never registered
                 self.ok = False
                 return
-            self.owners[value] = self.index[id(device)]
+            owned.append((0, value >> 64, value & _M64, A_NEXT_HOP, owner))
+        self._owners = _LengthTable(128, owned, 1, _OWNER_SEEDS)
+        if self._owners.keys is None:  # pragma: no cover - 8 seeds collided
+            self.ok = False
+            return
         by_length: Dict[int, list] = {}
         for dev_idx, device in enumerate(self.devices):
             if not device.forwards:
@@ -361,6 +375,18 @@ class ColumnarFib:
         register/unregister/bind and any ``add``/``remove`` on a registered
         device's table — even one later reverted — moves ``generation``."""
         return network.generation == self.generation
+
+    def owner_of(self, dst_hi, dst_lo):
+        """Index of the device that owns each address of the uint64 word
+        columns, -1 where no device does.  Exact for every 128-bit value:
+        the key only picks the candidate row, its verification columns
+        decide (see :class:`_LengthTable`)."""
+        table = self._owners
+        pos = _np.searchsorted(table.keys,
+                               table.key(_np.uint64(0), dst_hi, dst_lo))
+        hit = ((table.hi[pos] == dst_hi) & (table.lo[pos] == dst_lo)
+               & (table.dev[pos] == 0))
+        return _np.where(hit, table.nxt[pos], -1)
 
     def lookup(self, dev, dst_hi, dst_lo):
         """Vectorised longest-prefix match for a batch of lanes.
@@ -574,27 +600,30 @@ def _sequential(
 class Lanes:
     """A block of probes as the vector phase leaves them, one lane each.
 
-    Per lane, as plain lists for the replay in :func:`inject_block`: its
-    ``status``, the device it stopped at (``cur``, an index into
-    ``fib.devices``), the hop limit it has left (``hl``), and the ``hops``
-    and ``drops`` it took — with ``fib``, the :class:`ColumnarFib` they were
-    computed under.  ``targets`` is the block as it was given — a list of
-    destination ints, or a :class:`~repro.core.target.TargetBlock`, whose
-    word columns the vector phase reads as they are — and ``values`` its
-    destinations as ints.  Forwarding is pure, so it happens once, when
-    the block is pulled, however its probes are later cut into chunks; the
-    replay re-forwards what is left of the block if ``fib`` is no longer
-    the network's.  A block that was not forwarded — fewer than
-    :data:`VECTOR_MIN_PROBES` probes (``copies`` ride each lane), a network
-    not :func:`_usable`, an uncompilable table — has no ``fib`` and every
-    lane ``_ORIGIN``.
+    Per lane, as the rows of one ``(5, lanes)`` int64 array ``columns``
+    (each also an attribute): its ``status``, the device it stopped at
+    (``cur``, an index into ``fib.devices``), the hop limit it has left
+    (``hl``), and the ``hops`` and ``drops`` it took — with ``fib``, the
+    :class:`ColumnarFib` they were computed under.  One array, so the
+    replay takes a run's five columns in one ``take``.  ``targets`` is the
+    block as it was given — a list of destination ints, or a
+    :class:`~repro.core.target.TargetBlock`, whose word columns the vector
+    phase reads as they are — and ``values`` its destinations as ints;
+    ``hop_limits`` is one hop limit for every lane, or a list of them.
+    Forwarding is pure, so it happens once, when the block is pulled,
+    however its probes are later cut into chunks; the replay re-forwards
+    what is left of the block if ``fib`` is no longer the network's.  A
+    block that was not forwarded — fewer than :data:`VECTOR_MIN_PROBES`
+    probes (``copies`` ride each lane), a network not :func:`_usable`, an
+    uncompilable table — has no ``fib`` and no columns: every probe of it
+    is one whole :meth:`Network.inject`.
     """
 
     __slots__ = ("targets", "values", "hop_limits", "copies", "fib",
-                 "status", "cur", "hl", "hops", "drops")
+                 "columns", "status", "cur", "hl", "hops", "drops")
 
     def __init__(self, network: "Network", vantage: "Device",
-                 values, hop_limits: List[int], copies: int = 1) -> None:
+                 values, hop_limits, copies: int = 1) -> None:
         self.targets = values
         self.values: List[int] = getattr(values, "values", values)
         self.hop_limits = hop_limits
@@ -603,23 +632,31 @@ class Lanes:
 
     def forward(self, network: "Network", vantage: "Device",
                 start: int = 0) -> None:
-        """Run the vector phase over lanes ``start``.. on today's FIB."""
-        self.fib = None
-        self.status = [_ORIGIN] * len(self.values)
-        self.cur = self.hl = self.hops = self.drops = ()
-        probes = (len(self.values) - start) * self.copies
-        if probes < VECTOR_MIN_PROBES or not _usable(network):
+        """Run the vector phase over lanes ``start``.. on today's FIB; the
+        lanes before ``start`` (already sent) read as ``_ORIGIN``."""
+        self.fib = self.columns = None
+        self.status = self.cur = self.hl = self.hops = self.drops = None
+        n = len(self.values)
+        if (n - start) * self.copies < VECTOR_MIN_PROBES or not _usable(
+            network
+        ):
             return
         fib = network.columnar_fib()
-        if fib.ok:
-            self.fib = fib
-            self.status, self.cur, self.hl, self.hops, self.drops = (
-                [_ORIGIN] * start + column.tolist()
-                for column in _vector_phase(
-                    network, fib, vantage,
-                    self.targets[start:], self.hop_limits[start:],
-                )
-            )
+        if not fib.ok:
+            return
+        hop_limits = self.hop_limits
+        if not isinstance(hop_limits, int):
+            hop_limits = hop_limits[start:]
+        columns = _np.stack(_vector_phase(  # int8 status widens to int64
+            network, fib, vantage, self.targets[start:], hop_limits,
+        ))
+        if start:
+            before = _np.zeros((5, start), dtype=_np.int64)
+            before[0], before[1] = _ORIGIN, -1
+            columns = _np.concatenate((before, columns), axis=1)
+        self.fib = fib
+        self.columns = columns
+        self.status, self.cur, self.hl, self.hops, self.drops = columns
 
 
 def _vector_phase(network, fib, vantage, values, hop_limits):
@@ -636,11 +673,13 @@ def _vector_phase(network, fib, vantage, values, hop_limits):
     if dst_lo is None:
         dst_hi = _np.array([v >> 64 for v in values], dtype=_np.uint64)
         dst_lo = _np.array([v & _M64 for v in values], dtype=_np.uint64)
-    owner = _np.array([fib.owners.get(v, -1) for v in values],
-                      dtype=_np.int64)
+    owner = fib.owner_of(dst_hi, dst_lo)
     status = _np.zeros(n, dtype=_np.int8)
     cur = _np.full(n, -1, dtype=_np.int64)
-    hl = _np.array(hop_limits, dtype=_np.int64)
+    if isinstance(hop_limits, int):
+        hl = _np.full(n, hop_limits, dtype=_np.int64)
+    else:
+        hl = _np.array(hop_limits, dtype=_np.int64)
     hops = _np.zeros(n, dtype=_np.int64)
     drops = _np.zeros(n, dtype=_np.int64)
 
@@ -779,10 +818,15 @@ def _vector_phase(network, fib, vantage, values, hop_limits):
 
 
 class Probes:
-    """A chunk for :func:`inject_block` whose packets need not exist yet:
-    probe ``i`` rides ``lanes[i] = (Lanes, lane index)`` and ``packet(i)``
-    is its :class:`Packet`, asked for only when something stateful has to
-    look at it.
+    """A chunk for :func:`inject_block` whose packets need not exist yet.
+
+    ``runs`` is a list of ``(Lanes, lanes)`` pairs, each a run of one
+    block's lanes: a ``range`` of them, or an index column where a
+    blocklist vetoed some.  Each lane sends its block's ``copies`` probes
+    one after the other, and the chunk's probes are the runs' in order
+    (:func:`destinations`): probe ``i`` counts across them, and
+    ``packet(i)`` is its :class:`Packet`, asked for only when something
+    stateful has to look at it.
 
     ``source``, when given, is the source address every probe of the chunk
     carries, and says the caller takes an error lane's ICMPv6 error as a
@@ -790,22 +834,34 @@ class Probes:
     themselves, and who classifies what comes back from the fields of a
     row.  None: every result as packets."""
 
-    __slots__ = ("lanes", "packet", "source")
+    __slots__ = ("runs", "packet", "source", "_probes")
 
-    def __init__(self, lanes, packet, source: Optional["IPv6Addr"] = None
+    def __init__(self, runs, packet, source: Optional["IPv6Addr"] = None
                  ) -> None:
-        self.lanes = lanes
+        self.runs = runs
         self.packet = packet
         self.source = source
+        self._probes = sum(len(run) * lanes.copies for lanes, run in runs)
 
     def __len__(self) -> int:
-        return len(self.lanes)
+        return self._probes
+
+
+def destinations(runs) -> Iterator[int]:
+    """The destination of every probe of ``runs`` (:class:`Probes`), in
+    order, as ints."""
+    for lanes, run in runs:
+        values, copies = lanes.values, lanes.copies
+        for lane in run:
+            for _copy in range(copies):
+                yield values[lane]
 
 
 class Outcomes:
     """What a chunk did, per probe in send order.
 
-    ``hops`` and ``drops`` of every probe; ``ejected[i] = (inbox,
+    ``hops`` and ``drops`` of every probe, as int columns (lists where no
+    lane of the chunk was forwarded); ``ejected[i] = (inbox,
     DeliveryTrace)`` of those the scalar engine finished; and, for a chunk
     whose errors come back as rows (:class:`Probes` ``source``), ``rows``:
     one ``(i, responder, target, icmp type, icmp code, quoted hop limit,
@@ -835,11 +891,12 @@ class Outcomes:
     def __iter__(self):
         rows = {row[0]: row for row in self.rows}
         strays = set(self.strays)
-        for i, hops in enumerate(self.hops):
+        drops = _listed(self.drops)
+        for i, hops in enumerate(_listed(self.hops)):
             pair = self.ejected.get(i)
             if pair is None:
                 inbox: List["Packet"] = []
-                trace = DeliveryTrace(hops=hops, drops=self.drops[i])
+                trace = DeliveryTrace(hops=hops, drops=drops[i])
                 row = rows.get(i)
                 if row is not None:
                     inbox = _Arrived(self.packet, row)
@@ -913,19 +970,34 @@ def inject_block(
     if isinstance(block, list):
         lanes = Lanes(network, vantage, [p.dst.value for p in block],
                       [p.hop_limit for p in block])
-        block = Probes([(lanes, i) for i in range(len(block))],
-                       block.__getitem__)
+        block = Probes([(lanes, range(len(block)))], block.__getitem__)
     cut = _cut(network, clocks, len(block))
-    outcomes = _replay(network, block, vantage, clocks, cut)
+    chunk = _Chunk(network, vantage, block)
+    _replay(chunk, clocks, cut)
     if cut < len(block):
         pairs = _sequential(network, [block.packet(i)
                                       for i in range(cut, len(block))],
                             vantage, clocks[cut:] if clocks else None)
         for i, pair in enumerate(pairs, cut):
-            outcomes.ejected[i] = pair
-            outcomes.hops.append(pair[1].hops)
-            outcomes.drops.append(pair[1].drops)
-    return outcomes
+            chunk.ejected[i] = pair
+        chunk.hops.append([trace.hops for _inbox, trace in pairs])
+        chunk.drops.append([trace.drops for _inbox, trace in pairs])
+    return Outcomes(_column(chunk.hops), _column(chunk.drops), chunk.ejected,
+                    chunk.rows, chunk.strays, block.packet)
+
+
+def _column(parts):
+    """One column of per-run parts: numpy where any part is, else a list."""
+    if len(parts) == 1:
+        return parts[0]
+    for part in parts:
+        if not isinstance(part, list):
+            return _np.concatenate(parts)
+    return [value for part in parts for value in part]
+
+
+def _listed(column) -> list:
+    return column if isinstance(column, list) else column.tolist()
 
 
 def _cut(network: "Network", clocks: Optional[List[float]], n: int) -> int:
@@ -945,113 +1017,187 @@ def _cut(network: "Network", clocks: Optional[List[float]], n: int) -> int:
     return next(k for k, clock in enumerate(clocks) if clock >= due)
 
 
-def _replay(network: "Network", block: Probes, vantage: "Device",
-            clocks: Optional[List[float]], stop: int) -> Outcomes:
-    """:func:`inject_block` over the chunk's first ``stop`` probes, on a
-    network the vector phase is usable on until the last of them."""
-    packet = block.packet
-    entry_clock = network.clock
-    all_hops: List[int] = []
-    all_drops: List[int] = []
-    ejected: Dict[int, Tuple[List["Packet"], DeliveryTrace]] = {}
-    rows: List[tuple] = []
-    strays: List[int] = []
-    source = block.source
-    drain, error, owners = network._drain, network._error, network._addr_owner
-    # What an ejected lane leaves in flight; every drain empties it.
-    queue: Deque[Tuple["Device", "Packet"]] = deque()
-    fib = checked = None
-    lane_probes = lane_hops = 0  # the lanes' share of the network's totals
-    rides = block.lanes if stop == len(block) else block.lanes[:stop]
-    for i, (lanes, lane) in enumerate(rides):
-        if clocks is not None:
-            network.clock = clocks[i]
-        if lanes is not checked:  # once per block this chunk draws on
-            checked = lanes
-            if lanes.fib is not None:
-                if fib is None:
-                    fib = network.columnar_fib()
-                if lanes.fib is not fib:  # routes moved since the forward
-                    lanes.forward(network, vantage, lane)
-            statuses, hops_of, drops_of = lanes.status, lanes.hops, lanes.drops
-        status = statuses[lane]
+class _Chunk:
+    """One chunk's replay: what it has produced so far — per-run parts of
+    the ``hops`` / ``drops`` columns, the results of ejected probes, the
+    rows, the strays — and :meth:`settle`, the step of one lane that
+    needs state."""
+
+    __slots__ = ("network", "vantage", "block", "source", "packet", "fib",
+                 "hops", "drops", "ejected", "rows", "strays", "queue")
+
+    def __init__(self, network: "Network", vantage: "Device",
+                 block: Probes) -> None:
+        self.network = network
+        self.vantage = vantage
+        self.block = block
+        self.source = block.source
+        self.packet = block.packet
+        self.fib: Optional[ColumnarFib] = None  # the run being replayed's
+        self.hops: list = []
+        self.drops: list = []
+        self.ejected: Dict[int, Tuple[List["Packet"], DeliveryTrace]] = {}
+        self.rows: List[tuple] = []
+        self.strays: List[int] = []
+        # What an ejected lane leaves in flight; every drain empties it.
+        self.queue: Deque[Tuple["Device", "Packet"]] = deque()
+
+    def settle(self, i: int, status: int, cur: int, value: int, hl: int,
+               hops: int, drops: int):
+        """Finish probe ``i``, to ``value``, whose lane left the vector
+        phase with ``status`` at ``fib.devices[cur]`` (``fib``: the run's
+        :class:`ColumnarFib`) with ``hl`` hop limit left and ``hops`` /
+        ``drops`` taken, under the current clock: ``(hops, drops)`` of the
+        whole probe.  A lane ``_ORIGIN`` is one whole
+        :meth:`Network.inject`; an ``_OVERRUN`` one raises, as the scalar
+        engine would at this probe."""
+        network = self.network
+        vantage = self.vantage
         if status == _ORIGIN:
-            result = network.inject(packet(i), vantage)
-        elif status == _OVERRUN:
+            result = network.inject(self.packet(i), vantage)
+            self.ejected[i] = result
+            return result[1].hops, result[1].drops
+        if status == _OVERRUN:
             raise NetworkError(
                 f"forwarding exceeded {network.max_hops} hops; "
                 "unbounded loop (hop limits should prevent this)"
             )
-        else:
-            hops = hops_of[lane]
-            lane_probes += 1
-            lane_hops += hops
-            if status == _SILENT:
-                all_hops.append(hops)
-                all_drops.append(drops_of[lane])
-                continue
-            at = lanes.fib.devices[lanes.cur[lane]]
-            kind = _ROW_ERRORS.get(status)
-            if kind is not None and source is not None:
-                if status == _ON_LINK:
-                    dst = IPv6Addr(lanes.values[lane])
-                    if resolve(at, dst, network):
-                        kind = None  # delivered on-link: the drain below
-                # The library's own error synthesis — it never answers an
-                # error, draws the limiter and (a router's) filters errors
-                # to outsiders — is what runs here on the lane's fields.
-                make_error = type(at)._make_error
-                plan = kind is not None and make_error in (
-                    Device._make_error, IspRouter._make_error
-                ) and lanes.fib.home(network, at, source, MAX_HOP_LIMIT, hops)
-                if plan:
-                    drops = drops_of[lane]
-                    if make_error is IspRouter._make_error and (
-                        at.drop_external_errors
-                        and not at.block.contains(source)
-                    ):
-                        pass  # the router filters its errors to outsiders
-                    elif not at.error_limiter.allow(network.clock):
-                        at.errors_suppressed += 1
+        fib = self.fib
+        at = fib.devices[cur]
+        source = self.source
+        kind = _ROW_ERRORS.get(status)
+        if kind is not None and source is not None:
+            if status == _ON_LINK and resolve(at, IPv6Addr(value), network):
+                kind = None  # delivered on-link: the drain below
+            # The library's own error synthesis — it never answers an
+            # error, draws the limiter and (a router's) filters errors to
+            # outsiders — is what runs here on the lane's fields.
+            make_error = type(at)._make_error
+            plan = kind is not None and make_error in (
+                Device._make_error, IspRouter._make_error
+            ) and fib.home(network, at, source, MAX_HOP_LIMIT, hops)
+            if plan:
+                if make_error is IspRouter._make_error and (
+                    at.drop_external_errors and not at.block.contains(source)
+                ):
+                    pass  # the router filters its errors to outsiders
+                elif not at.error_limiter.allow(network.clock):
+                    at.errors_suppressed += 1
+                else:
+                    further, owner, lost, limit = _travel(plan, network,
+                                                          source)
+                    hops += further
+                    network.total_hops += further
+                    drops += lost
+                    if owner is vantage:
+                        self.rows.append((i, at.primary_address, value,
+                                          kind[0], kind[1], hl, limit))
                     else:
-                        further, owner, lost, limit = _travel(
-                            plan, network, source
-                        )
-                        hops += further
-                        network.total_hops += further
-                        drops += lost
-                        if owner is vantage:
-                            rows.append((i, at.primary_address,
-                                         lanes.values[lane], kind[0], kind[1],
-                                         lanes.hl[lane], limit))
-                        else:
-                            strays.append(i)
-                    all_hops.append(hops)
-                    all_drops.append(drops)
-                    continue
-            inbox: List["Packet"] = []
-            trace = DeliveryTrace(hops=hops, drops=drops_of[lane])
-            resumed = packet(i).with_hop_limit(lanes.hl[lane])
-            if status == _EJECT:  # delivery or a forwarding hook
-                queue.append((at, resumed))
-            elif status == _ON_LINK and (
-                kind is None or (source is None
-                                 and resolve(at, resumed.dst, network))
-            ):
-                trace.hops += 1
-                network.total_hops += 1
-                queue.append((owners[resumed.dst.value],
-                              resumed.with_hop_limit(resumed.hop_limit - 1)))
+                        self.strays.append(i)
+                return hops, drops
+        queue = self.queue
+        inbox: List["Packet"] = []
+        trace = DeliveryTrace(hops=hops, drops=drops)
+        resumed = self.packet(i).with_hop_limit(hl)
+        if status == _EJECT:  # delivery or a forwarding hook
+            queue.append((at, resumed))
+        elif status == _ON_LINK and (
+            kind is None or (source is None
+                             and resolve(at, resumed.dst, network))
+        ):
+            trace.hops += 1
+            network.total_hops += 1
+            queue.append((network._addr_owner[resumed.dst.value],
+                          resumed.with_hop_limit(resumed.hop_limit - 1)))
+        else:
+            network._error(at, resumed, _ERRORS[status], queue, vantage,
+                           inbox, trace, fib)
+        if queue:
+            network._drain(queue, vantage, inbox, trace, fib)
+        self.ejected[i] = inbox, trace
+        return trace.hops, trace.drops
+
+
+def _replay(chunk: _Chunk, clocks: Optional[List[float]], stop: int) -> None:
+    """:func:`inject_block` over the chunk's first ``stop`` probes, on a
+    network the vector phase is usable on until the last of them.
+
+    A run of a forwarded block takes the hops and drops of all its lanes
+    at once; only the lanes whose status needs state — every one but
+    ``_SILENT`` — are visited, in probe order, each under its own clock,
+    by :meth:`_Chunk.settle`.  A run of a block that was not forwarded is
+    one whole :meth:`Network.inject` per probe, the sequential loop."""
+    network, vantage = chunk.network, chunk.vantage
+    settle, packet, ejected = chunk.settle, chunk.packet, chunk.ejected
+    entry_clock = network.clock
+    fib = None
+    lane_probes = lane_hops = 0  # the lanes' share of the network's totals
+    first = 0  # the probe index of the run's first probe
+    for lanes, run in chunk.block.runs:
+        if first >= stop:
+            break
+        copies = lanes.copies
+        count = min(len(run) * copies, stop - first)
+        if lanes.fib is not None:
+            if fib is None:
+                fib = network.columnar_fib()
+            if lanes.fib is not fib:  # routes moved since the forward
+                lanes.forward(network, vantage, int(run[0]))
+        if lanes.fib is None:  # not forwarded: each probe a whole inject
+            hops, drops = [], []
+            for i in range(first, first + count):
+                if clocks is not None:
+                    network.clock = clocks[i]
+                _inbox, trace = ejected[i] = network.inject(packet(i), vantage)
+                hops.append(trace.hops)
+                drops.append(trace.drops)
+        else:
+            # status, cur, hl, hops, drops of the run's probes, in order: a
+            # view where the run is one stretch of lanes sent once each
+            if copies == 1 and isinstance(run, range):
+                lane_of = None
+                taken = lanes.columns[:, run.start:run.start + count]
             else:
-                error(at, resumed, _ERRORS[status], queue, vantage, inbox,
-                      trace, lanes.fib)
-            if queue:
-                drain(queue, vantage, inbox, trace, lanes.fib)
-            result = inbox, trace
-        ejected[i] = result
-        all_hops.append(result[1].hops)
-        all_drops.append(result[1].drops)
+                lane_of = (_np.arange(run.start, run.stop, run.step)
+                           if isinstance(run, range) else _np.asarray(run))
+                if copies > 1:
+                    lane_of = lane_of.repeat(copies)
+                taken = lanes.columns.take(lane_of[:count], axis=1)
+            hops, drops = taken[3], taken[4]
+            lane_probes += count
+            lane_hops += int(hops.sum())
+            busy = (taken[0] != _SILENT).nonzero()[0]
+            if busy.size:
+                statuses, curs, hls, took, lost = taken.take(
+                    busy, axis=1).tolist()
+                lanes_at = (busy + run.start if lane_of is None
+                            else lane_of.take(busy)).tolist()
+                values = lanes.values
+                chunk.fib = lanes.fib
+                settled_hops, settled_drops = [], []
+                for pos, lane, status, cur, hl, probe_hops, probe_drops in zip(
+                    busy.tolist(), lanes_at, statuses, curs, hls, took, lost,
+                ):
+                    i = first + pos
+                    if clocks is not None:
+                        network.clock = clocks[i]
+                    probe_hops, probe_drops = settle(
+                        i, status, cur, values[lane], hl, probe_hops,
+                        probe_drops,
+                    )
+                    settled_hops.append(probe_hops)
+                    settled_drops.append(probe_drops)
+                hops = hops.copy()  # the run's, not the lanes'
+                hops[busy] = settled_hops
+                if settled_drops != lost:
+                    drops = drops.copy()
+                    drops[busy] = settled_drops
+                # A lane before a re-forward's start is counted by its
+                # own ``inject`` (its vector hops are 0).
+                lane_probes -= statuses.count(_ORIGIN)
+        chunk.hops.append(hops)
+        chunk.drops.append(drops)
+        first += count
     network.clock = entry_clock
     network.total_injected += lane_probes
     network.total_hops += lane_hops
-    return Outcomes(all_hops, all_drops, ejected, rows, strays, packet)

@@ -316,7 +316,7 @@ class TestStraddledBlocks:
         inject_block = columnar.inject_block
 
         def spy(network, block, vantage, clocks=None):
-            drawn.append(len({id(lanes) for lanes, _ in block.lanes}))
+            drawn.append(len({id(lanes) for lanes, _ in block.runs}))
             return inject_block(network, block, vantage, clocks)
 
         monkeypatch.setattr(columnar, "inject_block", spy)
@@ -478,7 +478,7 @@ class TestCountedWork:
         seen = {"builds": 0, "injects": 0, "traces": 0, "phases": [],
                 "chunks": [], "ejected": 0, "rows": 0, "flow_entries": 0,
                 "drains": 0, "replayed": 0, "classify": 0, "make_error": 0,
-                "with_hop_limit": 0, "results": 0}
+                "with_hop_limit": 0, "results": 0, "settled": 0, "busy": 0}
 
         def counting(owner, name, key):
             original = getattr(owner, name)
@@ -498,6 +498,7 @@ class TestCountedWork:
         counting(Network, "_drain", "drains")
         counting(Device, "flow_entry", "flow_entries")
         counting(DeliveryTrace, "__init__", "traces")
+        counting(columnar._Chunk, "settle", "settled")
         vector_phase, inject_block = (columnar._vector_phase,
                                       columnar.inject_block)
 
@@ -507,6 +508,8 @@ class TestCountedWork:
             # Delivery and forwarding-hook ejections: the lanes whose
             # replay re-enters the scalar engine's drain.
             seen["replayed"] += int((columns[0] == columnar._EJECT).sum())
+            # The lanes whose replay needs state: every one not silent.
+            seen["busy"] += int((columns[0] != columnar._SILENT).sum())
             return columns
 
         def block_spy(network, block, vantage, clocks=None):
@@ -552,6 +555,9 @@ class TestCountedWork:
         # inside whole injections).
         assert seen["drains"] == seen["replayed"] + seen["injects"]
         assert seen["rows"] > seen["ejected"]
+        # The replay's per-lane step runs once per forwarded lane that is
+        # not silent, and for no silent one.
+        assert seen["settled"] == seen["busy"] > 0
         if not under:
             assert seen["flow_entries"] == 0
 
@@ -600,7 +606,8 @@ class TestCountedWork:
 
         monkeypatch.setattr(IPv6Addr, "__post_init__", counted_addr)
         monkeypatch.setattr(SipKey, "hash_words_block", counted_kernel)
-        pulled = list(scanner._pull())
+        runs = scanner._pull().take(2048)
+        pulled = [lanes.values[lane] for lanes, run in runs for lane in run]
         assert len(pulled) == 1024 and made == []
         if siphash._np is None:
             assert kernel == []
@@ -609,9 +616,112 @@ class TestCountedWork:
         assert sum(kernel) == passes * 1024
         # The stream still reads as the scalar oracle's addresses.
         monkeypatch.undo()
-        assert list(scanner.targets()) == [
-            IPv6Addr(value) for value, _ride in pulled
-        ]
+        assert list(scanner.targets()) == [IPv6Addr(value) for value in pulled]
+
+
+#: ``(sent, position, blocked, vetoes of 2001:db8:1::/58, vetoes of
+#: 2001:db8:1:80::/57)`` at every ``on_progress`` call of a
+#: ``HEAVY_BLOCKLIST`` scan, and ``(position, blocked)`` at its end, by
+#: (hook stride, block size, copies) — recorded from the parent commit,
+#: whose pull handed its targets out one at a time.
+GOLDEN_VETOES = {
+    (5, 64, 1): ([
+        (1, 1, 0, 0, 0), (6, 24, 18, 6, 12), (11, 50, 39, 13, 26),
+        (16, 65, 49, 14, 35), (21, 94, 73, 22, 51), (26, 113, 87, 28, 59),
+        (31, 136, 105, 31, 74), (36, 153, 117, 36, 81),
+        (41, 168, 127, 40, 87), (46, 188, 142, 45, 97),
+        (51, 201, 150, 47, 103), (56, 219, 163, 53, 110),
+        (61, 244, 183, 59, 124), (64, 256, 192, 64, 128),
+    ], (256, 192)),
+    (40, 64, 1): ([
+        (1, 1, 0, 0, 0), (41, 168, 127, 40, 87), (64, 256, 192, 64, 128),
+    ], (256, 192)),
+    (6, 32, 2): ([
+        (2, 1, 0, 0, 0), (8, 17, 13, 4, 9), (14, 30, 23, 7, 16),
+        (20, 48, 38, 12, 26), (26, 54, 41, 13, 28), (32, 65, 49, 14, 35),
+        (38, 77, 58, 17, 41), (44, 96, 74, 22, 52), (50, 109, 84, 27, 57),
+        (56, 117, 89, 28, 61), (62, 136, 105, 31, 74),
+        (68, 142, 108, 33, 75), (74, 155, 118, 36, 82),
+        (80, 167, 127, 40, 87), (86, 175, 132, 42, 90),
+        (92, 188, 142, 45, 97), (98, 195, 146, 47, 99),
+        (104, 203, 151, 48, 103), (110, 213, 158, 49, 109),
+        (116, 225, 167, 54, 113), (122, 244, 183, 59, 124),
+        (128, 256, 192, 64, 128),
+    ], (256, 192)),
+}
+
+#: Shapes a chunk's runs take, by name: a sampler pulls a target at a time
+#: (one run per block, joined), copies repeat each lane, vetoes make a run
+#: an index column.
+RUN_SHAPES = {
+    "plain": {},
+    "sampled": {"timeseries_interval": 0.002},
+    "two-copies": {"probes_per_target": 2},
+    "three-copies": {"probes_per_target": 3},
+    "heavy-blocklist": {"blocklist": HEAVY_BLOCKLIST},
+}
+
+
+class TestLaneRuns:
+    """A chunk is runs of lanes from the pull to the histogram; however the
+    runs are cut, they replay as the sequential oracle."""
+
+    @pytest.mark.parametrize("shape", sorted(RUN_SHAPES))
+    @pytest.mark.parametrize("every", [64, 512])
+    def test_runs_cut_by_the_checkpoint_cadence_match_the_oracle(
+        self, shape, every
+    ):
+        config = RUN_SHAPES[shape]
+        want = observe(reference=True, hook=editing_hook([], 1), **config)
+        for threshold in ("always", "default"):
+            got = observe(vector_min=THRESHOLDS[threshold],
+                          hook=editing_hook([], every), **config)
+            assert got == want, threshold
+        assert want["rows"]
+
+    @pytest.mark.parametrize("stride,block_size,copies", sorted(GOLDEN_VETOES))
+    def test_position_and_vetoes_at_every_hook_equal_the_parent(
+        self, stride, block_size, copies
+    ):
+        topo = build_mini()
+        scanner = Scanner(
+            topo.network, topo.vantage, ProbeSpec.for_seed(5).build(),
+            ScanConfig(scan_range=ScanRange.parse(SPEC), seed=5,
+                       blocklist=HEAVY_BLOCKLIST, probes_per_target=copies),
+        )
+        seen = []
+
+        def hook(s):
+            vetoes = {m["labels"]["rule"]: m["value"]
+                      for m in s.metrics.to_dict()["metrics"]
+                      if m["name"] == "scanner_blocklist_vetoes"}
+            seen.append((s.result.stats.sent, s.position, s.blocked_count,
+                         vetoes.get("2001:db8:1::/58", 0),
+                         vetoes.get("2001:db8:1:80::/57", 0)))
+            return s.result.stats.sent + stride
+
+        scanner.on_progress = hook
+        with engine(block_size=block_size):
+            scanner.run()
+        calls, end = GOLDEN_VETOES[stride, block_size, copies]
+        assert seen == calls
+        assert (scanner.position, scanner.blocked_count) == end
+
+    def test_a_loop_chunk_whose_error_bucket_runs_dry(self):
+        """Sixteen copies of each looping target at a megaprobe a second,
+        one chunk: the looping CPE, where every loop runs out of hop limit,
+        has its error bucket (100) run dry in the middle of the chunk, and
+        every suppressed error, token and refill instant is the sequential
+        walk's."""
+        config = dict(spec=LOOP_SPEC, probes_per_target=16, rate_pps=1e6)
+        want = observe(reference=True, **config)
+        got = observe(vector_min=ALWAYS, **config)
+        assert got == want
+        dry = {name: suppressed
+               for name, *_, tokens, _last, suppressed, _bounces
+               in want["devices"] if suppressed}
+        assert set(dry) == {"cpe-vuln"} and dry["cpe-vuln"] > 100, dry
+        assert want["rows"]
 
 
 class _Stop(Exception):

@@ -16,11 +16,13 @@ import pathlib
 import shutil
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.probes.base import ReplyKind
 from repro.core.probes.icmp import IcmpEchoProbe
-from repro.core.rows import ROW_SIZE, Rows, pack_row
+from repro.core import rows
+from repro.core.rows import KINDS, ROW, ROW_SIZE, Rows, pack_row
 from repro.core.scanner import ProbeResult, ScanConfig, Scanner, ScanResult
 from repro.core.stats import ScanStats
 from repro.core.target import ScanRange
@@ -124,6 +126,81 @@ class TestPackedResult:
                 continue
             raise AssertionError(f"{bad!r} unpacked")
         assert ROW_SIZE == len(row) == 35
+
+
+#: Addresses whose RFC 5952 text has an edge: all zero, a leading or a
+#: trailing run, no zero group, and two equal-length zero runs (the
+#: leftmost is the one dropped).
+EDGES = [
+    0, 1, 1 << 112, (1 << 128) - 1,
+    0x0001_0000_0000_0001_0000_0000_0001_0001,
+    0x0001_0000_0000_0001_0001_0000_0000_0001,
+    0x0000_0001_0000_0000_0001_0000_0000_0001,
+    0x20010DB8_00000000_00000000_00000001,
+]
+
+
+def _packed(n: int) -> list:
+    """``n`` packed rows over the edge addresses, every kind code and the
+    type/code extremes, repeating keys."""
+    rows = []
+    for k in range(n):
+        target = EDGES[k % len(EDGES)] ^ (k // len(EDGES) << 64)
+        responder = EDGES[(k * 3 + 1) % len(EDGES)]
+        rows.append(ROW.pack(
+            target.to_bytes(16, "big"), responder.to_bytes(16, "big"),
+            k % len(KINDS), (0, 255, 1, 3)[k % 4], (255, 0, 4, 0)[k // 4 % 4],
+        ))
+    return rows
+
+
+class TestDigestGrid:
+    """``dedup_digest`` hashes its lines rendered on one grid from
+    ``_DIGEST_VECTOR_MIN`` rows up; the f-string formula is the oracle."""
+
+    @pytest.mark.parametrize("n", sorted({
+        0, 1, rows._DIGEST_VECTOR_MIN - 1, rows._DIGEST_VECTOR_MIN,
+        rows._DIGEST_VECTOR_MIN + 1, 1025,
+    }))
+    def test_the_grid_is_the_formula(self, monkeypatch, n):
+        packed = _packed(n)
+        want = rows.digest_formula(packed)
+        assert rows.digest_text(packed) == want
+        if columnar._np is not None:  # the grid itself, at every size
+            monkeypatch.setattr(rows, "_DIGEST_VECTOR_MIN", 1)
+            assert rows.digest_text(packed) == want
+        result = ScanResult(range=RANGE, results=Rows.of(packed))
+        assert result.dedup_digest() == hashlib.sha256(want).hexdigest()
+
+    def test_every_edge_address_kind_and_byte(self, monkeypatch):
+        monkeypatch.setattr(rows, "_DIGEST_VECTOR_MIN", 1)
+        packed = [
+            ROW.pack(a.to_bytes(16, "big"), b.to_bytes(16, "big"),
+                     code, icmp_type, icmp_code)
+            for a in EDGES for b in EDGES for code in range(len(KINDS))
+            for icmp_type, icmp_code in ((0, 0), (255, 255), (0, 255))
+        ]
+        text = rows.digest_text(packed)
+        assert text == rows.digest_formula(packed)
+        lines = text.decode().split("\n")
+        assert "1::1:0:0:1:1|::|echo-reply|0|0" in lines
+        assert "::|ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff" in text.decode()
+
+    def test_a_head_written_with_the_formula_loads(self, tmp_path,
+                                                   monkeypatch):
+        """A DONE head whose digest the formula wrote (the parent commit,
+        or no numpy) loads under the grid: no ``digest-mismatch``."""
+        packed = _packed(64)
+        whole = ScanResult(range=RANGE, results=Rows.of(packed))
+        monkeypatch.setattr(rows, "_DIGEST_VECTOR_MIN", 1 << 30)
+        store = CheckpointStore(tmp_path)
+        store.write_shard(_state(DONE, 99, list(whole.results), whole))
+        store.close()
+        monkeypatch.undo()
+        loaded = CheckpointStore(tmp_path).load_shard("job/0")
+        assert loaded is not None and loaded.status == DONE
+        assert loaded.digest == whole.dedup_digest()
+        assert not [p for p in tmp_path.iterdir() if "corrupt" in p.name]
 
 
 def _state(status, position, chunk, whole=None) -> ShardState:

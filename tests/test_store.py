@@ -122,6 +122,81 @@ class TestSegment:
         assert [r.kind for r in back] == [r.kind for r in rows]
 
 
+#: Each side of ``SMALL_SEGMENT`` for a 64-row segment (2,312 bytes).
+SIDES = {"mapped": 0, "read": 1 << 20}
+
+
+@pytest.fixture(params=sorted(SIDES))
+def side(request, monkeypatch):
+    """Force every segment of the test onto one side of the size limit."""
+    from repro.store import segment
+
+    monkeypatch.setattr(segment, "SMALL_SEGMENT", SIDES[request.param])
+    return request.param
+
+
+class TestSmallSegmentsRead:
+    """A segment at most ``SMALL_SEGMENT`` long is read, a longer one
+    mapped; either way the same rows, the same corruption verdicts."""
+
+    def _segment(self, tmp_path, rows=64):
+        writer = SegmentWriter(tmp_path / "a.seg", block_rows=16)
+        writer.append_many(_rows(rows))
+        return tmp_path / "a.seg", writer.seal()
+
+    def test_the_side_is_taken(self, tmp_path, side):
+        import mmap
+
+        path, meta = self._segment(tmp_path)
+        buffer, close = SegmentReader(path, meta)._buffer()
+        try:
+            assert isinstance(buffer, mmap.mmap) == (side == "mapped")
+        finally:
+            close()
+
+    def test_both_sides_decode_the_same_rows(self, tmp_path, side):
+        path, meta = self._segment(tmp_path)
+        reader = SegmentReader(path, meta)
+        assert list(reader.iter_rows()) == _rows(64)
+        assert [(crc, count) for crc, count, _ in
+                reader.iter_blocks(project=None)] == [
+            (crc, count) for crc, count, _ in
+            SegmentReader(path, meta, use_mmap=False).iter_blocks()
+        ]
+        reader.verify()
+
+    def test_truncation_is_corrupt_on_both_sides(self, tmp_path, side):
+        path, meta = self._segment(tmp_path)
+        path.write_bytes(path.read_bytes()[:-10])
+        with pytest.raises(SegmentCorrupt, match="truncated"):
+            list(SegmentReader(path, meta).iter_rows())
+
+    def test_a_flipped_byte_is_corrupt_on_both_sides(self, tmp_path, side):
+        path, meta = self._segment(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[100] ^= 0xFF  # a row byte inside block 0
+        path.write_bytes(bytes(data))
+        reader = SegmentReader(path, meta)
+        with pytest.raises(SegmentCorrupt, match="CRC"):
+            list(reader.iter_blocks(project=None))
+        with pytest.raises(SegmentCorrupt, match="CRC"):
+            reader.verify()
+
+    def test_the_store_quarantines_on_both_sides(self, tmp_path, side):
+        store = ResultStore(tmp_path / "store")
+        writer = store.writer("a", block_rows=16)
+        writer.append_many(_rows(64))
+        store.commit([writer.seal()])
+        path = store.segment_path("a.seg")
+        data = bytearray(path.read_bytes())
+        data[50] ^= 0x01  # a row bit; the size check passes
+        path.write_bytes(bytes(data))
+        with pytest.raises(StoreCorruption, match="quarantined"):
+            list(ResultStore(tmp_path / "store").iter_rows())
+        store = ResultStore(tmp_path / "store")
+        assert store.total_rows == 0 and store.quarantined == ["a.seg"]
+
+
 class TestSinks:
     def test_csv_sink_matches_one_shot_writer(self):
         topo = build_mini()

@@ -162,6 +162,39 @@ class TestObserveMany:
             one.observe(value)
         assert bulk.to_dict() == loop.to_dict()
 
+    @settings(max_examples=300, deadline=None)
+    @given(bounds=st.sampled_from([HOP_BUCKETS, WAIT_BUCKETS]),
+           before=OBSERVATIONS,
+           values=st.lists(st.integers(min_value=0, max_value=300),
+                           max_size=60),
+           after=OBSERVATIONS, huge=st.booleans())
+    def test_an_int_column_equals_observe_in_a_loop(
+        self, bounds, before, values, after, huge
+    ):
+        """A chunk's hops come as an int column: its counts, ``sum`` and
+        last-value memo are the loop's, also after a fractional or a
+        float-inexact ``sum`` (where the column takes the loop)."""
+        np = pytest.importorskip("numpy")
+        many = MetricsRegistry().histogram("h", bounds=bounds)
+        one = MetricsRegistry().histogram("h", bounds=bounds)
+        for histogram in (many, one):
+            if huge:  # past 2**53: a float sum no longer counts by ones
+                histogram.observe(float(1 << 53))
+            for value in before:
+                histogram.observe(value)
+        many.observe_many(np.array(values, dtype=np.int64))
+        for value in values:
+            one.observe(value)
+        state = ("counts", "count", "sum", "_last")
+        assert [getattr(many, a) for a in state] == [
+            getattr(one, a) for a in state]
+        assert type(many.sum) is type(one.sum)
+        for value in after:
+            many.observe(value)
+            one.observe(value)
+        assert [getattr(many, a) for a in state] == [
+            getattr(one, a) for a in state]
+
     def test_null_histogram_takes_a_block_too(self):
         NULL_REGISTRY.histogram("z").observe_many([1, 2.5, 300])
         assert len(NULL_REGISTRY) == 0
