@@ -504,8 +504,9 @@ class Rows:
     @classmethod
     def of(cls, rows: List[bytes]) -> "Rows":
         """The rows of ``rows`` (packed, taken as they are)."""
-        made = cls()
+        made = cls.__new__(cls)
         made.rows = rows
+        made._objects = []
         return made
 
     @classmethod

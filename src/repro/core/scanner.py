@@ -715,20 +715,24 @@ class Scanner:
                 reply_key = (kind_code, icmp_type, code)
                 tally[reply_key] = tally.get(reply_key, 0) + 1
                 emit(row)
-            validated = len(rows) - invalid - duplicates
+            received = len(rows)
+            validated = received - invalid - duplicates
             for (kind_code, icmp_type, code), n in tally.items():
                 count(KINDS[kind_code], icmp_type, code, n)
-            stats.received += len(rows)
-            c_received.inc(len(rows))
-            stats.discarded += invalid + duplicates
-            c_invalid.inc(invalid)
-            c_duplicate.inc(duplicates)
+            stats.received += received
+            c_received.inc(received)
+            if invalid or duplicates:
+                stats.discarded += invalid + duplicates
+                c_invalid.inc(invalid)
+                c_duplicate.inc(duplicates)
             stats.validated += validated
             c_validated.inc(validated)
             return validated
 
         def settle(outcomes: Outcomes, span: Optional["ProbeTrace"]) -> int:
             rows = outcomes.rows
+            if not outcomes.ejected:  # a chunk of rows and silence
+                return account_rows(rows) if rows else 0
             answered = [(i, inbox) for i, (inbox, _trace)
                         in outcomes.ejected.items() if inbox]
             if not rows:
@@ -769,6 +773,14 @@ class Scanner:
           decision paces exactly the targets after it;
         * one target, when the scan must see a target's replies before
           pacing the next (probe tracing, retransmission).
+
+        A chunk's own cost beyond its lanes is kept small, because the
+        progress hook's checkpoint cadence can cut a chunk every few dozen
+        probes: a run of lanes replays off its block's busy index (no numpy
+        for its silent lanes), the hop histogram only queues the chunk's
+        hop column (:meth:`~repro.telemetry.metrics.Histogram.observe_many`
+        folds the queue when something reads it), and a chunk of nothing but
+        rows and silence is settled without walking its ejected lanes.
         """
         config = self.config
         network = self.network
@@ -865,7 +877,7 @@ class Scanner:
                     pulled = take(1 if sampler is not None else want - taken)
                     if not pulled:
                         break
-                    count = sum(len(run) for _lanes, run in pulled)
+                    count = sum([len(run) for _lanes, run in pulled])
                     runs += pulled
                     taken += count
                     if tracing:  # hence single: ``pulled`` is the chunk
@@ -886,7 +898,8 @@ class Scanner:
                     clocks += sends
                 if not runs:
                     break  # the stream is exhausted
-                runs = _joined(runs)
+                if len(runs) > 1:
+                    runs = _joined(runs)
                 if wire:  # every probe crosses the codec, silent or not
                     packet = [
                         Packet.decode(build(source, IPv6Addr(value)).encode())
@@ -898,7 +911,7 @@ class Scanner:
                 network.active_trace = span
                 outcomes = inject_block(probes, vantage, clocks)
                 network.active_trace = None
-                sent = len(probes)
+                sent = taken * copies  # ``len(probes)``
                 stats.sent += sent
                 c_sent.inc(sent)
                 observe_hops(outcomes.hops)

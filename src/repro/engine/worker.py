@@ -24,6 +24,7 @@ import signal
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.core.rows import Rows
 from repro.core.scanner import Scanner, ScanResult
 from repro.engine.checkpoint import DONE, PARTIAL, CheckpointStore, ShardState
 from repro.engine.planner import ShardJob
@@ -137,7 +138,7 @@ def execute_job(
     buffer = WorkerEventBuffer()
     if not job.checkpoint_dir:
         return _run_shard(job, prebuilt, buffer, None)
-    store = CheckpointStore(job.checkpoint_dir, on_event=buffer.record)
+    store = CheckpointStore(job.checkpoint_dir, on_event=buffer.adopt)
     try:
         return _run_shard(job, prebuilt, buffer, store)
     finally:
@@ -243,6 +244,7 @@ def _scan_shard(
         cumulative result."""
         assert store is not None and scanner.result is not None
         total = cumulative.result(scanner.result)
+        rows = total.results.rows
         store.write_shard(
             ShardState(
                 job_id=job.job_id,
@@ -252,13 +254,13 @@ def _scan_shard(
                 position=scanner.position,
                 result=ScanResult(
                     range=total.range,
-                    results=total.results[cumulative.written:],
+                    results=Rows.of(rows[cumulative.written:]),
                     stats=total.stats,
                 ),
                 whole=total if status == DONE else None,
             )
         )
-        cumulative.written = len(total.results)
+        cumulative.written = len(rows)
         return total
 
     kill_after = job.kill_after if skip == 0 else None  # resumes survive

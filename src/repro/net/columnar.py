@@ -97,6 +97,7 @@ keep their packets.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, Iterator, List, Optional, Tuple
 
@@ -617,10 +618,21 @@ class Lanes:
     probes (``copies`` ride each lane), a network not :func:`_usable`, an
     uncompilable table — has no ``fib`` and no columns: every probe of it
     is one whole :meth:`Network.inject`.
+
+    A forwarded block also keeps its **busy index**, built once per
+    forward: ``busy``, the sorted lanes whose status is not ``_SILENT``;
+    ``fields``, their five column values as Python ints (one list per busy
+    lane); and ``hop_sums``, the prefix sums of the vector hops (``hop_sums
+    [k]`` is the hops of lanes before ``k``).  A ``range`` run sent once per
+    lane replays off it — two ``bisect`` calls find its busy lanes, one
+    prefix difference its hop total, and its hop and drop columns are views
+    (copied only where a busy lane's settled values go in) — so a chunk of
+    silent lanes calls no numpy beyond those views.
     """
 
     __slots__ = ("targets", "values", "hop_limits", "copies", "fib",
-                 "columns", "status", "cur", "hl", "hops", "drops")
+                 "columns", "status", "cur", "hl", "hops", "drops", "busy",
+                 "fields", "hop_sums")
 
     def __init__(self, network: "Network", vantage: "Device",
                  values, hop_limits, copies: int = 1) -> None:
@@ -636,6 +648,7 @@ class Lanes:
         lanes before ``start`` (already sent) read as ``_ORIGIN``."""
         self.fib = self.columns = None
         self.status = self.cur = self.hl = self.hops = self.drops = None
+        self.busy = self.fields = self.hop_sums = None
         n = len(self.values)
         if (n - start) * self.copies < VECTOR_MIN_PROBES or not _usable(
             network
@@ -657,6 +670,12 @@ class Lanes:
         self.fib = fib
         self.columns = columns
         self.status, self.cur, self.hl, self.hops, self.drops = columns
+        busy = (self.status != _SILENT).nonzero()[0]
+        self.busy = busy.tolist()
+        self.fields = columns.take(busy, axis=1).T.tolist()
+        hop_sums = _np.zeros(len(self.hops) + 1, dtype=_np.int64)
+        _np.cumsum(self.hops, out=hop_sums[1:])
+        self.hop_sums = hop_sums.tolist()
 
 
 def _vector_phase(network, fib, vantage, values, hop_limits):
@@ -841,7 +860,7 @@ class Probes:
         self.runs = runs
         self.packet = packet
         self.source = source
-        self._probes = sum(len(run) * lanes.copies for lanes, run in runs)
+        self._probes = sum([len(run) * lanes.copies for lanes, run in runs])
 
     def __len__(self) -> int:
         return self._probes
@@ -965,18 +984,18 @@ def inject_block(
     run, and the error that arrives is a row of the result.  The network's
     clock is restored to its entry value before returning.
     """
-    if clocks is not None and len(clocks) != len(block):
+    n = len(block)
+    if clocks is not None and len(clocks) != n:
         raise ValueError("clocks must match packets one-to-one")
     if isinstance(block, list):
         lanes = Lanes(network, vantage, [p.dst.value for p in block],
                       [p.hop_limit for p in block])
-        block = Probes([(lanes, range(len(block)))], block.__getitem__)
-    cut = _cut(network, clocks, len(block))
+        block = Probes([(lanes, range(n))], block.__getitem__)
+    cut = _cut(network, clocks, n)
     chunk = _Chunk(network, vantage, block)
     _replay(chunk, clocks, cut)
-    if cut < len(block):
-        pairs = _sequential(network, [block.packet(i)
-                                      for i in range(cut, len(block))],
+    if cut < n:
+        pairs = _sequential(network, [block.packet(i) for i in range(cut, n)],
                             vantage, clocks[cut:] if clocks else None)
         for i, pair in enumerate(pairs, cut):
             chunk.ejected[i] = pair
@@ -1009,11 +1028,14 @@ def _cut(network: "Network", clocks: Optional[List[float]], n: int) -> int:
     inside that probe's ``inject``, at its clock, as in the oracle."""
     if not _usable(network):
         return 0
-    if _usable(network, clocks[-1] if clocks else network.clock):
+    faults = network.faults
+    if faults is None:
+        return n
+    due = faults.next_transition
+    if due > (clocks[-1] if clocks else network.clock):
         return n
     if clocks is None:
         return 0
-    due = network.faults.next_transition
     return next(k for k, clock in enumerate(clocks) if clock >= due)
 
 
@@ -1125,8 +1147,11 @@ def _replay(chunk: _Chunk, clocks: Optional[List[float]], stop: int) -> None:
     A run of a forwarded block takes the hops and drops of all its lanes
     at once; only the lanes whose status needs state — every one but
     ``_SILENT`` — are visited, in probe order, each under its own clock,
-    by :meth:`_Chunk.settle`.  A run of a block that was not forwarded is
-    one whole :meth:`Network.inject` per probe, the sequential loop."""
+    by :meth:`_Chunk.settle`.  A ``range`` run sent once per lane finds
+    them, and its hop total, on the block's busy index (:class:`Lanes`);
+    an index-column run or one of several copies per lane ``take``s its
+    columns.  A run of a block that was not forwarded is one whole
+    :meth:`Network.inject` per probe, the sequential loop."""
     network, vantage = chunk.network, chunk.vantage
     settle, packet, ejected = chunk.settle, chunk.packet, chunk.ejected
     entry_clock = network.clock
@@ -1151,18 +1176,50 @@ def _replay(chunk: _Chunk, clocks: Optional[List[float]], stop: int) -> None:
                 _inbox, trace = ejected[i] = network.inject(packet(i), vantage)
                 hops.append(trace.hops)
                 drops.append(trace.drops)
+        elif copies == 1 and isinstance(run, range):
+            # One stretch of lanes sent once each: the columns' views, the
+            # hop total off the prefix sums, and the busy lanes among them
+            # off the block's busy index — a copy only if there are any.
+            start = run.start
+            end = start + count
+            hops, drops = lanes.hops[start:end], lanes.drops[start:end]
+            sums = lanes.hop_sums
+            lane_probes += count
+            lane_hops += sums[end] - sums[start]
+            busy = lanes.busy
+            lo = bisect_left(busy, start)
+            hi = bisect_left(busy, end, lo)
+            if lo < hi:
+                values, fields = lanes.values, lanes.fields
+                chunk.fib = lanes.fib
+                hops = hops.copy()  # the run's, not the lanes'
+                own_drops = False
+                for k in range(lo, hi):
+                    lane = busy[k]
+                    status, cur, hl, took, lost = fields[k]
+                    pos = lane - start
+                    if clocks is not None:
+                        network.clock = clocks[first + pos]
+                    probe_hops, probe_drops = settle(
+                        first + pos, status, cur, values[lane], hl, took,
+                        lost,
+                    )
+                    hops[pos] = probe_hops
+                    if probe_drops != lost:
+                        if not own_drops:
+                            drops, own_drops = drops.copy(), True
+                        drops[pos] = probe_drops
+                    if status == _ORIGIN:
+                        # A lane before a re-forward's start is counted by
+                        # its own ``inject`` (its vector hops are 0).
+                        lane_probes -= 1
         else:
-            # status, cur, hl, hops, drops of the run's probes, in order: a
-            # view where the run is one stretch of lanes sent once each
-            if copies == 1 and isinstance(run, range):
-                lane_of = None
-                taken = lanes.columns[:, run.start:run.start + count]
-            else:
-                lane_of = (_np.arange(run.start, run.stop, run.step)
-                           if isinstance(run, range) else _np.asarray(run))
-                if copies > 1:
-                    lane_of = lane_of.repeat(copies)
-                taken = lanes.columns.take(lane_of[:count], axis=1)
+            # status, cur, hl, hops, drops of the run's probes, in order
+            lane_of = (_np.arange(run.start, run.stop, run.step)
+                       if isinstance(run, range) else _np.asarray(run))
+            if copies > 1:
+                lane_of = lane_of.repeat(copies)
+            taken = lanes.columns.take(lane_of[:count], axis=1)
             hops, drops = taken[3], taken[4]
             lane_probes += count
             lane_hops += int(hops.sum())
@@ -1170,8 +1227,7 @@ def _replay(chunk: _Chunk, clocks: Optional[List[float]], stop: int) -> None:
             if busy.size:
                 statuses, curs, hls, took, lost = taken.take(
                     busy, axis=1).tolist()
-                lanes_at = (busy + run.start if lane_of is None
-                            else lane_of.take(busy)).tolist()
+                lanes_at = lane_of.take(busy).tolist()
                 values = lanes.values
                 chunk.fib = lanes.fib
                 settled_hops, settled_drops = [], []
@@ -1187,10 +1243,8 @@ def _replay(chunk: _Chunk, clocks: Optional[List[float]], stop: int) -> None:
                     )
                     settled_hops.append(probe_hops)
                     settled_drops.append(probe_drops)
-                hops = hops.copy()  # the run's, not the lanes'
-                hops[busy] = settled_hops
+                hops[busy] = settled_hops  # ``take`` made them the run's
                 if settled_drops != lost:
-                    drops = drops.copy()
                     drops[busy] = settled_drops
                 # A lane before a re-forward's start is counted by its
                 # own ``inject`` (its vector hops are 0).

@@ -552,10 +552,10 @@ class Network:
         binding or any registered device's route changed — the stamp the
         per-device flow caches compare too.
         """
-        from repro.net import columnar
-
         fib = self._columnar_fib
         if fib is None or not fib.valid(self):
+            from repro.net import columnar
+
             fib = columnar.ColumnarFib.compile(self)
             self._columnar_fib = fib
         return fib

@@ -152,8 +152,6 @@ class SegmentWriter:
     def append_row(self, row: bytes) -> None:
         """Append one row already in its packed :data:`ROW` form."""
         self._buffer.append(row)
-        self._index.add(self.blocks, int.from_bytes(row[:16], "big"),
-                        int.from_bytes(row[16:32], "big"))
         self.rows += 1
         if len(self._buffer) >= self.block_rows:
             self._flush_block()
@@ -180,6 +178,7 @@ class SegmentWriter:
         self._write(_U32.pack(len(self._buffer)))
         self._write(payload)
         self._write(_U32.pack(zlib.crc32(payload)))
+        self._index.add_block(payload)
         self._buffer.clear()
         self.blocks += 1
 
@@ -188,7 +187,8 @@ class SegmentWriter:
 
         The metadata dict is what a :class:`~repro.store.store.ResultStore`
         manifest records per segment: row/block/byte counts, the whole-file
-        CRC32, the kind-code table, and the prefix index.
+        CRC32, the kind-code table, and the prefix index (one packed
+        string per level, :mod:`repro.store.index`).
         """
         if self.sealed:
             raise RuntimeError(f"segment {self.path.name} already sealed")

@@ -191,8 +191,14 @@ class WorkerEventBuffer:
         """File an externally built record (checkpoint hooks, fault
         journals) under the buffer's own clock and sequence; timestamps
         already on the record are kept."""
-        stamped = dict(record)
-        stamped.setdefault("t", round(time.monotonic() - self._t0, 6))
-        stamped["seq"] = self._seq
+        self.adopt(dict(record))
+
+    def adopt(self, record: Dict[str, object]) -> None:
+        """:meth:`record`, for a record built for this buffer alone: it is
+        stamped and kept as it is, not copied (a checkpoint store's events,
+        one a checkpoint)."""
+        if "t" not in record:
+            record["t"] = round(time.monotonic() - self._t0, 6)
+        record["seq"] = self._seq
         self._seq += 1
-        self.records.append(stamped)
+        self.records.append(record)

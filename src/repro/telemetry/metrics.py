@@ -82,74 +82,153 @@ class Histogram:
     ``bounds`` are inclusive upper bounds; observations above the last
     bound land in the overflow bucket, so ``len(counts) == len(bounds)+1``.
     Merging requires identical bounds.
+
+    :meth:`observe_many` only queues its values: they are folded in, in
+    the order they came, the first time anything reads ``counts``,
+    ``count``, ``sum`` or ``_last`` (or observes one value), so a scan that
+    hands over a column per chunk pays the bucketing once per read instead
+    of once per chunk, and every reader sees exactly the loop's state.
     """
 
-    __slots__ = ("bounds", "counts", "count", "sum", "_last")
+    __slots__ = ("bounds", "_counts", "_count", "_sum", "_previous",
+                 "_pending")
+
+    #: Queued parts that force a fold: bounds what the queue keeps alive
+    #: (a part may be a view of a block's lane columns).
+    PENDING_PARTS = 64
 
     def __init__(self, bounds: Sequence[float]) -> None:
         if not bounds or list(bounds) != sorted(bounds):
             raise ValueError("histogram bounds must be a sorted, non-empty sequence")
         self.bounds: Tuple[float, ...] = tuple(float(b) for b in bounds)
-        self.counts: List[int] = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.sum = 0.0
+        self._counts: List[int] = [0] * (len(self.bounds) + 1)
+        self._count = 0
+        self._sum = 0.0
         #: (value, bucket) of the previous observation — scan telemetry is
         #: highly repetitive (constant pacer waits, a handful of distinct
         #: hop counts), so this skips the bisect on the common path.
-        self._last: Tuple[Optional[float], int] = (None, 0)
+        self._previous: Tuple[Optional[float], int] = (None, 0)
+        #: :meth:`observe_many` parts not folded in yet, in order.
+        self._pending: list = []
+
+    def _read(self) -> None:
+        if self._pending:
+            self._fold()
+
+    @property
+    def counts(self) -> List[int]:
+        self._read()
+        return self._counts
+
+    @counts.setter
+    def counts(self, value: List[int]) -> None:
+        self._read()
+        self._counts = value
+
+    @property
+    def count(self) -> int:
+        self._read()
+        return self._count
+
+    @count.setter
+    def count(self, value: int) -> None:
+        self._read()
+        self._count = value
+
+    @property
+    def sum(self) -> float:
+        self._read()
+        return self._sum
+
+    @sum.setter
+    def sum(self, value: float) -> None:
+        self._read()
+        self._sum = value
+
+    @property
+    def _last(self) -> Tuple[Optional[float], int]:
+        self._read()
+        return self._previous
 
     def observe(self, value: float) -> None:
-        last_value, index = self._last
+        if self._pending:
+            self._fold()
+        last_value, index = self._previous
         if value != last_value:
             index = bisect_left(self.bounds, value)
-            self._last = (value, index)
-        self.counts[index] += 1
-        self.count += 1
-        self.sum += value
+            self._previous = (value, index)
+        self._counts[index] += 1
+        self._count += 1
+        self._sum += value
 
     def observe_many(self, values: Sequence[float]) -> None:
-        """``for value in values: observe(value)`` in one call: the same
-        buckets, and the same float additions to ``sum`` in the same order,
-        so the histogram comes out bit-identical.
+        """``for value in values: observe(value)``, bit for bit — the same
+        buckets, and the same float additions to ``sum`` in the same order
+        — but queued: ``values`` is folded in when the histogram is next
+        read, so it must not change after this call.
 
-        ``values`` may be a numpy int column (a chunk's hops): its buckets
-        are one ``searchsorted`` and its sum one integer sum wherever every
-        partial sum of the loop would be an exact integer float anyway
-        (non-negative ints onto an integral ``sum``, all below 2**53)."""
-        if _np is not None and isinstance(values, _np.ndarray):
-            if self._observe_column(values):
-                return
-            values = values.tolist()
-        bounds, counts = self.bounds, self.counts
-        last_value, index = self._last
-        total = self.sum
+        ``values`` may be a numpy int column (a chunk's hops): consecutive
+        columns fold as one, in one ``searchsorted`` and one integer sum
+        wherever every partial sum of the loop would be an exact integer
+        float anyway (non-negative ints onto an integral ``sum``, all below
+        2**53)."""
+        if len(values):
+            pending = self._pending
+            pending.append(values)
+            if len(pending) >= self.PENDING_PARTS:
+                self._fold()
+
+    def _fold(self) -> None:
+        """Observe the queued parts, in order; a stretch of numpy columns
+        as one column."""
+        pending, self._pending = self._pending, []
+        columns: list = []
+        for part in pending:
+            if _np is not None and isinstance(part, _np.ndarray):
+                columns.append(part)
+                continue
+            if columns:
+                self._observe_columns(columns)
+                columns = []
+            self._observe_values(part)
+        if columns:
+            self._observe_columns(columns)
+
+    def _observe_columns(self, columns: list) -> None:
+        values = columns[0] if len(columns) == 1 else _np.concatenate(columns)
+        if not self._observe_column(values):
+            self._observe_values(values.tolist())
+
+    def _observe_values(self, values: Sequence[float]) -> None:
+        """The loop of :meth:`observe` over ``values``."""
+        bounds, counts = self.bounds, self._counts
+        last_value, index = self._previous
+        total = self._sum
         for value in values:
             if value != last_value:
                 index = bisect_left(bounds, value)
                 last_value = value
             counts[index] += 1
             total += value
-        self.count += len(values)
-        self.sum = total
-        self._last = (last_value, index)
+        self._count += len(values)
+        self._sum = total
+        self._previous = (last_value, index)
 
     def _observe_column(self, values) -> bool:
-        """:meth:`observe_many` of an int column, where the loop's float
-        additions are exact; False, having observed nothing, elsewhere."""
-        if not len(values):
-            return True
-        if values.dtype.kind not in "iu" or not float(self.sum).is_integer():
+        """The loop over an int column, where its float additions are
+        exact; False, having observed nothing, elsewhere."""
+        if values.dtype.kind not in "iu" or not float(self._sum).is_integer():
             return False
-        if (self.sum < 0 or int(values.min()) < 0
-                or self.sum + int(values.max()) * len(values) >= _EXACT):
+        if (self._sum < 0 or int(values.min()) < 0
+                or self._sum + int(values.max()) * len(values) >= _EXACT):
             return False
         total = int(values.sum())  # no int64 overflow below 2**53
         buckets = _np.searchsorted(self.bounds, values, side="left")
-        added = _np.bincount(buckets, minlength=len(self.counts)).tolist()
-        self.counts[:] = [old + new for old, new in zip(self.counts, added)]
-        self.count += len(values)
-        self.sum += total
-        self._last = (int(values[-1]), int(buckets[-1]))
+        added = _np.bincount(buckets, minlength=len(self._counts)).tolist()
+        self._counts[:] = [old + new for old, new in zip(self._counts, added)]
+        self._count += len(values)
+        self._sum += total
+        self._previous = (int(values[-1]), int(buckets[-1]))
         return True
 
     @property

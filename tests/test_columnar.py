@@ -555,6 +555,126 @@ class TestVerdictReplay:
                        ("no-route", "hop-limit", "on-link")), verdicts
 
 
+class _Numpy:
+    """``columnar._np`` that logs every name the replay looks up on it."""
+
+    def __init__(self, np, log):
+        self._numpy, self._log = np, log
+
+    def __getattr__(self, name):
+        self._log.append(name)
+        return getattr(self._numpy, name)
+
+
+@needs_numpy
+class TestBusyIndex:
+    """``Lanes.forward`` indexes a block's busy lanes once, and a ``range``
+    run sent once per lane replays off that index: counted through two
+    seams, the numpy module the replay sees and the lanes' own columns."""
+
+    def _pulled(self):
+        topo = build_mini()
+        scanner = Scanner(topo.network, topo.vantage,
+                          ProbeSpec.for_seed(5).build(), _config())
+        ((lanes, run),) = scanner._pull().take(256)
+        assert run == range(256) and lanes.fib is not None
+        return topo, scanner, lanes
+
+    def _replayed(self, monkeypatch, topo, scanner, lanes, run):
+        """``inject_block`` of one run, with every numpy call the replay
+        makes logged — module functions and methods of the lanes' columns
+        — and the lanes ``_Chunk.settle`` visits."""
+        np = columnar._np
+        calls: list = []
+
+        class Counted(np.ndarray):
+            pass
+
+        for method in ("__getitem__", "__setitem__", "take", "copy", "sum",
+                       "nonzero", "tolist", "repeat", "cumsum"):
+            def counted(self, *args, _name=method, **kwargs):
+                calls.append(_name)
+                return getattr(np.ndarray, _name)(self, *args, **kwargs)
+            setattr(Counted, method, counted)
+        lanes.columns = lanes.columns.view(Counted)
+        (lanes.status, lanes.cur, lanes.hl, lanes.hops,
+         lanes.drops) = (np.ndarray.__getitem__(lanes.columns, k)
+                         for k in range(5))
+        settled = []
+        settle = columnar._Chunk.settle
+
+        def counted_settle(chunk, i, *fields):
+            settled.append(i)
+            return settle(chunk, i, *fields)
+
+        monkeypatch.setattr(columnar._Chunk, "settle", counted_settle)
+        monkeypatch.setattr(columnar, "_np", _Numpy(np, calls))
+        source = topo.vantage.primary_address
+        outcomes = columnar.inject_block(
+            topo.network,
+            columnar.Probes([(lanes, run)], lambda i: scanner.probe.build(
+                source, IPv6Addr(lanes.values[run[i]])), source),
+            topo.vantage,
+        )
+        monkeypatch.undo()
+        return outcomes, calls, settled
+
+    def test_index_is_the_lanes_that_are_not_silent(self):
+        _topo, _scanner, lanes = self._pulled()
+        status = lanes.status.tolist()
+        assert lanes.busy == [
+            lane for lane, code in enumerate(status)
+            if code != columnar._SILENT
+        ]
+        assert lanes.fields == [lanes.columns[:, lane].tolist()
+                                for lane in lanes.busy]
+        hops = lanes.hops.tolist()
+        assert lanes.hop_sums == [sum(hops[:k]) for k in range(257)]
+
+    def test_an_all_silent_run_replays_with_column_views_alone(
+        self, monkeypatch
+    ):
+        topo, scanner, lanes = self._pulled()
+        busy = lanes.busy
+        gaps = [(a + 1, b) for a, b in zip(busy, busy[1:]) if b - a > 2]
+        assert gaps, "mini's window has a stretch of silent lanes"
+        start, stop = gaps[0]
+        total = topo.network.total_hops
+        outcomes, calls, settled = self._replayed(
+            monkeypatch, topo, scanner, lanes, range(start, stop))
+        # The hops and drops views of the run, and nothing else.
+        assert calls == ["__getitem__", "__getitem__"]
+        assert settled == [] and outcomes.rows == []
+        assert columnar._np.shares_memory(outcomes.hops, lanes.columns)
+        hops = lanes.hops.tolist()[start:stop]
+        assert topo.network.total_hops - total == sum(hops)
+
+    @pytest.mark.parametrize("cut", [0, 1, 2])
+    def test_a_run_with_k_busy_lanes_settles_exactly_k(
+        self, monkeypatch, cut
+    ):
+        """Runs that start on, just after and one lane past a busy lane."""
+        topo, scanner, lanes = self._pulled()
+        busy = lanes.busy
+        start = busy[3] + cut
+        stop = busy[9] + 1
+        k = sum(1 for lane in busy if start <= lane < stop)
+        assert k == 7 - (cut > 0)
+        total = topo.network.total_hops
+        vector_hops = sum(lanes.hops.tolist()[start:stop])
+        outcomes, calls, settled = self._replayed(
+            monkeypatch, topo, scanner, lanes, range(start, stop))
+        assert settled == [lane - start for lane in busy
+                           if start <= lane < stop]
+        # The two views, one copy of the run's hops and one write per busy
+        # lane (no busy lane of mini's window drops a packet: drops stay a
+        # view).
+        assert calls == (["__getitem__"] * 2 + ["copy"]
+                         + ["__setitem__"] * k)
+        assert len(outcomes.hops) == stop - start
+        assert topo.network.total_hops - total >= vector_hops
+
+
 class TestScanEquivalence:
     """Columnar scans reproduce scalar scans bit-for-bit on the mini net."""
 

@@ -43,7 +43,7 @@ from repro.net.network import DeliveryTrace, Network, NetworkError
 from repro.net.packet import Packet
 from repro.net.spec import TopologySpec
 from repro.net.testbed import MiniTopology
-from repro.telemetry.metrics import HOP_BUCKETS
+from repro.telemetry.metrics import HOP_BUCKETS, WAIT_BUCKETS
 from tests.pipeline import (
     ALWAYS,
     LOOP_SPEC,
@@ -662,22 +662,82 @@ RUN_SHAPES = {
 }
 
 
+def _recording(bind, log):
+    """``bind`` (an :func:`editing_hook`) whose hook first logs, by
+    ``sent``, the hop histogram and the pacer's wait histogram as a reader
+    sees them at that call: counts, count, sum and last-value memo."""
+
+    def wrapped(topo):
+        hook = bind(topo)
+
+        def record(scanner):
+            log[scanner.result.stats.sent] = [
+                (h.counts[:], h.count, h.sum, h._last)
+                for h in (
+                    scanner.metrics.histogram("probe_hops",
+                                              bounds=HOP_BUCKETS),
+                    scanner.metrics.histogram("pacer_wait_virtual_seconds",
+                                              bounds=WAIT_BUCKETS),
+                )
+            ]
+            return hook(scanner)
+
+        return record
+
+    return wrapped
+
+
 class TestLaneRuns:
     """A chunk is runs of lanes from the pull to the histogram; however the
     runs are cut, they replay as the sequential oracle."""
 
+    def _matches(self, config, edits, every):
+        """The scan cut every ``every`` probes (and at ``edits``) observes
+        what the reference engine does, and its histograms read as the
+        reference's at every hook call."""
+        logged: dict = {}
+        want = observe(reference=True,
+                       hook=_recording(editing_hook(edits, 1), logged),
+                       **config)
+        for threshold in ("always", "default"):
+            seen: dict = {}
+            got = observe(vector_min=THRESHOLDS[threshold],
+                          hook=_recording(editing_hook(edits, every), seen),
+                          **config)
+            assert got == want, threshold
+            assert seen and {sent: logged[sent] for sent in seen} == seen
+        assert want["rows"]
+
+    # Cadences 1 and 7 cut on, just before and just after busy lanes.
     @pytest.mark.parametrize("shape", sorted(RUN_SHAPES))
-    @pytest.mark.parametrize("every", [64, 512])
+    @pytest.mark.parametrize("every", [1, 7, 64, 512])
     def test_runs_cut_by_the_checkpoint_cadence_match_the_oracle(
         self, shape, every
     ):
-        config = RUN_SHAPES[shape]
-        want = observe(reference=True, hook=editing_hook([], 1), **config)
-        for threshold in ("always", "default"):
-            got = observe(vector_min=THRESHOLDS[threshold],
-                          hook=editing_hook([], every), **config)
-            assert got == want, threshold
-        assert want["rows"]
+        self._matches(RUN_SHAPES[shape], [], every)
+
+    @pytest.mark.parametrize("shape", ["plain", "two-copies",
+                                       "heavy-blocklist"])
+    @pytest.mark.parametrize("every", [1, 7, 64])
+    def test_a_route_edit_mid_block_reforwards_its_busy_index(
+        self, monkeypatch, shape, every
+    ):
+        """Routes edited after a block's busy index was built: what is left
+        of the block is forwarded, and indexed, afresh."""
+        forwarded = []
+        vector_phase = columnar._vector_phase
+
+        def spy(network, fib, vantage, values, hop_limits):
+            forwarded.append(len(values))
+            return vector_phase(network, fib, vantage, values, hop_limits)
+
+        monkeypatch.setattr(columnar, "_vector_phase", spy)
+        self._matches(RUN_SHAPES[shape], [(37, EDITS["rotation"]),
+                                          (90, EDITS["route-remove"])], every)
+        if columnar._np is not None:
+            # Each of the two fast scans forwards at the pull and again
+            # after at least one of the edits.
+            assert len(forwarded) >= 4
 
     @pytest.mark.parametrize("stride,block_size,copies", sorted(GOLDEN_VETOES))
     def test_position_and_vetoes_at_every_hook_equal_the_parent(

@@ -5,6 +5,7 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.output import (
     render_csv,
@@ -14,6 +15,7 @@ from repro.core.output import (
 )
 from repro.core.probes.base import ReplyKind
 from repro.core.probes.icmp import IcmpEchoProbe
+from repro.core.rows import pack_row
 from repro.core.scanner import ProbeResult, ScanConfig, Scanner, ScanResult
 from repro.core.target import ScanRange
 from repro.core.validate import Validator
@@ -32,6 +34,7 @@ from repro.store import (
     diff,
     query,
 )
+from repro.store import index as index_module
 from repro.telemetry.metrics import MetricsRegistry
 
 from tests.topo import build_mini
@@ -568,6 +571,123 @@ class TestQuery:
         store = self._two_block_store(tmp_path)
         with pytest.raises(ValueError, match="/64"):
             list(query(store, responder64="2001:db8::/32"))
+
+
+#: Row addresses drawn close together, so buckets at every level hold rows
+#: of several blocks: a few /32s, /48s, /64s, then a random interface id.
+_ADDRESS = st.builds(
+    lambda a, b, c, iid: ((0x2001_0DB0 + a) << 96) + (b << 80) + (c << 64)
+    + iid,
+    st.integers(0, 2), st.integers(0, 3), st.integers(0, 3),
+    st.integers(0, (1 << 64) - 1),
+)
+
+
+def _legacy_index(rows, block_rows):
+    """A segment's index as segments sealed before the packed form carry
+    it: nested dicts of hex buckets and sorted block lists."""
+    target = {level: {} for level in (32, 48, 64)}
+    responders = {}
+    for i, row in enumerate(rows):
+        block = i // block_rows
+        for level, buckets in target.items():
+            buckets.setdefault(row.target.value >> (128 - level),
+                               set()).add(block)
+        responders.setdefault(row.responder.value >> 64, set()).add(block)
+    return {
+        "target": {str(level): {f"{key:x}": sorted(blocks)
+                                for key, blocks in sorted(buckets.items())}
+                   for level, buckets in target.items()},
+        "responder64": {f"{key:x}": sorted(blocks)
+                        for key, blocks in sorted(responders.items())},
+    }
+
+
+class TestPackedIndex:
+    """A segment's index is one packed string per level, built at seal."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=st.lists(st.tuples(_ADDRESS, _ADDRESS), max_size=120),
+           block_rows=st.integers(1, 9))
+    def test_packed_levels_hold_the_bucket_block_sets(
+        self, tmp_path_factory, pairs, block_rows
+    ):
+        rows = [_row(target, responder) for target, responder in pairs]
+        path = tmp_path_factory.mktemp("idx") / "s.seg"
+        writer = SegmentWriter(path, block_rows=block_rows)
+        writer.append_many(rows)
+        packed = writer.seal()["index"]
+        assert set(packed) == {"target32", "target48", "target64",
+                               "responder64"}
+        assert all(isinstance(text, str) for text in packed.values())
+        got = index_module.SegmentIndex.from_dict(packed)
+        want = index_module.SegmentIndex.from_dict(
+            _legacy_index(rows, block_rows))
+        assert got.target == want.target
+        assert got.responder64 == want.responder64
+        # Every builder packs the same string: the column path, the loop
+        # (below the crossover), and the loop without numpy.
+        saved = index_module._VECTOR_ROWS, index_module._np
+        try:
+            for vector_rows, np in ((1, saved[1]), (1 << 60, saved[1]),
+                                    (1, None)):
+                index_module._VECTOR_ROWS, index_module._np = vector_rows, np
+                builder = index_module.SegmentIndexBuilder()
+                for start in range(0, len(rows), block_rows):
+                    builder.add_block(b"".join(
+                        pack_row(row)
+                        for row in rows[start:start + block_rows]))
+                assert builder.to_dict() == packed
+        finally:
+            index_module._VECTOR_ROWS, index_module._np = saved
+
+    @pytest.mark.parametrize("form", ["packed", "legacy"])
+    def test_queries_equal_brute_force_on_stores_of_both_forms(
+        self, tmp_path, monkeypatch, form
+    ):
+        import random
+
+        rng = random.Random(11)
+        rows = [_row(rng.choice([0x2001_0DB8, 0x2001_0DB9]) << 96
+                     | rng.getrandbits(18) << 64 | rng.getrandbits(64),
+                     rng.choice([0x2001_0DB8, 0x2400_CB00]) << 96
+                     | rng.getrandbits(3) << 64 | 1)
+                for _ in range(300)]
+        if form == "legacy":
+            built = {}
+            original = SegmentWriter.seal
+
+            def legacy_seal(writer):
+                meta = original(writer)
+                meta["index"] = _legacy_index(built[writer], 16)
+                return meta
+
+            monkeypatch.setattr(SegmentWriter, "seal", legacy_seal)
+        store = ResultStore(tmp_path / "store")
+        metas = []
+        for name, part in (("a", rows[:180]), ("b", rows[180:])):
+            writer = store.writer(name, block_rows=16)
+            if form == "legacy":
+                built[writer] = part
+            writer.append_many(part)
+            metas.append(writer.seal())
+        store.commit(metas)
+        assert all(isinstance(meta["index"].get("responder64"), str)
+                   == (form == "packed") for meta in metas)
+        reopened = ResultStore(tmp_path / "store")
+        everything = list(reopened.iter_rows())
+        for text in ("2001::/16", "2001:db8::/31", "2001:db8::/32",
+                     "2001:db9::/40", "2001:db8:2::/47", "2001:db8:1::/48",
+                     "2001:db8:3:4000::/50", "2001:db9:0:12::/64",
+                     "2001:db8:0:12:8000::/65", "2001:db0::/32"):
+            prefix = IPv6Prefix.from_string(text)
+            assert list(query(reopened, prefix=prefix)) == [
+                r for r in everything if prefix.contains(r.target)
+            ], text
+        for responder in {r.responder.slash64 for r in everything}:
+            assert list(query(reopened, responder64=responder)) == [
+                r for r in everything if r.responder.slash64 == responder
+            ]
 
 
 class TestDiff:
